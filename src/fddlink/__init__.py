@@ -33,11 +33,10 @@ from .config import ConfigError, ScenarioConfig, load_config
 from .feedback import (
     FeedbackPlan,
     PhaseCodebook,
-    QuantizedPhase,
     dft_codebook_feedback,
     feedback_error_bound,
     make_feedback_plan,
-    quantize_phase,
+    quantize_phases,
 )
 from .harness import (
     ExperimentRecord,

@@ -25,7 +25,7 @@ def _as_bits_array(bits) -> np.ndarray:
         arr = arr.astype(np.int64)
     elif arr.dtype.kind not in "iu":
         raise ValueError(f"bit counts must be integers, got dtype {arr.dtype}")
-    if np.any(arr < 0) or np.any(arr > MAX_BITS):
+    if ((arr < 0) | (arr > MAX_BITS)).any():
         raise ValueError(f"bit counts must lie in [0, {MAX_BITS}]")
     return arr.astype(np.int64)
 

@@ -8,11 +8,9 @@ import json
 import logging
 import sys
 
-import numpy as np
-
-from . import allocation, channel, feedback, precoding, reconstruction
-from .config import ConfigError, ScenarioConfig, load_config
-from .harness import derive_trial_seed, emit_csv, run_experiment
+from . import allocation
+from .config import PAPER_SCALE_OVERRIDES, SE_METHODS, ConfigError, ScenarioConfig, load_config
+from .harness import emit_csv, run_experiment, se_samples
 from .precoding import GpipError
 
 
@@ -23,7 +21,7 @@ def _load_scenario(args) -> ScenarioConfig:
     else:
         cfg = ScenarioConfig()
         if paper_scale:
-            cfg = cfg.replace(n_antennas=256, n_users=16, trials=1000)
+            cfg = cfg.replace(**PAPER_SCALE_OVERRIDES)
     if getattr(args, "seed", None) is not None:
         cfg = cfg.replace(seed=args.seed)
     if getattr(args, "workers", None) is not None:
@@ -55,75 +53,32 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _make_reconstructions(cfg: ScenarioConfig, scene, ests, h_true, geom):
-    if cfg.reconstruction == "no_feedback":
-        return [reconstruction.reconstruct_no_feedback(est, geom) for est in ests]
-    if cfg.reconstruction == "dft":
-        return [reconstruction.reconstruct_dft(
-            feedback.dft_codebook_feedback(h_true[:, k], cfg.b_tot, geom)[1], geom)
-            for k in range(cfg.n_users)]
-    recs = []
-    for ps, est in zip(scene, ests):
-        bits = (tuple(0 for _ in est.betas) if cfg.allocator == "none"
-                else _alloc_bits(cfg, est.betas**2))
-        fp = feedback.make_feedback_plan(ps, bits, geom)
-        recs.append(reconstruction.reconstruct_mmse(est, fp, geom))
-    return recs
+def _precode_method(precoder: str, reconstruction: str) -> str:
+    """The `sim se` method that `precode` evaluates for (--method, reconstruction).
 
-
-def _alloc_bits(cfg: ScenarioConfig, weights):
-    problem = allocation.AllocationProblem(weights=tuple(weights), budget=cfg.b_tot)
-    if cfg.allocator == "uniform":
-        return allocation.allocate_uniform(problem).bits
-    return allocation.allocate_greedy(problem).bits
+    WMMSE always runs on the true channel; GPIP uses the error covariance.
+    """
+    source = "perfect" if precoder == "wmmse" else reconstruction
+    return next(name for name, row in SE_METHODS.items()
+                if row == (source, precoder, precoder == "gpip"))
 
 
 def _cmd_precode(args) -> int:
     cfg = _load_scenario(args)
-    method = args.method or cfg.precoder
-    geom = cfg.geometry()
-    noise = channel.EstimationNoise(cfg.aoa_sigma, cfg.gain_rel_sigma)
-    noisy = cfg.aoa_sigma > 0 or cfg.gain_rel_sigma > 0
-    power = cfg.power_watts()
-    sigma2 = np.full(cfg.n_users, cfg.noise_watts)
-    gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
-
-    rows = []
-    for drop in range(cfg.trials):
-        rng = np.random.default_rng(derive_trial_seed(cfg.seed, drop))
-        scene = [channel.draw_user_paths(cfg, rng) for _ in range(cfg.n_users)]
-        ests = [channel.perturb_estimates(ps, noise, rng) if noisy else ps
-                for ps in scene]
-        h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
-        recs = _make_reconstructions(cfg, scene, ests, h_true, geom)
-        pp = precoding.PrecodingProblem.from_reconstructions(
-            recs, power=power, sigma2=sigma2, use_cov=(method == "gpip"))
-        iterations = 0
-        if method == "gpip":
-            result = precoding.gpip_solve(pp, gcfg)
-            stack, iterations = result.f, result.iterations
-        elif method == "zf":
-            stack = precoding.zf_precoder(pp.hhat, pp)
-        else:  # wmmse on perfect CSI
-            pp = precoding.PrecodingProblem(
-                hhat=h_true,
-                phi=np.zeros((cfg.n_users, geom.num_antennas, geom.num_antennas),
-                             dtype=complex),
-                sigma2=sigma2, power=power)
-            stack = precoding.wmmse_precoder(h_true, pp)
-        rows.append((drop, method, cfg.reconstruction, cfg.b_tot,
-                     float(cfg.power_dbm_grid[0]),
-                     precoding.true_sum_se(stack, h_true, pp),
-                     precoding.sum_se_lower_bound(stack, pp),
-                     iterations))
-
+    precoder = args.method or cfg.precoder
+    power_dbm = float(cfg.power_dbm_grid[0])
+    point = cfg.replace(n_grid=(cfg.n_antennas,), l_grid=(cfg.n_paths,),
+                        power_dbm_grid=(power_dbm,), b_tot_grid=(cfg.b_tot,),
+                        se_methods=(_precode_method(precoder, cfg.reconstruction),))
+    samples = se_samples(point).reshape(cfg.trials, -1)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("drop", "method", "reconstruction", "b_tot", "power_dbm",
                          "true_sum_se", "se_lower_bound", "iterations"))
-        for row in rows:
-            writer.writerow([str(v) for v in row])
-    print(f"wrote {len(rows)} drops to {args.out}")
+        for drop, (true_se, lower_bound, iterations) in enumerate(samples):
+            writer.writerow([drop, precoder, cfg.reconstruction, cfg.b_tot, power_dbm,
+                             float(true_se), float(lower_bound), int(iterations)])
+    print(f"wrote {cfg.trials} drops to {args.out}")
     return 0
 
 

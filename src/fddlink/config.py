@@ -21,8 +21,19 @@ SPEED_OF_LIGHT = 299_792_458.0
 RECONSTRUCTION_MODES = ("mmse", "no_feedback", "dft")
 ALLOCATORS = ("greedy", "uniform", "none")
 PRECODERS = ("gpip", "zf", "wmmse")
-SE_METHODS = ("gpip_robust", "gpip_plain", "gpip_nofeedback", "gpip_dft",
-              "zf_mmse", "zf_nofeedback", "zf_dft", "wmmse_perfect")
+# SE method -> (CSI source, precoder, use_cov).  The CSI sources are the
+# reconstruction modes plus "perfect", the true channel; use_cov says whether
+# the precoder sees the reconstruction's error covariance.
+SE_METHODS = {
+    "gpip_robust": ("mmse", "gpip", True),
+    "gpip_plain": ("mmse", "gpip", False),
+    "gpip_nofeedback": ("no_feedback", "gpip", True),
+    "gpip_dft": ("dft", "gpip", True),
+    "zf_mmse": ("mmse", "zf", False),
+    "zf_nofeedback": ("no_feedback", "zf", False),
+    "zf_dft": ("dft", "zf", False),
+    "wmmse_perfect": ("perfect", "wmmse", False),
+}
 
 
 class ConfigError(ValueError):
@@ -139,7 +150,7 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(cfg.precoder in PRECODERS, "precoder", f"must be one of {PRECODERS}")
     need(len(cfg.se_methods) > 0, "se_methods", "must be non-empty")
     for m in cfg.se_methods:
-        need(m in SE_METHODS, "se_methods", f"unknown method {m!r}; known: {SE_METHODS}")
+        need(m in SE_METHODS, "se_methods", f"unknown method {m!r}; known: {tuple(SE_METHODS)}")
     need(cfg.gpip_epsilon > 0, "gpip_epsilon", "must be positive")
     need(cfg.gpip_max_iter >= 1, "gpip_max_iter", "must be >= 1")
     need(cfg.workers >= 1, "workers", "must be >= 1")

@@ -7,18 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .allocation import _as_bits_array
 from .channel import TWO_PI, ArrayGeometry, PathSet, dl_phases
-
-MAX_BITS = 62  # keeps 2**B exactly representable in float64
-
-
-def _check_bits(bits: int) -> int:
-    b = int(bits)
-    if b != bits or b < 0:
-        raise ValueError(f"bit count must be a nonnegative integer, got {bits!r}")
-    if b > MAX_BITS:
-        raise ValueError(f"bit count {b} exceeds the supported maximum {MAX_BITS}")
-    return b
 
 
 def wrap_angle(x):
@@ -33,7 +23,7 @@ class PhaseCodebook:
     bits: int
 
     def __post_init__(self):
-        _check_bits(self.bits)
+        _as_bits_array(self.bits)
 
     @property
     def codewords(self) -> np.ndarray:
@@ -41,69 +31,30 @@ class PhaseCodebook:
         return TWO_PI * np.arange(size) / size
 
 
-@dataclass(frozen=True)
-class QuantizedPhase:
-    """A quantized phase: the chosen codeword, its index, and the wrapped error."""
-
-    q: float
-    index: int
-    delta: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeedbackPlan:
-    """Per-path bit counts together with the quantized DL phases."""
+    """Per-path bit counts together with the quantized DL phases and their errors."""
 
-    bits: tuple[int, ...]
-    quantized: tuple[QuantizedPhase, ...]
-
-    def __post_init__(self):
-        if len(self.bits) != len(self.quantized):
-            raise ValueError("bits and quantized phases must have equal length")
+    bits: np.ndarray
+    q_values: np.ndarray
+    deltas: np.ndarray
 
     def __len__(self):
         return len(self.bits)
 
-    @property
-    def q_values(self) -> np.ndarray:
-        return np.array([qp.q for qp in self.quantized])
-
-    @property
-    def deltas(self) -> np.ndarray:
-        return np.array([qp.delta for qp in self.quantized])
-
-
-def quantize_phase(angle: float, bits: int) -> QuantizedPhase:
-    """Quantize an angle to the nearest codeword in circular distance.
-
-    The error delta = wrap(angle - q) always lands in [-pi/2**bits,
-    pi/2**bits].  With bits = 0 the codebook is the single word {0} and
-    delta is simply the wrapped angle.
-    """
-    if not np.isfinite(angle):
-        raise ValueError(f"angle must be finite, got {angle}")
-    b = _check_bits(bits)
-    size = 1 << b
-    step = TWO_PI / size
-    reduced = math.fmod(float(angle), TWO_PI)
-    if reduced < 0:
-        reduced += TWO_PI
-    index = int(round(reduced / step)) % size
-    delta = float(wrap_angle(reduced - index * step))
-    return QuantizedPhase(q=index * step, index=index, delta=delta)
-
 
 def quantize_phases(angles, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized quantizer: returns (q, index, delta) arrays.
+    """Quantize angles to the nearest codeword in circular distance.
 
-    ``bits`` broadcasts against ``angles``; same circular rule as
-    quantize_phase.
+    Returns (q, index, delta) arrays; ``bits`` broadcasts against
+    ``angles``.  The error delta = wrap(angle - q) always lands in
+    [-pi/2**bits, pi/2**bits].  With bits = 0 the codebook is the single
+    word {0} and delta is simply the wrapped angle.
     """
     angles = np.asarray(angles, dtype=float)
-    b = np.asarray(bits)
-    if np.any(b < 0) or np.any(b > MAX_BITS):
-        raise ValueError("bit counts must be in [0, 62]")
-    size = np.power(2.0, b)
+    if not np.all(np.isfinite(angles)):
+        raise ValueError("angles must be finite")
+    size = np.power(2.0, _as_bits_array(bits))
     step = TWO_PI / size
     reduced = np.mod(angles, TWO_PI)
     index = np.mod(np.round(reduced / step), size).astype(np.int64)
@@ -114,17 +65,15 @@ def quantize_phases(angles, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def feedback_error_bound(bits: int) -> float:
     """Half-width pi/2**bits of the quantization-error support."""
-    return math.pi / (1 << _check_bits(bits))
+    return math.pi / (1 << int(_as_bits_array(bits)))
 
 
 def make_feedback_plan(ps: PathSet, bits, geom: ArrayGeometry) -> FeedbackPlan:
     """Quantize each true DL path phase of ``ps`` with the given bit counts."""
-    bits = [int(b) for b in bits]
-    if len(bits) != len(ps):
-        raise ValueError(f"got {len(bits)} bit counts for {len(ps)} paths")
-    angles = dl_phases(ps, geom)
-    quantized = tuple(quantize_phase(a, b) for a, b in zip(angles, bits))
-    return FeedbackPlan(bits=tuple(bits), quantized=quantized)
+    if np.shape(bits) != (len(ps),):
+        raise ValueError(f"got {np.size(bits)} bit counts for {len(ps)} paths")
+    q, _, deltas = quantize_phases(dl_phases(ps, geom), bits)  # validates bits
+    return FeedbackPlan(bits=np.asarray(bits, dtype=np.int64), q_values=q, deltas=deltas)
 
 
 def dft_codebook(num_antennas: int, total_bits: int) -> np.ndarray:
@@ -136,7 +85,7 @@ def dft_codebook(num_antennas: int, total_bits: int) -> np.ndarray:
     """
     if num_antennas < 1:
         raise ValueError("num_antennas must be >= 1")
-    size = 1 << _check_bits(total_bits)
+    size = 1 << int(_as_bits_array(total_bits))
     n = np.arange(num_antennas)[:, None]
     if size >= num_antennas:
         freqs = np.arange(size) / size

@@ -9,16 +9,13 @@ error, and the sample count for every sweep coordinate and method.
 from __future__ import annotations
 
 import csv
-import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import allocation, channel, feedback, precoding, reconstruction
-from .config import ScenarioConfig
-
-log = logging.getLogger(__name__)
+from .config import SE_METHODS, ScenarioConfig
 
 CSV_COLUMNS = ("experiment", "n_antennas", "n_users", "n_paths", "b_tot",
                "power_dbm", "method", "metric", "mean", "std_err", "trials")
@@ -60,15 +57,15 @@ def emit_csv(records, path) -> None:
 
 
 def _run_trials(cfg: ScenarioConfig, trial_fn, workers: int | None = None) -> np.ndarray:
-    """Evaluate trial_fn(rng) for every trial; stacking order is trial order."""
+    """Evaluate trial_fn(trial, rng) for every trial; stacking order is trial order."""
     workers = cfg.workers if workers is None else workers
-    rngs = [np.random.default_rng(derive_trial_seed(cfg.seed, t))
-            for t in range(cfg.trials)]
+    trials = range(cfg.trials)
+    rngs = [np.random.default_rng(derive_trial_seed(cfg.seed, t)) for t in trials]
     if workers <= 1:
-        results = [trial_fn(rng) for rng in rngs]
+        results = [trial_fn(t, rng) for t, rng in zip(trials, rngs)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial_fn, rngs))
+            results = list(pool.map(trial_fn, trials, rngs))
     return np.stack(results)
 
 
@@ -83,10 +80,7 @@ def _mean_and_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# reconstruction-MSE experiment
-
-
-MSE_STRATEGIES = ("greedy", "uniform", "none")
+# the drop pipeline shared by every experiment
 
 
 def _allocate(strategy: str, weights, budget: int) -> tuple:
@@ -100,6 +94,34 @@ def _allocate(strategy: str, weights, budget: int) -> tuple:
     raise ValueError(f"unknown allocator {strategy!r}")
 
 
+def _mmse_csi(ps, est, strategy: str, b_tot: int, geom):
+    """One user's phase feedback and MMSE reconstruction at budget b_tot.
+
+    Bits are allocated over the estimated path powers, the feedback quantizes
+    the true DL phases of ``ps``, and the reconstruction uses the estimated
+    geometry ``est``.  Returns (feedback plan, reconstructed channel).
+    """
+    bits = _allocate(strategy, est.betas**2, b_tot)
+    fp = feedback.make_feedback_plan(ps, bits, geom)
+    return fp, reconstruction.reconstruct_mmse(est, fp, geom)
+
+
+def _draw_scene(cfg: ScenarioConfig, rng):
+    """True per-user paths and the base station's estimates of them."""
+    scene = channel.draw_scene(cfg, rng)
+    if cfg.aoa_sigma == 0 and cfg.gain_rel_sigma == 0:
+        return scene, scene
+    noise = channel.EstimationNoise(cfg.aoa_sigma, cfg.gain_rel_sigma)
+    return scene, [channel.perturb_estimates(ps, noise, rng) for ps in scene]
+
+
+# ---------------------------------------------------------------------------
+# reconstruction-MSE experiment
+
+
+MSE_STRATEGIES = ("greedy", "uniform", "none")
+
+
 def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     """Per-user reconstruction MSE versus the total feedback budget.
 
@@ -109,18 +131,15 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
 
-    def trial(rng):
+    def trial(t, rng):
         ps = channel.draw_user_paths(cfg, rng)
-        weights = ps.betas**2
         h = channel.dl_channel(ps, geom)
         out = np.empty((len(b_grid), len(MSE_STRATEGIES), 2))
         for bi, b_tot in enumerate(b_grid):
             for si, strategy in enumerate(MSE_STRATEGIES):
-                bits = _allocate(strategy, weights, b_tot)
-                fp = feedback.make_feedback_plan(ps, bits, geom)
-                rc = reconstruction.reconstruct_mmse(ps, fp, geom)
+                fp, rc = _mmse_csi(ps, ps, strategy, b_tot, geom)
                 err = float(np.sum(np.abs(h - rc.hhat) ** 2))
-                cf = allocation.theoretical_weighted_mse(ps.betas, bits, geom.num_antennas)
+                cf = allocation.theoretical_weighted_mse(ps.betas, fp.bits, geom.num_antennas)
                 out[bi, si] = (cf, err)
         return out
 
@@ -154,18 +173,15 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
     l_grid = cfg.l_grid
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in l_grid}
 
-    def trial(rng):
+    def trial(t, rng):
         out = np.empty((len(l_grid), len(b_grid), 2))
         for li, L in enumerate(l_grid):
             ps = channel.draw_user_paths(cfgs_by_l[L], rng)
-            weights = ps.betas**2
             h = channel.dl_channel(ps, geom)
             for bi, b_tot in enumerate(b_grid):
-                bits = _allocate(cfg.allocator, weights, b_tot)
-                fp = feedback.make_feedback_plan(ps, bits, geom)
-                rc = reconstruction.reconstruct_mmse(ps, fp, geom)
-                emp = reconstruction.outer_error_norm(h, rc.hhat, ps, bits, geom)
-                asym = reconstruction.asymptotic_delta_norm(ps.betas, bits, fp.deltas)
+                fp, rc = _mmse_csi(ps, ps, cfg.allocator, b_tot, geom)
+                emp = reconstruction.outer_error_norm(h, rc.hhat, ps, fp.bits, geom)
+                asym = reconstruction.asymptotic_delta_norm(ps.betas, fp.bits, fp.deltas)
                 out[li, bi] = (emp, asym)
         return out
 
@@ -189,13 +205,31 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
 
 
 SE_METRICS = ("true_sum_se", "se_lower_bound")
-_FEEDBACK_FREE = ("zf_nofeedback", "gpip_nofeedback", "wmmse_perfect")
+# CSI sources rebuilt for every feedback budget; the others ignore the budget
+_PER_BUDGET = ("mmse", "dft")
 
 
-def _zf_columns(recs_mmse, recs_nf) -> np.ndarray:
-    """MMSE estimate columns; users without any feedback fall back to the
+def _build_csi(source: str, b_tot: int, cfg: ScenarioConfig, scene, ests, h_true, geom):
+    """Per-user reconstructions from one CSI source."""
+    if source == "mmse":
+        return [_mmse_csi(ps, est, cfg.allocator, b_tot, geom)[1]
+                for ps, est in zip(scene, ests)]
+    if source == "no_feedback":
+        return [reconstruction.reconstruct_no_feedback(est, geom) for est in ests]
+    if source == "dft":
+        return [reconstruction.reconstruct_dft(
+                    feedback.dft_codebook_feedback(h, b_tot, geom)[1], geom)
+                for h in h_true.T]
+    # "perfect": the true channel, with no estimation error
+    zero = np.zeros((geom.num_antennas, geom.num_antennas), dtype=complex)
+    return [reconstruction.ReconstructedChannel(hhat=h, error_cov=zero, mode="perfect")
+            for h in h_true.T]
+
+
+def _zf_columns(hhat: np.ndarray, recs_nf) -> np.ndarray:
+    """Estimate columns; users without any feedback fall back to the
     geometry-only estimate so zero-forcing stays defined at zero budget."""
-    cols = np.column_stack([rc.hhat for rc in recs_mmse])
+    cols = hhat.copy()
     norms = np.linalg.norm(cols, axis=0)
     floor = 1e-12 * max(float(norms.max()), 1e-300)
     for k in np.nonzero(norms <= floor)[0]:
@@ -203,116 +237,102 @@ def _zf_columns(recs_mmse, recs_nf) -> np.ndarray:
     return cols
 
 
-def _method_outputs(method: str, ctx: dict) -> tuple[float, float]:
-    """(true sum SE, CSI-side lower bound) for one precoding method."""
-    cfg: ScenarioConfig = ctx["cfg"]
-    gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
-    power, sigma2, h_true = ctx["power"], ctx["sigma2"], ctx["h_true"]
+def _evaluate(method: str, csi: dict, cfg: ScenarioConfig, power: float, h_true) -> tuple:
+    """(true sum SE, CSI-side lower bound, GPIP iterations) of one SE method.
 
-    def problem(recs, use_cov):
-        return precoding.PrecodingProblem.from_reconstructions(
-            recs, power=power, sigma2=sigma2, use_cov=use_cov)
-
-    if method == "wmmse_perfect":
-        n = h_true.shape[0]
-        pp = precoding.PrecodingProblem(
-            hhat=h_true, phi=np.zeros((h_true.shape[1], n, n), dtype=complex),
-            sigma2=sigma2, power=power)
-        stack = precoding.wmmse_precoder(h_true, pp)
-    elif method == "gpip_robust":
-        pp = problem(ctx["recs_mmse"], use_cov=True)
-        stack = precoding.gpip_solve(pp, gcfg).f
-    elif method == "gpip_plain":
-        pp = problem(ctx["recs_mmse"], use_cov=False)
-        stack = precoding.gpip_solve(pp, gcfg).f
-    elif method == "gpip_nofeedback":
-        pp = problem(ctx["recs_nf"], use_cov=True)
-        stack = precoding.gpip_solve(pp, gcfg).f
-    elif method == "gpip_dft":
-        pp = problem(ctx["recs_dft"], use_cov=True)
-        stack = precoding.gpip_solve(pp, gcfg).f
-    elif method == "zf_mmse":
-        cols = _zf_columns(ctx["recs_mmse"], ctx["recs_nf"])
-        pp = problem(ctx["recs_mmse"], use_cov=False)
-        stack = precoding.zf_precoder(cols, pp)
-    elif method == "zf_nofeedback":
-        pp = problem(ctx["recs_nf"], use_cov=False)
-        stack = precoding.zf_precoder(pp.hhat, pp)
-    elif method == "zf_dft":
-        pp = problem(ctx["recs_dft"], use_cov=False)
-        stack = precoding.zf_precoder(pp.hhat, pp)
+    ``csi`` maps each CSI source the method needs to per-user reconstructions;
+    ZF methods also need "no_feedback", the fallback for users without feedback.
+    """
+    source, precoder, use_cov = SE_METHODS[method]
+    pp = precoding.PrecodingProblem.from_reconstructions(
+        csi[source], power=power, sigma2=np.full(cfg.n_users, cfg.noise_watts),
+        use_cov=use_cov)
+    iterations = 0
+    if precoder == "gpip":
+        gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
+        result = precoding.gpip_solve(pp, gcfg)
+        stack, iterations = result.f, result.iterations
+    elif precoder == "zf":
+        stack = precoding.zf_precoder(_zf_columns(pp.hhat, csi["no_feedback"]), pp)
     else:
-        raise ValueError(f"unknown SE method {method!r}")
+        stack = precoding.wmmse_precoder(h_true, pp)
+    return (precoding.true_sum_se(stack, h_true, pp),
+            precoding.sum_se_lower_bound(stack, pp), iterations)
 
-    true_se = precoding.true_sum_se(stack, h_true, pp)
-    lb = precoding.sum_se_lower_bound(stack, pp)
-    return true_se, lb
+
+def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray) -> None:
+    """Fill out[power, budget, method] for one drawn scene at one array size.
+
+    Methods whose CSI ignores the budget run once per power, ahead of the
+    budget loop.  CSI is built when a method first needs it; per-budget CSI
+    is dropped before the next budget's is built.
+    """
+    h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
+    csi = {}
+
+    def evaluate(method, pdbm, b_tot):
+        source, precoder, _ = SE_METHODS[method]
+        try:
+            for needed in (source, "no_feedback") if precoder == "zf" else (source,):
+                if needed not in csi:
+                    csi[needed] = _build_csi(needed, b_tot, cfg, scene, ests, h_true, geom)
+            return _evaluate(method, csi, cfg, cfg.power_watts(pdbm), h_true)
+        except (precoding.GpipError, ValueError) as exc:
+            raise type(exc)(
+                f"{exc} (seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
+                f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {b_tot}, "
+                f"method {method})") from exc
+
+    per_budget = [SE_METHODS[m][0] in _PER_BUDGET for m in cfg.se_methods]
+    for pi, pdbm in enumerate(cfg.power_dbm_grid):
+        for mi, method in enumerate(cfg.se_methods):
+            if not per_budget[mi]:
+                out[pi, :, mi] = evaluate(method, pdbm, cfg.b_tot_grid[0])
+        for bi, b_tot in enumerate(cfg.b_tot_grid):
+            for source in _PER_BUDGET:
+                csi.pop(source, None)
+            for mi, method in enumerate(cfg.se_methods):
+                if per_budget[mi]:
+                    out[pi, bi, mi] = evaluate(method, pdbm, b_tot)
+
+
+def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
+    """Per-drop SE outputs over the whole sweep.
+
+    Shape (trials, n_grid, l_grid, power_dbm_grid, b_tot_grid, se_methods, 3);
+    the last axis holds the two SE_METRICS and the GPIP iteration count (0
+    for other precoders).  Methods whose CSI source ignores the budget are
+    computed once per (drop, N, L, power) and replicated across budgets.  A
+    solver or ZF failure is re-raised with the seed, trial, sweep point and
+    method that reproduce it.
+    """
+    cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in cfg.l_grid}
+
+    def trial(t, rng):
+        out = np.empty((len(cfg.n_grid), len(cfg.l_grid), len(cfg.power_dbm_grid),
+                        len(cfg.b_tot_grid), len(cfg.se_methods), len(SE_METRICS) + 1))
+        for li, L in enumerate(cfg.l_grid):
+            scene, ests = _draw_scene(cfgs_by_l[L], rng)
+            for ni, n in enumerate(cfg.n_grid):
+                _se_scene(cfg, t, scene, ests, cfg.geometry(n), out[ni, li])
+        return out
+
+    return _run_trials(cfg, trial, workers)
 
 
 def run_se_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     """Ergodic sum spectral efficiency over drops for each configured method.
 
     Sweeps the cross product of the antenna, path-count, power, and budget
-    grids; methods that ignore the feedback budget are computed once per
-    drop and replicated across budget coordinates.
+    grids (see se_samples).
     """
-    n_grid, l_grid = cfg.n_grid, cfg.l_grid
-    p_grid, b_grid = cfg.power_dbm_grid, cfg.b_tot_grid
-    methods = cfg.se_methods
-    noise = channel.EstimationNoise(cfg.aoa_sigma, cfg.gain_rel_sigma)
-    noisy = cfg.aoa_sigma > 0 or cfg.gain_rel_sigma > 0
-    cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in l_grid}
-
-    def trial(rng):
-        out = np.empty((len(n_grid), len(l_grid), len(p_grid), len(b_grid),
-                        len(methods), len(SE_METRICS)))
-        for li, L in enumerate(l_grid):
-            scene = [channel.draw_user_paths(cfgs_by_l[L], rng)
-                     for _ in range(cfg.n_users)]
-            ests = [channel.perturb_estimates(ps, noise, rng) if noisy else ps
-                    for ps in scene]
-            for ni, n in enumerate(n_grid):
-                geom = cfg.geometry(n)
-                h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
-                recs_nf = [reconstruction.reconstruct_no_feedback(est, geom)
-                           for est in ests]
-                for pi, pdbm in enumerate(p_grid):
-                    ctx = {
-                        "cfg": cfg, "h_true": h_true, "recs_nf": recs_nf,
-                        "power": cfg.power_watts(pdbm),
-                        "sigma2": np.full(cfg.n_users, cfg.noise_watts),
-                    }
-                    cached = {m: _method_outputs(m, ctx)
-                              for m in methods if m in _FEEDBACK_FREE}
-                    for bi, b_tot in enumerate(b_grid):
-                        recs_mmse = []
-                        for ps, est in zip(scene, ests):
-                            bits = _allocate(cfg.allocator, est.betas**2, b_tot)
-                            fp = feedback.make_feedback_plan(ps, bits, geom)
-                            recs_mmse.append(
-                                reconstruction.reconstruct_mmse(est, fp, geom))
-                        ctx["recs_mmse"] = recs_mmse
-                        if any(m in ("zf_dft", "gpip_dft") for m in methods):
-                            ctx["recs_dft"] = [
-                                reconstruction.reconstruct_dft(
-                                    feedback.dft_codebook_feedback(
-                                        h_true[:, k], b_tot, geom)[1], geom)
-                                for k in range(cfg.n_users)]
-                        for mi, method in enumerate(methods):
-                            if method in cached:
-                                out[ni, li, pi, bi, mi] = cached[method]
-                            else:
-                                out[ni, li, pi, bi, mi] = _method_outputs(method, ctx)
-        return out
-
-    samples = _run_trials(cfg, trial, workers)
-    mean, std_err = _mean_and_stderr(samples)
+    mean, std_err = _mean_and_stderr(se_samples(cfg, workers))
     records = []
-    for ni, n in enumerate(n_grid):
-        for li, L in enumerate(l_grid):
-            for pi, pdbm in enumerate(p_grid):
-                for bi, b_tot in enumerate(b_grid):
-                    for mi, method in enumerate(methods):
+    for ni, n in enumerate(cfg.n_grid):
+        for li, L in enumerate(cfg.l_grid):
+            for pi, pdbm in enumerate(cfg.power_dbm_grid):
+                for bi, b_tot in enumerate(cfg.b_tot_grid):
+                    for mi, method in enumerate(cfg.se_methods):
                         for xi, metric in enumerate(SE_METRICS):
                             records.append(ExperimentRecord(
                                 experiment="se", n_antennas=n,

@@ -119,7 +119,6 @@ class GpipConfig:
 
     epsilon: float = 1e-4
     max_iter: int = 50
-    keep_best: bool = True
 
     def __post_init__(self):
         if not self.epsilon > 0:
@@ -200,20 +199,25 @@ def _cross_quadratic(covs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     return np.einsum("aj,kaj->kj", cols.conj(), inner).real
 
 
-def _ratio_terms(pp: PrecodingProblem, stack: PrecoderStack,
-                 covs: np.ndarray | None = None):
-    covs = pp.effective_covariances() if covs is None else covs
-    blocks = stack.blocks
+def _ratios(covs: np.ndarray, blocks: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
+    """Per-user numerator and denominator quadratic forms of the SE ratios.
+
+    ``noise`` is the per-user noise term already scaled by ||f||^2.
+    """
     q = _cross_quadratic(covs, blocks)
-    noise = pp.noise_over_power * float(np.vdot(stack.f, stack.f).real)
     q_num = q.sum(axis=1) + noise
     q_den = q_num - np.diag(q)
-    return q, q_num, q_den
+    return q_num, q_den
+
+
+def _problem_ratios(pp: PrecodingProblem, stack: PrecoderStack):
+    noise = pp.noise_over_power * float(np.vdot(stack.f, stack.f).real)
+    return _ratios(pp.effective_covariances(), stack.blocks, noise)
 
 
 def gamma(stack: PrecoderStack, pp: PrecodingProblem) -> float:
     """Product of per-user ratios; log2 of it is the SE lower bound."""
-    _, q_num, q_den = _ratio_terms(pp, stack)
+    q_num, q_den = _problem_ratios(pp, stack)
     return float(np.exp(np.sum(np.log(q_num) - np.log(q_den))))
 
 
@@ -223,7 +227,7 @@ def sum_se_lower_bound(stack: PrecoderStack, pp: PrecodingProblem) -> float:
     Noise enters as sigma2/P scaled by ||f||^2, so the value depends only on
     the stack's direction and matches the unit-norm convention exactly.
     """
-    _, q_num, q_den = _ratio_terms(pp, stack)
+    q_num, q_den = _problem_ratios(pp, stack)
     return float(np.sum(np.log2(q_num) - np.log2(q_den)))
 
 
@@ -278,9 +282,9 @@ def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
     Each iteration solves K independent N x N Hermitian positive-definite
     systems (the aggregate matrices are block-diagonal with a rank-limited
     per-block correction) and renormalizes.  Stops once the relative
-    improvement of the objective falls below cfg.epsilon.  With keep_best
-    the iterate with the largest objective seen, including the start, is
-    returned, so the result never falls below the initial point.
+    improvement of the objective falls below cfg.epsilon.  The iterate with
+    the largest objective seen, including the start, is returned, so the
+    result never falls below the initial point.
     """
     cfg = cfg or GpipConfig()
     covs, noise = _scaled_problem(pp)
@@ -288,9 +292,7 @@ def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
     stack = (f0 or _default_init(pp, covs)).normalized()
 
     def ratio_logs(s: PrecoderStack) -> tuple[np.ndarray, np.ndarray]:
-        q = _cross_quadratic(covs, s.blocks)
-        q_num = q.sum(axis=1) + noise  # ||f|| = 1 throughout
-        q_den = q_num - np.diag(q)
+        q_num, q_den = _ratios(covs, s.blocks, noise)  # ||f|| = 1 throughout
         if np.any(q_den <= 0) or np.any(~np.isfinite(q_num)):
             raise GpipError("non-finite or non-positive quadratic forms")
         return np.log(q_num), np.log(q_den)
@@ -336,12 +338,10 @@ def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
             best_lg, best_stack = lg_new, stack
         if abs(math.expm1(lg_new - lg)) < cfg.epsilon:
             converged = True
-            lg = lg_new
             break
         lg = lg_new
 
-    out_stack, out_lg = (best_stack, best_lg) if cfg.keep_best else (stack, lg)
-    return GpipResult(f=out_stack, gamma=math.exp(out_lg),
+    return GpipResult(f=best_stack, gamma=math.exp(best_lg),
                       gamma_history=tuple(history),
                       iterations=iterations, converged=converged)
 
@@ -356,9 +356,7 @@ def stationarity_residual(stack: PrecoderStack, pp: PrecodingProblem) -> float:
     n, k = pp.num_antennas, pp.num_users
     stack = stack.normalized()
     blocks = stack.blocks
-    q = _cross_quadratic(covs, blocks)
-    q_num = q.sum(axis=1) + noise
-    q_den = q_num - np.diag(q)
+    q_num, q_den = _ratios(covs, blocks, noise)
     la, lb = np.log(q_num), np.log(q_den)
     log_g = float(la.sum() - lb.sum())
     # One shared normalizer keeps the identity A f = gamma B f intact.

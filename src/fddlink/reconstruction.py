@@ -8,7 +8,6 @@ for the true channel outer product.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,29 +36,22 @@ def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> Reco
     if len(fp) != len(ps):
         raise ValueError(f"feedback plan has {len(fp)} entries for {len(ps)} paths")
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    etas = eta(np.asarray(fp.bits))
+    etas = eta(fp.bits)
     gains = etas * ps.betas * np.exp(1j * fp.q_values)
     hhat = a @ gains
     phi = _covariance_from_factors(a, ps.betas, etas)
     return ReconstructedChannel(hhat=hhat, error_cov=phi, mode="mmse")
 
 
-def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry,
-                            cov: str = "full") -> ReconstructedChannel:
+def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedChannel:
     """Unit-phase estimate sum_l beta_l * a(theta_l) built from UL-side data only.
 
-    No phase information exists, so with cov="full" the covariance carries
-    each path's whole power (the zero-bit limit); cov="zero" suits consumers
-    that ignore covariance, such as zero-forcing.
+    No phase information exists, so the covariance carries each path's whole
+    power (the zero-bit limit).
     """
-    if cov not in ("full", "zero"):
-        raise ValueError(f"cov must be 'full' or 'zero', got {cov!r}")
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
     hhat = a @ ps.betas.astype(complex)
-    if cov == "full":
-        phi = _covariance_from_factors(a, ps.betas, np.zeros(len(ps)))
-    else:
-        phi = np.zeros((geom.num_antennas, geom.num_antennas), dtype=complex)
+    phi = _covariance_from_factors(a, ps.betas, np.zeros(len(ps)))
     return ReconstructedChannel(hhat=hhat, error_cov=phi, mode="no_feedback_unit_phase")
 
 
@@ -145,11 +137,3 @@ def asymptotic_delta_norm(betas, bits, deltas) -> float:
             total += bb2 * (1.0 + ee**2 - 2.0 * abs(ee) * np.cos(deltas[i] - deltas[j]))
     return float(total)
 
-
-def export_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Write a complex matrix as CSV, row-major, each cell formatted "re,im"."""
-    m = np.asarray(matrix)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for row in np.atleast_2d(m):
-            writer.writerow([f"{c.real},{c.imag}" for c in row])

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -69,3 +71,54 @@ def test_precode_zf_and_wmmse(tmp_path):
                      "--out", str(out)]) == 0
         rows = list(csv.DictReader(out.open()))
         assert len(rows) == 2
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("workload,experiment", [
+    ("se_desk", "se"), ("csi_sweep", "delta"), ("dft_zf", "se")])
+def test_sim_matches_reference_csv(tmp_path, workload, experiment):
+    out = tmp_path / "out.csv"
+    assert main(["sim", experiment, "--config", str(BENCH / "workloads" / f"{workload}.cfg"),
+                 "--seed", "0", "--out", str(out)]) == 0
+    assert out.read_bytes() == (BENCH / "reference" / workload / "0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("precoder,reconstruction,se_method,b_tot", [
+    ("gpip", "mmse", "gpip_robust", 9),
+    ("gpip", "no_feedback", "gpip_nofeedback", 9),
+    ("gpip", "dft", "gpip_dft", 9),
+    ("zf", "mmse", "zf_mmse", 9),
+    ("zf", "no_feedback", "zf_nofeedback", 9),
+    ("zf", "dft", "zf_dft", 9),
+    ("wmmse", "mmse", "wmmse_perfect", 9),
+    ("wmmse", "no_feedback", "wmmse_perfect", 9),
+    ("wmmse", "dft", "wmmse_perfect", 9),
+    ("zf", "mmse", "zf_mmse", 0),
+])
+def test_precode_row_is_the_sim_se_point(tmp_path, precoder, reconstruction, se_method,
+                                         b_tot):
+    scenario = "n_antennas = 16\nn_users = 3\nn_paths = 3\ntrials = 1\naoa_sigma = 0.02\n"
+    pre_cfg, se_cfg = tmp_path / "pre.cfg", tmp_path / "se.cfg"
+    pre_cfg.write_text(scenario + f"b_tot = {b_tot}\nreconstruction = {reconstruction}\n")
+    se_cfg.write_text(scenario + f"b_tot_grid = {b_tot}\nse_methods = {se_method}\n")
+    drops, se = tmp_path / "drops.csv", tmp_path / "se.csv"
+    assert main(["precode", "--method", precoder, "--config", str(pre_cfg),
+                 "--out", str(drops)]) == 0
+    assert main(["sim", "se", "--config", str(se_cfg), "--out", str(se)]) == 0
+    (row,) = csv.DictReader(drops.open())
+    means = {r["metric"]: r["mean"] for r in csv.DictReader(se.open())}
+    assert row["true_sum_se"] == means["true_sum_se"]
+    assert row["se_lower_bound"] == means["se_lower_bound"]
+
+
+def test_failed_drop_names_seed_trial_point_and_method(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_antennas = 8\nn_users = 2\nn_paths = 2\ntrials = 3\n"
+                   "b_tot_grid = 0\nse_methods = zf_dft\n")
+    assert main(["sim", "se", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "channel matrix is rank deficient" in err
+    assert re.search(r"\(seed 1234, trial \d+, n_antennas 8, n_paths 2, power_dbm 43\.0, "
+                     r"b_tot 0, method zf_dft\)", err)

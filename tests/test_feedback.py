@@ -11,7 +11,6 @@ from fddlink.feedback import (
     dft_codebook_feedback,
     feedback_error_bound,
     make_feedback_plan,
-    quantize_phase,
     quantize_phases,
 )
 
@@ -32,56 +31,59 @@ class TestCodebook:
 
 class TestQuantizePhase:
     def test_five_eighths_pi_two_bits(self):
-        qp = quantize_phase(5 * math.pi / 8, 2)
-        assert qp.q == pytest.approx(math.pi / 2)
-        assert qp.index == 1
-        assert qp.delta == pytest.approx(math.pi / 8)
+        q, index, delta = quantize_phases(5 * math.pi / 8, 2)
+        assert q == pytest.approx(math.pi / 2)
+        assert index == 1
+        assert delta == pytest.approx(math.pi / 8)
 
     def test_wraparound_beats_linear_distance(self):
-        qp = quantize_phase(15 * math.pi / 8, 2)
-        assert qp.q == 0.0
-        assert qp.index == 0
-        assert qp.delta == pytest.approx(-math.pi / 8)
+        q, index, delta = quantize_phases(15 * math.pi / 8, 2)
+        assert q == 0.0
+        assert index == 0
+        assert delta == pytest.approx(-math.pi / 8)
 
     def test_codewords_are_fixed_points(self):
         for bits in (0, 1, 2, 4):
-            for c in PhaseCodebook(bits=bits).codewords:
-                qp = quantize_phase(c, bits)
-                assert qp.q == pytest.approx(c)
-                assert abs(qp.delta) < 1e-12
+            c = PhaseCodebook(bits=bits).codewords
+            q, _, delta = quantize_phases(c, bits)
+            np.testing.assert_allclose(q, c)
+            assert np.all(np.abs(delta) < 1e-12)
 
     def test_idempotent(self):
-        qp = quantize_phase(2.13, 3)
-        again = quantize_phase(qp.q, 3)
-        assert again.q == pytest.approx(qp.q)
-        assert again.index == qp.index
+        q, index, _ = quantize_phases(2.13, 3)
+        again_q, again_index, _ = quantize_phases(q, 3)
+        assert again_q == pytest.approx(q)
+        assert again_index == index
 
     def test_delta_support(self):
         rng = np.random.default_rng(0)
         for bits in (0, 1, 3):
             angles = rng.uniform(-10, 10, size=200)
-            for a in angles:
-                qp = quantize_phase(a, bits)
-                assert abs(qp.delta) <= math.pi / 2**bits + 1e-12
+            _, _, delta = quantize_phases(angles, bits)
+            assert np.all(np.abs(delta) <= math.pi / 2**bits + 1e-12)
 
     def test_zero_bits_delta_is_wrapped_angle(self):
-        qp = quantize_phase(1.0, 0)
-        assert qp.q == 0.0 and qp.delta == pytest.approx(1.0)
+        q, _, delta = quantize_phases(1.0, 0)
+        assert q == 0.0 and delta == pytest.approx(1.0)
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            quantize_phase(math.inf, 2)
+            quantize_phases(math.inf, 2)
         with pytest.raises(ValueError):
-            quantize_phase(1.0, -1)
+            quantize_phases(1.0, -1)
 
     def test_vectorized_matches_scalar(self):
+        # one call over an array agrees exactly with one call per angle,
+        # and a per-angle bit array with a shared bit count
         rng = np.random.default_rng(7)
         angles = rng.uniform(-7, 7, size=64)
         q, idx, delta = quantize_phases(angles, 3)
+        per_angle = quantize_phases(angles, np.full(64, 3))
+        for got, want in zip(per_angle, (q, idx, delta)):
+            np.testing.assert_array_equal(got, want)
         for i, a in enumerate(angles):
-            qp = quantize_phase(a, 3)
-            assert qp.index == idx[i]
-            assert qp.delta == pytest.approx(delta[i])
+            qi, ii, di = quantize_phases(a, 3)
+            assert (qi, ii, di) == (q[i], idx[i], delta[i])
 
 
 class TestErrorStatistics:
@@ -120,11 +122,12 @@ class TestFeedbackPlan:
             ChannelPath(theta=-0.4, beta=0.5, distance=130.0, phase_ul=2.0, phase_dl=0.6),
         ))
         fp = make_feedback_plan(ps, [2, 0], self.GEOM)
-        assert fp.bits == (2, 0)
+        np.testing.assert_array_equal(fp.bits, [2, 0])
         angles = np.mod(-TWO_PI * ps.distances / self.GEOM.lambda_dl + ps.phases_dl, TWO_PI)
-        for qp, angle, bits in zip(fp.quantized, angles, fp.bits):
-            ref = quantize_phase(angle, bits)
-            assert qp.q == pytest.approx(ref.q)
+        for q, delta, angle, bits in zip(fp.q_values, fp.deltas, angles, fp.bits):
+            ref_q, _, ref_delta = quantize_phases(angle, bits)
+            assert q == pytest.approx(ref_q)
+            assert delta == pytest.approx(ref_delta)
 
     def test_length_mismatch_rejected(self):
         ps = PathSet((ChannelPath(0.1, 1.0, 100.0, 0.3, 1.2),))

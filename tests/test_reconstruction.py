@@ -17,7 +17,6 @@ from fddlink.feedback import make_feedback_plan, quantize_phases
 from fddlink.reconstruction import (
     asymptotic_delta_norm,
     error_covariance,
-    export_matrix_csv,
     outer_error_norm,
     outer_product_error,
     reconstruct_dft,
@@ -103,13 +102,9 @@ class TestReconstructNoFeedback:
 
     def test_cov_modes(self):
         ps = two_path_set()
-        full = reconstruct_no_feedback(ps, GEOM, cov="full")
-        zero = reconstruct_no_feedback(ps, GEOM, cov="zero")
+        full = reconstruct_no_feedback(ps, GEOM)
         np.testing.assert_allclose(full.error_cov,
                                    error_covariance(ps, [0, 0], GEOM), atol=1e-12)
-        assert np.all(zero.error_cov == 0)
-        with pytest.raises(ValueError):
-            reconstruct_no_feedback(ps, GEOM, cov="bogus")
 
 
 class TestErrorCovariance:
@@ -232,16 +227,6 @@ class TestAsymptoticDeltaNorm:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             asymptotic_delta_norm([1.0, 1.0], [1], [0.0, 0.0])
-
-
-class TestMatrixExport:
-    def test_re_im_cells(self, tmp_path):
-        m = np.array([[1 + 2j, -0.5j], [0.25, 3 - 1j]])
-        out = tmp_path / "mat.csv"
-        export_matrix_csv(m, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0].split('","')[0].lstrip('"') == "1.0,2.0"
-        assert len(lines) == 2
 
 
 class TestDftReconstruction:
