@@ -18,7 +18,6 @@ from .allocation import (
 )
 from .channel import (
     ArrayGeometry,
-    ChannelPath,
     EstimationNoise,
     PathSet,
     array_response,
@@ -32,9 +31,7 @@ from .channel import (
 from .config import ConfigError, ScenarioConfig, load_config
 from .feedback import (
     FeedbackPlan,
-    PhaseCodebook,
     dft_codebook_feedback,
-    feedback_error_bound,
     make_feedback_plan,
     quantize_phases,
 )
@@ -53,7 +50,6 @@ from .precoding import (
     GpipResult,
     PrecoderStack,
     PrecodingProblem,
-    build_A_B,
     gamma,
     gpip_solve,
     stationarity_residual,

@@ -9,7 +9,7 @@ the per-path reflection phases differ, so the bands are not reciprocal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -34,60 +34,39 @@ class ArrayGeometry:
                 raise ValueError(f"{name} must be a positive finite number, got {v}")
 
 
-@dataclass(frozen=True)
-class ChannelPath:
-    """One propagation path: AoA, amplitude, distance, and per-band phases.
+@dataclass(frozen=True, eq=False)
+class PathSet:
+    """One user's paths as per-path arrays; the path index is meaningful.
 
-    theta is in [-pi/2, pi/2]; phases are in [0, 2*pi).  The amplitude and
-    geometry are band-invariant, the reflection phases are not.
+    thetas (AoAs) lie in [-pi/2, pi/2], betas (amplitudes) are nonnegative
+    and the reflection phases lie in [0, 2*pi).  The amplitudes and geometry
+    are band-invariant, the reflection phases are not.  Each field is stored
+    as a read-only float64 copy.
     """
 
-    theta: float
-    beta: float
-    distance: float
-    phase_ul: float
-    phase_dl: float
+    thetas: np.ndarray
+    betas: np.ndarray
+    distances: np.ndarray
+    phases_ul: np.ndarray
+    phases_dl: np.ndarray
 
     def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"path amplitude must be nonnegative, got {self.beta}")
-        if not -math.pi / 2 <= self.theta <= math.pi / 2:
-            raise ValueError(f"theta out of [-pi/2, pi/2]: {self.theta}")
-
-
-@dataclass(frozen=True)
-class PathSet:
-    """Ordered collection of paths for one user; path index is meaningful."""
-
-    paths: tuple[ChannelPath, ...]
-
-    def __post_init__(self):
-        if len(self.paths) < 1:
+        for f in fields(self):
+            values = np.array(getattr(self, f.name), dtype=float)
+            values.flags.writeable = False
+            object.__setattr__(self, f.name, values)
+        shapes = {getattr(self, f.name).shape for f in fields(self)}
+        if len(shapes) != 1 or self.thetas.ndim != 1:
+            raise ValueError(f"path arrays must be 1-D of one length, got shapes {shapes}")
+        if len(self.thetas) < 1:
             raise ValueError("a PathSet needs at least one path")
-        object.__setattr__(self, "paths", tuple(self.paths))
+        if np.any(self.betas < 0):
+            raise ValueError(f"path amplitudes must be nonnegative, got {self.betas}")
+        if not np.all((self.thetas >= -math.pi / 2) & (self.thetas <= math.pi / 2)):
+            raise ValueError(f"thetas out of [-pi/2, pi/2]: {self.thetas}")
 
     def __len__(self):
-        return len(self.paths)
-
-    @property
-    def thetas(self) -> np.ndarray:
-        return np.array([p.theta for p in self.paths])
-
-    @property
-    def betas(self) -> np.ndarray:
-        return np.array([p.beta for p in self.paths])
-
-    @property
-    def distances(self) -> np.ndarray:
-        return np.array([p.distance for p in self.paths])
-
-    @property
-    def phases_ul(self) -> np.ndarray:
-        return np.array([p.phase_ul for p in self.paths])
-
-    @property
-    def phases_dl(self) -> np.ndarray:
-        return np.array([p.phase_dl for p in self.paths])
+        return len(self.thetas)
 
 
 @dataclass(frozen=True)
@@ -189,11 +168,8 @@ def draw_user_paths(cfg, rng: np.random.Generator) -> PathSet:
     dists = r_user + rng.uniform(0.0, cfg.excess_range, size=L)
     phis_ul = rng.uniform(0.0, TWO_PI, size=L)
     phis_dl = rng.uniform(0.0, TWO_PI, size=L)
-    return PathSet(tuple(
-        ChannelPath(theta=thetas[i], beta=betas[i], distance=dists[i],
-                    phase_ul=phis_ul[i], phase_dl=phis_dl[i])
-        for i in range(L)
-    ))
+    return PathSet(thetas=thetas, betas=betas, distances=dists,
+                   phases_ul=phis_ul, phases_dl=phis_dl)
 
 
 def draw_scene(cfg, rng: np.random.Generator) -> list[PathSet]:
@@ -208,15 +184,13 @@ def perturb_estimates(ps: PathSet, noise: EstimationNoise, rng: np.random.Genera
     relative Gaussian error clamped at zero.  Distances and phases are left
     untouched (the estimator never observes them directly).
     """
-    out = []
-    for p in ps.paths:
-        theta = p.theta
-        if noise.aoa_sigma > 0:
-            theta = float(np.clip(theta + rng.normal(0.0, noise.aoa_sigma),
-                                  -math.pi / 2, math.pi / 2))
-        beta = p.beta
-        if noise.gain_rel_sigma > 0:
-            beta = max(beta * (1.0 + rng.normal(0.0, noise.gain_rel_sigma)), 0.0)
-        out.append(ChannelPath(theta=theta, beta=beta, distance=p.distance,
-                               phase_ul=p.phase_ul, phase_dl=p.phase_dl))
-    return PathSet(tuple(out))
+    # path by path, the AoA error is drawn before the gain error
+    sigmas = [s for s in (noise.aoa_sigma, noise.gain_rel_sigma) if s > 0]
+    errors = rng.normal(0.0, sigmas, size=(len(ps), len(sigmas)))
+    thetas, betas = ps.thetas, ps.betas
+    if noise.aoa_sigma > 0:
+        thetas = np.clip(thetas + errors[:, 0], -math.pi / 2, math.pi / 2)
+    if noise.gain_rel_sigma > 0:
+        betas = betas * (1.0 + errors[:, -1])
+        betas = np.where(betas < 0.0, 0.0, betas)  # max(beta, 0.0), signed zeros kept
+    return replace(ps, thetas=thetas, betas=betas)

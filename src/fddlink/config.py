@@ -132,6 +132,8 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(cfg.spacing > 0, "spacing", "must be positive")
     need(cfg.isd > 0, "isd", "must be positive")
     need(len(cfg.power_dbm_grid) > 0, "power_dbm_grid", "must be non-empty")
+    need(all(math.isfinite(p) for p in cfg.power_dbm_grid), "power_dbm_grid",
+         "entries must be finite")
     need(cfg.b_tot >= 0, "b_tot", "must be >= 0")
     need(len(cfg.b_tot_grid) > 0, "b_tot_grid", "must be non-empty")
     need(all(b >= 0 for b in cfg.b_tot_grid), "b_tot_grid", "entries must be >= 0")
@@ -172,7 +174,7 @@ def _parse_int_tuple(text: str) -> tuple:
 
 
 def _parse_float_tuple(text: str) -> tuple:
-    return tuple(float(tok.strip()) for tok in text.split(",") if tok.strip())
+    return tuple(_parse_float(tok.strip()) for tok in text.split(",") if tok.strip())
 
 
 def _parse_str_tuple(text: str) -> tuple:

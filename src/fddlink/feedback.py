@@ -16,21 +16,6 @@ def wrap_angle(x):
     return np.mod(np.asarray(x, dtype=float) + math.pi, TWO_PI) - math.pi
 
 
-@dataclass(frozen=True)
-class PhaseCodebook:
-    """Uniform phase codebook {2*pi*j / 2**bits : j = 0..2**bits - 1}."""
-
-    bits: int
-
-    def __post_init__(self):
-        _as_bits_array(self.bits)
-
-    @property
-    def codewords(self) -> np.ndarray:
-        size = 1 << self.bits
-        return TWO_PI * np.arange(size) / size
-
-
 @dataclass(frozen=True, eq=False)
 class FeedbackPlan:
     """Per-path bit counts together with the quantized DL phases and their errors."""
@@ -61,11 +46,6 @@ def quantize_phases(angles, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     q = index * step
     delta = wrap_angle(reduced - q)
     return q, index, delta
-
-
-def feedback_error_bound(bits: int) -> float:
-    """Half-width pi/2**bits of the quantization-error support."""
-    return math.pi / (1 << int(_as_bits_array(bits)))
 
 
 def make_feedback_plan(ps: PathSet, bits, geom: ArrayGeometry) -> FeedbackPlan:

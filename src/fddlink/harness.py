@@ -222,7 +222,7 @@ def _build_csi(source: str, b_tot: int, cfg: ScenarioConfig, scene, ests, h_true
                 for h in h_true.T]
     # "perfect": the true channel, with no estimation error
     zero = np.zeros((geom.num_antennas, geom.num_antennas), dtype=complex)
-    return [reconstruction.ReconstructedChannel(hhat=h, error_cov=zero, mode="perfect")
+    return [reconstruction.ReconstructedChannel(hhat=h, error_cov=zero)
             for h in h_true.T]
 
 
@@ -264,8 +264,9 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     """Fill out[power, budget, method] for one drawn scene at one array size.
 
     Methods whose CSI ignores the budget run once per power, ahead of the
-    budget loop.  CSI is built when a method first needs it; per-budget CSI
-    is dropped before the next budget's is built.
+    budget loop.  CSI is built when a method first needs it.  It does not
+    depend on the power, so budgets loop outside powers: per-budget CSI is
+    built once per budget and dropped before the next budget's is built.
     """
     h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
     csi = {}
@@ -288,9 +289,10 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
         for mi, method in enumerate(cfg.se_methods):
             if not per_budget[mi]:
                 out[pi, :, mi] = evaluate(method, pdbm, cfg.b_tot_grid[0])
-        for bi, b_tot in enumerate(cfg.b_tot_grid):
-            for source in _PER_BUDGET:
-                csi.pop(source, None)
+    for bi, b_tot in enumerate(cfg.b_tot_grid):
+        for source in _PER_BUDGET:
+            csi.pop(source, None)
+        for pi, pdbm in enumerate(cfg.power_dbm_grid):
             for mi, method in enumerate(cfg.se_methods):
                 if per_budget[mi]:
                     out[pi, bi, mi] = evaluate(method, pdbm, b_tot)

@@ -138,60 +138,6 @@ class GpipResult:
     converged: bool
 
 
-class BlockDiagQuadratic:
-    """Block-diagonal NK x NK Hermitian operator, never materialized by default.
-
-    Every diagonal block is base + c*I except an optional skipped block that
-    is c*I alone (the per-user matrix with its own channel term removed).
-    """
-
-    def __init__(self, base: np.ndarray, noise_over_power: float,
-                 num_users: int, skip_block: int | None = None):
-        self.base = np.asarray(base, dtype=complex)
-        self.noise_over_power = float(noise_over_power)
-        self.num_users = int(num_users)
-        self.skip_block = skip_block
-
-    def quad_form(self, stack: PrecoderStack) -> float:
-        blocks = stack.blocks
-        val = self.noise_over_power * float(np.vdot(stack.f, stack.f).real)
-        prods = blocks.conj() @ self.base  # (K, N) rows f_j^H base
-        per_block = np.real(np.sum(prods * blocks, axis=1))
-        if self.skip_block is not None:
-            per_block[self.skip_block] = 0.0
-        return val + float(per_block.sum())
-
-    def matvec(self, stack: PrecoderStack) -> np.ndarray:
-        blocks = stack.blocks
-        out = (self.base @ blocks.T).T.copy()
-        if self.skip_block is not None:
-            out[self.skip_block] = 0.0
-        out += self.noise_over_power * blocks
-        return out.reshape(-1)
-
-    def dense(self) -> np.ndarray:
-        n = self.base.shape[0]
-        k = self.num_users
-        out = np.zeros((n * k, n * k), dtype=complex)
-        for j in range(k):
-            blk = self.noise_over_power * np.eye(n, dtype=complex)
-            if j != self.skip_block:
-                blk = blk + self.base
-            out[j * n:(j + 1) * n, j * n:(j + 1) * n] = blk
-        return out
-
-
-def build_A_B(pp: PrecodingProblem, k: int) -> tuple[BlockDiagQuadratic, BlockDiagQuadratic]:
-    """Numerator/denominator operators for user k's Rayleigh-quotient ratio."""
-    if not 0 <= k < pp.num_users:
-        raise ValueError(f"user index {k} out of range")
-    base = pp.effective_covariances()[k]
-    c = float(pp.noise_over_power[k])
-    a_k = BlockDiagQuadratic(base, c, pp.num_users)
-    b_k = BlockDiagQuadratic(base, c, pp.num_users, skip_block=k)
-    return a_k, b_k
-
-
 def _cross_quadratic(covs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Q[k, j] = f_j^H (hhat_k hhat_k^H + Phi_k) f_j, real by Hermitian symmetry."""
     cols = blocks.T  # (N, K_users)

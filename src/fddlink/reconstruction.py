@@ -19,11 +19,10 @@ from .feedback import FeedbackPlan
 
 @dataclass(frozen=True)
 class ReconstructedChannel:
-    """Channel estimate, its error covariance, and the mode that produced it."""
+    """Channel estimate and its error covariance."""
 
     hhat: np.ndarray
     error_cov: np.ndarray
-    mode: str
 
 
 def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -40,7 +39,7 @@ def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> Reco
     gains = etas * ps.betas * np.exp(1j * fp.q_values)
     hhat = a @ gains
     phi = _covariance_from_factors(a, ps.betas, etas)
-    return ReconstructedChannel(hhat=hhat, error_cov=phi, mode="mmse")
+    return ReconstructedChannel(hhat=hhat, error_cov=phi)
 
 
 def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -52,15 +51,14 @@ def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedCh
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
     hhat = a @ ps.betas.astype(complex)
     phi = _covariance_from_factors(a, ps.betas, np.zeros(len(ps)))
-    return ReconstructedChannel(hhat=hhat, error_cov=phi, mode="no_feedback_unit_phase")
+    return ReconstructedChannel(hhat=hhat, error_cov=phi)
 
 
 def reconstruct_dft(hhat: np.ndarray, geom: ArrayGeometry) -> ReconstructedChannel:
     """Wrap a DFT-codebook estimate; no covariance model exists for it."""
     n = geom.num_antennas
     return ReconstructedChannel(hhat=np.asarray(hhat),
-                                error_cov=np.zeros((n, n), dtype=complex),
-                                mode="dft_baseline")
+                                error_cov=np.zeros((n, n), dtype=complex))
 
 
 def _covariance_from_factors(a: np.ndarray, betas: np.ndarray, etas: np.ndarray) -> np.ndarray:

@@ -22,7 +22,6 @@ from fddlink.allocation import (
 )
 from fddlink.channel import (
     ArrayGeometry,
-    ChannelPath,
     PathSet,
     draw_user_paths,
     power_decay_profile,
@@ -137,9 +136,8 @@ def test_c05_error_covariance_monte_carlo():
         thetas = np.array([0.35, -0.6, 1.0])
         betas = np.array([1.0, 0.7, 0.25])
         bits = np.array([2, 1, 0])
-        ps = PathSet(tuple(
-            ChannelPath(float(t), float(b), 100.0, 0.0, 0.5)
-            for t, b in zip(thetas, betas)))
+        ps = PathSet(thetas=thetas, betas=betas, distances=np.full(3, 100.0),
+                     phases_ul=np.zeros(3), phases_dl=np.full(3, 0.5))
         fp = make_feedback_plan(ps, bits, geom)
         phi = error_covariance(ps, bits, geom)
 
@@ -202,8 +200,8 @@ def test_c07_outer_error_large_array_limit():
         gaps = []
         for n in (64, 256, 1024, 4096):
             geom = geom_n(n)
-            ps = PathSet(tuple(ChannelPath(float(t), 1.0, 0.0, 0.0, 0.0)
-                               for t in thetas))
+            ps = PathSet(thetas=thetas, betas=np.ones(2), distances=np.zeros(2),
+                         phases_ul=np.zeros(2), phases_dl=np.zeros(2))
             a = steering_matrix(thetas, geom.lambda_dl, geom)
             h = a @ np.exp(1j * (q + deltas))
             hhat = a @ (eta(bits) * np.exp(1j * q))
@@ -212,7 +210,7 @@ def test_c07_outer_error_large_array_limit():
                 # dense and factored routes must agree where both are cheap
                 from fddlink.reconstruction import ReconstructedChannel
                 rc = ReconstructedChannel(
-                    hhat=hhat, error_cov=error_covariance(ps, bits, geom), mode="mmse")
+                    hhat=hhat, error_cov=error_covariance(ps, bits, geom))
                 _, dense_val = outer_product_error(h, rc)
                 assert abs(dense_val - val) <= 1e-9 * max(val, 1.0)
             gaps.append(abs(val - limit))
@@ -238,8 +236,8 @@ def test_c08_gpip_correctness():
     with criterion("C8 power-iteration precoder"):
         # closed-form single-user, single-path optimum
         geom = geom_n(16)
-        ps = PathSet((ChannelPath(theta=0.4, beta=3e-7, distance=140.0,
-                                  phase_ul=0.2, phase_dl=3.3),))
+        ps = PathSet(thetas=[0.4], betas=[3e-7], distances=[140.0],
+                     phases_ul=[0.2], phases_dl=[3.3])
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, [2], geom), geom)
         pp1 = PrecodingProblem.from_reconstructions([rc], power=20.0, sigma2=5e-15)
         res1 = gpip_solve(pp1)

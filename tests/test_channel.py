@@ -1,11 +1,11 @@
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from fddlink.channel import (
     ArrayGeometry,
-    ChannelPath,
     EstimationNoise,
     PathSet,
     array_response,
@@ -22,9 +22,17 @@ from fddlink.config import ScenarioConfig
 GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.025)
 
 
-def make_path(theta=0.3, beta=1.0, distance=100.0, phase_ul=0.7, phase_dl=1.9):
-    return ChannelPath(theta=theta, beta=beta, distance=distance,
-                       phase_ul=phase_ul, phase_dl=phase_dl)
+def make_paths(thetas=0.3, betas=1.0, distances=100.0, phases_ul=0.7, phases_dl=1.9):
+    """PathSet with one path per entry of ``thetas``; scalars apply to every path."""
+    n = np.size(thetas)
+    return PathSet(*(np.broadcast_to(np.asarray(v, dtype=float), (n,))
+                     for v in (thetas, betas, distances, phases_ul, phases_dl)))
+
+
+def assert_same_paths(a, b):
+    """Bitwise equality of every per-path array."""
+    for f in fields(PathSet):
+        assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
 
 class TestArrayResponse:
@@ -72,48 +80,68 @@ class TestArrayResponse:
             array_response(0.1, -1.0, GEOM)
 
 
+class TestPathSet:
+    def test_fields_are_read_only_float_copies(self):
+        thetas = np.array([0.1, -0.2])
+        ps = PathSet(thetas, [1, 2], [3, 4], [0, 0], [0, 0])
+        thetas[0] = 0.5
+        assert ps.thetas[0] == 0.1
+        assert ps.betas.dtype == np.float64
+        with pytest.raises(ValueError):
+            ps.betas[0] = 0.0
+        assert len(ps) == 2
+
+    VALID = dict(thetas=[0.0, 0.5], betas=[1.0, 0.5], distances=[1.0, 2.0],
+                 phases_ul=[0.0, 0.0], phases_dl=[0.0, 0.0])
+
+    @pytest.mark.parametrize("change", [
+        {name: [] for name in VALID}, dict(betas=[1.0]), dict(phases_dl=[[0.0, 0.0]]),
+        dict(betas=[1.0, -1e-12]), dict(thetas=[0.0, 1.6]), dict(thetas=[0.0, np.nan]),
+    ])
+    def test_rejects_malformed_paths(self, change):
+        with pytest.raises(ValueError):
+            PathSet(**{**self.VALID, **change})
+
+
 class TestChannelSynthesis:
     def test_single_unit_path_is_steering_vector(self):
-        ps = PathSet((make_path(theta=0.5, beta=1.0, distance=0.0, phase_dl=0.0),))
+        ps = make_paths(thetas=0.5, betas=1.0, distances=0.0, phases_dl=0.0)
         np.testing.assert_allclose(dl_channel(ps, GEOM),
                                    array_response(0.5, GEOM.lambda_dl, GEOM), atol=1e-14)
 
     def test_zero_gain_path_vanishes(self):
-        p1 = make_path(theta=0.2)
-        p2 = make_path(theta=-0.8, beta=0.0)
-        h2 = dl_channel(PathSet((p1, p2)), GEOM)
-        h1 = dl_channel(PathSet((p1,)), GEOM)
+        h2 = dl_channel(make_paths(thetas=(0.2, -0.8), betas=(1.0, 0.0)), GEOM)
+        h1 = dl_channel(make_paths(thetas=0.2), GEOM)
         np.testing.assert_allclose(h2, h1, atol=1e-15)
 
     def test_norm_triangle_bound(self):
         rng = np.random.default_rng(3)
-        paths = tuple(make_path(theta=rng.uniform(-1.5, 1.5), beta=rng.uniform(0, 2),
-                                distance=rng.uniform(50, 200),
-                                phase_dl=rng.uniform(0, 6)) for _ in range(4))
-        ps = PathSet(paths)
+        draws = [(rng.uniform(-1.5, 1.5), rng.uniform(0, 2), rng.uniform(50, 200),
+                  rng.uniform(0, 6)) for _ in range(4)]
+        thetas, betas, distances, phases_dl = zip(*draws)
+        ps = make_paths(thetas=thetas, betas=betas, distances=distances, phases_dl=phases_dl)
         h = dl_channel(ps, GEOM)
         assert np.sum(np.abs(h) ** 2) <= GEOM.num_antennas * ps.betas.sum() ** 2 + 1e-12
 
     def test_ul_equals_dl_when_parameters_coincide(self):
         geom = ArrayGeometry(num_antennas=8, spacing=0.015, lambda_ul=0.025, lambda_dl=0.025)
-        ps = PathSet((make_path(phase_ul=1.9, phase_dl=1.9),))
+        ps = make_paths(phases_ul=1.9, phases_dl=1.9)
         np.testing.assert_allclose(ul_channel(ps, geom), dl_channel(ps, geom), atol=1e-14)
 
     def test_ul_differs_from_dl_across_bands(self):
-        ps = PathSet((make_path(),))
+        ps = make_paths()
         assert not np.allclose(ul_channel(ps, GEOM), dl_channel(ps, GEOM))
 
     def test_scaled_path_norm(self):
-        ps = PathSet((make_path(beta=2.0, distance=0.0, phase_ul=0.0),))
+        ps = make_paths(betas=2.0, distances=0.0, phases_ul=0.0)
         h = ul_channel(ps, GEOM)
         assert abs(np.sum(np.abs(h) ** 2) - 4 * GEOM.num_antennas) < 1e-12
 
     def test_linear_in_gains(self):
-        paths = (make_path(theta=0.2), make_path(theta=-0.6, beta=0.5))
-        doubled = tuple(ChannelPath(p.theta, 2 * p.beta, p.distance,
-                                    p.phase_ul, p.phase_dl) for p in paths)
-        np.testing.assert_allclose(dl_channel(PathSet(doubled), GEOM),
-                                   2 * dl_channel(PathSet(paths), GEOM), atol=1e-14)
+        ps = make_paths(thetas=(0.2, -0.6), betas=(1.0, 0.5))
+        doubled = replace(ps, betas=2 * ps.betas)
+        np.testing.assert_allclose(dl_channel(doubled, GEOM),
+                                   2 * dl_channel(ps, GEOM), atol=1e-14)
 
 
 class TestPathLoss:
@@ -141,7 +169,7 @@ class TestDrawScene:
         scene1 = draw_scene(cfg, np.random.default_rng(42))
         scene2 = draw_scene(cfg, np.random.default_rng(42))
         for ps1, ps2 in zip(scene1, scene2):
-            assert ps1 == ps2
+            assert_same_paths(ps1, ps2)
 
     def test_aoa_mean_matches_uniform_law(self):
         cfg = ScenarioConfig(n_users=1, n_paths=50)
@@ -179,29 +207,45 @@ class TestDrawScene:
 
 class TestPerturbEstimates:
     def test_zero_noise_is_identity(self):
-        ps = PathSet((make_path(), make_path(theta=-0.4)))
+        ps = make_paths(thetas=(0.3, -0.4))
         out = perturb_estimates(ps, EstimationNoise(0.0, 0.0), np.random.default_rng(1))
-        assert out == ps
+        assert_same_paths(out, ps)
 
     def test_folded_gaussian_aoa_error(self):
         sigma = 0.01
-        paths = tuple(make_path(theta=0.0) for _ in range(100_000))
-        ps = PathSet(paths)
+        ps = make_paths(thetas=np.zeros(100_000))
         out = perturb_estimates(ps, EstimationNoise(aoa_sigma=sigma, gain_rel_sigma=0.0),
                                 np.random.default_rng(9))
         err = np.abs(out.thetas - ps.thetas)
         expected = sigma * math.sqrt(2 / math.pi)
-        stderr = sigma * math.sqrt(1 - 2 / math.pi) / math.sqrt(len(paths))
+        stderr = sigma * math.sqrt(1 - 2 / math.pi) / math.sqrt(len(ps))
         assert abs(err.mean() - expected) < 4 * stderr
 
     def test_gains_never_negative(self):
-        paths = tuple(make_path(beta=0.01) for _ in range(500))
-        out = perturb_estimates(PathSet(paths), EstimationNoise(0.0, 5.0),
-                                np.random.default_rng(2))
+        out = perturb_estimates(make_paths(thetas=np.full(500, 0.3), betas=0.01),
+                                EstimationNoise(0.0, 5.0), np.random.default_rng(2))
         assert np.all(out.betas >= 0.0)
 
     def test_aoa_stays_in_range(self):
-        paths = tuple(make_path(theta=1.5) for _ in range(500))
-        out = perturb_estimates(PathSet(paths), EstimationNoise(1.0, 0.0),
+        out = perturb_estimates(make_paths(thetas=np.full(500, 1.5)), EstimationNoise(1.0, 0.0),
                                 np.random.default_rng(3))
         assert np.all(np.abs(out.thetas) <= math.pi / 2)
+
+    @pytest.mark.parametrize("aoa_sigma, gain_rel_sigma",
+                             [(0.05, 0.2), (0.0, 0.3), (0.1, 0.0), (0.0, 0.0), (3.0, 2.0)])
+    def test_matches_per_path_scalar_draws(self, aoa_sigma, gain_rel_sigma):
+        # reference: path by path, one scalar AoA draw, then one scalar gain draw
+        ps = make_paths(thetas=np.linspace(-1.5, 1.5, 8), betas=np.linspace(0.0, 1.0, 8))
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        out = perturb_estimates(ps, EstimationNoise(aoa_sigma, gain_rel_sigma), rng)
+        thetas, betas = [], []
+        for theta, beta in zip(ps.thetas, ps.betas):
+            if aoa_sigma > 0:
+                theta = float(np.clip(theta + ref_rng.normal(0.0, aoa_sigma),
+                                      -math.pi / 2, math.pi / 2))
+            if gain_rel_sigma > 0:
+                beta = max(beta * (1.0 + ref_rng.normal(0.0, gain_rel_sigma)), 0.0)
+            thetas.append(theta)
+            betas.append(beta)
+        assert_same_paths(out, replace(ps, thetas=thetas, betas=betas))
+        assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -68,6 +68,17 @@ class TestParsing:
             config_from_mapping({"decay_ratio": "1.5"})
         assert err.value.field == "decay_ratio"
 
+    @pytest.mark.parametrize("grid", ["inf", "30, nan", "-inf, 43"])
+    def test_non_finite_power_grid_rejected(self, grid):
+        with pytest.raises(ConfigError) as err:
+            config_from_mapping({"power_dbm_grid": grid})
+        assert err.value.field == "power_dbm_grid"
+
+    def test_non_finite_power_grid_rejected_when_built_directly(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(power_dbm_grid=(43.0, float("inf")))
+        assert err.value.field == "power_dbm_grid"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("seed = 1\nseed = 2\n")

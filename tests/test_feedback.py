@@ -4,29 +4,15 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from fddlink.channel import ArrayGeometry, ChannelPath, PathSet
+from fddlink.channel import ArrayGeometry, PathSet
 from fddlink.feedback import (
-    PhaseCodebook,
     dft_codebook,
     dft_codebook_feedback,
-    feedback_error_bound,
     make_feedback_plan,
     quantize_phases,
 )
 
 TWO_PI = 2 * math.pi
-
-
-class TestCodebook:
-    def test_sizes_and_range(self):
-        for bits in (0, 1, 3):
-            cb = PhaseCodebook(bits=bits).codewords
-            assert cb.size == 2**bits
-            assert np.all(np.diff(cb) > 0) or cb.size == 1
-            assert np.all((cb >= 0) & (cb < TWO_PI))
-
-    def test_zero_bits_single_word(self):
-        np.testing.assert_array_equal(PhaseCodebook(bits=0).codewords, [0.0])
 
 
 class TestQuantizePhase:
@@ -44,7 +30,7 @@ class TestQuantizePhase:
 
     def test_codewords_are_fixed_points(self):
         for bits in (0, 1, 2, 4):
-            c = PhaseCodebook(bits=bits).codewords
+            c = TWO_PI * np.arange(2**bits) / 2**bits
             q, _, delta = quantize_phases(c, bits)
             np.testing.assert_allclose(q, c)
             assert np.all(np.abs(delta) < 1e-12)
@@ -87,11 +73,6 @@ class TestQuantizePhase:
 
 
 class TestErrorStatistics:
-    def test_error_bound_values(self):
-        assert feedback_error_bound(0) == pytest.approx(math.pi)
-        assert feedback_error_bound(1) == pytest.approx(math.pi / 2)
-        assert feedback_error_bound(3) == pytest.approx(math.pi / 8)
-
     def test_delta_uniform_ks(self):
         rng = np.random.default_rng(123)
         bits = 3
@@ -117,10 +98,8 @@ class TestFeedbackPlan:
     GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.025)
 
     def test_plan_quantizes_dl_phases(self):
-        ps = PathSet((
-            ChannelPath(theta=0.1, beta=1.0, distance=100.0, phase_ul=0.3, phase_dl=1.2),
-            ChannelPath(theta=-0.4, beta=0.5, distance=130.0, phase_ul=2.0, phase_dl=0.6),
-        ))
+        ps = PathSet(thetas=[0.1, -0.4], betas=[1.0, 0.5], distances=[100.0, 130.0],
+                     phases_ul=[0.3, 2.0], phases_dl=[1.2, 0.6])
         fp = make_feedback_plan(ps, [2, 0], self.GEOM)
         np.testing.assert_array_equal(fp.bits, [2, 0])
         angles = np.mod(-TWO_PI * ps.distances / self.GEOM.lambda_dl + ps.phases_dl, TWO_PI)
@@ -130,7 +109,8 @@ class TestFeedbackPlan:
             assert delta == pytest.approx(ref_delta)
 
     def test_length_mismatch_rejected(self):
-        ps = PathSet((ChannelPath(0.1, 1.0, 100.0, 0.3, 1.2),))
+        ps = PathSet(thetas=[0.1], betas=[1.0], distances=[100.0],
+                     phases_ul=[0.3], phases_dl=[1.2])
         with pytest.raises(ValueError):
             make_feedback_plan(ps, [1, 2], self.GEOM)
 

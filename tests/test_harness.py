@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fddlink import feedback, reconstruction
 from fddlink.config import ScenarioConfig
 from fddlink.harness import (
     derive_trial_seed,
@@ -121,6 +122,28 @@ class TestSeExperiment:
                         se_methods=("zf_dft", "gpip_dft"))
         records = run_se_experiment(cfg)
         assert all(np.isfinite(r.mean) for r in records)
+
+    def test_per_budget_csi_built_once_per_budget(self, monkeypatch):
+        # CSI does not depend on the transmit power: one build per
+        # (trial, user, budget), shared by every power of the grid
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(reconstruction, "reconstruct_mmse")
+        counted(feedback, "dft_codebook_feedback")
+        cfg = small_cfg(trials=2, b_tot_grid=(9, 12), power_dbm_grid=(30.0, 37.0, 43.0),
+                        se_methods=("zf_mmse", "zf_dft"))
+        run_se_experiment(cfg)
+        per_budget = cfg.trials * cfg.n_users * len(cfg.b_tot_grid)
+        assert calls == {"reconstruct_mmse": per_budget, "dft_codebook_feedback": per_budget}
 
     def test_estimation_noise_path(self):
         cfg = small_cfg(trials=2, aoa_sigma=0.05, gain_rel_sigma=0.1,

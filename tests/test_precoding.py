@@ -3,14 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from fddlink.channel import ArrayGeometry, ChannelPath, PathSet
+from fddlink.channel import ArrayGeometry, PathSet
 from fddlink.feedback import make_feedback_plan
 from fddlink.precoding import (
     GpipConfig,
     GpipError,
     PrecoderStack,
     PrecodingProblem,
-    build_A_B,
+    _problem_ratios,
     gamma,
     gpip_solve,
     stationarity_residual,
@@ -40,20 +40,25 @@ def random_stack(rng, n, k):
 
 
 class TestBuildAB:
+    """User k's numerator f^H A_k f and denominator f^H B_k f of the SE ratio."""
+
     def test_single_user_denominator_is_noise_identity(self):
         rng = np.random.default_rng(0)
         pp = random_problem(rng, n=4, k=1, power=5.0, sigma2=2.0)
-        _, b1 = build_A_B(pp, 0)
-        np.testing.assert_allclose(b1.dense(), (2.0 / 5.0) * np.eye(4), atol=1e-14)
+        for _ in range(3):
+            f = PrecoderStack(rng.normal(size=4) + 1j * rng.normal(size=4), num_users=1)
+            _, q_den = _problem_ratios(pp, f)
+            norm2 = float(np.vdot(f.f, f.f).real)
+            assert q_den[0] == pytest.approx((2.0 / 5.0) * norm2, rel=1e-12)
 
     def test_quadratic_gap_is_per_user_signal(self):
         rng = np.random.default_rng(1)
         pp = random_problem(rng, n=4, k=3)
         covs = pp.effective_covariances()
         f = random_stack(rng, 4, 3)
+        q_num, q_den = _problem_ratios(pp, f)
         for k in range(3):
-            a_k, b_k = build_A_B(pp, k)
-            gap = a_k.quad_form(f) - b_k.quad_form(f)
+            gap = q_num[k] - q_den[k]
             fk = f.blocks[k]
             expected = float(np.real(fk.conj() @ covs[k] @ fk))
             assert gap == pytest.approx(expected, rel=1e-10)
@@ -67,21 +72,12 @@ class TestBuildAB:
         pp = PrecodingProblem(hhat=hhat, phi=np.zeros((2, 2, 2)),
                               sigma2=np.array([1.0, 1.0]), power=10.0)
         f = PrecoderStack(np.full(4, 0.5, dtype=complex), num_users=2)
-        a_1, b_1 = build_A_B(pp, 0)
+        q_num, q_den = _problem_ratios(pp, f)
         c = 0.1
-        assert a_1.quad_form(f) == pytest.approx(0.5 + c, abs=1e-14)
-        assert b_1.quad_form(f) == pytest.approx(0.25 + c, abs=1e-14)
-
-    def test_dense_matches_blockwise_application(self):
-        rng = np.random.default_rng(2)
-        pp = random_problem(rng, n=3, k=2)
-        f = random_stack(rng, 3, 2)
-        for k in range(2):
-            for op in build_A_B(pp, k):
-                dense = op.dense()
-                np.testing.assert_allclose(op.matvec(f), dense @ f.f, atol=1e-12)
-                assert op.quad_form(f) == pytest.approx(
-                    float(np.real(f.f.conj() @ dense @ f.f)), rel=1e-12)
+        assert q_num[0] == pytest.approx(0.5 + c, abs=1e-14)
+        assert q_den[0] == pytest.approx(0.25 + c, abs=1e-14)
+        # user 2 mirrors user 1, so gamma is the square of that ratio
+        assert gamma(f, pp) == pytest.approx(((0.5 + c) / (0.25 + c)) ** 2, rel=1e-14)
 
 
 class TestObjective:
@@ -182,8 +178,8 @@ class TestGpip:
         # optimum is the principal eigenvector of the rank-one effective
         # covariance, i.e. the steering direction itself
         geom = self.geom(8)
-        ps = PathSet((ChannelPath(theta=0.4, beta=2e-7, distance=150.0,
-                                  phase_ul=0.3, phase_dl=4.0),))
+        ps = PathSet(thetas=[0.4], betas=[2e-7], distances=[150.0],
+                     phases_ul=[0.3], phases_dl=[4.0])
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, [2], geom), geom)
         pp = PrecodingProblem.from_reconstructions([rc], power=20.0, sigma2=5e-15)
         res = gpip_solve(pp)

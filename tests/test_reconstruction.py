@@ -6,7 +6,6 @@ import pytest
 from fddlink.allocation import eta, theoretical_weighted_mse
 from fddlink.channel import (
     ArrayGeometry,
-    ChannelPath,
     EstimationNoise,
     PathSet,
     dl_channel,
@@ -32,22 +31,25 @@ def geom_n(n):
 
 
 def two_path_set(betas=(1.0, 1.0), thetas=(0.3, -0.7)):
-    return PathSet(tuple(
-        ChannelPath(theta=t, beta=b, distance=100.0 + 30 * i, phase_ul=0.4, phase_dl=1.1 + i)
-        for i, (t, b) in enumerate(zip(thetas, betas))))
+    return PathSet(thetas=thetas, betas=betas, distances=(100.0, 130.0),
+                   phases_ul=(0.4, 0.4), phases_dl=(1.1, 2.1))
+
+
+def one_path(theta, beta, distance, phase_ul, phase_dl):
+    return PathSet(thetas=[theta], betas=[beta], distances=[distance],
+                   phases_ul=[phase_ul], phases_dl=[phase_dl])
 
 
 class TestReconstructMmse:
     def test_many_bits_recover_truth(self):
-        ps = PathSet((ChannelPath(0.5, 1.0, 120.0, 1.0, 2.0),))
+        ps = one_path(0.5, 1.0, 120.0, 1.0, 2.0)
         fp = make_feedback_plan(ps, [30], GEOM)
         rc = reconstruct_mmse(ps, fp, GEOM)
         h = dl_channel(ps, GEOM)
         assert np.linalg.norm(h - rc.hhat) / np.linalg.norm(h) < 1e-6
-        assert rc.mode == "mmse"
 
     def test_zero_bits_collapse_to_prior_mean(self):
-        ps = PathSet((ChannelPath(0.2, 1.5, 80.0, 0.0, 2.6),))
+        ps = one_path(0.2, 1.5, 80.0, 0.0, 2.6)
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, [0], GEOM), GEOM)
         assert np.linalg.norm(rc.hhat) == 0.0
         a = steering_matrix(ps.thetas, GEOM.lambda_dl, GEOM)[:, 0]
@@ -70,7 +72,8 @@ class TestReconstructMmse:
     def test_length_mismatch_rejected(self):
         ps = two_path_set()
         fp = make_feedback_plan(ps, [1, 1], GEOM)
-        short = PathSet(ps.paths[:1])
+        short = PathSet(thetas=ps.thetas[:1], betas=ps.betas[:1], distances=ps.distances[:1],
+                        phases_ul=ps.phases_ul[:1], phases_dl=ps.phases_dl[:1])
         with pytest.raises(ValueError):
             reconstruct_mmse(short, fp, GEOM)
 
@@ -87,17 +90,14 @@ class TestReconstructMmse:
 
 class TestReconstructNoFeedback:
     def test_single_path(self):
-        ps = PathSet((ChannelPath(0.2, 0.7, 90.0, 0.0, 2.6),))
+        ps = one_path(0.2, 0.7, 90.0, 0.0, 2.6)
         rc = reconstruct_no_feedback(ps, GEOM)
         a = steering_matrix(ps.thetas, GEOM.lambda_dl, GEOM)[:, 0]
         np.testing.assert_allclose(rc.hhat, 0.7 * a, atol=1e-14)
-        assert rc.mode == "no_feedback_unit_phase"
 
     def test_ignores_dl_phase(self):
-        base = ChannelPath(0.2, 0.7, 90.0, 0.0, 2.6)
-        shifted = ChannelPath(0.2, 0.7, 90.0, 0.0, 0.4)
-        h1 = reconstruct_no_feedback(PathSet((base,)), GEOM).hhat
-        h2 = reconstruct_no_feedback(PathSet((shifted,)), GEOM).hhat
+        h1 = reconstruct_no_feedback(one_path(0.2, 0.7, 90.0, 0.0, 2.6), GEOM).hhat
+        h2 = reconstruct_no_feedback(one_path(0.2, 0.7, 90.0, 0.0, 0.4), GEOM).hhat
         assert np.linalg.norm(h1) == pytest.approx(np.linalg.norm(h2))
 
     def test_cov_modes(self):
@@ -114,7 +114,7 @@ class TestErrorCovariance:
         assert np.linalg.norm(phi) < 1e-10
 
     def test_single_path_rank_one(self):
-        ps = PathSet((ChannelPath(0.3, 1.0, 100.0, 0.1, 0.2),))
+        ps = one_path(0.3, 1.0, 100.0, 0.1, 0.2)
         phi = error_covariance(ps, [1], GEOM)
         assert np.linalg.matrix_rank(phi, tol=1e-10) == 1
 
@@ -151,7 +151,7 @@ class TestOuterProductError:
         # so only floating-point residue remains
         for n in (64, 256, 1024):
             geom = geom_n(n)
-            ps = PathSet((ChannelPath(0.4, 1.0, 110.0, 0.3, 2.2),))
+            ps = one_path(0.4, 1.0, 110.0, 0.3, 2.2)
             rc = reconstruct_mmse(ps, make_feedback_plan(ps, [1], geom), geom)
             _, norm = outer_product_error(dl_channel(ps, geom), rc)
             assert norm < 1e-20
@@ -220,7 +220,8 @@ class TestAsymptoticDeltaNorm:
         a = steering_matrix(thetas, geom.lambda_dl, geom)
         h = a @ np.exp(1j * (qs + deltas))
         hhat = a @ (eta(bits) * np.exp(1j * qs))
-        ps = PathSet(tuple(ChannelPath(float(t), 1.0, 0.0, 0.0, 0.0) for t in thetas))
+        ps = PathSet(thetas=thetas, betas=np.ones(2), distances=np.zeros(2),
+                     phases_ul=np.zeros(2), phases_dl=np.zeros(2))
         val = outer_error_norm(h, hhat, ps, bits, geom)
         assert val == pytest.approx(expected, rel=0.01)
 
@@ -232,5 +233,4 @@ class TestAsymptoticDeltaNorm:
 class TestDftReconstruction:
     def test_wraps_estimate_with_zero_cov(self):
         rc = reconstruct_dft(np.ones(4, dtype=complex), GEOM)
-        assert rc.mode == "dft_baseline"
         assert np.all(rc.error_cov == 0)
