@@ -56,35 +56,34 @@ def make_feedback_plan(ps: PathSet, bits, geom: ArrayGeometry) -> FeedbackPlan:
     return FeedbackPlan(bits=np.asarray(bits, dtype=np.int64), q_values=q, deltas=deltas)
 
 
-def dft_codebook(num_antennas: int, total_bits: int) -> np.ndarray:
-    """N x 2**total_bits matrix of unit-norm DFT-style codewords.
-
-    With 2**total_bits >= N the grid is the oversampled DFT (oversampling
-    factor 2**total_bits / N); otherwise the N-point DFT columns are
-    uniformly subsampled.
-    """
-    if num_antennas < 1:
-        raise ValueError("num_antennas must be >= 1")
-    size = 1 << int(_as_bits_array(total_bits))
-    n = np.arange(num_antennas)[:, None]
-    if size >= num_antennas:
-        freqs = np.arange(size) / size
-    else:
-        freqs = np.floor(np.arange(size) * num_antennas / size) / num_antennas
-    return np.exp(-1j * TWO_PI * n * freqs[None, :]) / math.sqrt(num_antennas)
-
-
 def dft_codebook_feedback(h: np.ndarray, total_bits: int,
                           geom: ArrayGeometry) -> tuple[int, np.ndarray]:
     """Pick the codeword best aligned with ``h`` and rebuild the channel from it.
+
+    The codebook holds 2**total_bits unit-norm DFT-style codewords
+    c_j = exp(-i 2 pi n f_j) / sqrt(N).  With 2**total_bits >= N the grid
+    is the oversampled DFT, f_j = j / 2**total_bits; otherwise the N-point
+    DFT columns are uniformly subsampled, f_j = floor(j N / 2**total_bits) / N.
+    Since |c_j^H h| is proportional to |ifft(h)| at that frequency, one FFT
+    searches the whole codebook without building it.
 
     Returns (index, hhat) where hhat = ||h|| * c for the unit-norm codeword c
     maximizing |c^H h|; the channel norm is assumed perfectly known so that
     only the direction loss of the codebook is measured.
     """
+    n_ant = geom.num_antennas
     h = np.asarray(h)
-    if h.size == 0:
-        raise ValueError("empty channel vector")
-    cb = dft_codebook(geom.num_antennas, total_bits)
-    index = int(np.argmax(np.abs(cb.conj().T @ h)))
-    return index, float(np.linalg.norm(h)) * cb[:, index]
+    if h.shape != (n_ant,):
+        raise ValueError(f"channel vector must have shape ({n_ant},), got {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("channel vector must be finite")
+    size = 1 << int(_as_bits_array(total_bits))
+    if size >= n_ant:
+        index = int(np.argmax(np.abs(np.fft.ifft(h, size))))
+        freq = index / size
+    else:
+        bins = np.arange(size) * n_ant // size
+        index = int(np.argmax(np.abs(np.fft.ifft(h)[bins])))
+        freq = bins[index] / n_ant
+    codeword = np.exp(-1j * TWO_PI * np.arange(n_ant) * freq) / math.sqrt(n_ant)
+    return index, float(np.linalg.norm(h)) * codeword

@@ -254,6 +254,7 @@ def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
     eye = np.eye(n)
 
     covs_flat = covs.reshape(k, -1)
+    m = np.empty_like(covs)  # per-user denominator blocks, reused every iteration
     for _ in range(cfg.max_iter):
         iterations += 1
         wa = np.exp(la.sum() - la - (la.sum() - la).max())
@@ -262,9 +263,10 @@ def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
         agg_den = (wb @ covs_flat).reshape(n, n) + float(wb @ noise) * eye
 
         rhs = (agg_num @ stack.blocks.T).T  # per-user A-side images
-        # per-user denominator blocks, Hermitian positive definite by
-        # construction; solved in one batched LAPACK call
-        m = agg_den[None, :, :] - wb[:, None, None] * covs
+        # agg_den - wb_k * C_k: Hermitian positive definite by construction;
+        # solved in one batched LAPACK call
+        np.multiply(wb[:, None, None], covs, out=m)
+        np.subtract(agg_den[None, :, :], m, out=m)
         try:
             new_blocks = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
         except np.linalg.LinAlgError as exc:

@@ -1,18 +1,49 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
-from fddlink.channel import ArrayGeometry, PathSet
+from fddlink.channel import ArrayGeometry, PathSet, dl_channel
 from fddlink.feedback import (
-    dft_codebook,
     dft_codebook_feedback,
     make_feedback_plan,
     quantize_phases,
 )
 
 TWO_PI = 2 * math.pi
+
+
+def dft_codebook(num_antennas: int, total_bits: int) -> np.ndarray:
+    """N x 2**total_bits matrix of unit-norm DFT-style codewords (brute-force oracle).
+
+    With 2**total_bits >= N the grid is the oversampled DFT (oversampling
+    factor 2**total_bits / N); otherwise the N-point DFT columns are
+    uniformly subsampled.
+    """
+    size = 2**total_bits
+    n = np.arange(num_antennas)[:, None]
+    if size >= num_antennas:
+        freqs = np.arange(size) / size
+    else:
+        freqs = np.floor(np.arange(size) * num_antennas / size) / num_antennas
+    return np.exp(-1j * TWO_PI * n * freqs[None, :]) / math.sqrt(num_antennas)
+
+
+def brute_force_feedback(h: np.ndarray, total_bits: int,
+                         num_antennas: int) -> tuple[int, np.ndarray]:
+    """The codebook search as one matrix-vector product over every codeword."""
+    cb = dft_codebook(num_antennas, total_bits)
+    index = int(np.argmax(np.abs(cb.conj().T @ h)))
+    return index, float(np.linalg.norm(h)) * cb[:, index]
+
+
+def geometry(num_antennas: int) -> ArrayGeometry:
+    return ArrayGeometry(num_antennas=num_antennas, spacing=0.0125,
+                         lambda_ul=0.03, lambda_dl=0.025)
 
 
 class TestQuantizePhase:
@@ -116,7 +147,7 @@ class TestFeedbackPlan:
 
 
 class TestDftCodebook:
-    GEOM = ArrayGeometry(num_antennas=8, spacing=0.0125, lambda_ul=0.03, lambda_dl=0.025)
+    GEOM = geometry(8)
 
     def test_codeword_recovers_itself(self):
         cb = dft_codebook(8, 5)
@@ -159,3 +190,52 @@ class TestDftCodebook:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             dft_codebook_feedback(np.array([]), 3, self.GEOM)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            dft_codebook_feedback(np.ones(7, dtype=complex), 3, self.GEOM)
+        with pytest.raises(ValueError, match="shape"):
+            dft_codebook_feedback(np.ones(9, dtype=complex), 3, self.GEOM)
+
+    def test_two_dimensional_input_rejected(self):
+        with pytest.raises(ValueError, match="shape"):
+            dft_codebook_feedback(np.ones((8, 1), dtype=complex), 3, self.GEOM)
+
+    def test_non_finite_input_rejected(self):
+        h = np.ones(8, dtype=complex)
+        h[3] = complex(math.nan, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            dft_codebook_feedback(h, 3, self.GEOM)
+
+    @settings(deadline=None, max_examples=200)
+    @given(num_antennas=st.integers(1, 80), total_bits=st.integers(0, 13),
+           num_paths=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_search(self, num_antennas, total_bits, num_paths, seed):
+        # 2**total_bits falls below, at and above N; both must agree bit for bit
+        rng = np.random.default_rng(seed)
+        geom = geometry(num_antennas)
+        ps = PathSet(thetas=rng.uniform(-math.pi / 2, math.pi / 2, num_paths),
+                     betas=rng.rayleigh(size=num_paths),
+                     distances=rng.uniform(50.0, 500.0, num_paths),
+                     phases_ul=rng.uniform(0.0, TWO_PI, num_paths),
+                     phases_dl=rng.uniform(0.0, TWO_PI, num_paths))
+        h = dl_channel(ps, geom)
+        idx, hhat = dft_codebook_feedback(h, total_bits, geom)
+        want_idx, want_hhat = brute_force_feedback(h, total_bits, num_antennas)
+        assert idx == want_idx
+        assert hhat.tobytes() == want_hhat.tobytes()
+
+    def test_paper_scale_memory(self):
+        # the N x 2**B codebook would take 16 GiB at N = 256, B = 21
+        geom = geometry(256)
+        h = dl_channel(PathSet(thetas=[0.2, -0.7], betas=[1.0, 0.4],
+                               distances=[120.0, 180.0], phases_ul=[0.0, 1.0],
+                               phases_dl=[0.5, 2.5]), geom)
+        tracemalloc.start()
+        try:
+            idx, hhat = dft_codebook_feedback(h, 21, geom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0 <= idx < 2**21 and hhat.shape == (256,)
+        assert peak < 256 * 2**20
