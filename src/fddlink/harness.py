@@ -221,9 +221,7 @@ def _build_csi(source: str, b_tot: int, cfg: ScenarioConfig, scene, ests, h_true
                     feedback.dft_codebook_feedback(h, b_tot, geom)[1], geom)
                 for h in h_true.T]
     # "perfect": the true channel, with no estimation error
-    zero = np.zeros((geom.num_antennas, geom.num_antennas), dtype=complex)
-    return [reconstruction.ReconstructedChannel(hhat=h, error_cov=zero)
-            for h in h_true.T]
+    return [reconstruction.ReconstructedChannel(hhat=h) for h in h_true.T]
 
 
 def _zf_columns(hhat: np.ndarray, recs_nf) -> np.ndarray:

@@ -1,9 +1,12 @@
 """Multi-user downlink precoding on reconstructed CSI.
 
-The sum-spectral-efficiency lower bound is a product of Rayleigh-quotient
-ratios of block-diagonal matrices built from hhat*hhat^H + Phi per user.
-Its stationary points solve a generalized eigenvalue condition, which the
-power-iteration solver chases; zero-forcing and WMMSE serve as baselines.
+User k's effective covariance C_k = hhat_k hhat_k^H + Phi_k has rank at most
+R = L + 1 and is carried as an N x R factor V_k with C_k = V_k V_k^H; no
+N x N matrix is formed.  The sum-spectral-efficiency lower bound is a product
+of Rayleigh-quotient ratios of block-diagonal matrices built from these
+covariances.  Its stationary points solve a generalized eigenvalue condition,
+which the power-iteration solver chases with Woodbury-form solves; zero-forcing
+and WMMSE serve as baselines.
 """
 
 from __future__ import annotations
@@ -22,26 +25,36 @@ class GpipError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecodingProblem:
-    """Per-user channel estimates, error covariances, noise, and a power budget.
+    """Per-user channel estimates, error-covariance factors, noise, and a power budget.
 
-    hhat has one column per user (N x K); phi stacks the K covariance
-    matrices; sigma2 holds per-user noise powers in watts.
+    hhat has one column per user (N x K).  User k's error covariance is
+    Phi_k = error_dirs[k] @ diag(error_weights[k]) @ error_dirs[k]^H, with
+    error_dirs K x N x L and error_weights K x L nonnegative; omitting both
+    means Phi = 0.  sigma2 holds per-user noise powers in watts.
     """
 
     hhat: np.ndarray
-    phi: np.ndarray
     sigma2: np.ndarray
     power: float
+    error_dirs: np.ndarray | None = None
+    error_weights: np.ndarray | None = None
 
     def __post_init__(self):
         hhat = np.asarray(self.hhat, dtype=complex)
         n, k = hhat.shape
-        phi = np.asarray(self.phi, dtype=complex)
+        if self.error_dirs is None and self.error_weights is None:
+            dirs, weights = np.zeros((k, n, 0), dtype=complex), np.zeros((k, 0))
+        else:
+            dirs = np.asarray(self.error_dirs, dtype=complex)
+            weights = np.asarray(self.error_weights, dtype=float)
+        if dirs.ndim != 3 or dirs.shape[:2] != (k, n) or weights.shape != (k, dirs.shape[2]):
+            raise ValueError(f"error factors must have shapes ({k}, {n}, L) and ({k}, L), "
+                             f"got {dirs.shape} and {weights.shape}")
+        if not np.all(weights >= 0):
+            raise ValueError("error weights must be nonnegative")
         sigma2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
         if sigma2.shape == (1,):
             sigma2 = np.full(k, sigma2[0])
-        if phi.shape != (k, n, n):
-            raise ValueError(f"phi must have shape ({k}, {n}, {n}), got {phi.shape}")
         if sigma2.shape != (k,):
             raise ValueError(f"sigma2 must have {k} entries")
         if np.any(sigma2 <= 0):
@@ -49,7 +62,8 @@ class PrecodingProblem:
         if not self.power > 0:
             raise ValueError(f"transmit power must be positive, got {self.power}")
         object.__setattr__(self, "hhat", hhat)
-        object.__setattr__(self, "phi", phi)
+        object.__setattr__(self, "error_dirs", dirs)
+        object.__setattr__(self, "error_weights", weights)
         object.__setattr__(self, "sigma2", sigma2)
 
     @property
@@ -64,23 +78,33 @@ class PrecodingProblem:
     def noise_over_power(self) -> np.ndarray:
         return self.sigma2 / self.power
 
-    def effective_covariances(self) -> np.ndarray:
-        """K x N x N stack of hhat_k hhat_k^H + Phi_k (C-contiguous)."""
-        cols = np.ascontiguousarray(self.hhat.T)  # (K, N)
-        out = cols[:, :, None] * cols.conj()[:, None, :]
-        out += self.phi
-        return np.ascontiguousarray(out)
+    def cov_factors(self) -> np.ndarray:
+        """N x K x R stack V with C_k = V[:, k] V[:, k]^H = hhat_k hhat_k^H + Phi_k.
+
+        Column 0 of V[:, k] is hhat_k; the other R - 1 are user k's error
+        directions scaled by the square roots of their weights.
+        """
+        scaled_dirs = self.error_dirs * np.sqrt(self.error_weights)[:, None, :]
+        return np.concatenate((self.hhat[:, :, None], scaled_dirs.transpose(1, 0, 2)), axis=2)
 
     @classmethod
     def from_reconstructions(cls, recs: list[ReconstructedChannel], power: float,
                              sigma2, use_cov: bool = True) -> "PrecodingProblem":
+        """Stack per-user reconstructions; ``use_cov=False`` drops Phi.
+
+        Users with fewer error directions than others get zero-weight columns.
+        """
         hhat = np.column_stack([rc.hhat for rc in recs])
-        n = hhat.shape[0]
-        if use_cov:
-            phi = np.stack([rc.error_cov for rc in recs])
-        else:
-            phi = np.zeros((len(recs), n, n), dtype=complex)
-        return cls(hhat=hhat, phi=phi, sigma2=sigma2, power=power)
+        if not use_cov:
+            return cls(hhat=hhat, sigma2=sigma2, power=power)
+        width = max(rc.error_weights.size for rc in recs)
+        dirs = np.zeros((len(recs), hhat.shape[0], width), dtype=complex)
+        weights = np.zeros((len(recs), width))
+        for k, rc in enumerate(recs):
+            dirs[k, :, :rc.error_weights.size] = rc.error_dirs
+            weights[k, :rc.error_weights.size] = rc.error_weights
+        return cls(hhat=hhat, sigma2=sigma2, power=power,
+                   error_dirs=dirs, error_weights=weights)
 
 
 @dataclass(frozen=True)
@@ -133,32 +157,33 @@ class GpipResult:
 
     f: PrecoderStack
     gamma: float
-    gamma_history: tuple[float, ...]
     iterations: int
     converged: bool
 
 
-def _cross_quadratic(covs: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Q[k, j] = f_j^H (hhat_k hhat_k^H + Phi_k) f_j, real by Hermitian symmetry."""
-    cols = blocks.T  # (N, K_users)
-    inner = covs @ cols  # batched: (K, N, K_users)
-    return np.einsum("aj,kaj->kj", cols.conj(), inner).real
-
-
-def _ratios(covs: np.ndarray, blocks: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
+def _ratios(p: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
     """Per-user numerator and denominator quadratic forms of the SE ratios.
 
+    ``p`` is the (K*R) x K matrix V^H F of projections (see _projections),
+    so f_j^H C_k f_j is the sum of |p|^2 over user k's R rows in column j.
     ``noise`` is the per-user noise term already scaled by ||f||^2.
     """
-    q = _cross_quadratic(covs, blocks)
+    k = p.shape[1]
+    q = (p.real**2 + p.imag**2).reshape(k, -1, k).sum(axis=1)  # q[k, j] = f_j^H C_k f_j
     q_num = q.sum(axis=1) + noise
     q_den = q_num - np.diag(q)
     return q_num, q_den
 
 
+def _projections(v: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """(K*R) x K matrix V^H F of the flattened factors against the precoder columns."""
+    n, k, r = v.shape
+    return v.reshape(n, k * r).conj().T @ blocks.T
+
+
 def _problem_ratios(pp: PrecodingProblem, stack: PrecoderStack):
     noise = pp.noise_over_power * float(np.vdot(stack.f, stack.f).real)
-    return _ratios(pp.effective_covariances(), stack.blocks, noise)
+    return _ratios(_projections(pp.cov_factors(), stack.blocks), noise)
 
 
 def gamma(stack: PrecoderStack, pp: PrecodingProblem) -> float:
@@ -178,33 +203,36 @@ def sum_se_lower_bound(stack: PrecoderStack, pp: PrecodingProblem) -> float:
 
 
 def _scaled_problem(pp: PrecodingProblem):
-    """Common positive rescaling of all covariances and noise terms.
+    """Factors and noise terms under one common positive rescaling.
 
     The objective, iterates, and stationarity residual are invariant under
-    one shared scale; this keeps products of quadratic forms inside float64
-    range for channels with realistic (tiny) path gains.
+    one shared scale of all covariances and noise terms; this keeps products
+    of quadratic forms inside float64 range for channels with realistic
+    (tiny) path gains.  The scale is the larger of max_k trace(C_k) / N,
+    with trace(C_k) = ||V[:, k]||_F^2, and the largest noise term.
     """
-    covs = pp.effective_covariances()
-    n = pp.num_antennas
-    scale = max(
-        float(np.max(np.trace(covs, axis1=1, axis2=2).real)) / n,
-        float(np.max(pp.noise_over_power)),
-    )
+    v = pp.cov_factors()
+    traces = np.sum(v.real**2 + v.imag**2, axis=(0, 2))
+    scale = max(float(np.max(traces)) / pp.num_antennas,
+                float(np.max(pp.noise_over_power)))
     if not np.isfinite(scale) or scale <= 0:
         raise GpipError(f"degenerate problem scale {scale}")
-    return covs / scale, pp.noise_over_power / scale
+    return v / math.sqrt(scale), pp.noise_over_power / scale
 
 
-def _default_init(pp: PrecodingProblem, covs: np.ndarray) -> PrecoderStack:
+def _default_init(pp: PrecodingProblem, v: np.ndarray) -> PrecoderStack:
     """Zero-forcing start; degenerate columns fall back to dominant directions."""
     n, k = pp.num_antennas, pp.num_users
     cols = pp.hhat.copy()
     norms = np.linalg.norm(cols, axis=0)
     floor = 1e-12 * max(norms.max(), 1e-300)
     for j in np.nonzero(norms <= floor)[0]:
-        if np.abs(covs[j]).max() > 0:
-            w, v = np.linalg.eigh(covs[j])
-            cols[:, j] = v[:, -1]
+        vj = v[:, j]
+        if np.abs(vj).max() > 0:
+            # dominant eigenvector of V_j V_j^H, from the R x R Gram matrix
+            _, q = np.linalg.eigh(vj.conj().T @ vj)
+            top = vj @ q[:, -1]
+            cols[:, j] = top / np.linalg.norm(top)
         else:
             cols[:, j] = np.ones(n) / math.sqrt(n)
     gram = cols.conj().T @ cols
@@ -221,67 +249,85 @@ def _default_init(pp: PrecodingProblem, covs: np.ndarray) -> PrecoderStack:
     return PrecoderStack.from_columns(w)
 
 
+def _denominator_solve(vf: np.ndarray, gram: np.ndarray, wb: np.ndarray, c: float,
+                       rhs: np.ndarray) -> np.ndarray:
+    """Columns x_j = (c I + sum_{k != j} wb_k C_k)^{-1} rhs_j for every user j.
+
+    vf is the N x KR factor stack V (user k's R columns side by side) and
+    gram = V^H V.  With S_j = diag(sqrt(wb)) over V's columns and user j's
+    own R entries zeroed, the Woodbury identity gives
+
+        x_j = (rhs_j - V S_j (c I + S_j G S_j)^{-1} S_j V^H rhs_j) / c,
+
+    so one batched K x KR x KR capacitance solve replaces K dense N x N
+    solves.  Each capacitance matrix is Hermitian positive definite for c > 0.
+    """
+    k = wb.size
+    r = gram.shape[0] // k
+    sw = np.sqrt(np.repeat(wb, r)) * np.repeat(1.0 - np.eye(k), r, axis=1)  # row j: S_j
+    cap = sw[:, :, None] * gram
+    cap *= sw[:, None, :]
+    diag = np.arange(k * r)
+    cap[:, diag, diag] += c
+    try:
+        z = np.linalg.solve(cap, (sw * (vf.conj().T @ rhs).T)[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError as exc:
+        conds = [float(np.linalg.cond(cap[j])) for j in range(k)]
+        raise GpipError(
+            "denominator block solve failed "
+            f"(worst condition estimate {max(conds):.3e})"
+        ) from exc
+    return (rhs - vf @ (sw * z).T) / c
+
+
 def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
                f0: PrecoderStack | None = None) -> GpipResult:
     """Generalized power iteration for the product-of-ratios objective.
 
-    Each iteration solves K independent N x N Hermitian positive-definite
-    systems (the aggregate matrices are block-diagonal with a rank-limited
-    per-block correction) and renormalizes.  Stops once the relative
-    improvement of the objective falls below cfg.epsilon.  The iterate with
-    the largest objective seen, including the start, is returned, so the
-    result never falls below the initial point.
+    Each iteration maps user j's block through the inverse of its
+    denominator matrix c I + sum_{k != j} w_k C_k, in Woodbury form over the
+    rank-R factors (see _denominator_solve), and renormalizes; the KR x KR
+    Gram matrix of the factors is built once per solve.  Stops once the
+    relative improvement of the objective falls below cfg.epsilon.  The
+    iterate with the largest objective seen, including the start, is
+    returned, so the result never falls below the initial point.
     """
     cfg = cfg or GpipConfig()
-    covs, noise = _scaled_problem(pp)
-    n, k = pp.num_antennas, pp.num_users
-    stack = (f0 or _default_init(pp, covs)).normalized()
+    v, noise = _scaled_problem(pp)
+    n, k, r = v.shape
+    stack = (f0 or _default_init(pp, v)).normalized()
+    vf = v.reshape(n, k * r)
+    vf_h = vf.conj().T
+    gram = vf_h @ vf
 
-    def ratio_logs(s: PrecoderStack) -> tuple[np.ndarray, np.ndarray]:
-        q_num, q_den = _ratios(covs, s.blocks, noise)  # ||f|| = 1 throughout
+    def ratio_logs(s: PrecoderStack):
+        p = vf_h @ s.blocks.T
+        q_num, q_den = _ratios(p, noise)  # ||f|| = 1 throughout
         if np.any(q_den <= 0) or np.any(~np.isfinite(q_num)):
             raise GpipError("non-finite or non-positive quadratic forms")
-        return np.log(q_num), np.log(q_den)
+        return p, np.log(q_num), np.log(q_den)
 
-    la, lb = ratio_logs(stack)
+    p, la, lb = ratio_logs(stack)
     lg = float(la.sum() - lb.sum())
     if not np.isfinite(lg):
         raise GpipError("objective is non-finite at the initial point")
-    history = [math.exp(lg)]
     best_lg, best_stack = lg, stack
     iterations = 0
     converged = False
-    eye = np.eye(n)
 
-    covs_flat = covs.reshape(k, -1)
-    m = np.empty_like(covs)  # per-user denominator blocks, reused every iteration
     for _ in range(cfg.max_iter):
         iterations += 1
         wa = np.exp(la.sum() - la - (la.sum() - la).max())
         wb = np.exp(lb.sum() - lb - (lb.sum() - lb).max())
-        agg_num = (wa @ covs_flat).reshape(n, n) + float(wa @ noise) * eye
-        agg_den = (wb @ covs_flat).reshape(n, n) + float(wb @ noise) * eye
+        # A-side images sum_k wa_k C_k f_j + (wa . noise) f_j, one column per user
+        rhs = vf @ (np.repeat(wa, r)[:, None] * p) + float(wa @ noise) * stack.blocks.T
+        cols = _denominator_solve(vf, gram, wb, float(wb @ noise), rhs)
+        stack = PrecoderStack.from_columns(cols).normalized()
 
-        rhs = (agg_num @ stack.blocks.T).T  # per-user A-side images
-        # agg_den - wb_k * C_k: Hermitian positive definite by construction;
-        # solved in one batched LAPACK call
-        np.multiply(wb[:, None, None], covs, out=m)
-        np.subtract(agg_den[None, :, :], m, out=m)
-        try:
-            new_blocks = np.linalg.solve(m, rhs[:, :, None])[:, :, 0]
-        except np.linalg.LinAlgError as exc:
-            conds = [float(np.linalg.cond(m[j])) for j in range(k)]
-            raise GpipError(
-                "denominator block solve failed "
-                f"(worst condition estimate {max(conds):.3e})"
-            ) from exc
-        stack = PrecoderStack(new_blocks.reshape(-1), k).normalized()
-
-        la, lb = ratio_logs(stack)
+        p, la, lb = ratio_logs(stack)
         lg_new = float(la.sum() - lb.sum())
         if not np.isfinite(lg_new):
             raise GpipError("objective became non-finite during iteration")
-        history.append(math.exp(lg_new))
         if lg_new > best_lg:
             best_lg, best_stack = lg_new, stack
         if abs(math.expm1(lg_new - lg)) < cfg.epsilon:
@@ -290,7 +336,6 @@ def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
         lg = lg_new
 
     return GpipResult(f=best_stack, gamma=math.exp(best_lg),
-                      gamma_history=tuple(history),
                       iterations=iterations, converged=converged)
 
 
@@ -300,11 +345,12 @@ def stationarity_residual(stack: PrecoderStack, pp: PrecodingProblem) -> float:
     Zero (numerically) exactly when the stack satisfies
     aggregate_num(f) f = gamma(f) * aggregate_den(f) f.
     """
-    covs, noise = _scaled_problem(pp)
-    n, k = pp.num_antennas, pp.num_users
+    v, noise = _scaled_problem(pp)
+    n, k, r = v.shape
     stack = stack.normalized()
-    blocks = stack.blocks
-    q_num, q_den = _ratios(covs, blocks, noise)
+    cols = stack.blocks.T
+    p = _projections(v, stack.blocks)
+    q_num, q_den = _ratios(p, noise)
     la, lb = np.log(q_num), np.log(q_den)
     log_g = float(la.sum() - lb.sum())
     # One shared normalizer keeps the identity A f = gamma B f intact.
@@ -313,29 +359,41 @@ def stationarity_residual(stack: PrecoderStack, pp: PrecodingProblem) -> float:
     ref = log_wa.max()
     wa = np.exp(log_wa - ref)
     wgb = np.exp(log_g + log_wb - ref)  # gamma folded into the B-side weights
-    num_img = (np.tensordot(wa, covs, axes=1) @ blocks.T).T + float(wa @ noise) * blocks
-    den_base = np.tensordot(wgb, covs, axes=1)
-    den_img = (den_base @ blocks.T).T + float(wgb @ noise) * blocks
-    den_img -= (wgb[:, None] * np.einsum("kab,kb->ka", covs, blocks))
+    vf = v.reshape(n, k * r)
+    num_img = vf @ (np.repeat(wa, r)[:, None] * p) + float(wa @ noise) * cols
+    own_dropped = np.repeat(wgb[:, None] * (1.0 - np.eye(k)), r, axis=0)
+    den_img = vf @ (own_dropped * p) + float(wgb @ noise) * cols
     resid = np.linalg.norm(num_img - den_img)
     return float(resid / np.linalg.norm(num_img))
 
 
 def zf_precoder(hhat: np.ndarray, pp: PrecodingProblem) -> PrecoderStack:
-    """Zero-forcing stack: pseudo-inverse directions at equal per-user power."""
+    """Zero-forcing stack: pseudo-inverse directions at equal per-user power.
+
+    When the Gram matrix cannot be inverted, as when users share one DFT
+    codeword, the Moore-Penrose pseudo-inverse gives the minimum-norm
+    least-squares directions instead.  Only an all-zero channel column
+    leaves ZF undefined.
+    """
     h = np.asarray(hhat, dtype=complex)
     n, k = h.shape
     if k > n:
         raise ValueError(f"zero-forcing needs K <= N, got K={k}, N={n}")
     gram = h.conj().T @ h
+
+    def usable(w):
+        norms = np.linalg.norm(w, axis=0)
+        return np.all(norms > 0) and np.all(np.isfinite(norms))
+
     try:
         w = h @ np.linalg.inv(gram)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("channel matrix is rank deficient; ZF undefined") from exc
-    norms = np.linalg.norm(w, axis=0)
-    if np.any(norms == 0) or not np.all(np.isfinite(norms)):
-        raise ValueError("channel matrix is rank deficient; ZF undefined")
-    return PrecoderStack.from_columns(w / norms / math.sqrt(k))
+    except np.linalg.LinAlgError:
+        w = None
+    if w is None or not usable(w):
+        w = h @ np.linalg.pinv(gram)
+        if not usable(w):
+            raise ValueError("channel matrix has a zero column; ZF undefined")
+    return PrecoderStack.from_columns(w / np.linalg.norm(w, axis=0) / math.sqrt(k))
 
 
 def true_sum_se(stack: PrecoderStack, h_true: np.ndarray, pp: PrecodingProblem) -> float:

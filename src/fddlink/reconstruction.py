@@ -2,8 +2,10 @@
 
 The Bayesian estimate scales each path by eta(B) and uses the fed-back
 phase; its conditional error covariance is a weighted sum of steering-vector
-outer products.  Diagnostics quantify how well hhat*hhat^H + Phi stands in
-for the true channel outer product.
+outer products, Phi = A diag(beta**2 * (1 - eta**2)) A^H.  A reconstruction
+carries Phi as those factors (N x L directions, L weights) and never as an
+N x N matrix.  Diagnostics quantify how well hhat*hhat^H + Phi stands in for
+the true channel outer product.
 """
 
 from __future__ import annotations
@@ -19,10 +21,34 @@ from .feedback import FeedbackPlan
 
 @dataclass(frozen=True)
 class ReconstructedChannel:
-    """Channel estimate and its error covariance."""
+    """Channel estimate and the factors of its error covariance.
+
+    Phi = error_dirs @ diag(error_weights) @ error_dirs^H with error_dirs
+    N x L and error_weights the L nonnegative weights.  Omitting both gives
+    an estimate without an error model (zero columns, Phi = 0).
+    """
 
     hhat: np.ndarray
-    error_cov: np.ndarray
+    error_dirs: np.ndarray | None = None
+    error_weights: np.ndarray | None = None
+
+    def __post_init__(self):
+        hhat = np.asarray(self.hhat, dtype=complex)
+        if hhat.ndim != 1:
+            raise ValueError(f"estimate must be a vector, got shape {hhat.shape}")
+        if self.error_dirs is None and self.error_weights is None:
+            dirs, weights = np.zeros((hhat.size, 0), dtype=complex), np.zeros(0)
+        else:
+            dirs = np.asarray(self.error_dirs, dtype=complex)
+            weights = np.asarray(self.error_weights, dtype=float)
+        if dirs.shape != (hhat.size, weights.size) or weights.ndim != 1:
+            raise ValueError(f"error factors of shape {dirs.shape} and {weights.shape} "
+                             f"do not fit an estimate of length {hhat.size}")
+        if not np.all(weights >= 0):
+            raise ValueError("error weights must be nonnegative")
+        object.__setattr__(self, "hhat", hhat)
+        object.__setattr__(self, "error_dirs", dirs)
+        object.__setattr__(self, "error_weights", weights)
 
 
 def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -37,9 +63,8 @@ def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> Reco
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
     etas = eta(fp.bits)
     gains = etas * ps.betas * np.exp(1j * fp.q_values)
-    hhat = a @ gains
-    phi = _covariance_from_factors(a, ps.betas, etas)
-    return ReconstructedChannel(hhat=hhat, error_cov=phi)
+    return ReconstructedChannel(hhat=a @ gains, error_dirs=a,
+                                error_weights=_error_weights(ps.betas, etas))
 
 
 def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -49,21 +74,20 @@ def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedCh
     power (the zero-bit limit).
     """
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    hhat = a @ ps.betas.astype(complex)
-    phi = _covariance_from_factors(a, ps.betas, np.zeros(len(ps)))
-    return ReconstructedChannel(hhat=hhat, error_cov=phi)
+    return ReconstructedChannel(hhat=a @ ps.betas.astype(complex), error_dirs=a,
+                                error_weights=_error_weights(ps.betas, np.zeros(len(ps))))
 
 
 def reconstruct_dft(hhat: np.ndarray, geom: ArrayGeometry) -> ReconstructedChannel:
     """Wrap a DFT-codebook estimate; no covariance model exists for it."""
-    n = geom.num_antennas
-    return ReconstructedChannel(hhat=np.asarray(hhat),
-                                error_cov=np.zeros((n, n), dtype=complex))
+    hhat = np.asarray(hhat)
+    if hhat.shape != (geom.num_antennas,):
+        raise ValueError(f"estimate must have shape ({geom.num_antennas},), got {hhat.shape}")
+    return ReconstructedChannel(hhat=hhat)
 
 
-def _covariance_from_factors(a: np.ndarray, betas: np.ndarray, etas: np.ndarray) -> np.ndarray:
-    coeff = betas**2 * (1.0 - etas**2)
-    return (a * coeff) @ a.conj().T
+def _error_weights(betas: np.ndarray, etas: np.ndarray) -> np.ndarray:
+    return betas**2 * (1.0 - etas**2)
 
 
 def error_covariance(ps: PathSet, bits, geom: ArrayGeometry) -> np.ndarray:
@@ -72,7 +96,7 @@ def error_covariance(ps: PathSet, bits, geom: ArrayGeometry) -> np.ndarray:
     if bits.shape[0] != len(ps):
         raise ValueError(f"got {bits.shape[0]} bit counts for {len(ps)} paths")
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    return _covariance_from_factors(a, ps.betas, eta(bits))
+    return (a * _error_weights(ps.betas, eta(bits))) @ a.conj().T
 
 
 def outer_product_error(h_true: np.ndarray, rc: ReconstructedChannel) -> tuple[np.ndarray, float]:
@@ -81,7 +105,7 @@ def outer_product_error(h_true: np.ndarray, rc: ReconstructedChannel) -> tuple[n
     n = h.shape[0]
     delta = np.outer(h, h.conj())
     delta -= np.outer(rc.hhat, rc.hhat.conj())
-    delta -= rc.error_cov
+    delta -= (rc.error_dirs * rc.error_weights) @ rc.error_dirs.conj().T
     norm = float(np.sum(np.abs(delta) ** 2)) / n**2
     return delta, norm
 
@@ -95,7 +119,7 @@ def outer_error_norm(h_true: np.ndarray, hhat: np.ndarray,
     trace.  Exact; intended for large N where the dense route is wasteful.
     """
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    coeff = ps.betas**2 * (1.0 - eta(np.asarray(bits)) ** 2)
+    coeff = _error_weights(ps.betas, eta(np.asarray(bits)))
     u = np.column_stack([h_true, hhat, a])
     s = np.concatenate(([1.0, -1.0], -coeff))
     gram = u.conj().T @ u

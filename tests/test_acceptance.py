@@ -210,7 +210,7 @@ def test_c07_outer_error_large_array_limit():
                 # dense and factored routes must agree where both are cheap
                 from fddlink.reconstruction import ReconstructedChannel
                 rc = ReconstructedChannel(
-                    hhat=hhat, error_cov=error_covariance(ps, bits, geom))
+                    hhat=hhat, error_dirs=a, error_weights=1.0 - eta(bits) ** 2)
                 _, dense_val = outer_product_error(h, rc)
                 assert abs(dense_val - val) <= 1e-9 * max(val, 1.0)
             gaps.append(abs(val - limit))

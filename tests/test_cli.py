@@ -76,13 +76,49 @@ def test_precode_zf_and_wmmse(tmp_path):
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
+def _reads_covariance(row: list[str]) -> bool:
+    """True for `sim se` rows whose value depends on the CSI covariances C_k.
+
+    Those moved in the last digits when C_k became a low-rank factor; ZF and
+    WMMSE never read C_k to choose their precoders, so their true_sum_se rows
+    and every row of the other experiments must reproduce the reference bytes.
+    """
+    experiment, method, metric = row[0], row[6], row[7]
+    return experiment == "se" and not (
+        metric == "true_sum_se" and method.startswith(("zf_", "wmmse_")))
+
+
 @pytest.mark.parametrize("workload,experiment", [
     ("se_desk", "se"), ("csi_sweep", "delta"), ("dft_zf", "se")])
 def test_sim_matches_reference_csv(tmp_path, workload, experiment):
     out = tmp_path / "out.csv"
     assert main(["sim", experiment, "--config", str(BENCH / "workloads" / f"{workload}.cfg"),
                  "--seed", "0", "--out", str(out)]) == 0
-    assert out.read_bytes() == (BENCH / "reference" / workload / "0.csv").read_bytes()
+    got = out.read_text().splitlines()
+    ref = (BENCH / "reference" / workload / "0.csv").read_text().splitlines()
+    assert len(got) == len(ref) and got[0] == ref[0]
+    for got_line, ref_line in zip(got[1:], ref[1:]):
+        row, ref_row = got_line.split(","), ref_line.split(",")
+        if not _reads_covariance(ref_row):
+            assert got_line == ref_line
+            continue
+        # same key and trial count; the mean within 1e-9 relative and 4 std errors
+        assert row[:8] + row[10:] == ref_row[:8] + ref_row[10:]
+        shift = abs(float(row[8]) - float(ref_row[8]))
+        assert shift <= 1e-9 * abs(float(ref_row[8])), ref_line
+        assert shift <= 4 * float(ref_row[9]), ref_line
+
+
+def test_zf_defined_when_dft_users_share_a_codeword(tmp_path):
+    # small budgets give colliding codewords; seed 168 hits one at b_tot = 0
+    cfg = tmp_path / "s.cfg"
+    text = (BENCH / "workloads" / "dft_zf.cfg").read_text()
+    cfg.write_text(re.sub(r"(?m)^b_tot_grid = .*$", "b_tot_grid = 0,3,6,9,12,15", text))
+    out = tmp_path / "o.csv"
+    assert main(["sim", "se", "--config", str(cfg), "--seed", "168", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 6 * 3 * 2
+    assert all(math.isfinite(float(r["mean"])) for r in rows)
 
 
 @pytest.mark.parametrize("precoder,reconstruction,se_method,b_tot", [
@@ -115,10 +151,10 @@ def test_precode_row_is_the_sim_se_point(tmp_path, precoder, reconstruction, se_
 
 def test_failed_drop_names_seed_trial_point_and_method(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("n_antennas = 8\nn_users = 2\nn_paths = 2\ntrials = 3\n"
-                   "b_tot_grid = 0\nse_methods = zf_dft\n")
+    cfg.write_text("n_antennas = 2\nn_users = 3\nn_paths = 2\ntrials = 3\n"
+                   "b_tot_grid = 0\nse_methods = zf_mmse\n")
     assert main(["sim", "se", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
-    assert "channel matrix is rank deficient" in err
-    assert re.search(r"\(seed 1234, trial \d+, n_antennas 8, n_paths 2, power_dbm 43\.0, "
-                     r"b_tot 0, method zf_dft\)", err)
+    assert "zero-forcing needs K <= N" in err
+    assert re.search(r"\(seed 1234, trial \d+, n_antennas 2, n_paths 2, power_dbm 43\.0, "
+                     r"b_tot 0, method zf_mmse\)", err)

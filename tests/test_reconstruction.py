@@ -14,6 +14,7 @@ from fddlink.channel import (
 )
 from fddlink.feedback import make_feedback_plan, quantize_phases
 from fddlink.reconstruction import (
+    ReconstructedChannel,
     asymptotic_delta_norm,
     error_covariance,
     outer_error_norm,
@@ -24,6 +25,11 @@ from fddlink.reconstruction import (
 )
 
 GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.025)
+
+
+def dense_phi(rc):
+    """The N x N error covariance from a reconstruction's factors."""
+    return (rc.error_dirs * rc.error_weights) @ rc.error_dirs.conj().T
 
 
 def geom_n(n):
@@ -53,13 +59,13 @@ class TestReconstructMmse:
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, [0], GEOM), GEOM)
         assert np.linalg.norm(rc.hhat) == 0.0
         a = steering_matrix(ps.thetas, GEOM.lambda_dl, GEOM)[:, 0]
-        np.testing.assert_allclose(rc.error_cov, 1.5**2 * np.outer(a, a.conj()), atol=1e-12)
-        assert np.trace(rc.error_cov).real == pytest.approx(4 * 1.5**2)
+        np.testing.assert_allclose(dense_phi(rc), 1.5**2 * np.outer(a, a.conj()), atol=1e-12)
+        assert np.trace(dense_phi(rc)).real == pytest.approx(4 * 1.5**2)
 
     def test_two_path_trace(self):
         ps = two_path_set()
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, [1, 1], GEOM), GEOM)
-        assert np.trace(rc.error_cov).real == pytest.approx(
+        assert np.trace(dense_phi(rc)).real == pytest.approx(
             8 * (1 - 4 / math.pi**2), abs=1e-12)
 
     def test_trace_matches_closed_form_identity(self):
@@ -67,7 +73,7 @@ class TestReconstructMmse:
         bits = [2, 1]
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, bits, GEOM), GEOM)
         expected = theoretical_weighted_mse(ps.betas, bits, GEOM.num_antennas)
-        assert np.trace(rc.error_cov).real == pytest.approx(expected, rel=1e-13)
+        assert np.trace(dense_phi(rc)).real == pytest.approx(expected, rel=1e-13)
 
     def test_length_mismatch_rejected(self):
         ps = two_path_set()
@@ -103,7 +109,7 @@ class TestReconstructNoFeedback:
     def test_cov_modes(self):
         ps = two_path_set()
         full = reconstruct_no_feedback(ps, GEOM)
-        np.testing.assert_allclose(full.error_cov,
+        np.testing.assert_allclose(dense_phi(full),
                                    error_covariance(ps, [0, 0], GEOM), atol=1e-12)
 
 
@@ -233,4 +239,23 @@ class TestAsymptoticDeltaNorm:
 class TestDftReconstruction:
     def test_wraps_estimate_with_zero_cov(self):
         rc = reconstruct_dft(np.ones(4, dtype=complex), GEOM)
-        assert np.all(rc.error_cov == 0)
+        assert rc.error_dirs.shape == (4, 0) and rc.error_weights.shape == (0,)
+        assert np.all(dense_phi(rc) == 0)
+
+    def test_wrong_length_rejected(self):
+        with pytest.raises(ValueError):
+            reconstruct_dft(np.ones(3, dtype=complex), GEOM)
+
+
+class TestReconstructedChannel:
+    def test_malformed_factors_rejected(self):
+        h = np.ones(4, dtype=complex)
+        with pytest.raises(ValueError):
+            ReconstructedChannel(hhat=h, error_dirs=np.ones((3, 2)), error_weights=np.ones(2))
+        with pytest.raises(ValueError):
+            ReconstructedChannel(hhat=h, error_dirs=np.ones((4, 2)), error_weights=np.ones(3))
+        with pytest.raises(ValueError):
+            ReconstructedChannel(hhat=h, error_dirs=np.ones((4, 1)),
+                                 error_weights=np.array([-1.0]))
+        with pytest.raises(ValueError):
+            ReconstructedChannel(hhat=np.ones((4, 1)))
