@@ -131,6 +131,7 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(cfg.lambda_dl > 0, "lambda_dl", "must be positive")
     need(cfg.spacing > 0, "spacing", "must be positive")
     need(cfg.isd > 0, "isd", "must be positive")
+    need(math.isfinite(cfg.noise_dbm), "noise_dbm", "must be finite")
     need(len(cfg.power_dbm_grid) > 0, "power_dbm_grid", "must be non-empty")
     need(all(math.isfinite(p) for p in cfg.power_dbm_grid), "power_dbm_grid",
          "entries must be finite")

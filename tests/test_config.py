@@ -79,6 +79,12 @@ class TestParsing:
             ScenarioConfig(power_dbm_grid=(43.0, float("inf")))
         assert err.value.field == "power_dbm_grid"
 
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_noise_rejected_when_built_directly(self, value):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(noise_dbm=value)
+        assert err.value.field == "noise_dbm"
+
     def test_duplicate_key_rejected(self):
         with pytest.raises(ConfigError):
             parse_config_text("seed = 1\nseed = 2\n")
@@ -111,6 +117,11 @@ class TestReplace:
         cfg = ScenarioConfig()
         with pytest.raises(ConfigError):
             cfg.replace(trials=0)
+
+    def test_replace_rejects_non_finite_noise(self):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig().replace(noise_dbm=float("nan"))
+        assert err.value.field == "noise_dbm"
 
     def test_replace_changes_single_field(self):
         cfg = ScenarioConfig().replace(seed=99)

@@ -155,9 +155,9 @@ def dense_residual(stack, pp):
 
 @st.composite
 def small_problems(draw):
-    """N <= 16, K <= 4, L <= 3, with some zero error weights and zero estimates."""
+    """N <= 16, K <= 9, L <= 3, with some zero error weights and zero estimates."""
     n = draw(st.integers(1, 16))
-    k = draw(st.integers(1, min(n, 4)))
+    k = draw(st.integers(1, min(n, 9)))
     n_dirs = draw(st.integers(0, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hhat = cnormal(rng, (n, k))
@@ -166,6 +166,31 @@ def small_problems(draw):
     return PrecodingProblem(hhat=hhat, sigma2=10.0 ** rng.uniform(-2, 1, k),
                             power=10.0 ** rng.uniform(-1, 1),
                             error_dirs=cnormal(rng, (k, n, n_dirs)), error_weights=weights)
+
+
+@st.composite
+def hard_denominator_inputs(draw):
+    """Denominator systems on which a shared inverse with per-user downdates fails.
+
+    K <= 9 covers K = 1 and user counts that are not powers of two; c reaches
+    down to 1e-6; some draws give two users one estimate column, and many have
+    K(L+1) > N, so the users' subspaces overlap.
+    """
+    n = draw(st.integers(1, 16))
+    k = draw(st.integers(1, 9))
+    n_dirs = draw(st.integers(0, 3))
+    shared = draw(st.booleans())
+    c = 10.0 ** draw(st.floats(-6.0, 0.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    hhat = cnormal(rng, (n, k))
+    if shared and k > 1:
+        a, b = rng.choice(k, 2, replace=False)
+        hhat[:, a] = hhat[:, b]
+    pp = PrecodingProblem(hhat=hhat, sigma2=1.0, power=1.0,
+                          error_dirs=cnormal(rng, (k, n, n_dirs)),
+                          error_weights=rng.uniform(0.0, 1.0, (k, n_dirs)))
+    wb = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.8)
+    return pp, wb, c, cnormal(rng, (n, k))
 
 
 class TestFactoredMatchesDense:
@@ -195,6 +220,17 @@ class TestFactoredMatchesDense:
         got = _denominator_solve(vf, vf.conj().T @ vf, wb, c, rhs)
         want = dense_denominator_solve(dense_covs(pp), wb, c, rhs)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
+
+    @settings(deadline=None, max_examples=200)
+    @given(case=hard_denominator_inputs())
+    def test_denominator_solve_hard_inputs(self, case):
+        pp, wb, c, rhs = case
+        vf = pp.cov_factors().reshape(pp.num_antennas, -1)
+        got = _denominator_solve(vf, vf.conj().T @ vf, wb, c, rhs)
+        want = dense_denominator_solve(dense_covs(pp), wb, c, rhs)
+        np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-7 * np.abs(want).max())
+        if pp.num_users == 1:
+            np.testing.assert_allclose(got, rhs / c, rtol=1e-15)
 
     @settings(deadline=None, max_examples=100)
     @given(pp=small_problems(), seed=st.integers(0, 2**32 - 1))
@@ -526,6 +562,19 @@ class TestStackAndConfig:
             GpipConfig(epsilon=0.0)
         with pytest.raises(ValueError):
             GpipConfig(max_iter=0)
+
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3"])
+    def test_non_integer_max_iter_rejected(self, max_iter):
+        with pytest.raises(ValueError, match="integer"):
+            GpipConfig(max_iter=max_iter)
+        assert GpipConfig(max_iter=np.int64(3)).max_iter == 3
+
+    @pytest.mark.parametrize("sigma2, power", [(np.nan, 1.0), (np.inf, 1.0),
+                                               (1.0, np.inf), (1.0, np.nan)])
+    def test_non_finite_noise_or_power_rejected(self, sigma2, power):
+        with pytest.raises(ValueError, match="finite"):
+            PrecodingProblem(hhat=np.ones((2, 2), dtype=complex),
+                             sigma2=np.array([1.0, sigma2]), power=power)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
