@@ -116,22 +116,20 @@ def allocate_greedy(p: AllocationProblem) -> Allocation:
 
     Starting from all-zero bits, each round grants one bit to the path with
     the largest weighted marginal decrease; ties go to the lowest path index
-    (numpy argmax convention).
+    (numpy argmax convention).  Each path's marginal gains never increase,
+    so the rounds take the ``budget`` largest entries of the path-major table
+    weights[l] * gains[b], and a stable sort of it reproduces the tie-breaks.
     """
     L = len(p.weights)
     w = np.asarray(p.weights, dtype=float)
     bits = np.zeros(L, dtype=np.int64)
     if p.budget > 0:
         cap = min(p.budget, MAX_BITS)
-        gains = marginal_gain_table(cap)
-        for _ in range(p.budget):
-            candidate = np.full(L, -1.0)
-            open_paths = bits < cap
-            candidate[open_paths] = w[open_paths] * gains[bits[open_paths]]
-            step = int(np.argmax(candidate))
-            if candidate[step] < 0.0:
-                raise ValueError(f"budget {p.budget} exceeds {MAX_BITS} bits on every path")
-            bits[step] += 1
+        if p.budget > L * MAX_BITS:
+            raise ValueError(f"budget {p.budget} exceeds {MAX_BITS} bits on every path")
+        table = w[:, None] * marginal_gain_table(cap)
+        taken = np.argsort(-table, axis=None, kind="stable")[:p.budget]
+        bits = np.bincount(taken // cap, minlength=L)
     return Allocation(bits=tuple(int(b) for b in bits),
                       objective=weighted_nmmse(w, bits))
 

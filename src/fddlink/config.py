@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, fields
 
 from .channel import ArrayGeometry
@@ -154,8 +155,9 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(len(cfg.se_methods) > 0, "se_methods", "must be non-empty")
     for m in cfg.se_methods:
         need(m in SE_METHODS, "se_methods", f"unknown method {m!r}; known: {tuple(SE_METHODS)}")
-    need(cfg.gpip_epsilon > 0, "gpip_epsilon", "must be positive")
-    need(cfg.gpip_max_iter >= 1, "gpip_max_iter", "must be >= 1")
+    need(0 < cfg.gpip_epsilon < math.inf, "gpip_epsilon", "must be positive and finite")
+    need(isinstance(cfg.gpip_max_iter, numbers.Integral) and cfg.gpip_max_iter >= 1,
+         "gpip_max_iter", f"must be an integer >= 1, got {cfg.gpip_max_iter!r}")
     need(cfg.workers >= 1, "workers", "must be >= 1")
 
 

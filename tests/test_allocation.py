@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from fddlink.allocation import (
+    MAX_BITS,
     AllocationProblem,
     allocate_bruteforce,
     allocate_greedy,
@@ -25,6 +28,24 @@ def eta_by_quadrature(bits: int) -> float:
     imag, _ = integrate.quad(lambda d: math.sin(d) / (2 * half), -half, half)
     assert abs(imag) < 1e-14
     return real
+
+
+def greedy_by_rounds(p: AllocationProblem) -> tuple[int, ...]:
+    """Reference allocator: one bit per round to the best open path, lowest index on ties."""
+    w = np.asarray(p.weights, dtype=float)
+    bits = np.zeros(len(w), dtype=np.int64)
+    if p.budget > 0:
+        cap = min(p.budget, MAX_BITS)
+        gains = marginal_gain_table(cap)
+        for _ in range(p.budget):
+            candidate = np.full(len(w), -1.0)
+            open_paths = bits < cap
+            candidate[open_paths] = w[open_paths] * gains[bits[open_paths]]
+            step = int(np.argmax(candidate))
+            if candidate[step] < 0.0:
+                raise ValueError(f"budget {p.budget} exceeds {MAX_BITS} bits on every path")
+            bits[step] += 1
+    return tuple(int(b) for b in bits)
 
 
 class TestEta:
@@ -119,6 +140,31 @@ class TestGreedy:
             alloc = allocate_greedy(AllocationProblem(weights=weights, budget=budget))
             for i in range(L - 1):
                 assert alloc.bits[i] >= alloc.bits[i + 1]
+
+
+    @settings(deadline=None, max_examples=300)
+    @given(weights=st.lists(st.sampled_from([0.0, 1e-320, 1e-300, 0.25, 0.5, 1.0, 4.0])
+                            | st.floats(0.0, 10.0), min_size=1, max_size=8),
+           budget=st.integers(0, 130))
+    def test_matches_round_by_round_reference(self, weights, budget):
+        # sampled weights force exact ties, zero and subnormal products
+        p = AllocationProblem(weights=tuple(weights), budget=budget)
+        try:
+            want = greedy_by_rounds(p)
+        except ValueError:
+            with pytest.raises(ValueError, match="exceeds"):
+                allocate_greedy(p)
+            return
+        alloc = allocate_greedy(p)
+        assert alloc.bits == want
+        assert alloc.objective == weighted_nmmse(weights, want)
+
+    def test_budget_beyond_every_path_rejected(self):
+        p = AllocationProblem(weights=(1.0, 0.5), budget=2 * MAX_BITS + 1)
+        with pytest.raises(ValueError, match="exceeds"):
+            allocate_greedy(p)
+        full = allocate_greedy(AllocationProblem(weights=(1.0, 0.5), budget=2 * MAX_BITS))
+        assert full.bits == (MAX_BITS, MAX_BITS)
 
 
 class TestBruteforce:

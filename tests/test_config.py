@@ -123,6 +123,17 @@ class TestReplace:
             ScenarioConfig().replace(noise_dbm=float("nan"))
         assert err.value.field == "noise_dbm"
 
+    @pytest.mark.parametrize("field, value", [
+        ("gpip_max_iter", 2.5), ("gpip_max_iter", 0),
+        ("gpip_epsilon", float("inf")), ("gpip_epsilon", float("nan")), ("gpip_epsilon", 0.0),
+    ])
+    def test_gpip_settings_checked(self, field, value):
+        for build in (lambda: ScenarioConfig(**{field: value}),
+                      lambda: ScenarioConfig().replace(**{field: value})):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.field == field
+
     def test_replace_changes_single_field(self):
         cfg = ScenarioConfig().replace(seed=99)
         assert cfg.seed == 99

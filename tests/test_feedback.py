@@ -9,6 +9,7 @@ from scipy import stats
 
 from fddlink.channel import ArrayGeometry, PathSet, dl_channel
 from fddlink.feedback import (
+    MAX_DFT_BITS,
     dft_codebook_feedback,
     make_feedback_plan,
     quantize_phases,
@@ -39,6 +40,23 @@ def brute_force_feedback(h: np.ndarray, total_bits: int,
     cb = dft_codebook(num_antennas, total_bits)
     index = int(np.argmax(np.abs(cb.conj().T @ h)))
     return index, float(np.linalg.norm(h)) * cb[:, index]
+
+
+def full_fft_feedback(h: np.ndarray, total_bits: int) -> tuple[int, np.ndarray]:
+    """The oversampled search as one zero-padded FFT of 2**total_bits points."""
+    size = 2**total_bits
+    index = int(np.argmax(np.abs(np.fft.ifft(h, size))))
+    codeword = np.exp(-1j * TWO_PI * np.arange(len(h)) * (index / size)) / math.sqrt(len(h))
+    return index, float(np.linalg.norm(h)) * codeword
+
+
+def random_channel(rng, num_antennas: int, num_paths: int) -> np.ndarray:
+    return dl_channel(PathSet(thetas=rng.uniform(-math.pi / 2, math.pi / 2, num_paths),
+                              betas=rng.rayleigh(size=num_paths),
+                              distances=rng.uniform(50.0, 500.0, num_paths),
+                              phases_ul=rng.uniform(0.0, TWO_PI, num_paths),
+                              phases_dl=rng.uniform(0.0, TWO_PI, num_paths)),
+                      geometry(num_antennas))
 
 
 def geometry(num_antennas: int) -> ArrayGeometry:
@@ -225,8 +243,79 @@ class TestDftCodebook:
         assert idx == want_idx
         assert hhat.tobytes() == want_hhat.tobytes()
 
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), num_antennas=st.integers(1, 256), num_paths=st.integers(1, 8),
+           seed=st.integers(0, 2**32 - 1))
+    def test_refined_search_matches_full_fft(self, data, num_antennas, num_paths, seed):
+        # grids finer than 64 N points are searched by branch and bound
+        total_bits = data.draw(st.integers((64 * num_antennas).bit_length(), 18))
+        h = random_channel(np.random.default_rng(seed), num_antennas, num_paths)
+        idx, hhat = dft_codebook_feedback(h, total_bits, geometry(num_antennas))
+        want_idx, want_hhat = full_fft_feedback(h, total_bits)
+        assert idx == want_idx
+        assert hhat.tobytes() == want_hhat.tobytes()
+
+    @pytest.mark.parametrize("num_antennas, num_paths, seed",
+                             [(2, 1, 0), (16, 3, 1), (64, 3, 2), (256, 8, 3), (256, 1, 4)])
+    def test_paper_budget_matches_full_fft(self, num_antennas, num_paths, seed):
+        h = random_channel(np.random.default_rng(seed), num_antennas, num_paths)
+        idx, hhat = dft_codebook_feedback(h, 21, geometry(num_antennas))
+        want_idx, want_hhat = full_fft_feedback(h, 21)
+        assert idx == want_idx
+        assert hhat.tobytes() == want_hhat.tobytes()
+
+    def test_peak_between_coarse_points_found(self):
+        # the coarse 1024-point grid ranks the peak at 100/1024 first, but the
+        # slightly stronger one half a coarse step off the grid is the maximum
+        n = np.arange(64)
+        h = (np.exp(-2j * math.pi * n * 100 / 1024)
+             + 1.001 * np.exp(-2j * math.pi * n * 612.5 / 1024))
+        assert np.argmax(np.abs(np.fft.ifft(h, 1024))) == 100
+        idx, _ = dft_codebook_feedback(h, 16, geometry(64))
+        assert idx == full_fft_feedback(h, 16)[0] == 39201
+
+    @pytest.mark.parametrize("total_bits", [5, 21])
+    def test_zero_channel_takes_first_codeword(self, total_bits):
+        idx, hhat = dft_codebook_feedback(np.zeros(8, dtype=complex), total_bits, self.GEOM)
+        assert idx == 0
+        assert not hhat.any()
+
+    def test_exact_tie_goes_to_lowest_index(self):
+        # with only even taps T(f + 1/2) = T(f), and both peaks are evaluated
+        # with bitwise equal phases, so their values tie exactly
+        h = random_channel(np.random.default_rng(11), 64, 2)
+        h[1::2] = 0.0
+        total_bits = 18
+        idx, _ = dft_codebook_feedback(h, total_bits, geometry(64))
+        want_idx, _ = full_fft_feedback(h, total_bits)
+        assert idx == want_idx < 2 ** (total_bits - 1)
+
+    def test_flat_channel_stays_small(self):
+        # |T| = |1 + 1e-12 exp(i 2 pi f)| is flat to rounding near its peak at
+        # f = 0, so far more cells tie than the search carries on
+        h = np.zeros(256, dtype=complex)
+        h[:2] = 1.0, 1e-12
+        tracemalloc.start()
+        try:
+            idx, _ = dft_codebook_feedback(h, MAX_DFT_BITS, geometry(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx == 0
+        assert peak < 8 * 2**20
+
+    def test_budget_limit(self):
+        geom = geometry(256)
+        h = random_channel(np.random.default_rng(5), 256, 3)
+        idx, _ = dft_codebook_feedback(h, MAX_DFT_BITS, geom)
+        coarse_idx, _ = dft_codebook_feedback(h, 21, geom)
+        # the best of 2**32 codewords lies within one 2**-21 step of the best of 2**21
+        assert abs(idx / 2**MAX_DFT_BITS - coarse_idx / 2**21) <= 2.0**-21
+        with pytest.raises(ValueError, match="total_bits"):
+            dft_codebook_feedback(h, MAX_DFT_BITS + 1, geom)
+
     def test_paper_scale_memory(self):
-        # the N x 2**B codebook would take 16 GiB at N = 256, B = 21
+        # a full FFT of 2**21 points alone would take 32 MiB at N = 256, B = 21
         geom = geometry(256)
         h = dl_channel(PathSet(thetas=[0.2, -0.7], betas=[1.0, 0.4],
                                distances=[120.0, 180.0], phases_ul=[0.0, 1.0],
@@ -238,4 +327,4 @@ class TestDftCodebook:
         finally:
             tracemalloc.stop()
         assert 0 <= idx < 2**21 and hhat.shape == (256,)
-        assert peak < 256 * 2**20
+        assert peak < 8 * 2**20
