@@ -52,6 +52,7 @@ from .precoding import (
     PrecodingProblem,
     gamma,
     gpip_solve,
+    gpip_solve_batch,
     stationarity_residual,
     sum_se_lower_bound,
     true_sum_se,

@@ -14,6 +14,7 @@ import numbers
 from dataclasses import dataclass, fields
 
 from .channel import ArrayGeometry
+from .feedback import MAX_DFT_BITS
 
 log = logging.getLogger(__name__)
 
@@ -150,11 +151,16 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(cfg.gain_rel_sigma >= 0, "gain_rel_sigma", "must be >= 0")
     need(cfg.reconstruction in RECONSTRUCTION_MODES, "reconstruction",
          f"must be one of {RECONSTRUCTION_MODES}")
+    need(cfg.reconstruction != "dft" or cfg.b_tot <= MAX_DFT_BITS, "b_tot",
+         f"must be <= {MAX_DFT_BITS} with DFT-codebook reconstruction")
     need(cfg.allocator in ALLOCATORS, "allocator", f"must be one of {ALLOCATORS}")
     need(cfg.precoder in PRECODERS, "precoder", f"must be one of {PRECODERS}")
     need(len(cfg.se_methods) > 0, "se_methods", "must be non-empty")
     for m in cfg.se_methods:
         need(m in SE_METHODS, "se_methods", f"unknown method {m!r}; known: {tuple(SE_METHODS)}")
+    if any(SE_METHODS[m][0] == "dft" for m in cfg.se_methods):
+        need(max(cfg.b_tot_grid) <= MAX_DFT_BITS, "b_tot_grid",
+             f"entries must be <= {MAX_DFT_BITS} with a DFT-codebook method")
     need(0 < cfg.gpip_epsilon < math.inf, "gpip_epsilon", "must be positive and finite")
     need(isinstance(cfg.gpip_max_iter, numbers.Integral) and cfg.gpip_max_iter >= 1,
          "gpip_max_iter", f"must be an integer >= 1, got {cfg.gpip_max_iter!r}")

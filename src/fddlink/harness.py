@@ -235,29 +235,6 @@ def _zf_columns(hhat: np.ndarray, recs_nf) -> np.ndarray:
     return cols
 
 
-def _evaluate(method: str, csi: dict, cfg: ScenarioConfig, power: float, h_true) -> tuple:
-    """(true sum SE, CSI-side lower bound, GPIP iterations) of one SE method.
-
-    ``csi`` maps each CSI source the method needs to per-user reconstructions;
-    ZF methods also need "no_feedback", the fallback for users without feedback.
-    """
-    source, precoder, use_cov = SE_METHODS[method]
-    pp = precoding.PrecodingProblem.from_reconstructions(
-        csi[source], power=power, sigma2=np.full(cfg.n_users, cfg.noise_watts),
-        use_cov=use_cov)
-    iterations = 0
-    if precoder == "gpip":
-        gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
-        result = precoding.gpip_solve(pp, gcfg)
-        stack, iterations = result.f, result.iterations
-    elif precoder == "zf":
-        stack = precoding.zf_precoder(_zf_columns(pp.hhat, csi["no_feedback"]), pp)
-    else:
-        stack = precoding.wmmse_precoder(h_true, pp)
-    return (precoding.true_sum_se(stack, h_true, pp),
-            precoding.sum_se_lower_bound(stack, pp), iterations)
-
-
 def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray) -> None:
     """Fill out[power, budget, method] for one drawn scene at one array size.
 
@@ -265,35 +242,71 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     budget loop.  CSI is built when a method first needs it.  It does not
     depend on the power, so budgets loop outside powers: per-budget CSI is
     built once per budget and dropped before the next budget's is built.
+    ZF and WMMSE points are evaluated on the spot.  A GPIP point only builds
+    its PrecodingProblem there; once the loop ends, all of them are solved
+    in one gpip_solve_batch call, which runs the problems of one factor shape
+    in lockstep (robust and no-feedback GPIP have L + 1 columns per user,
+    plain and DFT GPIP one).  A failure names the seed, trial, point and
+    method; of several, the first in evaluation order is reported.
     """
     h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
+    sigma2 = np.full(cfg.n_users, cfg.noise_watts)
     csi = {}
+    deferred = []  # (point, out slot, problem) of each GPIP point, in evaluation order
 
-    def evaluate(method, pdbm, b_tot):
-        source, precoder, _ = SE_METHODS[method]
+    def labelled(exc, reason, method, pdbm, b_tot):
+        return type(exc)(
+            f"{reason} (seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
+            f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {b_tot}, method {method})")
+
+    def evaluate(method, pdbm, b_tot, slot):
+        source, precoder, use_cov = SE_METHODS[method]
         try:
             for needed in (source, "no_feedback") if precoder == "zf" else (source,):
                 if needed not in csi:
                     csi[needed] = _build_csi(needed, b_tot, cfg, scene, ests, h_true, geom)
-            return _evaluate(method, csi, cfg, cfg.power_watts(pdbm), h_true)
-        except (precoding.GpipError, ValueError) as exc:
-            raise type(exc)(
-                f"{exc} (seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
-                f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {b_tot}, "
-                f"method {method})") from exc
+            pp = precoding.PrecodingProblem.from_reconstructions(
+                csi[source], power=cfg.power_watts(pdbm), sigma2=sigma2, use_cov=use_cov)
+            if precoder == "gpip":
+                deferred.append(((method, pdbm, b_tot), slot, pp))
+                return
+            if precoder == "zf":
+                stack = precoding.zf_precoder(_zf_columns(pp.hhat, csi["no_feedback"]), pp)
+            else:
+                stack = precoding.wmmse_precoder(h_true, pp)
+            out[slot] = (precoding.true_sum_se(stack, h_true, pp),
+                         precoding.sum_se_lower_bound(stack, pp), 0)
+        except ValueError as exc:
+            raise labelled(exc, exc, method, pdbm, b_tot) from exc
 
+    failure = None
     per_budget = [SE_METHODS[m][0] in _PER_BUDGET for m in cfg.se_methods]
-    for pi, pdbm in enumerate(cfg.power_dbm_grid):
-        for mi, method in enumerate(cfg.se_methods):
-            if not per_budget[mi]:
-                out[pi, :, mi] = evaluate(method, pdbm, cfg.b_tot_grid[0])
-    for bi, b_tot in enumerate(cfg.b_tot_grid):
-        for source in _PER_BUDGET:
-            csi.pop(source, None)
+    try:
         for pi, pdbm in enumerate(cfg.power_dbm_grid):
             for mi, method in enumerate(cfg.se_methods):
-                if per_budget[mi]:
-                    out[pi, bi, mi] = evaluate(method, pdbm, b_tot)
+                if not per_budget[mi]:
+                    evaluate(method, pdbm, cfg.b_tot_grid[0], (pi, slice(None), mi))
+        for bi, b_tot in enumerate(cfg.b_tot_grid):
+            for source in _PER_BUDGET:
+                csi.pop(source, None)
+            for pi, pdbm in enumerate(cfg.power_dbm_grid):
+                for mi, method in enumerate(cfg.se_methods):
+                    if per_budget[mi]:
+                        evaluate(method, pdbm, b_tot, (pi, bi, mi))
+    except ValueError as exc:
+        failure = exc  # reported unless a GPIP point queued before it fails
+    csi.clear()
+
+    gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
+    try:
+        results = precoding.gpip_solve_batch([pp for _, _, pp in deferred], gcfg)
+    except precoding.GpipError as exc:
+        raise labelled(exc, exc.reason, *deferred[exc.problem][0]) from exc
+    if failure is not None:
+        raise failure
+    for (_, slot, pp), result in zip(deferred, results):
+        out[slot] = (precoding.true_sum_se(result.f, h_true, pp),
+                     precoding.sum_se_lower_bound(result.f, pp), result.iterations)
 
 
 def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:

@@ -8,8 +8,10 @@ covariances.  Its stationary points solve a generalized eigenvalue condition,
 which the power-iteration solver chases with Woodbury-form solves: the K
 leave-one-user-out capacitance systems are principal submatrices of one
 Hermitian positive-definite matrix and are solved together by recursive block
-elimination (Schur complements over halves of the users).  Zero-forcing and
-WMMSE serve as baselines.
+elimination (Schur complements over halves of the users).  gpip_solve_batch
+runs many problems of one factor shape in lockstep, one batched call per
+step for all of them; gpip_solve is a batch of one.  Zero-forcing and WMMSE
+serve as baselines.
 """
 
 from __future__ import annotations
@@ -24,7 +26,16 @@ from .reconstruction import ReconstructedChannel
 
 
 class GpipError(RuntimeError):
-    """Raised when the power-iteration solver cannot proceed."""
+    """Raised when the power-iteration solver cannot proceed.
+
+    ``reason`` says what went wrong; ``problem`` is the input index of the
+    failed problem of a batch, which the message then names.
+    """
+
+    def __init__(self, reason: str, problem: int | None = None):
+        super().__init__(reason if problem is None else f"problem {problem}: {reason}")
+        self.reason = reason
+        self.problem = problem
 
 
 @dataclass(frozen=True)
@@ -172,10 +183,11 @@ def _ratios(p: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
     so f_j^H C_k f_j is the sum of |p|^2 over user k's R rows in column j.
     ``noise`` is the per-user noise term already scaled by ||f||^2.
     """
-    k = p.shape[1]
-    q = (p.real**2 + p.imag**2).reshape(k, -1, k).sum(axis=1)  # q[k, j] = f_j^H C_k f_j
-    q_num = q.sum(axis=1) + noise
-    q_den = q_num - np.diag(q)
+    k = p.shape[-1]
+    # q[..., k, j] = f_j^H C_k f_j
+    q = (p.real**2 + p.imag**2).reshape(*p.shape[:-2], k, -1, k).sum(axis=-2)
+    q_num = q.sum(axis=-1) + noise
+    q_den = q_num - np.diagonal(q, axis1=-2, axis2=-1)
     return q_num, q_den
 
 
@@ -253,22 +265,22 @@ def _default_init(pp: PrecodingProblem, v: np.ndarray) -> PrecoderStack:
     return PrecoderStack.from_columns(w)
 
 
-def _leave_one_block_out(t: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
-    """Matrix Z whose column j solves t z = y[:, j] with block j removed.
+def _leave_one_block_out(gram: np.ndarray, s: np.ndarray, d: np.ndarray, y: np.ndarray,
+                         r: int) -> np.ndarray:
+    """Matrices Z whose column j solves t z = y[:, j] with block j removed.
 
-    t is PR x PR Hermitian positive definite with P = 2^d blocks of R rows
-    and columns, and y is PR x P; column j of Z is zero on block j.  The P
-    systems are principal submatrices of t, so they share one recursive
-    halving: each half of a group of users eliminates the other half once
-    (X = T_oo^{-1} [T_oa, y_o]) and recurses on its own Schur complement
-    [T_aa, y_a] - T_ao X; back-substitution then gives the other half's
-    entries.  Schur complements of an HPD matrix are HPD, so this is plain
-    block elimination with no downdate.  Each level of the tree is one
-    batched solve over all its groups.
+    For each of the S problems on the leading axis, t = diag(d) + D G D with
+    D = diag(s) is PR x PR Hermitian positive definite with P = 2^d >= 2
+    blocks of R rows and columns, and y is PR x P; column j of the problem's
+    Z is zero on block j.  The P systems are principal submatrices of t, so
+    they share one recursive halving: each half of a group of users
+    eliminates the other half once (X = T_oo^{-1} [T_oa, y_o]) and recurses
+    on its own Schur complement [T_aa, y_a] - T_ao X; back-substitution then
+    gives the other half's entries.  Schur complements of an HPD matrix are
+    HPD, so this is plain block elimination with no downdate.  The top level
+    holds one group per problem, and each level of the tree is one batched
+    solve over all its groups.
     """
-    p = y.shape[1]
-    if p == 1:
-        return np.zeros((r, 1), dtype=complex)
 
     def quadrants(tt, yy, groups, rows):
         # Each group's [T | y] split into quadrants, row half i and column
@@ -290,7 +302,15 @@ def _leave_one_block_out(t: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
         z[:, 1, :, 0], z[:, 0, :, 1] = other[:, 0], other[:, 1]
         return z.reshape(groups, 2 * rows, 2 * cols)
 
-    q = quadrants(t, y, 1, p * r // 2)
+    def first_level():
+        # t is built contiguous: ufuncs on strided quadrant views would run
+        # through iteration buffers larger than t
+        t = gram * s[:, :, None]
+        t *= s[:, None, :]
+        t.reshape(len(t), -1)[:, ::t.shape[1] + 1] += d  # the diagonal
+        return quadrants(t, y, len(t), t.shape[1] // 2)
+
+    q = first_level()
     levels = []
     while q.shape[2] > r:  # groups of more than two blocks
         hr = q.shape[2]
@@ -298,8 +318,11 @@ def _leave_one_block_out(t: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
         levels.append(x)
         # [T_aa - T_ao X_T | y_a - T_ao X_y]; half a of group g becomes
         # group 2g + a of the next level
-        schur = q[:, ::3] - q[:, 1:3, :, :hr] @ x
-        q = quadrants(schur[..., :hr], schur[..., hr:], 2 * q.shape[0], hr // 2)
+        schur = q[:, 1:3, :, :hr] @ x
+        np.subtract(q[:, ::3], schur, out=schur)
+        del q  # each level is freed before the next one is built
+        q = quadrants(schur[..., :hr], schur[..., hr:], 2 * schur.shape[0], hr // 2)
+        del schur
     # groups of two blocks: each user's answer is one solve against the other block
     z_other = np.linalg.solve(q[:, ::-3, :, :r], q[:, 2:0:-1, :, r:])
     z = place(np.zeros_like(z_other), z_other)
@@ -307,16 +330,25 @@ def _leave_one_block_out(t: np.ndarray, y: np.ndarray, r: int) -> np.ndarray:
         hr = x.shape[2]
         z_own = z.reshape(x.shape[0], 2, hr, -1)
         z = place(z_own, x[..., hr:] - x[..., :hr] @ z_own)
-    return z[0]
+    return z
 
 
-def _denominator_solve(vf: np.ndarray, gram: np.ndarray, wb: np.ndarray, c: float,
+def _factor_product(vc: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """V @ y from the stored conj(V): conj(conj(V) @ conj(y)), the same bits as V @ y."""
+    out = vc @ y.conj()
+    return np.conjugate(out, out=out)
+
+
+def _denominator_solve(vc: np.ndarray, gram: np.ndarray, wb: np.ndarray, c: np.ndarray,
                        rhs: np.ndarray) -> np.ndarray:
     """Columns x_j = (c I + sum_{k != j} wb_k C_k)^{-1} rhs_j for every user j.
 
-    vf is the N x KR factor stack V (user k's R columns side by side) and
-    gram = V^H V.  With S = diag(sqrt(wb)) repeated over each user's R
-    columns and the KR x KR matrix M = c I + S G S, the Woodbury identity gives
+    Every argument stacks S problems on its leading axis.  Per problem, V is
+    the N x KR factor stack (user k's R columns side by side), given as
+    vc = conj(V), and gram is V^H V padded with zeros to PR x PR, where P is
+    K rounded up to a power of two.  With S = diag(sqrt(wb)) repeated over
+    each user's R columns and the KR x KR matrix M = c I + S G S, the
+    Woodbury identity gives
 
         x_j = (rhs_j - V S z_j) / c,
 
@@ -324,91 +356,188 @@ def _denominator_solve(vf: np.ndarray, gram: np.ndarray, wb: np.ndarray, c: floa
     is zero on that block.  Each of those K systems is a principal submatrix
     of the one Hermitian positive-definite M, and _leave_one_block_out solves
     them all by recursive block elimination: about (KR)^3 flops and
-    O(log K) batched solves per call, instead of K factorizations.  K is
-    padded to a power of two P with decoupled identity blocks and zero
-    right-hand sides.
+    O(log K) batched solves per call, instead of K factorizations per
+    problem.  M is padded to PR with decoupled identity blocks and zero
+    right-hand sides.  Raises LinAlgError when any problem's block solve
+    fails.
     """
-    k = wb.size
-    r = gram.shape[0] // k
-    p = 1 << (k - 1).bit_length()
+    count, pr = gram.shape[:2]
+    k = wb.shape[1]
+    if k == 1:  # no other user: the denominator matrix is c I
+        return rhs / c[:, None, None]
+    r = vc.shape[2] // k
     kr = k * r
-    s = np.sqrt(np.repeat(wb, r))
-    t = np.eye(p * r, dtype=complex)
-    m = t[:kr, :kr]
-    np.multiply(s[:, None], gram, out=m)
-    m *= s
-    diag = np.arange(kr)
-    m[diag, diag] += c
-    y = np.zeros((p * r, p), dtype=complex)
-    y[:kr, :k] = s[:, None] * (vf.conj().T @ rhs)
-    try:
-        z = _leave_one_block_out(t, y, r)[:kr, :k]
-    except np.linalg.LinAlgError as exc:
-        raise GpipError(
-            "denominator block solve failed "
-            f"(condition estimate {float(np.linalg.cond(m)):.3e})"
-        ) from exc
-    return (rhs - vf @ (s[:, None] * z)) / c
+    s = np.zeros((count, pr), dtype=complex)  # complex, so no operand is cast
+    s[:, :kr] = np.sqrt(np.repeat(wb, r, axis=1))
+    d = np.ones((count, pr))
+    d[:, :kr] = c[:, None]
+    y = np.zeros((count, pr, pr // r), dtype=complex)
+    y[:, :kr, :k] = s[:, :kr, None] * (vc.transpose(0, 2, 1) @ rhs)
+    z = _leave_one_block_out(gram, s, d, y, r)[:, :kr, :k]
+    x = _factor_product(vc, s[:, :kr, None] * z)
+    np.subtract(rhs, x, out=x)
+    x /= c[:, None, None]
+    return x
 
 
-def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None,
-               f0: PrecoderStack | None = None) -> GpipResult:
-    """Generalized power iteration for the product-of-ratios objective.
+def _log_weights(logs: np.ndarray) -> np.ndarray:
+    """Per-user weights exp(sum_{k != j} logs_k), scaled so each problem's largest is 1."""
+    rest = logs.sum(axis=1, keepdims=True) - logs
+    return np.exp(rest - rest.max(axis=1, keepdims=True))
+
+
+def _power_iteration(problems: list, members: list, cfg: GpipConfig,
+                     results: list, errors: dict) -> None:
+    """Solve problems[i] for every i in ``members``, which share one factor shape, in lockstep.
+
+    Each problem's result goes to results[i]; a problem that fails is taken
+    out with its message in errors[i] while the others go on.  The stacked
+    arrays are compacted only on iterations where some problem left.
+    """
+    first = problems[members[0]]
+    n, k, r = first.num_antennas, first.num_users, 1 + first.error_weights.shape[1]
+    index = np.array(members)
+    pr = (1 << (k - 1).bit_length()) * r
+    vc = np.empty((len(members), n, k * r), dtype=complex)  # conj(V), N x KR per problem
+    gram = np.zeros((len(members), pr, pr), dtype=complex)  # V^H V, padded (_denominator_solve)
+    noise = np.empty((len(members), k))
+    cols = np.empty((len(members), n, k), dtype=complex)  # unit-norm iterate per problem
+    live = np.ones(len(members), dtype=bool)
+
+    def drop(mask, reason):
+        mask = mask & live
+        if mask.any():
+            for pos in np.flatnonzero(mask):
+                errors[int(index[pos])] = reason
+            live[mask] = False
+
+    def load(pos, pp):
+        v, noise[pos] = _scaled_problem(pp)
+        np.conjugate(v.reshape(n, k * r), out=vc[pos])
+        gram[pos, :k * r, :k * r] = vc[pos].T @ v.reshape(n, k * r)
+        cols[pos] = _default_init(pp, v).normalized().blocks.T
+
+    for pos, i in enumerate(members):
+        try:
+            load(pos, problems[i])
+        except GpipError as exc:
+            drop(np.arange(live.size) == pos, str(exc))
+
+    def objective(non_finite):
+        # logs of each problem's ratios at the iterate and its log objective;
+        # any non-positive or non-finite quadratic form makes the latter
+        # non-finite, so only then are the failed problems sorted out
+        q_num, q_den = _ratios(p, noise)  # ||f|| = 1 throughout
+        la, lb = np.log(q_num), np.log(q_den)
+        lg = la.sum(axis=1) - lb.sum(axis=1)
+        finite = np.isfinite(lg)
+        if not finite.all():
+            drop(np.any(q_den <= 0, axis=1) | np.any(~np.isfinite(q_num), axis=1),
+                 "non-finite or non-positive quadratic forms")
+            drop(~finite, non_finite)
+        return la, lb, lg
+
+    def finish(mask, iterations, converged):
+        mask &= live
+        if mask.any():
+            for pos in np.flatnonzero(mask):
+                results[index[pos]] = GpipResult(
+                    f=PrecoderStack.from_columns(best_cols[pos]), gamma=math.exp(best_lg[pos]),
+                    iterations=iterations, converged=converged)
+            live[mask] = False
+
+    p = vc.transpose(0, 2, 1) @ cols
+    la, lb, lg = objective("objective is non-finite at the initial point")
+    best_lg, best_cols = lg.copy(), cols.copy()
+
+    for iterations in range(1, cfg.max_iter + 1):
+        if not live.all():
+            # the two largest arrays on their own: one of them at a time is held twice
+            vc = vc[live]
+            gram = gram[live]
+            index, noise, cols, best_cols, p, la, lb, lg, best_lg = (
+                a[live] for a in (index, noise, cols, best_cols, p, la, lb, lg, best_lg))
+            live = live[live]
+            if not live.size:
+                return
+        wa, wb = _log_weights(la), _log_weights(lb)
+        # A-side images sum_k wa_k C_k f_j + (wa . noise) f_j, one column per
+        # user, formed in the iterate's buffer: the iterate is not read again
+        rhs = cols
+        rhs *= np.sum(wa * noise, axis=1)[:, None, None]
+        rhs += _factor_product(vc, np.repeat(wa, r, axis=1)[:, :, None] * p)
+        del p  # recomputed after the step
+        c = np.sum(wb * noise, axis=1)
+        try:
+            cols = _denominator_solve(vc, gram, wb, c, rhs)
+        except np.linalg.LinAlgError:
+            # find the failed problems one at a time; the others keep their step
+            cols = np.full_like(rhs, np.nan)
+            for pos in range(live.size):
+                one = slice(pos, pos + 1)
+                try:
+                    cols[one] = _denominator_solve(vc[one], gram[one], wb[one], c[one], rhs[one])
+                except np.linalg.LinAlgError:
+                    s = np.sqrt(np.repeat(wb[pos], r))
+                    m = s[:, None] * gram[pos, :k * r, :k * r] * s + c[pos] * np.eye(k * r)
+                    drop(np.arange(live.size) == pos, "denominator block solve failed "
+                         f"(condition estimate {float(np.linalg.cond(m)):.3e})")
+        flat = cols.reshape(live.size, -1).view(float)
+        cols /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None, None]
+
+        p = vc.transpose(0, 2, 1) @ cols
+        la, lb, lg_new = objective("objective became non-finite during iteration")
+        improved = lg_new > best_lg
+        best_lg = np.where(improved, lg_new, best_lg)
+        np.copyto(best_cols, cols, where=improved[:, None, None])
+        finish(np.abs(np.expm1(lg_new - lg)) < cfg.epsilon, iterations, True)
+        lg = lg_new
+    finish(live, cfg.max_iter, False)
+
+
+def gpip_solve_batch(problems: list[PrecodingProblem],
+                     cfg: GpipConfig | None = None) -> list[GpipResult]:
+    """Generalized power iteration for many product-of-ratios problems at once.
 
     Each iteration maps user j's block through the inverse of its
     denominator matrix c I + sum_{k != j} w_k C_k, in Woodbury form over the
     rank-R factors, and renormalizes; all K users share one recursive block
     elimination of a KR x KR matrix per iteration (see _denominator_solve),
-    and the Gram matrix of the factors is built once per solve.  Stops once the
-    relative improvement of the objective falls below cfg.epsilon.  The
-    iterate with the largest objective seen, including the start, is
-    returned, so the result never falls below the initial point.
+    and the Gram matrix of the factors is built once per solve.  A problem
+    stops once the relative improvement of its objective falls below
+    cfg.epsilon, and its iterate with the largest objective seen, including
+    the zero-forcing start, is returned, so the result never falls below the
+    initial point.
+
+    Problems with one factor shape (N, K, R) run in lockstep: every step is a
+    handful of batched calls over all of them, whose per-call cost on small
+    matrices would otherwise repeat for each problem.  A problem leaves the
+    batch when it stops or fails, and the others go on unchanged, so each
+    result is the one a solve of that problem alone gives.  Results come
+    back in input order.  If any problem failed, the GpipError of the first
+    failed one in input order is raised once all have run; its ``problem``
+    is that index.
     """
     cfg = cfg or GpipConfig()
-    v, noise = _scaled_problem(pp)
-    n, k, r = v.shape
-    stack = (f0 or _default_init(pp, v)).normalized()
-    vf = v.reshape(n, k * r)
-    vf_h = vf.conj().T
-    gram = vf_h @ vf
+    results: list = [None] * len(problems)
+    errors: dict[int, str] = {}
+    groups: dict[tuple, list] = {}
+    for i, pp in enumerate(problems):
+        shape = (pp.num_antennas, pp.num_users, 1 + pp.error_weights.shape[1])
+        groups.setdefault(shape, []).append(i)
+    # a problem whose values leave the finite range is dropped with a GpipError
+    with np.errstate(all="ignore"):
+        for members in groups.values():
+            _power_iteration(problems, members, cfg, results, errors)
+    if errors:
+        first = min(errors)
+        raise GpipError(errors[first], problem=first)
+    return results
 
-    def ratio_logs(s: PrecoderStack):
-        p = vf_h @ s.blocks.T
-        q_num, q_den = _ratios(p, noise)  # ||f|| = 1 throughout
-        if np.any(q_den <= 0) or np.any(~np.isfinite(q_num)):
-            raise GpipError("non-finite or non-positive quadratic forms")
-        return p, np.log(q_num), np.log(q_den)
 
-    p, la, lb = ratio_logs(stack)
-    lg = float(la.sum() - lb.sum())
-    if not np.isfinite(lg):
-        raise GpipError("objective is non-finite at the initial point")
-    best_lg, best_stack = lg, stack
-    iterations = 0
-    converged = False
-
-    for _ in range(cfg.max_iter):
-        iterations += 1
-        wa = np.exp(la.sum() - la - (la.sum() - la).max())
-        wb = np.exp(lb.sum() - lb - (lb.sum() - lb).max())
-        # A-side images sum_k wa_k C_k f_j + (wa . noise) f_j, one column per user
-        rhs = vf @ (np.repeat(wa, r)[:, None] * p) + float(wa @ noise) * stack.blocks.T
-        cols = _denominator_solve(vf, gram, wb, float(wb @ noise), rhs)
-        stack = PrecoderStack.from_columns(cols).normalized()
-
-        p, la, lb = ratio_logs(stack)
-        lg_new = float(la.sum() - lb.sum())
-        if not np.isfinite(lg_new):
-            raise GpipError("objective became non-finite during iteration")
-        if lg_new > best_lg:
-            best_lg, best_stack = lg_new, stack
-        if abs(math.expm1(lg_new - lg)) < cfg.epsilon:
-            converged = True
-            break
-        lg = lg_new
-
-    return GpipResult(f=best_stack, gamma=math.exp(best_lg),
-                      iterations=iterations, converged=converged)
+def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None) -> GpipResult:
+    """Generalized power iteration for one problem: a batch of one (gpip_solve_batch)."""
+    return gpip_solve_batch([pp], cfg)[0]
 
 
 def stationarity_residual(stack: PrecoderStack, pp: PrecodingProblem) -> float:

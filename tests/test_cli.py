@@ -89,7 +89,7 @@ def _reads_covariance(row: list[str]) -> bool:
 
 
 @pytest.mark.parametrize("workload,experiment", [
-    ("se_desk", "se"), ("csi_sweep", "delta"), ("dft_zf", "se")])
+    ("se_desk", "se"), ("se_paper", "se"), ("csi_sweep", "delta"), ("dft_zf", "se")])
 def test_sim_matches_reference_csv(tmp_path, workload, experiment):
     out = tmp_path / "out.csv"
     assert main(["sim", experiment, "--config", str(BENCH / "workloads" / f"{workload}.cfg"),

@@ -9,6 +9,7 @@ from fddlink.config import (
     load_config,
     parse_config_text,
 )
+from fddlink.feedback import MAX_DFT_BITS
 
 
 class TestDefaults:
@@ -138,3 +139,33 @@ class TestReplace:
         cfg = ScenarioConfig().replace(seed=99)
         assert cfg.seed == 99
         assert cfg.n_antennas == ScenarioConfig().n_antennas
+
+
+class TestDftBudgetLimit:
+    """Budgets above the DFT codebook's limit are config errors, not drop failures."""
+
+    CASES = [
+        ({"se_methods": ("zf_dft",), "b_tot_grid": (9, 33)}, "b_tot_grid"),
+        ({"se_methods": ("gpip_robust", "gpip_dft"), "b_tot_grid": (33,)}, "b_tot_grid"),
+        ({"reconstruction": "dft", "b_tot": 33}, "b_tot"),
+    ]
+
+    @staticmethod
+    def as_text(values):
+        return "\n".join(f"{key} = {', '.join(map(str, v)) if isinstance(v, tuple) else v}"
+                         for key, v in values.items())
+
+    @pytest.mark.parametrize("values, field", CASES)
+    def test_rejected_from_text_construction_and_replace(self, values, field):
+        for build in (lambda: config_from_mapping(parse_config_text(self.as_text(values))),
+                      lambda: ScenarioConfig(**values),
+                      lambda: ScenarioConfig().replace(**values)):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.field == field
+            assert str(MAX_DFT_BITS) in str(err.value)
+
+    def test_limit_itself_and_other_methods_accepted(self):
+        assert ScenarioConfig(se_methods=("zf_dft",), b_tot_grid=(MAX_DFT_BITS,))
+        assert ScenarioConfig(reconstruction="dft", b_tot=MAX_DFT_BITS)
+        assert ScenarioConfig(b_tot_grid=(MAX_DFT_BITS + 1,), b_tot=MAX_DFT_BITS + 1)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fddlink import feedback, reconstruction
+from fddlink import feedback, precoding, reconstruction
 from fddlink.config import ScenarioConfig
 from fddlink.harness import (
     derive_trial_seed,
@@ -10,6 +10,7 @@ from fddlink.harness import (
     run_experiment,
     run_mse_experiment,
     run_se_experiment,
+    se_samples,
 )
 
 
@@ -144,6 +145,45 @@ class TestSeExperiment:
         run_se_experiment(cfg)
         per_budget = cfg.trials * cfg.n_users * len(cfg.b_tot_grid)
         assert calls == {"reconstruct_mmse": per_budget, "dft_codebook_feedback": per_budget}
+
+    def test_batched_gpip_points_match_solves_of_each_point(self, monkeypatch):
+        cfg = small_cfg(n_antennas=16, n_users=3, n_paths=2, trials=3, b_tot_grid=(0, 6, 12),
+                        power_dbm_grid=(30.0, 43.0),
+                        se_methods=("gpip_robust", "gpip_plain", "gpip_nofeedback", "gpip_dft"))
+        solve_batch = precoding.gpip_solve_batch
+        sizes = []
+
+        def spy(problems, gcfg):
+            sizes.append(len(problems))
+            return solve_batch(problems, gcfg)
+
+        monkeypatch.setattr(precoding, "gpip_solve_batch", spy)
+        batched = se_samples(cfg)
+        # one batch per drop: no-feedback GPIP once per power, the rest per budget too
+        assert sizes == [2 + 2 * 3 * 3] * cfg.trials
+        monkeypatch.setattr(precoding, "gpip_solve_batch",
+                            lambda problems, gcfg: [solve_batch([pp], gcfg)[0] for pp in problems])
+        alone = se_samples(cfg)
+        assert np.all(batched[..., 2] >= 1)
+        np.testing.assert_array_equal(batched[..., 2], alone[..., 2])
+        np.testing.assert_allclose(batched[..., :2], alone[..., :2], rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("methods, failed", [
+        # the first budget's GPIP point comes before that budget's ZF point
+        (("gpip_robust", "zf_mmse"), r"b_tot 0, method gpip_robust"),
+        # methods that ignore the budget come first
+        (("gpip_robust", "zf_nofeedback"), r"b_tot 0, method zf_nofeedback"),
+        (("zf_mmse", "gpip_nofeedback"), r"b_tot 0, method gpip_nofeedback"),
+    ])
+    def test_first_failure_in_evaluation_order_is_reported(self, methods, failed):
+        # ZF fails with more users than antennas; GPIP fails on a noise power
+        # that is zero once divided by the transmit power
+        cfg = small_cfg(n_antennas=2, n_users=3, trials=1, b_tot_grid=(0, 3),
+                        noise_dbm=-3200.0, se_methods=methods)
+        with pytest.raises((precoding.GpipError, ValueError),
+                           match=rf"\(seed 321, trial 0, n_antennas 2, n_paths 2, "
+                                 rf"power_dbm 43\.0, {failed}\)$"):
+            se_samples(cfg)
 
     def test_estimation_noise_path(self):
         cfg = small_cfg(trials=2, aoa_sigma=0.05, gain_rel_sigma=0.1,

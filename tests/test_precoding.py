@@ -17,6 +17,7 @@ from fddlink.precoding import (
     _problem_ratios,
     gamma,
     gpip_solve,
+    gpip_solve_batch,
     stationarity_residual,
     sum_se_lower_bound,
     true_sum_se,
@@ -90,6 +91,15 @@ def dense_denominator_solve(covs, wb, c, rhs):
     return np.linalg.solve(m, rhs.T[:, :, None])[:, :, 0].T
 
 
+def one_denominator_solve(vf, wb, c, rhs):
+    """_denominator_solve on one problem: a batch of one, its Gram matrix padded."""
+    kr = vf.shape[1]
+    pr = (1 << (wb.size - 1).bit_length()) * kr // wb.size
+    gram = np.zeros((1, pr, pr), dtype=complex)
+    gram[0, :kr, :kr] = vf.conj().T @ vf
+    return _denominator_solve(vf.conj()[None], gram, wb[None], np.array([c]), rhs[None])[0]
+
+
 def dense_default_init(pp, covs):
     n, k = pp.num_antennas, pp.num_users
     cols = pp.hhat.copy()
@@ -154,11 +164,11 @@ def dense_residual(stack, pp):
 
 
 @st.composite
-def small_problems(draw):
-    """N <= 16, K <= 9, L <= 3, with some zero error weights and zero estimates."""
-    n = draw(st.integers(1, 16))
-    k = draw(st.integers(1, min(n, 9)))
-    n_dirs = draw(st.integers(0, 3))
+def small_problems(draw, n=None, k=None, n_dirs=None):
+    """N <= 16, K <= 9, L <= 3 unless given, with some zero error weights and zero estimates."""
+    n = draw(st.integers(1, 16)) if n is None else n
+    k = draw(st.integers(1, min(n, 9))) if k is None else k
+    n_dirs = draw(st.integers(0, 3)) if n_dirs is None else n_dirs
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     hhat = cnormal(rng, (n, k))
     hhat[:, rng.random(k) < 0.2] = 0.0
@@ -166,6 +176,20 @@ def small_problems(draw):
     return PrecodingProblem(hhat=hhat, sigma2=10.0 ** rng.uniform(-2, 1, k),
                             power=10.0 ** rng.uniform(-1, 1),
                             error_dirs=cnormal(rng, (k, n, n_dirs)), error_weights=weights)
+
+
+@st.composite
+def problem_batches(draw):
+    """1-6 problems.  Most share the factor shape of one (N, K): with error
+    columns, most of them stop at a small iteration cap, and without, they
+    converge in a step or two; the rest have shapes of their own."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.integers(1, min(n, 9)))
+    n_dirs = draw(st.integers(1, 3))
+    kinds = draw(st.lists(st.sampled_from(("with_cov", "plain", "own")), min_size=1, max_size=6))
+    return [draw(small_problems()) if kind == "own"
+            else draw(small_problems(n, k, n_dirs if kind == "with_cov" else 0))
+            for kind in kinds]
 
 
 @st.composite
@@ -217,7 +241,7 @@ class TestFactoredMatchesDense:
         wb = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.8)
         c = float(rng.uniform(0.05, 1.0))
         rhs = cnormal(rng, (pp.num_antennas, k))
-        got = _denominator_solve(vf, vf.conj().T @ vf, wb, c, rhs)
+        got = one_denominator_solve(vf, wb, c, rhs)
         want = dense_denominator_solve(dense_covs(pp), wb, c, rhs)
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9 * np.abs(want).max())
 
@@ -226,7 +250,7 @@ class TestFactoredMatchesDense:
     def test_denominator_solve_hard_inputs(self, case):
         pp, wb, c, rhs = case
         vf = pp.cov_factors().reshape(pp.num_antennas, -1)
-        got = _denominator_solve(vf, vf.conj().T @ vf, wb, c, rhs)
+        got = one_denominator_solve(vf, wb, c, rhs)
         want = dense_denominator_solve(dense_covs(pp), wb, c, rhs)
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-7 * np.abs(want).max())
         if pp.num_users == 1:
@@ -278,6 +302,51 @@ class TestFactoredMatchesDense:
             tracemalloc.stop()
         assert res.iterations >= 1
         assert peak < 4 * 2**20
+
+
+class TestBatchedSolver:
+    """gpip_solve_batch: problems of one factor shape run in lockstep."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(problems=problem_batches())
+    def test_each_problem_matches_the_dense_oracle(self, problems):
+        cfg = GpipConfig(max_iter=8)
+        results = gpip_solve_batch(problems, cfg)
+        assert len(results) == len(problems)
+        for pp, res in zip(problems, results):
+            d_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
+            assert (res.iterations, res.converged) == (d_iterations, d_converged)
+            assert res.gamma == pytest.approx(d_gamma, rel=1e-9)
+
+    @staticmethod
+    def zero_noise_problem(rng, zero_weight):
+        # sigma2 / power underflows to 0, so the first step divides by a zero
+        # noise term; with a zero error weight the capacitance matrix also
+        # has a zero row and its block solve fails
+        weights = np.full((2, 2), 0.1)
+        if zero_weight:
+            weights[:, 1] = 0.0
+        return PrecodingProblem(hhat=cnormal(rng, (6, 2)), sigma2=1e-300, power=1e300,
+                                error_dirs=cnormal(rng, (2, 6, 2)), error_weights=weights)
+
+    @pytest.mark.parametrize("zero_weight, reason", [
+        (False, "non-finite or non-positive quadratic forms"),
+        (True, "denominator block solve failed"),
+    ])
+    def test_failed_problem_is_named_and_nothing_returned(self, zero_weight, reason):
+        rng = np.random.default_rng(21)
+        good = [random_problem(rng, n=6, k=2) for _ in range(3)]
+        # fails before the first step, but comes later in the input
+        nan_hhat = random_problem(rng, n=6, k=2)
+        nan_hhat.hhat[0, 0] = np.nan
+        batch = [good[0], self.zero_noise_problem(rng, zero_weight), good[1], nan_hhat, good[2]]
+        with pytest.raises(GpipError, match=rf"^problem 1: {reason}") as err:
+            gpip_solve_batch(batch)
+        assert err.value.problem == 1
+        assert err.value.reason.startswith(reason)
+        with pytest.raises(GpipError, match="^problem 1: degenerate problem scale nan"):
+            gpip_solve_batch(good[:1] + [nan_hhat] + good[1:])
+        assert len(gpip_solve_batch(good)) == 3
 
 
 class TestBuildAB:
