@@ -48,9 +48,7 @@ from .precoding import (
     GpipConfig,
     GpipError,
     GpipResult,
-    PrecoderStack,
     PrecodingProblem,
-    gamma,
     gpip_solve,
     gpip_solve_batch,
     stationarity_residual,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
+import typing
 from dataclasses import dataclass, fields
 
 from .channel import ArrayGeometry
@@ -64,11 +65,11 @@ class ScenarioConfig:
     spacing: float = 0.0          # 0 means "derive as lambda_ul / 2"
     isd: float = 500.0
     noise_dbm: float = -113.0
-    power_dbm_grid: tuple = (43.0,)
+    power_dbm_grid: tuple[float, ...] = (43.0,)
     b_tot: int = 15
-    b_tot_grid: tuple = (0, 3, 6, 9, 12, 15, 18, 21)
-    l_grid: tuple = ()            # empty means "just n_paths"
-    n_grid: tuple = ()            # empty means "just n_antennas"
+    b_tot_grid: tuple[int, ...] = (0, 3, 6, 9, 12, 15, 18, 21)
+    l_grid: tuple[int, ...] = ()  # empty means "just n_paths"
+    n_grid: tuple[int, ...] = ()  # empty means "just n_antennas"
     trials: int = 200
     seed: int = 1234
     pl_exponent: float = 3.0
@@ -81,8 +82,8 @@ class ScenarioConfig:
     reconstruction: str = "mmse"
     allocator: str = "greedy"
     precoder: str = "gpip"
-    se_methods: tuple = ("gpip_robust", "gpip_plain", "zf_mmse",
-                         "zf_nofeedback", "wmmse_perfect")
+    se_methods: tuple[str, ...] = ("gpip_robust", "gpip_plain", "zf_mmse",
+                                   "zf_nofeedback", "wmmse_perfect")
     gpip_epsilon: float = 1e-4
     gpip_max_iter: int = 50
     workers: int = 1
@@ -178,49 +179,18 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_int_tuple(text: str) -> tuple:
-    return tuple(int(tok.strip(), 10) for tok in text.split(",") if tok.strip())
+_SCALAR_PARSERS = {int: _parse_int, float: _parse_float, str: str}
+# field name -> annotated type, e.g. tuple[int, ...] for b_tot_grid
+_FIELD_TYPES = typing.get_type_hints(ScenarioConfig)
 
 
-def _parse_float_tuple(text: str) -> tuple:
-    return tuple(_parse_float(tok.strip()) for tok in text.split(",") if tok.strip())
+def _parse_field(kind, text: str):
+    """Value of a field annotated ``kind``; a tuple field is a comma-separated list."""
+    if typing.get_origin(kind) is tuple:
+        item = _SCALAR_PARSERS[typing.get_args(kind)[0]]
+        return tuple(item(tok.strip()) for tok in text.split(",") if tok.strip())
+    return _SCALAR_PARSERS[kind](text)
 
-
-def _parse_str_tuple(text: str) -> tuple:
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
-_PARSERS = {
-    "n_antennas": _parse_int,
-    "n_users": _parse_int,
-    "n_paths": _parse_int,
-    "lambda_ul": _parse_float,
-    "lambda_dl": _parse_float,
-    "spacing": _parse_float,
-    "isd": _parse_float,
-    "noise_dbm": _parse_float,
-    "power_dbm_grid": _parse_float_tuple,
-    "b_tot": _parse_int,
-    "b_tot_grid": _parse_int_tuple,
-    "l_grid": _parse_int_tuple,
-    "n_grid": _parse_int_tuple,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "pl_exponent": _parse_float,
-    "pl_ref_gain_db": _parse_float,
-    "pl_ref_distance": _parse_float,
-    "decay_ratio": _parse_float,
-    "excess_range": _parse_float,
-    "aoa_sigma": _parse_float,
-    "gain_rel_sigma": _parse_float,
-    "reconstruction": str,
-    "allocator": str,
-    "precoder": str,
-    "se_methods": _parse_str_tuple,
-    "gpip_epsilon": _parse_float,
-    "gpip_max_iter": _parse_int,
-    "workers": _parse_int,
-}
 
 PAPER_SCALE_OVERRIDES = {"n_antennas": 256, "n_users": 16, "trials": 1000}
 
@@ -246,10 +216,10 @@ def config_from_mapping(raw: dict, paper_scale: bool = False) -> ScenarioConfig:
     """Typed, validated config from raw string values; defaults fill the gaps."""
     values = {}
     for key, value in raw.items():
-        if key not in _PARSERS:
+        if key not in _FIELD_TYPES:
             raise ConfigError(key, "unknown field")
         try:
-            values[key] = _PARSERS[key](value)
+            values[key] = _parse_field(_FIELD_TYPES[key], value)
         except (ValueError, TypeError) as exc:
             raise ConfigError(key, f"cannot parse {value!r}: {exc}") from exc
     if paper_scale:

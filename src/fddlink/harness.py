@@ -271,11 +271,11 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
                 deferred.append(((method, pdbm, b_tot), slot, pp))
                 return
             if precoder == "zf":
-                stack = precoding.zf_precoder(_zf_columns(pp.hhat, csi["no_feedback"]), pp)
+                w = precoding.zf_precoder(_zf_columns(pp.hhat, csi["no_feedback"]))
             else:
-                stack = precoding.wmmse_precoder(h_true, pp)
-            out[slot] = (precoding.true_sum_se(stack, h_true, pp),
-                         precoding.sum_se_lower_bound(stack, pp), 0)
+                w = precoding.wmmse_precoder(h_true, pp)
+            out[slot] = (precoding.true_sum_se(w, h_true, pp),
+                         precoding.sum_se_lower_bound(w, pp), 0)
         except ValueError as exc:
             raise labelled(exc, exc, method, pdbm, b_tot) from exc
 

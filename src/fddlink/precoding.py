@@ -1,5 +1,8 @@
 """Multi-user downlink precoding on reconstructed CSI.
 
+A precoder is an N x K complex array whose column k is user k's beamformer.
+Its total power, and the norm that normalizes it, are summed user by user
+(column 0 first), so values do not depend on the array's memory layout.
 User k's effective covariance C_k = hhat_k hhat_k^H + Phi_k has rank at most
 R = L + 1 and is carried as an N x R factor V_k with C_k = V_k V_k^H; no
 N x N matrix is formed.  The sum-spectral-efficiency lower bound is a product
@@ -123,36 +126,6 @@ class PrecodingProblem:
 
 
 @dataclass(frozen=True)
-class PrecoderStack:
-    """Concatenated per-user precoders [f_1; ...; f_K] of length N*K."""
-
-    f: np.ndarray
-    num_users: int
-
-    def __post_init__(self):
-        f = np.asarray(self.f, dtype=complex).ravel()
-        if f.size % self.num_users != 0:
-            raise ValueError("stack length must be divisible by the user count")
-        object.__setattr__(self, "f", f)
-
-    @classmethod
-    def from_columns(cls, columns: np.ndarray) -> "PrecoderStack":
-        cols = np.asarray(columns, dtype=complex)
-        return cls(f=cols.T.reshape(-1), num_users=cols.shape[1])
-
-    @property
-    def blocks(self) -> np.ndarray:
-        """K x N view, one row per user."""
-        return self.f.reshape(self.num_users, -1)
-
-    def normalized(self) -> "PrecoderStack":
-        norm = np.linalg.norm(self.f)
-        if norm == 0:
-            raise ValueError("cannot normalize a zero precoder stack")
-        return PrecoderStack(f=self.f / norm, num_users=self.num_users)
-
-
-@dataclass(frozen=True)
 class GpipConfig:
     """Stopping rule for the power-iteration solver."""
 
@@ -168,9 +141,13 @@ class GpipConfig:
 
 @dataclass(frozen=True)
 class GpipResult:
-    """Solver output: the precoder stack plus convergence diagnostics."""
+    """Solver output: the N x K unit-norm precoder plus convergence diagnostics.
 
-    f: PrecoderStack
+    ``f`` owns its memory; ``gamma`` is the objective (product of the users'
+    ratios) at ``f``.
+    """
+
+    f: np.ndarray
     gamma: float
     iterations: int
     converged: bool
@@ -191,30 +168,34 @@ def _ratios(p: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
     return q_num, q_den
 
 
-def _projections(v: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """(K*R) x K matrix V^H F of the flattened factors against the precoder columns."""
+def _projections(v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(K*R) x K matrix V^H W of the flattened factors against the precoder columns."""
     n, k, r = v.shape
-    return v.reshape(n, k * r).conj().T @ blocks.T
+    return v.reshape(n, k * r).conj().T @ w
 
 
-def _problem_ratios(pp: PrecodingProblem, stack: PrecoderStack):
-    noise = pp.noise_over_power * float(np.vdot(stack.f, stack.f).real)
-    return _ratios(_projections(pp.cov_factors(), stack.blocks), noise)
+def _power(w: np.ndarray) -> float:
+    """||W||_F^2, summed user by user."""
+    u = w.T.ravel()  # one copy; np.vdot(w.T, w.T) would make two
+    return float(np.vdot(u, u).real)
 
 
-def gamma(stack: PrecoderStack, pp: PrecodingProblem) -> float:
-    """Product of per-user ratios; log2 of it is the SE lower bound."""
-    q_num, q_den = _problem_ratios(pp, stack)
-    return float(np.exp(np.sum(np.log(q_num) - np.log(q_den))))
+def _normalized(w: np.ndarray) -> np.ndarray:
+    """W / ||W||_F, the norm summed user by user."""
+    norm = np.linalg.norm(w.T.ravel())
+    if norm == 0:
+        raise ValueError("cannot normalize an all-zero precoder")
+    return w / norm
 
 
-def sum_se_lower_bound(stack: PrecoderStack, pp: PrecodingProblem) -> float:
-    """Achievable-rate lower bound in bits/s/Hz given the reconstructed CSI.
+def sum_se_lower_bound(w: np.ndarray, pp: PrecodingProblem) -> float:
+    """Achievable-rate lower bound in bits/s/Hz of the N x K precoder ``w``
+    given the reconstructed CSI: log2 of the product of the users' ratios.
 
-    Noise enters as sigma2/P scaled by ||f||^2, so the value depends only on
-    the stack's direction and matches the unit-norm convention exactly.
+    Noise enters as sigma2/P scaled by ||W||_F^2, so the value depends only
+    on the precoder's direction and matches the unit-norm convention exactly.
     """
-    q_num, q_den = _problem_ratios(pp, stack)
+    q_num, q_den = _ratios(_projections(pp.cov_factors(), w), pp.noise_over_power * _power(w))
     return float(np.sum(np.log2(q_num) - np.log2(q_den)))
 
 
@@ -236,7 +217,7 @@ def _scaled_problem(pp: PrecodingProblem):
     return v / math.sqrt(scale), pp.noise_over_power / scale
 
 
-def _default_init(pp: PrecodingProblem, v: np.ndarray) -> PrecoderStack:
+def _default_init(pp: PrecodingProblem, v: np.ndarray) -> np.ndarray:
     """Zero-forcing start; degenerate columns fall back to dominant directions."""
     n, k = pp.num_antennas, pp.num_users
     cols = pp.hhat.copy()
@@ -261,8 +242,7 @@ def _default_init(pp: PrecodingProblem, v: np.ndarray) -> PrecoderStack:
     if np.any(bad):
         w[:, bad] = cols[:, bad]
         col_norms = np.linalg.norm(w, axis=0)
-    w = w / col_norms / math.sqrt(k)
-    return PrecoderStack.from_columns(w)
+    return w / col_norms / math.sqrt(k)
 
 
 def _leave_one_block_out(gram: np.ndarray, s: np.ndarray, d: np.ndarray, y: np.ndarray,
@@ -415,7 +395,7 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
         v, noise[pos] = _scaled_problem(pp)
         np.conjugate(v.reshape(n, k * r), out=vc[pos])
         gram[pos, :k * r, :k * r] = vc[pos].T @ v.reshape(n, k * r)
-        cols[pos] = _default_init(pp, v).normalized().blocks.T
+        cols[pos] = _normalized(_default_init(pp, v))
 
     for pos, i in enumerate(members):
         try:
@@ -423,18 +403,14 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
         except GpipError as exc:
             drop(np.arange(live.size) == pos, str(exc))
 
-    def objective(non_finite):
+    def objective():
         # logs of each problem's ratios at the iterate and its log objective;
-        # any non-positive or non-finite quadratic form makes the latter
-        # non-finite, so only then are the failed problems sorted out
+        # q_den <= q_num, so the latter is finite exactly when every q_num is
+        # finite and every q_den positive
         q_num, q_den = _ratios(p, noise)  # ||f|| = 1 throughout
         la, lb = np.log(q_num), np.log(q_den)
         lg = la.sum(axis=1) - lb.sum(axis=1)
-        finite = np.isfinite(lg)
-        if not finite.all():
-            drop(np.any(q_den <= 0, axis=1) | np.any(~np.isfinite(q_num), axis=1),
-                 "non-finite or non-positive quadratic forms")
-            drop(~finite, non_finite)
+        drop(~np.isfinite(lg), "non-finite or non-positive quadratic forms")
         return la, lb, lg
 
     def finish(mask, iterations, converged):
@@ -442,12 +418,12 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
         if mask.any():
             for pos in np.flatnonzero(mask):
                 results[index[pos]] = GpipResult(
-                    f=PrecoderStack.from_columns(best_cols[pos]), gamma=math.exp(best_lg[pos]),
+                    f=best_cols[pos].copy(), gamma=math.exp(best_lg[pos]),
                     iterations=iterations, converged=converged)
             live[mask] = False
 
     p = vc.transpose(0, 2, 1) @ cols
-    la, lb, lg = objective("objective is non-finite at the initial point")
+    la, lb, lg = objective()
     best_lg, best_cols = lg.copy(), cols.copy()
 
     for iterations in range(1, cfg.max_iter + 1):
@@ -486,7 +462,7 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
         cols /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None, None]
 
         p = vc.transpose(0, 2, 1) @ cols
-        la, lb, lg_new = objective("objective became non-finite during iteration")
+        la, lb, lg_new = objective()
         improved = lg_new > best_lg
         best_lg = np.where(improved, lg_new, best_lg)
         np.copyto(best_cols, cols, where=improved[:, None, None])
@@ -540,17 +516,17 @@ def gpip_solve(pp: PrecodingProblem, cfg: GpipConfig | None = None) -> GpipResul
     return gpip_solve_batch([pp], cfg)[0]
 
 
-def stationarity_residual(stack: PrecoderStack, pp: PrecodingProblem) -> float:
-    """Relative residual of the generalized eigenvalue condition at ``stack``.
+def stationarity_residual(w: np.ndarray, pp: PrecodingProblem) -> float:
+    """Relative residual of the generalized eigenvalue condition at the N x K precoder ``w``.
 
-    Zero (numerically) exactly when the stack satisfies
-    aggregate_num(f) f = gamma(f) * aggregate_den(f) f.
+    Zero (numerically) exactly when w satisfies
+    aggregate_num(w) w = gamma(w) * aggregate_den(w) w.  Raises ValueError
+    for an all-zero precoder.
     """
     v, noise = _scaled_problem(pp)
     n, k, r = v.shape
-    stack = stack.normalized()
-    cols = stack.blocks.T
-    p = _projections(v, stack.blocks)
+    cols = _normalized(w)
+    p = _projections(v, cols)
     q_num, q_den = _ratios(p, noise)
     la, lb = np.log(q_num), np.log(q_den)
     log_g = float(la.sum() - lb.sum())
@@ -568,13 +544,13 @@ def stationarity_residual(stack: PrecoderStack, pp: PrecodingProblem) -> float:
     return float(resid / np.linalg.norm(num_img))
 
 
-def zf_precoder(hhat: np.ndarray, pp: PrecodingProblem) -> PrecoderStack:
-    """Zero-forcing stack: pseudo-inverse directions at equal per-user power.
+def zf_precoder(hhat: np.ndarray) -> np.ndarray:
+    """Zero-forcing precoder: pseudo-inverse directions at equal per-user power.
 
     When the Gram matrix cannot be inverted, as when users share one DFT
     codeword, the Moore-Penrose pseudo-inverse gives the minimum-norm
     least-squares directions instead.  Only an all-zero channel column
-    leaves ZF undefined.
+    leaves ZF undefined.  Returns the unit-norm N x K precoder.
     """
     h = np.asarray(hhat, dtype=complex)
     n, k = h.shape
@@ -594,26 +570,27 @@ def zf_precoder(hhat: np.ndarray, pp: PrecodingProblem) -> PrecoderStack:
         w = h @ np.linalg.pinv(gram)
         if not usable(w):
             raise ValueError("channel matrix has a zero column; ZF undefined")
-    return PrecoderStack.from_columns(w / np.linalg.norm(w, axis=0) / math.sqrt(k))
+    return w / np.linalg.norm(w, axis=0) / math.sqrt(k)
 
 
-def true_sum_se(stack: PrecoderStack, h_true: np.ndarray, pp: PrecodingProblem) -> float:
-    """Sum rate in bits/s/Hz when the true channels meet the given precoders."""
+def true_sum_se(w: np.ndarray, h_true: np.ndarray, pp: PrecodingProblem) -> float:
+    """Sum rate in bits/s/Hz when the true channels meet the N x K precoder ``w``."""
     h = np.asarray(h_true, dtype=complex)
-    cross = np.abs(h.conj().T @ stack.blocks.T) ** 2  # [k, i] = |h_k^H f_i|^2
+    cross = np.abs(h.conj().T @ w) ** 2  # [k, i] = |h_k^H f_i|^2
     sig = np.diag(cross)
     interference = cross.sum(axis=1) - sig
-    noise = pp.noise_over_power * float(np.vdot(stack.f, stack.f).real)
+    noise = pp.noise_over_power * _power(w)
     return float(np.sum(np.log2(1.0 + sig / (interference + noise))))
 
 
 def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
-                   tol: float = 1e-4) -> PrecoderStack:
+                   tol: float = 1e-4) -> np.ndarray:
     """Alternating MMSE-receiver / weight / transmitter updates on true CSI.
 
     Runs under the sum power constraint until the relative sum-rate
     improvement drops below ``tol``.  Initialized from zero-forcing when it
     exists so every iteration, and hence the output, dominates plain ZF.
+    Returns the unit-norm N x K precoder.
     """
     h = np.asarray(h_true, dtype=complex)
     n, k = h.shape
@@ -625,7 +602,7 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
     p = pp.power
 
     try:
-        w = zf_precoder(hs, pp).blocks.T * math.sqrt(p)
+        w = zf_precoder(hs) * math.sqrt(p)
     except ValueError:
         cols = hs / np.linalg.norm(hs, axis=0)
         w = cols * math.sqrt(p / k)
@@ -676,4 +653,4 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
             break
         rate = new_rate
 
-    return PrecoderStack.from_columns(best_w).normalized()
+    return _normalized(best_w)
