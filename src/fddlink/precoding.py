@@ -11,10 +11,12 @@ covariances.  Its stationary points solve a generalized eigenvalue condition,
 which the power-iteration solver chases with Woodbury-form solves: the K
 leave-one-user-out capacitance systems are principal submatrices of one
 Hermitian positive-definite matrix and are solved together by recursive block
-elimination (Schur complements over halves of the users).  gpip_solve_batch
-runs many problems of one factor shape in lockstep, one batched call per
-step for all of them; gpip_solve is a batch of one.  Zero-forcing and WMMSE
-serve as baselines.
+elimination (Schur complements over halves of the users), on coordinates in
+an orthonormal basis of the span of the factors and the start, so N enters
+a solve only at one QR and at the returned precoder.  gpip_solve_batch runs
+many problems of one factor shape in lockstep, one batched call per step for
+all of them; gpip_solve is a batch of one.  Zero-forcing and WMMSE serve as
+baselines; WMMSE iterates on the K x K Gram matrix of the channels.
 """
 
 from __future__ import annotations
@@ -324,11 +326,11 @@ def _denominator_solve(vc: np.ndarray, gram: np.ndarray, wb: np.ndarray, c: np.n
     """Columns x_j = (c I + sum_{k != j} wb_k C_k)^{-1} rhs_j for every user j.
 
     Every argument stacks S problems on its leading axis.  Per problem, V is
-    the N x KR factor stack (user k's R columns side by side), given as
-    vc = conj(V), and gram is V^H V padded with zeros to PR x PR, where P is
-    K rounded up to a power of two.  With S = diag(sqrt(wb)) repeated over
-    each user's R columns and the KR x KR matrix M = c I + S G S, the
-    Woodbury identity gives
+    the factor stack (user k's R columns side by side) as d x KR coordinates
+    in an orthonormal basis, given as vc = conj(V), with rhs in that basis;
+    gram is V^H V padded with zeros to PR x PR, where P is K rounded up to a
+    power of two.  With S = diag(sqrt(wb)) repeated over each user's R
+    columns and the KR x KR matrix M = c I + S G S, the Woodbury identity gives
 
         x_j = (rhs_j - V S z_j) / c,
 
@@ -378,10 +380,12 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
     n, k, r = first.num_antennas, first.num_users, 1 + first.error_weights.shape[1]
     index = np.array(members)
     pr = (1 << (k - 1).bit_length()) * r
-    vc = np.empty((len(members), n, k * r), dtype=complex)  # conj(V), N x KR per problem
+    d = min(n, k * r + k)
+    basis = np.empty((len(members), n, d), dtype=complex)  # orthonormal Q per problem
+    vc = np.empty((len(members), d, k * r), dtype=complex)  # conj(Q^H V), d x KR per problem
     gram = np.zeros((len(members), pr, pr), dtype=complex)  # V^H V, padded (_denominator_solve)
     noise = np.empty((len(members), k))
-    cols = np.empty((len(members), n, k), dtype=complex)  # unit-norm iterate per problem
+    cols = np.empty((len(members), d, k), dtype=complex)  # Q^H F of the unit-norm iterate F
     live = np.ones(len(members), dtype=bool)
 
     def drop(mask, reason):
@@ -392,10 +396,13 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
             live[mask] = False
 
     def load(pos, pp):
+        # every iterate lies in the span of V and the start W0: [V | W0] = Q R
         v, noise[pos] = _scaled_problem(pp)
-        np.conjugate(v.reshape(n, k * r), out=vc[pos])
-        gram[pos, :k * r, :k * r] = vc[pos].T @ v.reshape(n, k * r)
-        cols[pos] = _normalized(_default_init(pp, v))
+        w0 = _normalized(_default_init(pp, v))
+        basis[pos], coords = np.linalg.qr(np.concatenate((v.reshape(n, k * r), w0), axis=1))
+        np.conjugate(coords[:, :k * r], out=vc[pos])
+        gram[pos, :k * r, :k * r] = vc[pos].T @ coords[:, :k * r]
+        cols[pos] = coords[:, k * r:]
 
     for pos, i in enumerate(members):
         try:
@@ -418,7 +425,7 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
         if mask.any():
             for pos in np.flatnonzero(mask):
                 results[index[pos]] = GpipResult(
-                    f=best_cols[pos].copy(), gamma=math.exp(best_lg[pos]),
+                    f=basis[pos] @ best_cols[pos], gamma=math.exp(best_lg[pos]),
                     iterations=iterations, converged=converged)
             live[mask] = False
 
@@ -428,11 +435,9 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
 
     for iterations in range(1, cfg.max_iter + 1):
         if not live.all():
-            # the two largest arrays on their own: one of them at a time is held twice
-            vc = vc[live]
-            gram = gram[live]
-            index, noise, cols, best_cols, p, la, lb, lg, best_lg = (
-                a[live] for a in (index, noise, cols, best_cols, p, la, lb, lg, best_lg))
+            basis = basis[live]  # the largest array: alone, so its old copy overlaps no other
+            index, noise, vc, gram, cols, best_cols, p, la, lb, lg, best_lg = (
+                a[live] for a in (index, noise, vc, gram, cols, best_cols, p, la, lb, lg, best_lg))
             live = live[live]
             if not live.size:
                 return
@@ -588,44 +593,48 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
     """Alternating MMSE-receiver / weight / transmitter updates on true CSI.
 
     Runs under the sum power constraint until the relative sum-rate
-    improvement drops below ``tol``.  Initialized from zero-forcing when it
-    exists so every iteration, and hence the output, dominates plain ZF.
-    Returns the unit-norm N x K precoder.
+    improvement drops below ``tol``.  Initialized from zero-forcing when
+    K <= N, so every iteration, and hence the output, dominates plain ZF,
+    and from matched filtering otherwise.  Later iterates are W = H B, B
+    K x K: the nonzero eigenpairs (Lambda, H D^(1/2) Q Lambda^(-1/2)) of
+    H D H^H, D = diag(v |u|^2), come from those of D^(1/2) H^H H D^(1/2).
+    Raises ValueError for an all-zero user channel.  Returns the unit-norm
+    N x K precoder.
     """
     h = np.asarray(h_true, dtype=complex)
     n, k = h.shape
-    scale = float(np.max(np.linalg.norm(h, axis=0)))
-    if scale <= 0:
-        raise ValueError("all-zero channel matrix")
+    norms = np.linalg.norm(h, axis=0)
+    if np.any(norms == 0):
+        raise ValueError(f"channel column {np.argmax(norms == 0)} is all zero; WMMSE undefined")
+    scale = float(np.max(norms))
     hs = h / scale
     sigma2 = pp.sigma2 / scale**2
     p = pp.power
-
-    try:
+    gram = hs.conj().T @ hs
+    if k <= n:
         w = zf_precoder(hs) * math.sqrt(p)
-    except ValueError:
-        cols = hs / np.linalg.norm(hs, axis=0)
-        w = cols * math.sqrt(p / k)
+    else:  # matched filtering
+        w = hs / np.linalg.norm(hs, axis=0) * math.sqrt(p / k)
 
-    def sum_rate(wmat):
-        cross = np.abs(hs.conj().T @ wmat) ** 2
+    def sum_rate(c):  # c[k, i] = h_k^H w_i
+        cross = np.abs(c) ** 2
         sig = np.diag(cross)
-        other = cross.sum(axis=1) - sig
-        return float(np.sum(np.log2(1.0 + sig / (other + sigma2))))
+        return float(np.sum(np.log2(1.0 + sig / (cross.sum(axis=1) - sig + sigma2))))
 
-    rate = sum_rate(w)
-    best_rate, best_w = rate, w
+    c = hs.conj().T @ w
+    rate = sum_rate(c)
+    best_rate, best_b = rate, None  # None: the start w, exactly as scored
     for _ in range(iters):
-        c = hs.conj().T @ w  # [k, i] = h_k^H w_i
         totals = np.sum(np.abs(c) ** 2, axis=1) + sigma2
         u = np.diag(c) / totals
-        mmse = 1.0 - np.abs(np.diag(c)) ** 2 / totals
-        v = 1.0 / mmse
+        v = 1.0 / (1.0 - np.abs(np.diag(c)) ** 2 / totals)  # inverse MMSE
 
-        lam = (hs * (v * np.abs(u) ** 2)) @ hs.conj().T
-        eigval, eigvec = np.linalg.eigh(lam)
-        eigval = np.maximum(eigval, 0.0)
-        g = eigvec.conj().T @ hs  # channels in the eigenbasis
+        sd = np.sqrt(v * np.abs(u) ** 2)
+        eigval, q = np.linalg.eigh(sd[:, None] * gram * sd)
+        # eigenpairs below rounding carry no power
+        keep = eigval > k * np.finfo(float).eps * max(eigval[-1], 0.0)
+        eigval, q = eigval[keep], q[:, keep] / np.sqrt(eigval[keep])
+        g = (q.conj().T * sd) @ gram  # channels in the eigenbasis of H D H^H
         coeff = v * u
         weight = np.abs(coeff) ** 2
 
@@ -644,13 +653,13 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
                 lo = mid
             else:
                 hi = mid
-        w = eigvec @ ((g * coeff) / (eigval[:, None] + hi))
-
-        new_rate = sum_rate(w)
+        b = sd[:, None] * q @ ((g * coeff) / (eigval[:, None] + hi))
+        c = gram @ b
+        new_rate = sum_rate(c)
         if new_rate > best_rate:
-            best_rate, best_w = new_rate, w
+            best_rate, best_b = new_rate, b
         if new_rate - rate <= tol * max(abs(rate), 1e-12):
             break
         rate = new_rate
 
-    return _normalized(best_w)
+    return _normalized(w if best_b is None else hs @ best_b)

@@ -76,16 +76,21 @@ def test_precode_zf_and_wmmse(tmp_path):
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
-def _reads_covariance(row: list[str]) -> bool:
-    """True for `sim se` rows whose value depends on the CSI covariances C_k.
+def _relative_tolerance(row: list[str]) -> float | None:
+    """Relative tolerance on a reference row's mean, or None where the bytes must match.
 
-    Those moved in the last digits when C_k became a low-rank factor; ZF and
-    WMMSE never read C_k to choose their precoders, so their true_sum_se rows
-    and every row of the other experiments must reproduce the reference bytes.
+    `sim se` rows whose value depends on the CSI covariances C_k moved in the
+    last digits when C_k became a low-rank factor, and again when the GPIP
+    solver moved into the span of its factors: 1e-9.  WMMSE's true_sum_se
+    rows moved by at most about 1e-14 when its updates moved onto the K x K
+    Gram matrix: 1e-12.  ZF never reads C_k to choose its precoder, so its
+    true_sum_se rows and every row of the other experiments must reproduce
+    the reference bytes.
     """
     experiment, method, metric = row[0], row[6], row[7]
-    return experiment == "se" and not (
-        metric == "true_sum_se" and method.startswith(("zf_", "wmmse_")))
+    if experiment != "se" or metric == "true_sum_se" and method.startswith("zf_"):
+        return None
+    return 1e-12 if metric == "true_sum_se" and method.startswith("wmmse_") else 1e-9
 
 
 @pytest.mark.parametrize("workload,experiment", [
@@ -99,13 +104,14 @@ def test_sim_matches_reference_csv(tmp_path, workload, experiment):
     assert len(got) == len(ref) and got[0] == ref[0]
     for got_line, ref_line in zip(got[1:], ref[1:]):
         row, ref_row = got_line.split(","), ref_line.split(",")
-        if not _reads_covariance(ref_row):
+        rel = _relative_tolerance(ref_row)
+        if rel is None:
             assert got_line == ref_line
             continue
-        # same key and trial count; the mean within 1e-9 relative and 4 std errors
+        # same key and trial count; the mean within rel and 4 std errors
         assert row[:8] + row[10:] == ref_row[:8] + ref_row[10:]
         shift = abs(float(row[8]) - float(ref_row[8]))
-        assert shift <= 1e-9 * abs(float(ref_row[8])), ref_line
+        assert shift <= rel * abs(float(ref_row[8])), ref_line
         assert shift <= 4 * float(ref_row[9]), ref_line
 
 

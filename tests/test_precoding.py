@@ -169,6 +169,61 @@ def dense_residual(w, pp):
     return float(np.linalg.norm(num_img - den_img) / np.linalg.norm(num_img))
 
 
+def dense_wmmse_precoder(h, pp, iters=100, tol=1e-4):
+    """WMMSE on dense matrices: one N x N eigh of lam = H D H^H per iteration."""
+    n, k = h.shape
+    scale = float(np.max(np.linalg.norm(h, axis=0)))
+    hs = h / scale
+    sigma2 = pp.sigma2 / scale**2
+    p = pp.power
+    try:
+        w = zf_precoder(hs) * math.sqrt(p)
+    except ValueError:
+        w = hs / np.linalg.norm(hs, axis=0) * math.sqrt(p / k)
+
+    def sum_rate(wmat):
+        cross = np.abs(hs.conj().T @ wmat) ** 2
+        sig = np.diag(cross)
+        return float(np.sum(np.log2(1.0 + sig / (cross.sum(axis=1) - sig + sigma2))))
+
+    rate = sum_rate(w)
+    best_rate, best_w = rate, w
+    for _ in range(iters):
+        c = hs.conj().T @ w
+        totals = np.sum(np.abs(c) ** 2, axis=1) + sigma2
+        u = np.diag(c) / totals
+        v = 1.0 / (1.0 - np.abs(np.diag(c)) ** 2 / totals)
+        eigval, eigvec = np.linalg.eigh((hs * (v * np.abs(u) ** 2)) @ hs.conj().T)
+        eigval = np.maximum(eigval, 0.0)
+        g = eigvec.conj().T @ hs
+        coeff = v * u
+        weight = np.abs(coeff) ** 2
+
+        def total_power(mu):
+            return float(weight @ (np.abs(g.T) ** 2 @ (1.0 / (eigval + mu) ** 2)))
+
+        hi = max(float(np.sqrt(weight @ np.sum(np.abs(g) ** 2, axis=0) / p)), 1e-12)
+        lo = 0.0
+        while total_power(hi) > p:
+            hi *= 2.0
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if total_power(mid) > p:
+                lo = mid
+            else:
+                hi = mid
+        w = eigvec @ ((g * coeff) / (eigval[:, None] + hi))
+        new_rate = sum_rate(w)
+        if new_rate > best_rate:
+            best_rate, best_w = new_rate, w
+        if new_rate - rate <= tol * max(abs(rate), 1e-12):
+            break
+        rate = new_rate
+    return best_w / np.linalg.norm(best_w)
+
+
 @st.composite
 def small_problems(draw, n=None, k=None, n_dirs=None):
     """N <= 16, K <= 9, L <= 3 unless given, with some zero error weights and zero estimates."""
@@ -323,6 +378,9 @@ class TestBatchedSolver:
             d_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
             assert (res.iterations, res.converged) == (d_iterations, d_converged)
             assert res.gamma == pytest.approx(d_gamma, rel=1e-9)
+            # f is the precoder gamma was scored at, back in C^N
+            assert sum_se_lower_bound(res.f, pp) == pytest.approx(
+                math.log2(res.gamma), rel=1e-9, abs=1e-9)
 
     @staticmethod
     def zero_noise_problem(rng, zero_weight):
@@ -365,6 +423,57 @@ class TestBatchedSolver:
             assert res.f.base is None  # not a view into the batch's arrays
         for a, b in itertools.combinations(results, 2):
             assert not np.shares_memory(a.f, b.f)
+
+
+class TestFactorSpan:
+    """The solver runs in an orthonormal basis of [V | W0]; results do not depend on it."""
+
+    @staticmethod
+    def moved(pp, hhat, transform):
+        return PrecodingProblem(hhat=transform(hhat), sigma2=pp.sigma2, power=pp.power,
+                                error_dirs=np.stack([transform(d) for d in pp.error_dirs]),
+                                error_weights=pp.error_weights)
+
+    @settings(deadline=None, max_examples=60)
+    @given(pp=small_problems(), seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 4))
+    def test_rotation_and_embedding_invariance(self, pp, seed, extra):
+        rng = np.random.default_rng(seed)
+        n, k = pp.num_antennas, pp.num_users
+        # a user whose factor is all zero starts from the all-ones direction,
+        # which neither a rotation nor an embedding carries along
+        hhat = pp.hhat.copy()
+        zero = ~np.any(pp.cov_factors() != 0, axis=(0, 2))
+        hhat[:, zero] = cnormal(rng, (n, int(zero.sum())))
+        unitary = np.linalg.qr(cnormal(rng, (n, n)))[0]
+        cfg = GpipConfig(max_iter=30)
+        base = gpip_solve(self.moved(pp, hhat, lambda a: a), cfg)
+        for transform in (lambda a: unitary @ a,
+                          lambda a: np.vstack((a, np.zeros((extra, a.shape[1]))))):
+            res = gpip_solve(self.moved(pp, hhat, transform), cfg)
+            assert (res.iterations, res.converged) == (base.iterations, base.converged)
+            assert res.gamma == pytest.approx(base.gamma, rel=1e-9)
+
+    def test_basis_is_all_of_the_space(self):
+        # N = 4 < K(L + 1) + K = 12
+        rng = np.random.default_rng(27)
+        cfg = GpipConfig(max_iter=30)
+        for _ in range(5):
+            pp = random_problem(rng, n=4, k=3)
+            res = gpip_solve(pp, cfg)
+            d_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
+            assert (res.iterations, res.converged) == (d_iterations, d_converged)
+            assert res.gamma == pytest.approx(d_gamma, rel=1e-9)
+            assert res.f.shape == (4, 3)
+
+    def test_plain_gpip_without_estimates_keeps_its_start(self):
+        # hhat = 0 (plain GPIP at B = 0): the objective is constant, so the
+        # result is the start, every column 1 / sqrt(N K); the start is not
+        # in the span of the (zero) factors
+        n, k = 12, 3
+        pp = PrecodingProblem(hhat=np.zeros((n, k)), sigma2=np.full(k, 0.1), power=1.0)
+        res = gpip_solve(pp)
+        assert (res.iterations, res.converged) == (1, True)
+        np.testing.assert_allclose(res.f, np.full((n, k), 1 / math.sqrt(n * k)), rtol=1e-12)
 
 
 class TestBuildAB:
@@ -608,6 +717,42 @@ class TestWmmse:
             zf_rate = true_sum_se(zf_precoder(h), h, pp)
             wm_rate = true_sum_se(wmmse_precoder(h, pp), h, pp)
             assert wm_rate >= zf_rate - 1e-9
+
+    @pytest.mark.parametrize("n, k, shared", [
+        (6, 1, False), (4, 4, False), (3, 5, False), (6, 3, True), (2, 4, True)])
+    def test_matches_the_dense_oracle(self, n, k, shared):
+        # K = 1, K = N, K > N (matched-filter start) and two identical users
+        rng = np.random.default_rng(24)
+        for _ in range(10):
+            h = 1e-5 * cnormal(rng, (n, k))
+            if shared:
+                h[:, 1] = h[:, 0]
+            pp = PrecodingProblem(hhat=h, sigma2=10.0 ** rng.uniform(-11, -9, k),
+                                  power=10.0 ** rng.uniform(-1, 1))
+            assert true_sum_se(wmmse_precoder(h, pp), h, pp) == pytest.approx(
+                true_sum_se(dense_wmmse_precoder(h, pp), h, pp), rel=1e-12)
+
+    def test_zero_user_channel_rejected(self):
+        h = cnormal(np.random.default_rng(25), (6, 3))
+        h[:, 1] = 0.0
+        pp = PrecodingProblem(hhat=h, sigma2=np.ones(3), power=1.0)
+        with pytest.raises(ValueError, match="column 1 is all zero"):
+            wmmse_precoder(h, pp)
+
+    def test_large_array_memory(self):
+        # one N x N complex matrix alone would take 64 MiB here
+        rng = np.random.default_rng(26)
+        n, k = 2048, 4
+        h = cnormal(rng, (n, k))
+        pp = PrecodingProblem(hhat=h, sigma2=np.full(k, 10.0), power=1.0)
+        tracemalloc.start()
+        try:
+            w = wmmse_precoder(h, pp)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert w.shape == (n, k)
+        assert peak < 2**20
 
 
 class TestTrueSumSe:
