@@ -65,18 +65,17 @@ def _precode_method(precoder: str, reconstruction: str) -> str:
 
 def _cmd_precode(args) -> int:
     cfg = _load_scenario(args)
-    precoder = args.method or cfg.precoder
     power_dbm = float(cfg.power_dbm_grid[0])
     point = cfg.replace(n_grid=(cfg.n_antennas,), l_grid=(cfg.n_paths,),
                         power_dbm_grid=(power_dbm,), b_tot_grid=(cfg.b_tot,),
-                        se_methods=(_precode_method(precoder, cfg.reconstruction),))
+                        se_methods=(_precode_method(args.method, cfg.reconstruction),))
     samples = se_samples(point).reshape(cfg.trials, -1)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("drop", "method", "reconstruction", "b_tot", "power_dbm",
                          "true_sum_se", "se_lower_bound", "iterations"))
         for drop, (true_se, lower_bound, iterations) in enumerate(samples):
-            writer.writerow([drop, precoder, cfg.reconstruction, cfg.b_tot, power_dbm,
+            writer.writerow([drop, args.method, cfg.reconstruction, cfg.b_tot, power_dbm,
                              float(true_se), float(lower_bound), int(iterations)])
     print(f"wrote {cfg.trials} drops to {args.out}")
     return 0
@@ -107,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.set_defaults(func=_cmd_allocate)
 
     pre = sub.add_parser("precode", help="per-drop precoding on drawn scenes")
-    pre.add_argument("--method", choices=("gpip", "zf", "wmmse"))
+    pre.add_argument("--method", choices=("gpip", "zf", "wmmse"), default="gpip")
     pre.add_argument("--config", help="scenario file (flat key = value text)")
     pre.add_argument("--out", required=True, help="output CSV path")
     pre.add_argument("--seed", type=int, help="override the master seed")

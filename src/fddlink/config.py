@@ -23,7 +23,6 @@ SPEED_OF_LIGHT = 299_792_458.0
 
 RECONSTRUCTION_MODES = ("mmse", "no_feedback", "dft")
 ALLOCATORS = ("greedy", "uniform", "none")
-PRECODERS = ("gpip", "zf", "wmmse")
 # SE method -> (CSI source, precoder, use_cov).  The CSI sources are the
 # reconstruction modes plus "perfect", the true channel; use_cov says whether
 # the precoder sees the reconstruction's error covariance.
@@ -81,7 +80,6 @@ class ScenarioConfig:
     gain_rel_sigma: float = 0.0
     reconstruction: str = "mmse"
     allocator: str = "greedy"
-    precoder: str = "gpip"
     se_methods: tuple[str, ...] = ("gpip_robust", "gpip_plain", "zf_mmse",
                                    "zf_nofeedback", "wmmse_perfect")
     gpip_epsilon: float = 1e-4
@@ -155,7 +153,6 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(cfg.reconstruction != "dft" or cfg.b_tot <= MAX_DFT_BITS, "b_tot",
          f"must be <= {MAX_DFT_BITS} with DFT-codebook reconstruction")
     need(cfg.allocator in ALLOCATORS, "allocator", f"must be one of {ALLOCATORS}")
-    need(cfg.precoder in PRECODERS, "precoder", f"must be one of {PRECODERS}")
     need(len(cfg.se_methods) > 0, "se_methods", "must be non-empty")
     for m in cfg.se_methods:
         need(m in SE_METHODS, "se_methods", f"unknown method {m!r}; known: {tuple(SE_METHODS)}")

@@ -79,6 +79,25 @@ def _mean_and_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std_err
 
 
+def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
+             **fixed) -> list:
+    """One record per sweep point of the per-trial ``samples``.
+
+    ``axes`` pairs each sample axis after the trial axis, in order, with the
+    record field it sweeps and that field's values; the last pair names the
+    metrics.  An axis may hold more slots than values, and the extra ones
+    are not recorded.  ``fixed`` sets the fields that no axis sweeps.
+    """
+    mean, std_err = _mean_and_stderr(samples)
+    records = []
+    for idx in np.ndindex(*(len(values) for _, values in axes)):
+        point = {name: values[i] for (name, values), i in zip(axes, idx)}
+        records.append(ExperimentRecord(
+            experiment=experiment, **fixed, **point, mean=float(mean[idx]),
+            std_err=float(std_err[idx]), trials=cfg.trials))
+    return records
+
+
 # ---------------------------------------------------------------------------
 # the drop pipeline shared by every experiment
 
@@ -143,19 +162,11 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
                 out[bi, si] = (cf, err)
         return out
 
-    samples = _run_trials(cfg, trial, workers)
-    mean, std_err = _mean_and_stderr(samples)
-    records = []
-    for bi, b_tot in enumerate(b_grid):
-        for si, strategy in enumerate(MSE_STRATEGIES):
-            for mi, metric in enumerate(("mse_closed_form", "mse_monte_carlo")):
-                records.append(ExperimentRecord(
-                    experiment="mse", n_antennas=cfg.n_antennas, n_users=1,
-                    n_paths=cfg.n_paths, b_tot=b_tot,
-                    power_dbm=cfg.power_dbm_grid[0], method=strategy,
-                    metric=metric, mean=float(mean[bi, si, mi]),
-                    std_err=float(std_err[bi, si, mi]), trials=cfg.trials))
-    return records
+    return _records("mse", cfg, _run_trials(cfg, trial, workers),
+                    (("b_tot", b_grid), ("method", MSE_STRATEGIES),
+                     ("metric", ("mse_closed_form", "mse_monte_carlo"))),
+                    n_antennas=cfg.n_antennas, n_users=1, n_paths=cfg.n_paths,
+                    power_dbm=cfg.power_dbm_grid[0])
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +196,11 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
                 out[li, bi] = (emp, asym)
         return out
 
-    samples = _run_trials(cfg, trial, workers)
-    mean, std_err = _mean_and_stderr(samples)
-    records = []
-    for li, L in enumerate(l_grid):
-        for bi, b_tot in enumerate(b_grid):
-            for mi, metric in enumerate(("delta_norm_emp", "delta_norm_asym")):
-                records.append(ExperimentRecord(
-                    experiment="delta", n_antennas=cfg.n_antennas, n_users=1,
-                    n_paths=L, b_tot=b_tot, power_dbm=cfg.power_dbm_grid[0],
-                    method=cfg.allocator, metric=metric,
-                    mean=float(mean[li, bi, mi]),
-                    std_err=float(std_err[li, bi, mi]), trials=cfg.trials))
-    return records
+    return _records("delta", cfg, _run_trials(cfg, trial, workers),
+                    (("n_paths", l_grid), ("b_tot", b_grid),
+                     ("metric", ("delta_norm_emp", "delta_norm_asym"))),
+                    n_antennas=cfg.n_antennas, n_users=1,
+                    power_dbm=cfg.power_dbm_grid[0], method=cfg.allocator)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +224,7 @@ def _build_csi(source: str, b_tot: int, cfg: ScenarioConfig, scene, ests, h_true
                     feedback.dft_codebook_feedback(h, b_tot, geom)[1], geom)
                 for h in h_true.T]
     # "perfect": the true channel, with no estimation error
-    return [reconstruction.ReconstructedChannel(hhat=h) for h in h_true.T]
+    return [reconstruction.ReconstructedChannel(h[:, None]) for h in h_true.T]
 
 
 def _zf_columns(hhat: np.ndarray, recs_nf) -> np.ndarray:
@@ -339,22 +342,11 @@ def run_se_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     Sweeps the cross product of the antenna, path-count, power, and budget
     grids (see se_samples).
     """
-    mean, std_err = _mean_and_stderr(se_samples(cfg, workers))
-    records = []
-    for ni, n in enumerate(cfg.n_grid):
-        for li, L in enumerate(cfg.l_grid):
-            for pi, pdbm in enumerate(cfg.power_dbm_grid):
-                for bi, b_tot in enumerate(cfg.b_tot_grid):
-                    for mi, method in enumerate(cfg.se_methods):
-                        for xi, metric in enumerate(SE_METRICS):
-                            records.append(ExperimentRecord(
-                                experiment="se", n_antennas=n,
-                                n_users=cfg.n_users, n_paths=L, b_tot=b_tot,
-                                power_dbm=pdbm, method=method, metric=metric,
-                                mean=float(mean[ni, li, pi, bi, mi, xi]),
-                                std_err=float(std_err[ni, li, pi, bi, mi, xi]),
-                                trials=cfg.trials))
-    return records
+    return _records("se", cfg, se_samples(cfg, workers),
+                    (("n_antennas", cfg.n_grid), ("n_paths", cfg.l_grid),
+                     ("power_dbm", cfg.power_dbm_grid), ("b_tot", cfg.b_tot_grid),
+                     ("method", cfg.se_methods), ("metric", SE_METRICS)),
+                    n_users=cfg.n_users)
 
 
 EXPERIMENTS = {

@@ -3,20 +3,22 @@
 A precoder is an N x K complex array whose column k is user k's beamformer.
 Its total power, and the norm that normalizes it, are summed user by user
 (column 0 first), so values do not depend on the array's memory layout.
-User k's effective covariance C_k = hhat_k hhat_k^H + Phi_k has rank at most
-R = L + 1 and is carried as an N x R factor V_k with C_k = V_k V_k^H; no
-N x N matrix is formed.  The sum-spectral-efficiency lower bound is a product
-of Rayleigh-quotient ratios of block-diagonal matrices built from these
-covariances.  Its stationary points solve a generalized eigenvalue condition,
-which the power-iteration solver chases with Woodbury-form solves: the K
-leave-one-user-out capacitance systems are principal submatrices of one
-Hermitian positive-definite matrix and are solved together by recursive block
-elimination (Schur complements over halves of the users), on coordinates in
-an orthonormal basis of the span of the factors and the start, so N enters
-a solve only at one QR and at the returned precoder.  gpip_solve_batch runs
-many problems of one factor shape in lockstep, one batched call per step for
-all of them; gpip_solve is a batch of one.  Zero-forcing and WMMSE serve as
-baselines; WMMSE iterates on the K x K Gram matrix of the channels.
+A problem holds each user's reconstruction factor V_k = [hhat_k | E_k]
+(N x R, R = L + 1 for the MMSE estimate, 1 without an error model), so the
+effective covariance C_k = hhat_k hhat_k^H + Phi_k = V_k V_k^H is never
+formed as an N x N matrix.  The sum-spectral-efficiency lower bound is a
+product of Rayleigh-quotient ratios of block-diagonal matrices built from
+these covariances.  Its stationary points solve a generalized eigenvalue
+condition, which the power-iteration solver chases with Woodbury-form
+solves: the K leave-one-user-out capacitance systems are principal
+submatrices of one Hermitian positive-definite matrix and are solved
+together by recursive block elimination (Schur complements over halves of
+the users), on coordinates in an orthonormal basis of the span of the
+factors and the start, so N enters a solve only at one QR and at the
+returned precoder.  gpip_solve_batch runs many problems of one factor shape
+in lockstep, one batched call per step for all of them; gpip_solve is a
+batch of one.  Zero-forcing and WMMSE serve as baselines; WMMSE iterates on
+the K x K Gram matrix of the channels.
 """
 
 from __future__ import annotations
@@ -45,33 +47,23 @@ class GpipError(RuntimeError):
 
 @dataclass(frozen=True)
 class PrecodingProblem:
-    """Per-user channel estimates, error-covariance factors, noise, and a power budget.
+    """Per-user covariance factors, noise, and a power budget.
 
-    hhat has one column per user (N x K).  User k's error covariance is
-    Phi_k = error_dirs[k] @ diag(error_weights[k]) @ error_dirs[k]^H, with
-    error_dirs K x N x L and error_weights K x L nonnegative; omitting both
-    means Phi = 0.  sigma2 holds per-user noise powers in watts.
+    factors is N x K x R: factors[:, k] is user k's reconstruction factor,
+    column 0 its estimate hhat_k and the rest E_k with Phi_k = E_k E_k^H, so
+    C_k = factors[:, k] @ factors[:, k]^H.  Zero columns pad users with
+    fewer.  sigma2 holds per-user noise powers in watts.
     """
 
-    hhat: np.ndarray
+    factors: np.ndarray
     sigma2: np.ndarray
     power: float
-    error_dirs: np.ndarray | None = None
-    error_weights: np.ndarray | None = None
 
     def __post_init__(self):
-        hhat = np.asarray(self.hhat, dtype=complex)
-        n, k = hhat.shape
-        if self.error_dirs is None and self.error_weights is None:
-            dirs, weights = np.zeros((k, n, 0), dtype=complex), np.zeros((k, 0))
-        else:
-            dirs = np.asarray(self.error_dirs, dtype=complex)
-            weights = np.asarray(self.error_weights, dtype=float)
-        if dirs.ndim != 3 or dirs.shape[:2] != (k, n) or weights.shape != (k, dirs.shape[2]):
-            raise ValueError(f"error factors must have shapes ({k}, {n}, L) and ({k}, L), "
-                             f"got {dirs.shape} and {weights.shape}")
-        if not np.all(weights >= 0):
-            raise ValueError("error weights must be nonnegative")
+        factors = np.ascontiguousarray(self.factors, dtype=complex)
+        if factors.ndim != 3 or factors.shape[2] < 1:
+            raise ValueError(f"factors must be N x K x R with R >= 1, got shape {factors.shape}")
+        k = factors.shape[1]
         sigma2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
         if sigma2.shape == (1,):
             sigma2 = np.full(k, sigma2[0])
@@ -81,50 +73,39 @@ class PrecodingProblem:
             raise ValueError("noise powers must be positive and finite")
         if not (self.power > 0 and math.isfinite(self.power)):
             raise ValueError(f"transmit power must be positive and finite, got {self.power}")
-        object.__setattr__(self, "hhat", hhat)
-        object.__setattr__(self, "error_dirs", dirs)
-        object.__setattr__(self, "error_weights", weights)
+        object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "sigma2", sigma2)
 
     @property
+    def hhat(self) -> np.ndarray:
+        """N x K estimates, column 0 of each user's factor."""
+        return self.factors[:, :, 0]
+
+    @property
     def num_antennas(self) -> int:
-        return self.hhat.shape[0]
+        return self.factors.shape[0]
 
     @property
     def num_users(self) -> int:
-        return self.hhat.shape[1]
+        return self.factors.shape[1]
 
     @property
     def noise_over_power(self) -> np.ndarray:
         return self.sigma2 / self.power
 
-    def cov_factors(self) -> np.ndarray:
-        """N x K x R stack V with C_k = V[:, k] V[:, k]^H = hhat_k hhat_k^H + Phi_k.
-
-        Column 0 of V[:, k] is hhat_k; the other R - 1 are user k's error
-        directions scaled by the square roots of their weights.
-        """
-        scaled_dirs = self.error_dirs * np.sqrt(self.error_weights)[:, None, :]
-        return np.concatenate((self.hhat[:, :, None], scaled_dirs.transpose(1, 0, 2)), axis=2)
-
     @classmethod
     def from_reconstructions(cls, recs: list[ReconstructedChannel], power: float,
                              sigma2, use_cov: bool = True) -> "PrecodingProblem":
-        """Stack per-user reconstructions; ``use_cov=False`` drops Phi.
+        """Stack per-user reconstruction factors; ``use_cov=False`` keeps only hhat.
 
-        Users with fewer error directions than others get zero-weight columns.
+        Users with fewer columns than others are padded with zero columns.
         """
-        hhat = np.column_stack([rc.hhat for rc in recs])
-        if not use_cov:
-            return cls(hhat=hhat, sigma2=sigma2, power=power)
-        width = max(rc.error_weights.size for rc in recs)
-        dirs = np.zeros((len(recs), hhat.shape[0], width), dtype=complex)
-        weights = np.zeros((len(recs), width))
+        width = max(rc.factor.shape[1] for rc in recs) if use_cov else 1
+        factors = np.zeros((recs[0].factor.shape[0], len(recs), width), dtype=complex)
         for k, rc in enumerate(recs):
-            dirs[k, :, :rc.error_weights.size] = rc.error_dirs
-            weights[k, :rc.error_weights.size] = rc.error_weights
-        return cls(hhat=hhat, sigma2=sigma2, power=power,
-                   error_dirs=dirs, error_weights=weights)
+            cols = rc.factor[:, :width]
+            factors[:, k, :cols.shape[1]] = cols
+        return cls(factors=factors, sigma2=sigma2, power=power)
 
 
 @dataclass(frozen=True)
@@ -197,7 +178,7 @@ def sum_se_lower_bound(w: np.ndarray, pp: PrecodingProblem) -> float:
     Noise enters as sigma2/P scaled by ||W||_F^2, so the value depends only
     on the precoder's direction and matches the unit-norm convention exactly.
     """
-    q_num, q_den = _ratios(_projections(pp.cov_factors(), w), pp.noise_over_power * _power(w))
+    q_num, q_den = _ratios(_projections(pp.factors, w), pp.noise_over_power * _power(w))
     return float(np.sum(np.log2(q_num) - np.log2(q_den)))
 
 
@@ -210,7 +191,7 @@ def _scaled_problem(pp: PrecodingProblem):
     (tiny) path gains.  The scale is the larger of max_k trace(C_k) / N,
     with trace(C_k) = ||V[:, k]||_F^2, and the largest noise term.
     """
-    v = pp.cov_factors()
+    v = pp.factors
     traces = np.sum(v.real**2 + v.imag**2, axis=(0, 2))
     scale = max(float(np.max(traces)) / pp.num_antennas,
                 float(np.max(pp.noise_over_power)))
@@ -377,7 +358,7 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
     arrays are compacted only on iterations where some problem left.
     """
     first = problems[members[0]]
-    n, k, r = first.num_antennas, first.num_users, 1 + first.error_weights.shape[1]
+    n, k, r = first.factors.shape
     index = np.array(members)
     pr = (1 << (k - 1).bit_length()) * r
     d = min(n, k * r + k)
@@ -504,8 +485,7 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
     errors: dict[int, str] = {}
     groups: dict[tuple, list] = {}
     for i, pp in enumerate(problems):
-        shape = (pp.num_antennas, pp.num_users, 1 + pp.error_weights.shape[1])
-        groups.setdefault(shape, []).append(i)
+        groups.setdefault(pp.factors.shape, []).append(i)
     # a problem whose values leave the finite range is dropped with a GpipError
     with np.errstate(all="ignore"):
         for members in groups.values():

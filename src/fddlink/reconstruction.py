@@ -3,9 +3,10 @@
 The Bayesian estimate scales each path by eta(B) and uses the fed-back
 phase; its conditional error covariance is a weighted sum of steering-vector
 outer products, Phi = A diag(beta**2 * (1 - eta**2)) A^H.  A reconstruction
-carries Phi as those factors (N x L directions, L weights) and never as an
-N x N matrix.  Diagnostics quantify how well hhat*hhat^H + Phi stands in for
-the true channel outer product.
+is one N x (L+1) factor F = [hhat | E] with E = A diag(sqrt(beta**2 *
+(1 - eta**2))), so Phi = E E^H and F F^H = hhat hhat^H + Phi; no N x N
+matrix is formed.  Diagnostics quantify how well F F^H stands in for the
+true channel outer product.
 """
 
 from __future__ import annotations
@@ -21,34 +22,25 @@ from .feedback import FeedbackPlan
 
 @dataclass(frozen=True)
 class ReconstructedChannel:
-    """Channel estimate and the factors of its error covariance.
+    """Channel estimate and error covariance as one N x R factor, R >= 1.
 
-    Phi = error_dirs @ diag(error_weights) @ error_dirs^H with error_dirs
-    N x L and error_weights the L nonnegative weights.  Omitting both gives
-    an estimate without an error model (zero columns, Phi = 0).
+    Column 0 of ``factor`` is the estimate hhat; the other R - 1 columns E
+    give the error covariance Phi = E E^H, so factor @ factor^H =
+    hhat hhat^H + Phi.  A single column means no error model (Phi = 0).
     """
 
-    hhat: np.ndarray
-    error_dirs: np.ndarray | None = None
-    error_weights: np.ndarray | None = None
+    factor: np.ndarray
 
     def __post_init__(self):
-        hhat = np.asarray(self.hhat, dtype=complex)
-        if hhat.ndim != 1:
-            raise ValueError(f"estimate must be a vector, got shape {hhat.shape}")
-        if self.error_dirs is None and self.error_weights is None:
-            dirs, weights = np.zeros((hhat.size, 0), dtype=complex), np.zeros(0)
-        else:
-            dirs = np.asarray(self.error_dirs, dtype=complex)
-            weights = np.asarray(self.error_weights, dtype=float)
-        if dirs.shape != (hhat.size, weights.size) or weights.ndim != 1:
-            raise ValueError(f"error factors of shape {dirs.shape} and {weights.shape} "
-                             f"do not fit an estimate of length {hhat.size}")
-        if not np.all(weights >= 0):
-            raise ValueError("error weights must be nonnegative")
-        object.__setattr__(self, "hhat", hhat)
-        object.__setattr__(self, "error_dirs", dirs)
-        object.__setattr__(self, "error_weights", weights)
+        factor = np.asarray(self.factor, dtype=complex)
+        if factor.ndim != 2 or factor.shape[1] < 1:
+            raise ValueError(f"factor must be N x R with R >= 1, got shape {factor.shape}")
+        object.__setattr__(self, "factor", factor)
+
+    @property
+    def hhat(self) -> np.ndarray:
+        """The estimate, column 0 of the factor."""
+        return self.factor[:, 0]
 
 
 def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -63,8 +55,8 @@ def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> Reco
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
     etas = eta(fp.bits)
     gains = etas * ps.betas * np.exp(1j * fp.q_values)
-    return ReconstructedChannel(hhat=a @ gains, error_dirs=a,
-                                error_weights=_error_weights(ps.betas, etas))
+    return ReconstructedChannel(np.column_stack(
+        (a @ gains, a * np.sqrt(_error_weights(ps.betas, etas)))))
 
 
 def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -74,8 +66,9 @@ def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedCh
     power (the zero-bit limit).
     """
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    return ReconstructedChannel(hhat=a @ ps.betas.astype(complex), error_dirs=a,
-                                error_weights=_error_weights(ps.betas, np.zeros(len(ps))))
+    weights = _error_weights(ps.betas, np.zeros(len(ps)))
+    return ReconstructedChannel(np.column_stack((a @ ps.betas.astype(complex),
+                                                 a * np.sqrt(weights))))
 
 
 def reconstruct_dft(hhat: np.ndarray, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -83,7 +76,7 @@ def reconstruct_dft(hhat: np.ndarray, geom: ArrayGeometry) -> ReconstructedChann
     hhat = np.asarray(hhat)
     if hhat.shape != (geom.num_antennas,):
         raise ValueError(f"estimate must have shape ({geom.num_antennas},), got {hhat.shape}")
-    return ReconstructedChannel(hhat=hhat)
+    return ReconstructedChannel(hhat[:, None])
 
 
 def _error_weights(betas: np.ndarray, etas: np.ndarray) -> np.ndarray:
@@ -100,12 +93,11 @@ def error_covariance(ps: PathSet, bits, geom: ArrayGeometry) -> np.ndarray:
 
 
 def outer_product_error(h_true: np.ndarray, rc: ReconstructedChannel) -> tuple[np.ndarray, float]:
-    """Error matrix Delta = h h^H - (hhat hhat^H + Phi) and ||Delta||_F^2 / N^2."""
+    """Error matrix Delta = h h^H - F F^H and ||Delta||_F^2 / N^2, F = rc.factor."""
     h = np.asarray(h_true)
     n = h.shape[0]
     delta = np.outer(h, h.conj())
-    delta -= np.outer(rc.hhat, rc.hhat.conj())
-    delta -= (rc.error_dirs * rc.error_weights) @ rc.error_dirs.conj().T
+    delta -= rc.factor @ rc.factor.conj().T
     norm = float(np.sum(np.abs(delta) ** 2)) / n**2
     return delta, norm
 

@@ -128,6 +128,7 @@ def test_zf_defined_when_dft_users_share_a_codeword(tmp_path):
 
 
 @pytest.mark.parametrize("precoder,reconstruction,se_method,b_tot", [
+    (None, "mmse", "gpip_robust", 9),  # --method defaults to gpip
     ("gpip", "mmse", "gpip_robust", 9),
     ("gpip", "no_feedback", "gpip_nofeedback", 9),
     ("gpip", "dft", "gpip_dft", 9),
@@ -146,10 +147,11 @@ def test_precode_row_is_the_sim_se_point(tmp_path, precoder, reconstruction, se_
     pre_cfg.write_text(scenario + f"b_tot = {b_tot}\nreconstruction = {reconstruction}\n")
     se_cfg.write_text(scenario + f"b_tot_grid = {b_tot}\nse_methods = {se_method}\n")
     drops, se = tmp_path / "drops.csv", tmp_path / "se.csv"
-    assert main(["precode", "--method", precoder, "--config", str(pre_cfg),
-                 "--out", str(drops)]) == 0
+    method = [] if precoder is None else ["--method", precoder]
+    assert main(["precode", *method, "--config", str(pre_cfg), "--out", str(drops)]) == 0
     assert main(["sim", "se", "--config", str(se_cfg), "--out", str(se)]) == 0
     (row,) = csv.DictReader(drops.open())
+    assert row["method"] == (precoder or "gpip")
     means = {r["metric"]: r["mean"] for r in csv.DictReader(se.open())}
     assert row["true_sum_se"] == means["true_sum_se"]
     assert row["se_lower_bound"] == means["se_lower_bound"]

@@ -31,14 +31,25 @@ def cnormal(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
+def make_problem(hhat, sigma2, power, error_dirs=None, error_weights=None):
+    """PrecodingProblem from estimates (N x K) and, optionally, error directions
+    (K x N x L) with weights (K x L): user k's factor is
+    [hhat_k | error_dirs[k] * sqrt(error_weights[k])], and hhat_k alone without."""
+    factors = np.asarray(hhat, dtype=complex)[:, :, None]
+    if error_dirs is not None:
+        scaled = np.asarray(error_dirs) * np.sqrt(error_weights)[:, None, :]
+        factors = np.concatenate((factors, scaled.transpose(1, 0, 2)), axis=2)
+    return PrecodingProblem(factors=factors, sigma2=sigma2, power=power)
+
+
 def random_problem(rng, n=8, k=3, power=10.0, sigma2=0.5, with_cov=True, scale=1.0):
     hhat = scale * cnormal(rng, (n, k))
     if not with_cov:
-        return PrecodingProblem(hhat=hhat, sigma2=np.full(k, sigma2), power=power)
+        return make_problem(hhat=hhat, sigma2=np.full(k, sigma2), power=power)
     # Phi_k = 0.1 * W_k W_k^H with W_k of rank two
     dirs = np.stack([scale * cnormal(rng, (n, 2)) for _ in range(k)])
-    return PrecodingProblem(hhat=hhat, sigma2=np.full(k, sigma2), power=power,
-                            error_dirs=dirs, error_weights=np.full((k, 2), 0.1))
+    return make_problem(hhat=hhat, sigma2=np.full(k, sigma2), power=power,
+                        error_dirs=dirs, error_weights=np.full((k, 2), 0.1))
 
 
 def random_precoder(rng, n, k):
@@ -50,7 +61,7 @@ def random_precoder(rng, n, k):
 def problem_ratios(pp, w):
     """Per-user numerator and denominator quadratic forms at the N x K precoder w."""
     noise = pp.noise_over_power * float(np.vdot(w, w).real)
-    return _ratios(_projections(pp.cov_factors(), w), noise)
+    return _ratios(_projections(pp.factors, w), noise)
 
 
 # ---------------------------------------------------------------------------
@@ -59,11 +70,9 @@ def problem_ratios(pp, w):
 
 
 def dense_covs(pp):
-    """K x N x N stack hhat_k hhat_k^H + Phi_k, built from the problem's fields."""
-    cols = pp.hhat.T
-    out = cols[:, :, None] * cols.conj()[:, None, :]
-    out += (pp.error_dirs * pp.error_weights[:, None, :]) @ pp.error_dirs.conj().transpose(0, 2, 1)
-    return out
+    """K x N x N stack V_k V_k^H = hhat_k hhat_k^H + Phi_k of the users' factors."""
+    v = pp.factors.transpose(1, 0, 2)
+    return v @ v.conj().transpose(0, 2, 1)
 
 
 def _cross_quadratic(covs, w):
@@ -234,9 +243,9 @@ def small_problems(draw, n=None, k=None, n_dirs=None):
     hhat = cnormal(rng, (n, k))
     hhat[:, rng.random(k) < 0.2] = 0.0
     weights = rng.uniform(0.0, 1.0, (k, n_dirs)) * (rng.random((k, n_dirs)) < 0.7)
-    return PrecodingProblem(hhat=hhat, sigma2=10.0 ** rng.uniform(-2, 1, k),
-                            power=10.0 ** rng.uniform(-1, 1),
-                            error_dirs=cnormal(rng, (k, n, n_dirs)), error_weights=weights)
+    return make_problem(hhat=hhat, sigma2=10.0 ** rng.uniform(-2, 1, k),
+                        power=10.0 ** rng.uniform(-1, 1),
+                        error_dirs=cnormal(rng, (k, n, n_dirs)), error_weights=weights)
 
 
 @st.composite
@@ -271,9 +280,9 @@ def hard_denominator_inputs(draw):
     if shared and k > 1:
         a, b = rng.choice(k, 2, replace=False)
         hhat[:, a] = hhat[:, b]
-    pp = PrecodingProblem(hhat=hhat, sigma2=1.0, power=1.0,
-                          error_dirs=cnormal(rng, (k, n, n_dirs)),
-                          error_weights=rng.uniform(0.0, 1.0, (k, n_dirs)))
+    pp = make_problem(hhat=hhat, sigma2=1.0, power=1.0,
+                      error_dirs=cnormal(rng, (k, n, n_dirs)),
+                      error_weights=rng.uniform(0.0, 1.0, (k, n_dirs)))
     wb = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.8)
     return pp, wb, c, cnormal(rng, (n, k))
 
@@ -297,8 +306,7 @@ class TestFactoredMatchesDense:
     def test_denominator_solve(self, pp, seed):
         rng = np.random.default_rng(seed)
         k = pp.num_users
-        v = pp.cov_factors()
-        vf = v.reshape(pp.num_antennas, -1)
+        vf = pp.factors.reshape(pp.num_antennas, -1)
         wb = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.8)
         c = float(rng.uniform(0.05, 1.0))
         rhs = cnormal(rng, (pp.num_antennas, k))
@@ -310,7 +318,7 @@ class TestFactoredMatchesDense:
     @given(case=hard_denominator_inputs())
     def test_denominator_solve_hard_inputs(self, case):
         pp, wb, c, rhs = case
-        vf = pp.cov_factors().reshape(pp.num_antennas, -1)
+        vf = pp.factors.reshape(pp.num_antennas, -1)
         got = one_denominator_solve(vf, wb, c, rhs)
         want = dense_denominator_solve(dense_covs(pp), wb, c, rhs)
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-7 * np.abs(want).max())
@@ -335,26 +343,54 @@ class TestFactoredMatchesDense:
 
     def test_problem_from_reconstructions_pads_error_columns(self):
         rng = np.random.default_rng(2)
-        recs = [ReconstructedChannel(hhat=cnormal(rng, 6), error_dirs=cnormal(rng, (6, 2)),
-                                     error_weights=np.array([0.3, 0.0])),
-                ReconstructedChannel(hhat=cnormal(rng, 6))]
+        dirs = cnormal(rng, (6, 2))
+        recs = [ReconstructedChannel(np.column_stack((cnormal(rng, 6),
+                                                      dirs * np.sqrt([0.3, 0.0])))),
+                ReconstructedChannel(cnormal(rng, (6, 1)))]
         pp = PrecodingProblem.from_reconstructions(recs, power=2.0, sigma2=0.1)
-        assert pp.error_dirs.shape == (2, 6, 2)
+        assert pp.factors.shape == (6, 2, 3)
         for k, rc in enumerate(recs):
-            phi = (rc.error_dirs * rc.error_weights) @ rc.error_dirs.conj().T
+            phi = (rc.factor[:, 1:] @ rc.factor[:, 1:].conj().T if k == 0
+                   else np.zeros((6, 6)))
             np.testing.assert_allclose(dense_covs(pp)[k],
                                        np.outer(rc.hhat, rc.hhat.conj()) + phi, atol=1e-13)
         plain = PrecodingProblem.from_reconstructions(recs, power=2.0, sigma2=0.1,
                                                       use_cov=False)
-        assert plain.error_weights.size == 0
+        assert plain.factors.shape == (6, 2, 1)
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
+           widths=st.lists(st.integers(0, 4), min_size=1, max_size=6))
+    def test_stacked_factors_are_the_users_factors(self, seed, n, widths):
+        # users of mixed R = L + 1; each factor is [hhat | dirs sqrt(w)] with
+        # some zero weights, and the stack pads with zero columns
+        rng = np.random.default_rng(seed)
+        parts = []
+        for width in widths:
+            weights = rng.uniform(0.0, 1.0, width) * (rng.random(width) < 0.7)
+            parts.append((cnormal(rng, n), cnormal(rng, (n, width)), weights))
+        recs = [ReconstructedChannel(np.column_stack((hhat, dirs * np.sqrt(weights))))
+                for hhat, dirs, weights in parts]
+        for use_cov in (True, False):
+            pp = PrecodingProblem.from_reconstructions(recs, power=1.0, sigma2=0.1,
+                                                       use_cov=use_cov)
+            r = 1 + max(widths) if use_cov else 1
+            want = np.zeros((n, len(parts), r), dtype=complex)
+            for k, (hhat, dirs, weights) in enumerate(parts):
+                want[:, k, 0] = hhat
+                if use_cov:
+                    want[:, k, 1:1 + dirs.shape[1]] = dirs * np.sqrt(weights)
+            assert pp.factors.shape == want.shape
+            assert pp.factors.tobytes() == want.tobytes()
+            assert pp.hhat.tobytes() == want[:, :, 0].tobytes()
 
     def test_paper_scale_memory(self):
         # one dense K x N x N covariance stack alone would take 16 MiB here
         rng = np.random.default_rng(3)
         n, k, n_paths = 256, 16, 3
-        pp = PrecodingProblem(hhat=1e-6 * cnormal(rng, (n, k)), sigma2=np.full(k, 1e-13),
-                              power=20.0, error_dirs=cnormal(rng, (k, n, n_paths)),
-                              error_weights=rng.uniform(0.0, 1e-13, (k, n_paths)))
+        pp = make_problem(hhat=1e-6 * cnormal(rng, (n, k)), sigma2=np.full(k, 1e-13),
+                          power=20.0, error_dirs=cnormal(rng, (k, n, n_paths)),
+                          error_weights=rng.uniform(0.0, 1e-13, (k, n_paths)))
         tracemalloc.start()
         try:
             res = gpip_solve(pp)
@@ -390,8 +426,8 @@ class TestBatchedSolver:
         weights = np.full((2, 2), 0.1)
         if zero_weight:
             weights[:, 1] = 0.0
-        return PrecodingProblem(hhat=cnormal(rng, (6, 2)), sigma2=1e-300, power=1e300,
-                                error_dirs=cnormal(rng, (2, 6, 2)), error_weights=weights)
+        return make_problem(hhat=cnormal(rng, (6, 2)), sigma2=1e-300, power=1e300,
+                            error_dirs=cnormal(rng, (2, 6, 2)), error_weights=weights)
 
     @pytest.mark.parametrize("zero_weight, reason", [
         (False, "non-finite or non-positive quadratic forms"),
@@ -429,10 +465,10 @@ class TestFactorSpan:
     """The solver runs in an orthonormal basis of [V | W0]; results do not depend on it."""
 
     @staticmethod
-    def moved(pp, hhat, transform):
-        return PrecodingProblem(hhat=transform(hhat), sigma2=pp.sigma2, power=pp.power,
-                                error_dirs=np.stack([transform(d) for d in pp.error_dirs]),
-                                error_weights=pp.error_weights)
+    def moved(pp, factors, transform):
+        n, k, r = factors.shape
+        return PrecodingProblem(factors=transform(factors.reshape(n, -1)).reshape(-1, k, r),
+                                sigma2=pp.sigma2, power=pp.power)
 
     @settings(deadline=None, max_examples=60)
     @given(pp=small_problems(), seed=st.integers(0, 2**32 - 1), extra=st.integers(1, 4))
@@ -441,15 +477,15 @@ class TestFactorSpan:
         n, k = pp.num_antennas, pp.num_users
         # a user whose factor is all zero starts from the all-ones direction,
         # which neither a rotation nor an embedding carries along
-        hhat = pp.hhat.copy()
-        zero = ~np.any(pp.cov_factors() != 0, axis=(0, 2))
-        hhat[:, zero] = cnormal(rng, (n, int(zero.sum())))
+        factors = pp.factors.copy()
+        zero = ~np.any(factors != 0, axis=(0, 2))
+        factors[:, zero, 0] = cnormal(rng, (n, int(zero.sum())))
         unitary = np.linalg.qr(cnormal(rng, (n, n)))[0]
         cfg = GpipConfig(max_iter=30)
-        base = gpip_solve(self.moved(pp, hhat, lambda a: a), cfg)
+        base = gpip_solve(self.moved(pp, factors, lambda a: a), cfg)
         for transform in (lambda a: unitary @ a,
                           lambda a: np.vstack((a, np.zeros((extra, a.shape[1]))))):
-            res = gpip_solve(self.moved(pp, hhat, transform), cfg)
+            res = gpip_solve(self.moved(pp, factors, transform), cfg)
             assert (res.iterations, res.converged) == (base.iterations, base.converged)
             assert res.gamma == pytest.approx(base.gamma, rel=1e-9)
 
@@ -470,7 +506,7 @@ class TestFactorSpan:
         # result is the start, every column 1 / sqrt(N K); the start is not
         # in the span of the (zero) factors
         n, k = 12, 3
-        pp = PrecodingProblem(hhat=np.zeros((n, k)), sigma2=np.full(k, 0.1), power=1.0)
+        pp = make_problem(hhat=np.zeros((n, k)), sigma2=np.full(k, 0.1), power=1.0)
         res = gpip_solve(pp)
         assert (res.iterations, res.converged) == (1, True)
         np.testing.assert_allclose(res.f, np.full((n, k), 1 / math.sqrt(n * k)), rtol=1e-12)
@@ -506,7 +542,7 @@ class TestBuildAB:
         hhat = np.zeros((2, 2), dtype=complex)
         hhat[0, 0] = 1.0
         hhat[1, 1] = 1.0
-        pp = PrecodingProblem(hhat=hhat, sigma2=np.array([1.0, 1.0]), power=10.0)
+        pp = make_problem(hhat=hhat, sigma2=np.array([1.0, 1.0]), power=10.0)
         w = np.full((2, 2), 0.5, dtype=complex)
         q_num, q_den = problem_ratios(pp, w)
         c = 0.1
@@ -537,12 +573,12 @@ class TestObjective:
     def test_single_user_closed_form(self):
         # ||hhat||^2 = 4, P/sigma2 = 1, f aligned at half amplitude: log2(5)
         hhat = np.array([2.0, 0.0, 0.0, 0.0], dtype=complex)[:, None]
-        pp = PrecodingProblem(hhat=hhat, sigma2=np.array([1.0]), power=1.0)
+        pp = make_problem(hhat=hhat, sigma2=np.array([1.0]), power=1.0)
         assert sum_se_lower_bound(hhat / 2, pp) == pytest.approx(math.log2(5), abs=1e-12)
 
     def test_orthogonal_precoder_scores_zero(self):
         hhat = np.array([[1.0], [0.0]]).astype(complex)
-        pp = PrecodingProblem(hhat=hhat, sigma2=np.array([1.0]), power=1.0)
+        pp = make_problem(hhat=hhat, sigma2=np.array([1.0]), power=1.0)
         w = np.array([[0.0], [1.0]], dtype=complex)
         assert sum_se_lower_bound(w, pp) == pytest.approx(0.0, abs=1e-14)
 
@@ -635,7 +671,7 @@ class TestGpip:
 
     def test_orthogonal_users_high_snr(self):
         hhat = np.eye(8, dtype=complex)[:, :2] * 3.0
-        pp = PrecodingProblem(hhat=hhat, sigma2=np.array([1e-6, 1e-6]), power=1.0)
+        pp = make_problem(hhat=hhat, sigma2=np.array([1e-6, 1e-6]), power=1.0)
         res = gpip_solve(pp)
         for k in range(2):
             col = res.f[:, k]
@@ -684,10 +720,9 @@ class TestGpip:
     def test_non_finite_input_raises(self):
         rng = np.random.default_rng(15)
         pp = random_problem(rng, n=4, k=2)
-        bad = pp.hhat.copy()
-        bad[0, 0] = np.nan
-        bad_pp = PrecodingProblem(hhat=bad, sigma2=pp.sigma2, power=pp.power,
-                                  error_dirs=pp.error_dirs, error_weights=pp.error_weights)
+        bad = pp.factors.copy()
+        bad[0, 0, 0] = np.nan
+        bad_pp = PrecodingProblem(factors=bad, sigma2=pp.sigma2, power=pp.power)
         with pytest.raises(GpipError):
             gpip_solve(bad_pp)
 
@@ -696,7 +731,7 @@ class TestWmmse:
     def test_single_user_matched_filter_rate(self):
         rng = np.random.default_rng(16)
         h = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-        pp = PrecodingProblem(hhat=h, sigma2=np.array([2.0]), power=5.0)
+        pp = make_problem(hhat=h, sigma2=np.array([2.0]), power=5.0)
         f = wmmse_precoder(h, pp)
         expected = math.log2(1 + np.linalg.norm(h) ** 2 * 5.0 / 2.0)
         assert true_sum_se(f, h, pp) == pytest.approx(expected, rel=1e-9)
@@ -704,7 +739,7 @@ class TestWmmse:
     def test_rate_non_decreasing_in_iterations(self):
         rng = np.random.default_rng(17)
         h = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-        pp = PrecodingProblem(hhat=h, sigma2=np.ones(3), power=10.0)
+        pp = make_problem(hhat=h, sigma2=np.ones(3), power=10.0)
         rates = [true_sum_se(wmmse_precoder(h, pp, iters=i, tol=1e-15), h, pp)
                  for i in (1, 2, 4, 8, 16)]
         assert all(b >= a - 1e-9 for a, b in zip(rates, rates[1:]))
@@ -713,7 +748,7 @@ class TestWmmse:
         rng = np.random.default_rng(18)
         for _ in range(20):
             h = rng.normal(size=(8, 2)) + 1j * rng.normal(size=(8, 2))
-            pp = PrecodingProblem(hhat=h, sigma2=np.ones(2), power=4.0)
+            pp = make_problem(hhat=h, sigma2=np.ones(2), power=4.0)
             zf_rate = true_sum_se(zf_precoder(h), h, pp)
             wm_rate = true_sum_se(wmmse_precoder(h, pp), h, pp)
             assert wm_rate >= zf_rate - 1e-9
@@ -727,15 +762,15 @@ class TestWmmse:
             h = 1e-5 * cnormal(rng, (n, k))
             if shared:
                 h[:, 1] = h[:, 0]
-            pp = PrecodingProblem(hhat=h, sigma2=10.0 ** rng.uniform(-11, -9, k),
-                                  power=10.0 ** rng.uniform(-1, 1))
+            pp = make_problem(hhat=h, sigma2=10.0 ** rng.uniform(-11, -9, k),
+                              power=10.0 ** rng.uniform(-1, 1))
             assert true_sum_se(wmmse_precoder(h, pp), h, pp) == pytest.approx(
                 true_sum_se(dense_wmmse_precoder(h, pp), h, pp), rel=1e-12)
 
     def test_zero_user_channel_rejected(self):
         h = cnormal(np.random.default_rng(25), (6, 3))
         h[:, 1] = 0.0
-        pp = PrecodingProblem(hhat=h, sigma2=np.ones(3), power=1.0)
+        pp = make_problem(hhat=h, sigma2=np.ones(3), power=1.0)
         with pytest.raises(ValueError, match="column 1 is all zero"):
             wmmse_precoder(h, pp)
 
@@ -744,7 +779,7 @@ class TestWmmse:
         rng = np.random.default_rng(26)
         n, k = 2048, 4
         h = cnormal(rng, (n, k))
-        pp = PrecodingProblem(hhat=h, sigma2=np.full(k, 10.0), power=1.0)
+        pp = make_problem(hhat=h, sigma2=np.full(k, 10.0), power=1.0)
         tracemalloc.start()
         try:
             w = wmmse_precoder(h, pp)
@@ -759,14 +794,14 @@ class TestTrueSumSe:
     def test_matches_lower_bound_with_perfect_csi(self):
         rng = np.random.default_rng(19)
         h = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
-        pp = PrecodingProblem(hhat=h, sigma2=np.array([1.5]), power=2.0)
+        pp = make_problem(hhat=h, sigma2=np.array([1.5]), power=2.0)
         w = h / np.linalg.norm(h)
         assert true_sum_se(w, h, pp) == pytest.approx(sum_se_lower_bound(w, pp), rel=1e-12)
 
     def test_zero_interference_sinr(self):
         rng = np.random.default_rng(20)
         h = rng.normal(size=(6, 3)) + 1j * rng.normal(size=(6, 3))
-        pp = PrecodingProblem(hhat=h, sigma2=np.full(3, 0.7), power=3.0)
+        pp = make_problem(hhat=h, sigma2=np.full(3, 0.7), power=3.0)
         w = zf_precoder(h)
         expected = sum(
             math.log2(1 + abs(np.vdot(h[:, k], w[:, k])) ** 2 * 3.0 / 0.7)
@@ -796,22 +831,17 @@ class TestStackAndConfig:
                                                (1.0, np.inf), (1.0, np.nan)])
     def test_non_finite_noise_or_power_rejected(self, sigma2, power):
         with pytest.raises(ValueError, match="finite"):
-            PrecodingProblem(hhat=np.ones((2, 2), dtype=complex),
-                             sigma2=np.array([1.0, sigma2]), power=power)
+            make_problem(hhat=np.ones((2, 2), dtype=complex),
+                         sigma2=np.array([1.0, sigma2]), power=power)
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):
-            PrecodingProblem(hhat=np.ones((2, 1), dtype=complex),
-                             sigma2=np.array([-1.0]), power=1.0)
+            make_problem(hhat=np.ones((2, 1), dtype=complex),
+                         sigma2=np.array([-1.0]), power=1.0)
         with pytest.raises(ValueError):
-            PrecodingProblem(hhat=np.ones((2, 1), dtype=complex),
-                             sigma2=np.array([1.0]), power=1.0,
-                             error_dirs=np.zeros((1, 3, 2)), error_weights=np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            PrecodingProblem(hhat=np.ones((2, 1), dtype=complex),
-                             sigma2=np.array([1.0]), power=1.0,
-                             error_dirs=np.zeros((1, 2, 2)), error_weights=np.zeros((1, 3)))
-        with pytest.raises(ValueError):
-            PrecodingProblem(hhat=np.ones((2, 1), dtype=complex),
-                             sigma2=np.array([1.0]), power=1.0,
-                             error_dirs=np.ones((1, 2, 1)), error_weights=np.array([[-0.5]]))
+            make_problem(hhat=np.ones((2, 1), dtype=complex),
+                         sigma2=np.array([1.0, 1.0]), power=1.0)
+        with pytest.raises(ValueError, match="N x K x R"):
+            PrecodingProblem(factors=np.ones((2, 1)), sigma2=np.array([1.0]), power=1.0)
+        with pytest.raises(ValueError, match="R >= 1"):
+            PrecodingProblem(factors=np.ones((2, 1, 0)), sigma2=np.array([1.0]), power=1.0)

@@ -28,8 +28,9 @@ GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.
 
 
 def dense_phi(rc):
-    """The N x N error covariance from a reconstruction's factors."""
-    return (rc.error_dirs * rc.error_weights) @ rc.error_dirs.conj().T
+    """The N x N error covariance E E^H from the error columns of the factor."""
+    e = rc.factor[:, 1:]
+    return e @ e.conj().T
 
 
 def geom_n(n):
@@ -239,7 +240,8 @@ class TestAsymptoticDeltaNorm:
 class TestDftReconstruction:
     def test_wraps_estimate_with_zero_cov(self):
         rc = reconstruct_dft(np.ones(4, dtype=complex), GEOM)
-        assert rc.error_dirs.shape == (4, 0) and rc.error_weights.shape == (0,)
+        assert rc.factor.shape == (4, 1)
+        np.testing.assert_array_equal(rc.hhat, np.ones(4))
         assert np.all(dense_phi(rc) == 0)
 
     def test_wrong_length_rejected(self):
@@ -249,13 +251,9 @@ class TestDftReconstruction:
 
 class TestReconstructedChannel:
     def test_malformed_factors_rejected(self):
-        h = np.ones(4, dtype=complex)
-        with pytest.raises(ValueError):
-            ReconstructedChannel(hhat=h, error_dirs=np.ones((3, 2)), error_weights=np.ones(2))
-        with pytest.raises(ValueError):
-            ReconstructedChannel(hhat=h, error_dirs=np.ones((4, 2)), error_weights=np.ones(3))
-        with pytest.raises(ValueError):
-            ReconstructedChannel(hhat=h, error_dirs=np.ones((4, 1)),
-                                 error_weights=np.array([-1.0]))
-        with pytest.raises(ValueError):
-            ReconstructedChannel(hhat=np.ones((4, 1)))
+        with pytest.raises(ValueError, match="N x R"):
+            ReconstructedChannel(np.ones(4, dtype=complex))
+        with pytest.raises(ValueError, match="R >= 1"):
+            ReconstructedChannel(np.ones((4, 0), dtype=complex))
+        with pytest.raises(ValueError, match="N x R"):
+            ReconstructedChannel(np.ones((4, 1, 1)))
