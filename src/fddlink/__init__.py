@@ -18,9 +18,7 @@ from .allocation import (
 )
 from .channel import (
     ArrayGeometry,
-    EstimationNoise,
     PathSet,
-    array_response,
     dl_channel,
     draw_scene,
     draw_user_paths,

@@ -69,32 +69,6 @@ class PathSet:
         return len(self.thetas)
 
 
-@dataclass(frozen=True)
-class EstimationNoise:
-    """Perturbation levels emulating imperfect AoA/amplitude estimation."""
-
-    aoa_sigma: float = 0.0
-    gain_rel_sigma: float = 0.0
-
-    def __post_init__(self):
-        if self.aoa_sigma < 0 or self.gain_rel_sigma < 0:
-            raise ValueError("noise sigmas must be nonnegative")
-
-
-def array_response(theta: float, wavelength: float, geom: ArrayGeometry) -> np.ndarray:
-    """Steering vector of the ULA for angle ``theta`` at ``wavelength``.
-
-    Element n (0-based) is exp(-j * (2*pi/wavelength) * n * d * sin(theta)),
-    so element 0 is always 1 and every element has unit magnitude.
-    """
-    if not (np.isfinite(theta) and np.isfinite(wavelength)):
-        raise ValueError("theta and wavelength must be finite")
-    if wavelength <= 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
-    n = np.arange(geom.num_antennas)
-    return np.exp(-1j * (TWO_PI / wavelength) * n * geom.spacing * math.sin(theta))
-
-
 def steering_matrix(thetas, wavelength: float, geom: ArrayGeometry) -> np.ndarray:
     """N x L matrix whose columns are steering vectors at the given angles."""
     thetas = np.asarray(thetas, dtype=float)
@@ -177,20 +151,24 @@ def draw_scene(cfg, rng: np.random.Generator) -> list[PathSet]:
     return [draw_user_paths(cfg, rng) for _ in range(cfg.n_users)]
 
 
-def perturb_estimates(ps: PathSet, noise: EstimationNoise, rng: np.random.Generator) -> PathSet:
+def perturb_estimates(ps: PathSet, aoa_sigma: float, gain_rel_sigma: float,
+                      rng: np.random.Generator) -> PathSet:
     """Emulate imperfect AoA/amplitude estimation on a path set.
 
-    AoAs get additive Gaussian error clamped to [-pi/2, pi/2]; amplitudes get
-    relative Gaussian error clamped at zero.  Distances and phases are left
+    AoAs get additive Gaussian error of std ``aoa_sigma`` (rad) clamped to
+    [-pi/2, pi/2]; amplitudes get relative Gaussian error of std
+    ``gain_rel_sigma`` clamped at zero.  Distances and phases are left
     untouched (the estimator never observes them directly).
     """
+    if aoa_sigma < 0 or gain_rel_sigma < 0:
+        raise ValueError("noise sigmas must be nonnegative")
     # path by path, the AoA error is drawn before the gain error
-    sigmas = [s for s in (noise.aoa_sigma, noise.gain_rel_sigma) if s > 0]
+    sigmas = [s for s in (aoa_sigma, gain_rel_sigma) if s > 0]
     errors = rng.normal(0.0, sigmas, size=(len(ps), len(sigmas)))
     thetas, betas = ps.thetas, ps.betas
-    if noise.aoa_sigma > 0:
+    if aoa_sigma > 0:
         thetas = np.clip(thetas + errors[:, 0], -math.pi / 2, math.pi / 2)
-    if noise.gain_rel_sigma > 0:
+    if gain_rel_sigma > 0:
         betas = betas * (1.0 + errors[:, -1])
         betas = np.where(betas < 0.0, 0.0, betas)  # max(beta, 0.0), signed zeros kept
     return replace(ps, thetas=thetas, betas=betas)

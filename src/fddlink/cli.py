@@ -1,4 +1,10 @@
-"""Command-line front end: experiment sweeps, bit allocation, and precoding."""
+"""Command-line front end.
+
+``sim`` runs an experiment sweep and writes one aggregated record per sweep
+point and metric; ``allocate`` solves one bit-allocation instance;
+``precode`` writes the per-drop rows of the ``sim se`` sweep, the samples
+that ``sim se`` averages.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +14,11 @@ import json
 import logging
 import sys
 
+import numpy as np
+
 from . import allocation
-from .config import PAPER_SCALE_OVERRIDES, SE_METHODS, ConfigError, ScenarioConfig, load_config
-from .harness import emit_csv, run_experiment, se_samples
+from .config import PAPER_SCALE_OVERRIDES, ConfigError, ScenarioConfig, load_config
+from .harness import SE_METRICS, emit_csv, run_experiment, se_axes, se_samples
 from .precoding import GpipError
 
 
@@ -53,31 +61,18 @@ def _cmd_allocate(args) -> int:
     return 0
 
 
-def _precode_method(precoder: str, reconstruction: str) -> str:
-    """The `sim se` method that `precode` evaluates for (--method, reconstruction).
-
-    WMMSE always runs on the true channel; GPIP uses the error covariance.
-    """
-    source = "perfect" if precoder == "wmmse" else reconstruction
-    return next(name for name, row in SE_METHODS.items()
-                if row == (source, precoder, precoder == "gpip"))
-
-
 def _cmd_precode(args) -> int:
     cfg = _load_scenario(args)
-    power_dbm = float(cfg.power_dbm_grid[0])
-    point = cfg.replace(n_grid=(cfg.n_antennas,), l_grid=(cfg.n_paths,),
-                        power_dbm_grid=(power_dbm,), b_tot_grid=(cfg.b_tot,),
-                        se_methods=(_precode_method(args.method, cfg.reconstruction),))
-    samples = se_samples(point).reshape(cfg.trials, -1)
+    axes = se_axes(cfg)
+    samples = se_samples(cfg)
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(("drop", "method", "reconstruction", "b_tot", "power_dbm",
-                         "true_sum_se", "se_lower_bound", "iterations"))
-        for drop, (true_se, lower_bound, iterations) in enumerate(samples):
-            writer.writerow([drop, args.method, cfg.reconstruction, cfg.b_tot, power_dbm,
+        writer.writerow(("drop", *(name for name, _ in axes), *SE_METRICS, "iterations"))
+        for drop, *point in np.ndindex(samples.shape[:-1]):
+            true_se, lower_bound, iterations = samples[(drop, *point)]
+            writer.writerow([drop, *(values[i] for (_, values), i in zip(axes, point)),
                              float(true_se), float(lower_bound), int(iterations)])
-    print(f"wrote {cfg.trials} drops to {args.out}")
+    print(f"wrote {samples[..., 0].size} records to {args.out}")
     return 0
 
 
@@ -105,8 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     alloc.add_argument("--method", choices=("greedy", "bruteforce"), default="greedy")
     alloc.set_defaults(func=_cmd_allocate)
 
-    pre = sub.add_parser("precode", help="per-drop precoding on drawn scenes")
-    pre.add_argument("--method", choices=("gpip", "zf", "wmmse"), default="gpip")
+    pre = sub.add_parser("precode", help="per-drop records of the `sim se` sweep")
     pre.add_argument("--config", help="scenario file (flat key = value text)")
     pre.add_argument("--out", required=True, help="output CSV path")
     pre.add_argument("--seed", type=int, help="override the master seed")

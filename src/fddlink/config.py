@@ -21,11 +21,11 @@ log = logging.getLogger(__name__)
 
 SPEED_OF_LIGHT = 299_792_458.0
 
-RECONSTRUCTION_MODES = ("mmse", "no_feedback", "dft")
 ALLOCATORS = ("greedy", "uniform", "none")
-# SE method -> (CSI source, precoder, use_cov).  The CSI sources are the
-# reconstruction modes plus "perfect", the true channel; use_cov says whether
-# the precoder sees the reconstruction's error covariance.
+# SE method -> (CSI source, precoder, use_cov).  The CSI sources are MMSE
+# reconstruction, the geometry-only estimate, the DFT codebook and "perfect",
+# the true channel; use_cov says whether the precoder sees the
+# reconstruction's error covariance.
 SE_METHODS = {
     "gpip_robust": ("mmse", "gpip", True),
     "gpip_plain": ("mmse", "gpip", False),
@@ -65,7 +65,6 @@ class ScenarioConfig:
     isd: float = 500.0
     noise_dbm: float = -113.0
     power_dbm_grid: tuple[float, ...] = (43.0,)
-    b_tot: int = 15
     b_tot_grid: tuple[int, ...] = (0, 3, 6, 9, 12, 15, 18, 21)
     l_grid: tuple[int, ...] = ()  # empty means "just n_paths"
     n_grid: tuple[int, ...] = ()  # empty means "just n_antennas"
@@ -78,7 +77,6 @@ class ScenarioConfig:
     excess_range: float = 100.0
     aoa_sigma: float = 0.0
     gain_rel_sigma: float = 0.0
-    reconstruction: str = "mmse"
     allocator: str = "greedy"
     se_methods: tuple[str, ...] = ("gpip_robust", "gpip_plain", "zf_mmse",
                                    "zf_nofeedback", "wmmse_perfect")
@@ -136,7 +134,6 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(len(cfg.power_dbm_grid) > 0, "power_dbm_grid", "must be non-empty")
     need(all(math.isfinite(p) for p in cfg.power_dbm_grid), "power_dbm_grid",
          "entries must be finite")
-    need(cfg.b_tot >= 0, "b_tot", "must be >= 0")
     need(len(cfg.b_tot_grid) > 0, "b_tot_grid", "must be non-empty")
     need(all(b >= 0 for b in cfg.b_tot_grid), "b_tot_grid", "entries must be >= 0")
     need(all(l >= 1 for l in cfg.l_grid), "l_grid", "entries must be >= 1")
@@ -148,10 +145,6 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(cfg.excess_range >= 0, "excess_range", "must be >= 0")
     need(cfg.aoa_sigma >= 0, "aoa_sigma", "must be >= 0")
     need(cfg.gain_rel_sigma >= 0, "gain_rel_sigma", "must be >= 0")
-    need(cfg.reconstruction in RECONSTRUCTION_MODES, "reconstruction",
-         f"must be one of {RECONSTRUCTION_MODES}")
-    need(cfg.reconstruction != "dft" or cfg.b_tot <= MAX_DFT_BITS, "b_tot",
-         f"must be <= {MAX_DFT_BITS} with DFT-codebook reconstruction")
     need(cfg.allocator in ALLOCATORS, "allocator", f"must be one of {ALLOCATORS}")
     need(len(cfg.se_methods) > 0, "se_methods", "must be non-empty")
     for m in cfg.se_methods:

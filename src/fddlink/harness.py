@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import allocation, channel, feedback, precoding, reconstruction
-from .config import SE_METHODS, ScenarioConfig
+from .config import ALLOCATORS, SE_METHODS, ScenarioConfig
 
 CSV_COLUMNS = ("experiment", "n_antennas", "n_users", "n_paths", "b_tot",
                "power_dbm", "method", "metric", "mean", "std_err", "trials")
@@ -130,15 +130,12 @@ def _draw_scene(cfg: ScenarioConfig, rng):
     scene = channel.draw_scene(cfg, rng)
     if cfg.aoa_sigma == 0 and cfg.gain_rel_sigma == 0:
         return scene, scene
-    noise = channel.EstimationNoise(cfg.aoa_sigma, cfg.gain_rel_sigma)
-    return scene, [channel.perturb_estimates(ps, noise, rng) for ps in scene]
+    return scene, [channel.perturb_estimates(ps, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
+                   for ps in scene]
 
 
 # ---------------------------------------------------------------------------
 # reconstruction-MSE experiment
-
-
-MSE_STRATEGIES = ("greedy", "uniform", "none")
 
 
 def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
@@ -153,9 +150,9 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     def trial(t, rng):
         ps = channel.draw_user_paths(cfg, rng)
         h = channel.dl_channel(ps, geom)
-        out = np.empty((len(b_grid), len(MSE_STRATEGIES), 2))
+        out = np.empty((len(b_grid), len(ALLOCATORS), 2))
         for bi, b_tot in enumerate(b_grid):
-            for si, strategy in enumerate(MSE_STRATEGIES):
+            for si, strategy in enumerate(ALLOCATORS):
                 fp, rc = _mmse_csi(ps, ps, strategy, b_tot, geom)
                 err = float(np.sum(np.abs(h - rc.hhat) ** 2))
                 cf = allocation.theoretical_weighted_mse(ps.betas, fp.bits, geom.num_antennas)
@@ -163,7 +160,7 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
         return out
 
     return _records("mse", cfg, _run_trials(cfg, trial, workers),
-                    (("b_tot", b_grid), ("method", MSE_STRATEGIES),
+                    (("b_tot", b_grid), ("method", ALLOCATORS),
                      ("metric", ("mse_closed_form", "mse_monte_carlo"))),
                     n_antennas=cfg.n_antennas, n_users=1, n_paths=cfg.n_paths,
                     power_dbm=cfg.power_dbm_grid[0])
@@ -312,21 +309,28 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
                      precoding.sum_se_lower_bound(result.f, pp), result.iterations)
 
 
+def se_axes(cfg: ScenarioConfig) -> tuple:
+    """The SE sweep's axes in se_samples order, each paired with its record field."""
+    return (("n_antennas", cfg.n_grid), ("n_paths", cfg.l_grid),
+            ("power_dbm", cfg.power_dbm_grid), ("b_tot", cfg.b_tot_grid),
+            ("method", cfg.se_methods))
+
+
 def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
     """Per-drop SE outputs over the whole sweep.
 
-    Shape (trials, n_grid, l_grid, power_dbm_grid, b_tot_grid, se_methods, 3);
-    the last axis holds the two SE_METRICS and the GPIP iteration count (0
-    for other precoders).  Methods whose CSI source ignores the budget are
-    computed once per (drop, N, L, power) and replicated across budgets.  A
-    solver or ZF failure is re-raised with the seed, trial, sweep point and
-    method that reproduce it.
+    Shape (trials, n_grid, l_grid, power_dbm_grid, b_tot_grid, se_methods, 3),
+    the se_axes after the trial axis; the last axis holds the two SE_METRICS
+    and the GPIP iteration count (0 for other precoders).  Methods whose CSI
+    source ignores the budget are computed once per (drop, N, L, power) and
+    replicated across budgets.  A solver or ZF failure is re-raised with the
+    seed, trial, sweep point and method that reproduce it.
     """
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in cfg.l_grid}
+    shape = (*(len(values) for _, values in se_axes(cfg)), len(SE_METRICS) + 1)
 
     def trial(t, rng):
-        out = np.empty((len(cfg.n_grid), len(cfg.l_grid), len(cfg.power_dbm_grid),
-                        len(cfg.b_tot_grid), len(cfg.se_methods), len(SE_METRICS) + 1))
+        out = np.empty(shape)
         for li, L in enumerate(cfg.l_grid):
             scene, ests = _draw_scene(cfgs_by_l[L], rng)
             for ni, n in enumerate(cfg.n_grid):
@@ -343,10 +347,7 @@ def run_se_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     grids (see se_samples).
     """
     return _records("se", cfg, se_samples(cfg, workers),
-                    (("n_antennas", cfg.n_grid), ("n_paths", cfg.l_grid),
-                     ("power_dbm", cfg.power_dbm_grid), ("b_tot", cfg.b_tot_grid),
-                     ("method", cfg.se_methods), ("metric", SE_METRICS)),
-                    n_users=cfg.n_users)
+                    (*se_axes(cfg), ("metric", SE_METRICS)), n_users=cfg.n_users)
 
 
 EXPERIMENTS = {

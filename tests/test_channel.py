@@ -6,15 +6,14 @@ import pytest
 
 from fddlink.channel import (
     ArrayGeometry,
-    EstimationNoise,
     PathSet,
-    array_response,
     dl_channel,
     dl_path_gains,
     draw_scene,
     draw_user_paths,
     path_loss,
     perturb_estimates,
+    steering_matrix,
     ul_channel,
 )
 from fddlink.config import ScenarioConfig
@@ -29,6 +28,11 @@ def make_paths(thetas=0.3, betas=1.0, distances=100.0, phases_ul=0.7, phases_dl=
                      for v in (thetas, betas, distances, phases_ul, phases_dl)))
 
 
+def steering_vector(theta, wavelength, geom):
+    """One steering vector: the single column of steering_matrix."""
+    return steering_matrix(np.array([theta]), wavelength, geom)[:, 0]
+
+
 def assert_same_paths(a, b):
     """Bitwise equality of every per-path array."""
     for f in fields(PathSet):
@@ -37,47 +41,39 @@ def assert_same_paths(a, b):
 
 class TestArrayResponse:
     def test_broadside_is_all_ones(self):
-        a = array_response(0.0, 0.02, GEOM)
+        a = steering_vector(0.0, 0.02, GEOM)
         np.testing.assert_allclose(a, np.ones(4), atol=1e-15)
 
     def test_half_wavelength_thirty_degrees(self):
         # d = lambda/2 and sin(pi/6) = 1/2 give a per-element phase of -pi/2
         geom = ArrayGeometry(num_antennas=2, spacing=0.0125, lambda_ul=0.03, lambda_dl=0.025)
-        a = array_response(math.pi / 6, 0.025, geom)
+        a = steering_vector(math.pi / 6, 0.025, geom)
         np.testing.assert_allclose(a, [1.0, -1j], atol=1e-15)
 
     def test_unit_magnitude(self):
-        a = array_response(-0.9, 0.025, ArrayGeometry(64, 0.015, 0.03, 0.025))
+        a = steering_vector(-0.9, 0.025, ArrayGeometry(64, 0.015, 0.03, 0.025))
         np.testing.assert_allclose(np.abs(a), 1.0, atol=1e-14)
 
     def test_conjugate_symmetry(self):
-        a_pos = array_response(0.4, 0.025, GEOM)
-        a_neg = array_response(-0.4, 0.025, GEOM)
+        a_pos = steering_vector(0.4, 0.025, GEOM)
+        a_neg = steering_vector(-0.4, 0.025, GEOM)
         np.testing.assert_allclose(a_neg, a_pos.conj(), atol=1e-14)
 
     def test_self_correlation_is_exactly_n(self):
         for n in (4, 64, 257):
             geom = ArrayGeometry(n, 0.015, 0.03, 0.025)
-            a = array_response(0.77, 0.025, geom)
+            a = steering_vector(0.77, 0.025, geom)
             assert abs(np.vdot(a, a).real / n - 1.0) < 1e-13
 
     def test_cross_correlation_decays_with_n(self):
         vals = []
         for n in (64, 256, 1024):
             geom = ArrayGeometry(n, 0.015, 0.03, 0.025)
-            a1 = array_response(0.3, 0.025, geom)
-            a2 = array_response(-0.5, 0.025, geom)
+            a1 = steering_vector(0.3, 0.025, geom)
+            a2 = steering_vector(-0.5, 0.025, geom)
             vals.append(abs(np.vdot(a1, a2)) / n)
         assert vals[0] > vals[1] > vals[2]
         assert vals[-1] < 1e-2
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            array_response(np.nan, 0.025, GEOM)
-        with pytest.raises(ValueError):
-            array_response(0.1, np.inf, GEOM)
-        with pytest.raises(ValueError):
-            array_response(0.1, -1.0, GEOM)
 
 
 class TestPathSet:
@@ -107,7 +103,7 @@ class TestChannelSynthesis:
     def test_single_unit_path_is_steering_vector(self):
         ps = make_paths(thetas=0.5, betas=1.0, distances=0.0, phases_dl=0.0)
         np.testing.assert_allclose(dl_channel(ps, GEOM),
-                                   array_response(0.5, GEOM.lambda_dl, GEOM), atol=1e-14)
+                                   steering_vector(0.5, GEOM.lambda_dl, GEOM), atol=1e-14)
 
     def test_zero_gain_path_vanishes(self):
         h2 = dl_channel(make_paths(thetas=(0.2, -0.8), betas=(1.0, 0.0)), GEOM)
@@ -208,28 +204,32 @@ class TestDrawScene:
 class TestPerturbEstimates:
     def test_zero_noise_is_identity(self):
         ps = make_paths(thetas=(0.3, -0.4))
-        out = perturb_estimates(ps, EstimationNoise(0.0, 0.0), np.random.default_rng(1))
+        out = perturb_estimates(ps, 0.0, 0.0, np.random.default_rng(1))
         assert_same_paths(out, ps)
 
     def test_folded_gaussian_aoa_error(self):
         sigma = 0.01
         ps = make_paths(thetas=np.zeros(100_000))
-        out = perturb_estimates(ps, EstimationNoise(aoa_sigma=sigma, gain_rel_sigma=0.0),
-                                np.random.default_rng(9))
+        out = perturb_estimates(ps, sigma, 0.0, np.random.default_rng(9))
         err = np.abs(out.thetas - ps.thetas)
         expected = sigma * math.sqrt(2 / math.pi)
         stderr = sigma * math.sqrt(1 - 2 / math.pi) / math.sqrt(len(ps))
         assert abs(err.mean() - expected) < 4 * stderr
 
     def test_gains_never_negative(self):
-        out = perturb_estimates(make_paths(thetas=np.full(500, 0.3), betas=0.01),
-                                EstimationNoise(0.0, 5.0), np.random.default_rng(2))
+        out = perturb_estimates(make_paths(thetas=np.full(500, 0.3), betas=0.01), 0.0, 5.0,
+                                np.random.default_rng(2))
         assert np.all(out.betas >= 0.0)
 
     def test_aoa_stays_in_range(self):
-        out = perturb_estimates(make_paths(thetas=np.full(500, 1.5)), EstimationNoise(1.0, 0.0),
+        out = perturb_estimates(make_paths(thetas=np.full(500, 1.5)), 1.0, 0.0,
                                 np.random.default_rng(3))
         assert np.all(np.abs(out.thetas) <= math.pi / 2)
+
+    @pytest.mark.parametrize("aoa_sigma, gain_rel_sigma", [(-0.1, 0.0), (0.0, -1e-12)])
+    def test_negative_sigma_rejected(self, aoa_sigma, gain_rel_sigma):
+        with pytest.raises(ValueError, match="nonnegative"):
+            perturb_estimates(make_paths(), aoa_sigma, gain_rel_sigma, np.random.default_rng(0))
 
     @pytest.mark.parametrize("aoa_sigma, gain_rel_sigma",
                              [(0.05, 0.2), (0.0, 0.3), (0.1, 0.0), (0.0, 0.0), (3.0, 2.0)])
@@ -237,7 +237,7 @@ class TestPerturbEstimates:
         # reference: path by path, one scalar AoA draw, then one scalar gain draw
         ps = make_paths(thetas=np.linspace(-1.5, 1.5, 8), betas=np.linspace(0.0, 1.0, 8))
         rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        out = perturb_estimates(ps, EstimationNoise(aoa_sigma, gain_rel_sigma), rng)
+        out = perturb_estimates(ps, aoa_sigma, gain_rel_sigma, rng)
         thetas, betas = [], []
         for theta, beta in zip(ps.thetas, ps.betas):
             if aoa_sigma > 0:

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from fddlink.cli import main
+from fddlink.config import SE_METHODS
 
 
 def test_allocate_prints_json(capsys):
@@ -51,26 +52,30 @@ def test_sim_rejects_bad_config(tmp_path, capsys):
 
 def test_precode_writes_per_drop_records(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("n_antennas = 8\nn_users = 2\nn_paths = 2\ntrials = 4\nb_tot = 4\n")
+    cfg.write_text("n_antennas = 8\nn_users = 2\nn_paths = 2\ntrials = 4\n"
+                   "b_tot_grid = 4\nse_methods = gpip_robust\n")
     out = tmp_path / "drops.csv"
-    assert main(["precode", "--method", "gpip", "--config", str(cfg),
-                 "--out", str(out)]) == 0
+    assert main(["precode", "--config", str(cfg), "--out", str(out)]) == 0
     rows = list(csv.DictReader(out.open()))
-    assert len(rows) == 4
-    assert all(r["method"] == "gpip" for r in rows)
+    assert list(rows[0]) == ["drop", "n_antennas", "n_paths", "power_dbm", "b_tot", "method",
+                             "true_sum_se", "se_lower_bound", "iterations"]
+    assert [r["drop"] for r in rows] == ["0", "1", "2", "3"]
+    assert all(r["method"] == "gpip_robust" and r["b_tot"] == "4" for r in rows)
     assert all(math.isfinite(float(r["true_sum_se"])) for r in rows)
     assert all(int(r["iterations"]) >= 1 for r in rows)
 
 
 def test_precode_zf_and_wmmse(tmp_path):
     cfg = tmp_path / "s.cfg"
-    cfg.write_text("n_antennas = 8\nn_users = 2\nn_paths = 2\ntrials = 2\n")
-    for method in ("zf", "wmmse"):
-        out = tmp_path / f"{method}.csv"
-        assert main(["precode", "--method", method, "--config", str(cfg),
-                     "--out", str(out)]) == 0
-        rows = list(csv.DictReader(out.open()))
-        assert len(rows) == 2
+    cfg.write_text("n_antennas = 8\nn_users = 2\nn_paths = 2\ntrials = 2\n"
+                   "b_tot_grid = 0, 15\nse_methods = zf_mmse, wmmse_perfect\n")
+    out = tmp_path / "drops.csv"
+    assert main(["precode", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    # drop-major, then the sweep axes in se_samples order
+    assert [(r["drop"], r["b_tot"], r["method"]) for r in rows] == [
+        (d, b, m) for d in "01" for b in ("0", "15") for m in ("zf_mmse", "wmmse_perfect")]
+    assert all(r["iterations"] == "0" for r in rows)
 
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -127,41 +132,29 @@ def test_zf_defined_when_dft_users_share_a_codeword(tmp_path):
     assert all(math.isfinite(float(r["mean"])) for r in rows)
 
 
-@pytest.mark.parametrize("precoder,reconstruction,se_method,b_tot", [
-    (None, "mmse", "gpip_robust", 9),  # --method defaults to gpip
-    ("gpip", "mmse", "gpip_robust", 9),
-    ("gpip", "no_feedback", "gpip_nofeedback", 9),
-    ("gpip", "dft", "gpip_dft", 9),
-    ("zf", "mmse", "zf_mmse", 9),
-    ("zf", "no_feedback", "zf_nofeedback", 9),
-    ("zf", "dft", "zf_dft", 9),
-    ("wmmse", "mmse", "wmmse_perfect", 9),
-    ("wmmse", "no_feedback", "wmmse_perfect", 9),
-    ("wmmse", "dft", "wmmse_perfect", 9),
-    ("zf", "mmse", "zf_mmse", 0),
-])
-def test_precode_row_is_the_sim_se_point(tmp_path, precoder, reconstruction, se_method,
-                                         b_tot):
-    scenario = "n_antennas = 16\nn_users = 3\nn_paths = 3\ntrials = 1\naoa_sigma = 0.02\n"
-    pre_cfg, se_cfg = tmp_path / "pre.cfg", tmp_path / "se.cfg"
-    pre_cfg.write_text(scenario + f"b_tot = {b_tot}\nreconstruction = {reconstruction}\n")
-    se_cfg.write_text(scenario + f"b_tot_grid = {b_tot}\nse_methods = {se_method}\n")
+def test_precode_row_is_the_sim_se_point(tmp_path):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_antennas = 16\nn_users = 3\nn_paths = 3\ntrials = 1\n"
+                   "aoa_sigma = 0.02\npower_dbm_grid = 30, 43\nb_tot_grid = 0, 9\n"
+                   f"se_methods = {', '.join(SE_METHODS)}\n")
     drops, se = tmp_path / "drops.csv", tmp_path / "se.csv"
-    method = [] if precoder is None else ["--method", precoder]
-    assert main(["precode", *method, "--config", str(pre_cfg), "--out", str(drops)]) == 0
-    assert main(["sim", "se", "--config", str(se_cfg), "--out", str(se)]) == 0
-    (row,) = csv.DictReader(drops.open())
-    assert row["method"] == (precoder or "gpip")
-    means = {r["metric"]: r["mean"] for r in csv.DictReader(se.open())}
-    assert row["true_sum_se"] == means["true_sum_se"]
-    assert row["se_lower_bound"] == means["se_lower_bound"]
+    assert main(["precode", "--config", str(cfg), "--out", str(drops)]) == 0
+    assert main(["sim", "se", "--config", str(cfg), "--out", str(se)]) == 0
+    key = ("n_antennas", "n_paths", "power_dbm", "b_tot", "method")
+    means = {(*(r[k] for k in key), r["metric"]): r["mean"] for r in csv.DictReader(se.open())}
+    rows = list(csv.DictReader(drops.open()))
+    assert len(rows) == 2 * 2 * len(SE_METHODS) and len(means) == 2 * len(rows)
+    for row in rows:
+        for metric in ("true_sum_se", "se_lower_bound"):
+            assert row[metric] == means[(*(row[k] for k in key), metric)], row
 
 
-def test_failed_drop_names_seed_trial_point_and_method(tmp_path, capsys):
+@pytest.mark.parametrize("command", [["sim", "se"], ["precode"]], ids=["sim-se", "precode"])
+def test_failed_drop_names_seed_trial_point_and_method(tmp_path, capsys, command):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_antennas = 2\nn_users = 3\nn_paths = 2\ntrials = 3\n"
                    "b_tot_grid = 0\nse_methods = zf_mmse\n")
-    assert main(["sim", "se", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert "zero-forcing needs K <= N" in err
     assert re.search(r"\(seed 1234, trial \d+, n_antennas 2, n_paths 2, power_dbm 43\.0, "

@@ -2,7 +2,10 @@
 
 import math
 import re
+import shlex
 from pathlib import Path
+
+from fddlink.cli import build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -14,3 +17,14 @@ def test_library_use_block_runs(capsys):
     value, unit = capsys.readouterr().out.split()
     assert unit == "bits/s/Hz"
     assert math.isfinite(float(value)) and float(value) > 0
+
+
+def test_command_line_block_parses():
+    # a flag the code has dropped but the docs still show fails here
+    section = README.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("fddlink ")]
+    assert len(commands) >= 5
+    parser = build_parser()
+    for argv in commands:
+        assert callable(parser.parse_args(argv[1:]).func), argv

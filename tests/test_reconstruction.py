@@ -6,7 +6,6 @@ import pytest
 from fddlink.allocation import eta, theoretical_weighted_mse
 from fddlink.channel import (
     ArrayGeometry,
-    EstimationNoise,
     PathSet,
     dl_channel,
     perturb_estimates,
@@ -87,7 +86,7 @@ class TestReconstructMmse:
     def test_perturbed_parameters_variant(self):
         # feedback comes from the true phases, reconstruction from estimates
         ps = two_path_set()
-        est = perturb_estimates(ps, EstimationNoise(0.02, 0.05), np.random.default_rng(3))
+        est = perturb_estimates(ps, 0.02, 0.05, np.random.default_rng(3))
         fp = make_feedback_plan(ps, [3, 2], GEOM)
         rc = reconstruct_mmse(est, fp, GEOM)
         a = steering_matrix(est.thetas, GEOM.lambda_dl, GEOM)
