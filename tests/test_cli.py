@@ -132,7 +132,39 @@ def test_zf_defined_when_dft_users_share_a_codeword(tmp_path):
     assert all(math.isfinite(float(r["mean"])) for r in rows)
 
 
-def test_precode_row_is_the_sim_se_point(tmp_path):
+@pytest.mark.parametrize("precoder,reconstruction,se_method,b_tot", [
+    (None, "mmse", "gpip_robust", 9),  # no se_methods line: the default sweep
+    ("gpip", "mmse", "gpip_robust", 9),
+    ("gpip", "no_feedback", "gpip_nofeedback", 9),
+    ("gpip", "dft", "gpip_dft", 9),
+    ("zf", "mmse", "zf_mmse", 9),
+    ("zf", "no_feedback", "zf_nofeedback", 9),
+    ("zf", "dft", "zf_dft", 9),
+    ("wmmse", "mmse", "wmmse_perfect", 9),  # WMMSE reads the true channel whatever
+    ("wmmse", "no_feedback", "wmmse_perfect", 9),  # the feedback mode
+    ("wmmse", "dft", "wmmse_perfect", 9),
+    ("zf", "mmse", "zf_mmse", 0),
+])
+def test_precode_row_is_the_sim_se_point(tmp_path, precoder, reconstruction, se_method,
+                                         b_tot):
+    source, method_precoder, _ = SE_METHODS[se_method]
+    assert method_precoder == (precoder or "gpip")
+    assert source == ("perfect" if precoder == "wmmse" else reconstruction)
+    methods = "" if precoder is None else f"se_methods = {se_method}\n"
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_antennas = 16\nn_users = 3\nn_paths = 3\ntrials = 1\naoa_sigma = 0.02\n"
+                   f"b_tot_grid = {b_tot}\n{methods}")
+    drops, se = tmp_path / "drops.csv", tmp_path / "se.csv"
+    assert main(["precode", "--config", str(cfg), "--out", str(drops)]) == 0
+    assert main(["sim", "se", "--config", str(cfg), "--out", str(se)]) == 0
+    (row,) = [r for r in csv.DictReader(drops.open()) if r["method"] == se_method]
+    means = {r["metric"]: r["mean"] for r in csv.DictReader(se.open())
+             if r["method"] == se_method}
+    assert row["true_sum_se"] == means["true_sum_se"]
+    assert row["se_lower_bound"] == means["se_lower_bound"]
+
+
+def test_precode_rows_are_the_sim_se_sweep(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_antennas = 16\nn_users = 3\nn_paths = 3\ntrials = 1\n"
                    "aoa_sigma = 0.02\npower_dbm_grid = 30, 43\nb_tot_grid = 0, 9\n"
