@@ -5,6 +5,11 @@ eta(B) = (2**B / pi) * sin(pi / 2**B) and the normalized MSE
 nmmse(B) = 1 - eta(B)**2.  Granting bits one at a time to the path with the
 largest weighted marginal NMMSE decrease is optimal for the piecewise-linear
 relaxation, which agrees with nmmse at every integer.
+
+An allocation problem takes one budget or a tuple of budgets (a budget
+grid).  Greedy bits are nested in the budget: the bits at budget b are the
+first b grants of one ranking of the marginal gains, so the allocators
+serve a whole grid from one pass and a single budget is its one-row case.
 """
 
 from __future__ import annotations
@@ -79,36 +84,69 @@ def marginal_gain_table(max_bits: int) -> np.ndarray:
     return gains
 
 
+# the marginal gains of every bit a path can hold, which each greedy table weights
+_GAINS = marginal_gain_table(MAX_BITS)
+_GAINS.flags.writeable = False
+
+
 @dataclass(frozen=True)
 class AllocationProblem:
-    """Path weights (squared amplitudes) and a total bit budget."""
+    """Path weights (squared amplitudes) and a total bit budget.
+
+    ``budget`` is one total or a tuple of totals, a budget grid in any order.
+    """
 
     weights: tuple[float, ...]
-    budget: int
+    budget: int | tuple[int, ...]
 
     def __post_init__(self):
         if len(self.weights) < 1:
             raise ValueError("need at least one weight")
         if any(not np.isfinite(w) or w < 0 for w in self.weights):
             raise ValueError("weights must be finite and nonnegative")
-        if self.budget < 0 or int(self.budget) != self.budget:
-            raise ValueError(f"budget must be a nonnegative integer, got {self.budget}")
+        grid = np.ndim(self.budget) == 1
+        budgets = tuple(self.budget) if grid else (self.budget,)
+        if not budgets or any(b < 0 or int(b) != b for b in budgets):
+            raise ValueError(f"budget must be a nonnegative integer or a non-empty "
+                             f"tuple of them, got {self.budget}")
+        budgets = tuple(int(b) for b in budgets)
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "budget", int(self.budget))
+        object.__setattr__(self, "budget", budgets if grid else budgets[0])
+
+    @property
+    def budgets(self) -> np.ndarray:
+        """The budgets as a 1-D array, one entry for a single budget."""
+        return np.array(self.budget, dtype=np.int64, ndmin=1)
 
 
 @dataclass(frozen=True)
 class Allocation:
-    """Bit counts per path and the weighted NMMSE they achieve."""
+    """Bit counts per path and the weighted NMMSE they achieve.
 
-    bits: tuple[int, ...]
-    objective: float
+    For a budget grid, ``bits`` holds one tuple and ``objective`` one value
+    per budget, in the grid's order.
+    """
+
+    bits: tuple[int, ...] | tuple[tuple[int, ...], ...]
+    objective: float | tuple[float, ...]
 
 
 def weighted_nmmse(weights, bits) -> float:
     """Objective sum_l weights[l] * nmmse(bits[l])."""
     w = np.asarray(weights, dtype=float)
     return float(w @ nmmse(_as_bits_array(bits)))
+
+
+def _allocation(p: AllocationProblem, bits: np.ndarray) -> Allocation:
+    """The Allocation of ``bits``, one row per budget of ``p``; a single budget
+    gives its row alone."""
+    w = np.asarray(p.weights, dtype=float)
+    # row by row: one dot product per budget, as weighted_nmmse takes it
+    objective = tuple(float(w @ row) for row in nmmse(bits))
+    rows = tuple(map(tuple, bits.tolist()))
+    if isinstance(p.budget, tuple):
+        return Allocation(bits=rows, objective=objective)
+    return Allocation(bits=rows[0], objective=objective[0])
 
 
 def allocate_greedy(p: AllocationProblem) -> Allocation:
@@ -119,19 +157,22 @@ def allocate_greedy(p: AllocationProblem) -> Allocation:
     (numpy argmax convention).  Each path's marginal gains never increase,
     so the rounds take the ``budget`` largest entries of the path-major table
     weights[l] * gains[b], and a stable sort of it reproduces the tie-breaks.
+    A grant at bit b has b grants of its own path ranked ahead of it, so the
+    first B grants never reach past bit B - 1: one sort of the table over all
+    MAX_BITS bits serves every budget of a grid.
     """
     L = len(p.weights)
     w = np.asarray(p.weights, dtype=float)
-    bits = np.zeros(L, dtype=np.int64)
-    if p.budget > 0:
-        cap = min(p.budget, MAX_BITS)
-        if p.budget > L * MAX_BITS:
-            raise ValueError(f"budget {p.budget} exceeds {MAX_BITS} bits on every path")
-        table = w[:, None] * marginal_gain_table(cap)
-        taken = np.argsort(-table, axis=None, kind="stable")[:p.budget]
-        bits = np.bincount(taken // cap, minlength=L)
-    return Allocation(bits=tuple(int(b) for b in bits),
-                      objective=weighted_nmmse(w, bits))
+    budgets = p.budgets
+    top = int(budgets.max())
+    if top > L * MAX_BITS:
+        raise ValueError(f"budget {top} exceeds {MAX_BITS} bits on every path")
+    table = w[:, None] * _GAINS
+    taken = np.argsort(-table, axis=None, kind="stable")[:top] // MAX_BITS
+    # granted[n, l]: bits of path l after the first n grants
+    granted = np.zeros((top + 1, L), dtype=np.int64)
+    np.cumsum(taken[:, None] == np.arange(L), axis=0, out=granted[1:])
+    return _allocation(p, granted[budgets])
 
 
 def _compositions(total: int, parts: int):
@@ -146,9 +187,11 @@ def _compositions(total: int, parts: int):
 def allocate_bruteforce(p: AllocationProblem) -> Allocation:
     """Exhaustive minimizer over all compositions of the budget.
 
-    Serves as the optimality oracle for the greedy allocator; guarded so
-    enumeration stays below 10**7 candidates.
+    Serves as the optimality oracle for the greedy allocator at one budget;
+    guarded so enumeration stays below 10**7 candidates.
     """
+    if isinstance(p.budget, tuple):
+        raise ValueError("the exhaustive oracle takes a single budget")
     L = len(p.weights)
     count = math.comb(p.budget + L - 1, L - 1)
     if count > 10**7:
@@ -166,11 +209,10 @@ def allocate_bruteforce(p: AllocationProblem) -> Allocation:
 
 
 def allocate_uniform(p: AllocationProblem) -> Allocation:
-    """Even split of the budget; any remainder goes to the leading paths."""
+    """Even split of each budget; any remainder goes to the leading paths."""
     L = len(p.weights)
-    base, extra = divmod(p.budget, L)
-    bits = tuple(base + (1 if i < extra else 0) for i in range(L))
-    return Allocation(bits=bits, objective=weighted_nmmse(p.weights, bits))
+    base, extra = np.divmod(p.budgets, L)
+    return _allocation(p, base[:, None] + (np.arange(L) < extra[:, None]))
 
 
 def theoretical_weighted_mse(betas, bits, num_antennas: int) -> float:

@@ -14,6 +14,7 @@ import numbers
 import typing
 from dataclasses import dataclass, fields
 
+from .allocation import MAX_BITS
 from .channel import ArrayGeometry
 from .feedback import MAX_DFT_BITS
 
@@ -138,6 +139,11 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(all(b >= 0 for b in cfg.b_tot_grid), "b_tot_grid", "entries must be >= 0")
     need(all(l >= 1 for l in cfg.l_grid), "l_grid", "entries must be >= 1")
     need(all(n >= 1 for n in cfg.n_grid), "n_grid", "entries must be >= 1")
+    # `sim mse` draws n_paths paths, `sim delta` and `sim se` each l_grid entry
+    fewest_paths = min(cfg.n_paths, *cfg.l_grid)
+    need(max(cfg.b_tot_grid) <= MAX_BITS * fewest_paths, "b_tot_grid",
+         f"entries must be <= {MAX_BITS * fewest_paths}: {MAX_BITS} bits on each path "
+         f"of the smallest path count ({fewest_paths}) in n_paths and l_grid")
     need(cfg.trials >= 1, "trials", "must be >= 1")
     need(cfg.seed >= 0, "seed", "must be >= 0")
     need(cfg.pl_ref_distance > 0, "pl_ref_distance", "must be positive")

@@ -1,4 +1,8 @@
-"""Per-path phase quantization and the DFT-codebook feedback baseline."""
+"""Per-path phase quantization and the DFT-codebook feedback baseline.
+
+A feedback plan quantizes one path set's DL phases at one bit allocation or
+at every row of a budget grid's allocations at once.
+"""
 
 from __future__ import annotations
 
@@ -18,14 +22,19 @@ def wrap_angle(x):
 
 @dataclass(frozen=True, eq=False)
 class FeedbackPlan:
-    """Per-path bit counts together with the quantized DL phases and their errors."""
+    """Per-path bit counts together with the quantized DL phases and their errors.
+
+    The arrays share one shape whose last axis runs over the paths; a plan
+    for a budget grid has one row per budget.
+    """
 
     bits: np.ndarray
     q_values: np.ndarray
     deltas: np.ndarray
 
     def __len__(self):
-        return len(self.bits)
+        """The number of paths."""
+        return self.bits.shape[-1]
 
 
 def quantize_phases(angles, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -49,9 +58,13 @@ def quantize_phases(angles, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def make_feedback_plan(ps: PathSet, bits, geom: ArrayGeometry) -> FeedbackPlan:
-    """Quantize each true DL path phase of ``ps`` with the given bit counts."""
-    if np.shape(bits) != (len(ps),):
-        raise ValueError(f"got {np.size(bits)} bit counts for {len(ps)} paths")
+    """Quantize each true DL path phase of ``ps`` with the given bit counts.
+
+    ``bits`` holds one count per path, or one row of them per budget of a
+    grid (shape (budgets, L)); one quantizer call serves every row.
+    """
+    if np.ndim(bits) not in (1, 2) or np.shape(bits)[-1] != len(ps):
+        raise ValueError(f"got bit counts of shape {np.shape(bits)} for {len(ps)} paths")
     q, _, deltas = quantize_phases(dl_phases(ps, geom), bits)  # validates bits
     return FeedbackPlan(bits=np.asarray(bits, dtype=np.int64), q_values=q, deltas=deltas)
 

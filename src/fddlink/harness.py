@@ -4,6 +4,10 @@ Every experiment is a pure function of (config, master seed): per-trial RNG
 streams are derived by hashing (seed, trial index), so results do not depend
 on execution order or worker count.  Records carry a mean, its standard
 error, and the sample count for every sweep coordinate and method.
+
+A user's MMSE CSI is built for the whole budget grid in one pass: one
+allocation, one feedback plan and one reconstruction per path set, whose
+rows are the budgets.
 """
 
 from __future__ import annotations
@@ -102,25 +106,27 @@ def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
 # the drop pipeline shared by every experiment
 
 
-def _allocate(strategy: str, weights, budget: int) -> tuple:
+def _allocate(strategy: str, weights, budgets) -> np.ndarray:
+    """Bits per path (columns) for each budget of the grid (rows)."""
     if strategy == "none":
-        return tuple(0 for _ in weights)
-    problem = allocation.AllocationProblem(weights=tuple(weights), budget=budget)
+        return np.zeros((len(budgets), len(weights)), dtype=np.int64)
+    problem = allocation.AllocationProblem(weights=tuple(weights), budget=tuple(budgets))
     if strategy == "greedy":
-        return allocation.allocate_greedy(problem).bits
+        return np.array(allocation.allocate_greedy(problem).bits, dtype=np.int64)
     if strategy == "uniform":
-        return allocation.allocate_uniform(problem).bits
+        return np.array(allocation.allocate_uniform(problem).bits, dtype=np.int64)
     raise ValueError(f"unknown allocator {strategy!r}")
 
 
-def _mmse_csi(ps, est, strategy: str, b_tot: int, geom):
-    """One user's phase feedback and MMSE reconstruction at budget b_tot.
+def _mmse_csi(ps, est, strategy: str, budgets, geom):
+    """One user's phase feedback and MMSE reconstruction at every budget of a grid.
 
     Bits are allocated over the estimated path powers, the feedback quantizes
     the true DL phases of ``ps``, and the reconstruction uses the estimated
-    geometry ``est``.  Returns (feedback plan, reconstructed channel).
+    geometry ``est``.  Returns the feedback plan, with one row per budget,
+    and the list of reconstructed channels, one per budget.
     """
-    bits = _allocate(strategy, est.betas**2, b_tot)
+    bits = _allocate(strategy, est.betas**2, budgets)
     fp = feedback.make_feedback_plan(ps, bits, geom)
     return fp, reconstruction.reconstruct_mmse(est, fp, geom)
 
@@ -151,11 +157,12 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
         ps = channel.draw_user_paths(cfg, rng)
         h = channel.dl_channel(ps, geom)
         out = np.empty((len(b_grid), len(ALLOCATORS), 2))
-        for bi, b_tot in enumerate(b_grid):
-            for si, strategy in enumerate(ALLOCATORS):
-                fp, rc = _mmse_csi(ps, ps, strategy, b_tot, geom)
+        for si, strategy in enumerate(ALLOCATORS):
+            fp, rcs = _mmse_csi(ps, ps, strategy, b_grid, geom)
+            for bi, rc in enumerate(rcs):
                 err = float(np.sum(np.abs(h - rc.hhat) ** 2))
-                cf = allocation.theoretical_weighted_mse(ps.betas, fp.bits, geom.num_antennas)
+                cf = allocation.theoretical_weighted_mse(ps.betas, fp.bits[bi],
+                                                         geom.num_antennas)
                 out[bi, si] = (cf, err)
         return out
 
@@ -186,11 +193,10 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
         for li, L in enumerate(l_grid):
             ps = channel.draw_user_paths(cfgs_by_l[L], rng)
             h = channel.dl_channel(ps, geom)
-            for bi, b_tot in enumerate(b_grid):
-                fp, rc = _mmse_csi(ps, ps, cfg.allocator, b_tot, geom)
-                emp = reconstruction.outer_error_norm(h, rc.hhat, ps, fp.bits, geom)
-                asym = reconstruction.asymptotic_delta_norm(ps.betas, fp.bits, fp.deltas)
-                out[li, bi] = (emp, asym)
+            fp, rcs = _mmse_csi(ps, ps, cfg.allocator, b_grid, geom)
+            hhat = np.array([rc.hhat for rc in rcs])
+            out[li, :, 0] = reconstruction.outer_error_norm(h, hhat, ps, fp.bits, geom)
+            out[li, :, 1] = reconstruction.asymptotic_delta_norm(ps.betas, fp.bits, fp.deltas)
         return out
 
     return _records("delta", cfg, _run_trials(cfg, trial, workers),
@@ -205,15 +211,20 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
 
 
 SE_METRICS = ("true_sum_se", "se_lower_bound")
-# CSI sources rebuilt for every feedback budget; the others ignore the budget
+# CSI sources that depend on the feedback budget; the others ignore it
 _PER_BUDGET = ("mmse", "dft")
 
 
 def _build_csi(source: str, b_tot: int, cfg: ScenarioConfig, scene, ests, h_true, geom):
-    """Per-user reconstructions from one CSI source."""
+    """Per-user reconstructions from one CSI source.
+
+    "mmse" ignores ``b_tot`` and builds every budget of the grid at once: it
+    returns one list of the users' reconstructions per budget.
+    """
     if source == "mmse":
-        return [_mmse_csi(ps, est, cfg.allocator, b_tot, geom)[1]
-                for ps, est in zip(scene, ests)]
+        per_user = [_mmse_csi(ps, est, cfg.allocator, cfg.b_tot_grid, geom)[1]
+                    for ps, est in zip(scene, ests)]
+        return [list(recs) for recs in zip(*per_user)]
     if source == "no_feedback":
         return [reconstruction.reconstruct_no_feedback(est, geom) for est in ests]
     if source == "dft":
@@ -240,12 +251,13 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
 
     Methods whose CSI ignores the budget run once per power, ahead of the
     budget loop.  CSI is built when a method first needs it.  It does not
-    depend on the power, so budgets loop outside powers: per-budget CSI is
-    built once per budget and dropped before the next budget's is built.
-    ZF and WMMSE points are evaluated on the spot.  A GPIP point only builds
-    its PrecodingProblem there; once the loop ends, all of them are solved
-    in one gpip_solve_batch call, which runs the problems of one factor shape
-    in lockstep (robust and no-feedback GPIP have L + 1 columns per user,
+    depend on the power, so budgets loop outside powers.  MMSE CSI is built
+    for the whole budget grid at once; DFT CSI is built once per budget and
+    dropped before the next budget's is built.  ZF and WMMSE points are
+    evaluated on the spot.  A GPIP point only builds its PrecodingProblem
+    there; once the loop ends, all of them are solved in one
+    gpip_solve_batch call, which runs the problems of one factor shape in
+    lockstep (robust and no-feedback GPIP have L + 1 columns per user,
     plain and DFT GPIP one).  A failure names the seed, trial, point and
     method; of several, the first in evaluation order is reported.
     """
@@ -259,25 +271,29 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
             f"{reason} (seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
             f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {b_tot}, method {method})")
 
-    def evaluate(method, pdbm, b_tot, slot):
+    def reconstructions(source, bi):
+        if source not in csi:
+            csi[source] = _build_csi(source, cfg.b_tot_grid[bi], cfg, scene, ests, h_true, geom)
+        return csi[source][bi] if source == "mmse" else csi[source]
+
+    def evaluate(method, pdbm, bi, slot):
         source, precoder, use_cov = SE_METHODS[method]
         try:
-            for needed in (source, "no_feedback") if precoder == "zf" else (source,):
-                if needed not in csi:
-                    csi[needed] = _build_csi(needed, b_tot, cfg, scene, ests, h_true, geom)
+            recs = reconstructions(source, bi)
             pp = precoding.PrecodingProblem.from_reconstructions(
-                csi[source], power=cfg.power_watts(pdbm), sigma2=sigma2, use_cov=use_cov)
+                recs, power=cfg.power_watts(pdbm), sigma2=sigma2, use_cov=use_cov)
             if precoder == "gpip":
-                deferred.append(((method, pdbm, b_tot), slot, pp))
+                deferred.append(((method, pdbm, cfg.b_tot_grid[bi]), slot, pp))
                 return
             if precoder == "zf":
-                w = precoding.zf_precoder(_zf_columns(pp.hhat, csi["no_feedback"]))
+                fallback = reconstructions("no_feedback", bi)
+                w = precoding.zf_precoder(_zf_columns(pp.hhat, fallback))
             else:
                 w = precoding.wmmse_precoder(h_true, pp)
             out[slot] = (precoding.true_sum_se(w, h_true, pp),
                          precoding.sum_se_lower_bound(w, pp), 0)
         except ValueError as exc:
-            raise labelled(exc, exc, method, pdbm, b_tot) from exc
+            raise labelled(exc, exc, method, pdbm, cfg.b_tot_grid[bi]) from exc
 
     failure = None
     per_budget = [SE_METHODS[m][0] in _PER_BUDGET for m in cfg.se_methods]
@@ -285,14 +301,13 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
         for pi, pdbm in enumerate(cfg.power_dbm_grid):
             for mi, method in enumerate(cfg.se_methods):
                 if not per_budget[mi]:
-                    evaluate(method, pdbm, cfg.b_tot_grid[0], (pi, slice(None), mi))
-        for bi, b_tot in enumerate(cfg.b_tot_grid):
-            for source in _PER_BUDGET:
-                csi.pop(source, None)
+                    evaluate(method, pdbm, 0, (pi, slice(None), mi))
+        for bi in range(len(cfg.b_tot_grid)):
+            csi.pop("dft", None)
             for pi, pdbm in enumerate(cfg.power_dbm_grid):
                 for mi, method in enumerate(cfg.se_methods):
                     if per_budget[mi]:
-                        evaluate(method, pdbm, b_tot, (pi, bi, mi))
+                        evaluate(method, pdbm, bi, (pi, bi, mi))
     except ValueError as exc:
         failure = exc  # reported unless a GPIP point queued before it fails
     csi.clear()

@@ -7,10 +7,15 @@ is one N x (L+1) factor F = [hhat | E] with E = A diag(sqrt(beta**2 *
 (1 - eta**2))), so Phi = E E^H and F F^H = hhat hhat^H + Phi; no N x N
 matrix is formed.  Diagnostics quantify how well F F^H stands in for the
 true channel outer product.
+
+A feedback plan for a budget grid reconstructs every budget at once: the
+steering matrix and eta are computed once per path set for all budgets, and
+the diagnostics take a leading budget axis.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,20 +48,28 @@ class ReconstructedChannel:
         return self.factor[:, 0]
 
 
-def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> ReconstructedChannel:
+def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry
+                     ) -> ReconstructedChannel | list[ReconstructedChannel]:
     """MSE-optimal estimate sum_l eta(B_l) * beta_l * exp(j q_l) * a(theta_l).
 
     ``ps`` may hold true or estimated parameters; the covariance is built
     from the same parameters.  Zero-bit paths contribute nothing to the
-    estimate (eta(0) = 0) and fully to the covariance.
+    estimate (eta(0) = 0) and fully to the covariance.  A plan for a budget
+    grid gives a list of reconstructions, one per budget, whose factors
+    share one buffer.
     """
     if len(fp) != len(ps):
         raise ValueError(f"feedback plan has {len(fp)} entries for {len(ps)} paths")
     a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
     etas = eta(fp.bits)
     gains = etas * ps.betas * np.exp(1j * fp.q_values)
-    return ReconstructedChannel(np.column_stack(
-        (a @ gains, a * np.sqrt(_error_weights(ps.betas, etas)))))
+    factor = np.empty((*gains.shape[:-1], geom.num_antennas, len(ps) + 1), dtype=complex)
+    # a stack of matrix-vector products, each the same BLAS call as a @ gains[g]
+    factor[..., 0] = (a @ gains[..., None])[..., 0]
+    np.multiply(a, np.sqrt(_error_weights(ps.betas, etas))[..., None, :], out=factor[..., 1:])
+    if factor.ndim == 2:
+        return ReconstructedChannel(factor)
+    return [ReconstructedChannel(f) for f in factor]
 
 
 def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> ReconstructedChannel:
@@ -103,25 +116,48 @@ def outer_product_error(h_true: np.ndarray, rc: ReconstructedChannel) -> tuple[n
 
 
 def outer_error_norm(h_true: np.ndarray, hhat: np.ndarray,
-                     ps: PathSet, bits, geom: ArrayGeometry) -> float:
+                     ps: PathSet, bits, geom: ArrayGeometry) -> float | np.ndarray:
     """||Delta||_F^2 / N^2 without materializing any N x N matrix.
 
     Delta is a short sum of rank-one terms, U diag(s) U^H with
     U = [h, hhat, a_1..a_L], so the squared norm reduces to a Gram-matrix
     trace.  Exact; intended for large N where the dense route is wasteful.
+    ``bits`` holds one count per path, or one row per budget of a grid with
+    the matching rows of ``hhat`` (shape (budgets, N)); a grid gives one
+    norm per budget.
     """
-    a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    coeff = _error_weights(ps.betas, eta(np.asarray(bits)))
-    u = np.column_stack([h_true, hhat, a])
-    s = np.concatenate(([1.0, -1.0], -coeff))
-    gram = u.conj().T @ u
-    sg = s[:, None] * gram
-    n = h_true.shape[0]
+    bits = np.asarray(bits)
+    if bits.ndim not in (1, 2) or bits.shape[-1] != len(ps):
+        raise ValueError(f"got bit counts of shape {bits.shape} for {len(ps)} paths")
+    coeff = _error_weights(ps.betas, eta(bits))
+    lead, n = coeff.shape[:-1], h_true.shape[0]
+    u = np.empty((*lead, n, len(ps) + 2), dtype=complex)
+    u[..., 0] = h_true
+    u[..., 1] = hhat
+    u[..., 2:] = steering_matrix(ps.thetas, geom.lambda_dl, geom)
+    s = np.empty((*lead, len(ps) + 2))
+    s[..., 0], s[..., 1] = 1.0, -1.0
+    np.negative(coeff, out=s[..., 2:])
+    # a stack of Gram matrices, each the same BLAS call as for one budget
+    gram = u.conj().swapaxes(-1, -2) @ u
+    sg = s[..., :, None] * gram
+    trace = np.trace(sg @ sg, axis1=-2, axis2=-1).real
     # the trace is a squared norm; cancellation can leave a tiny negative
-    return max(float(np.real(np.trace(sg @ sg))), 0.0) / n**2
+    norms = np.where(trace < 0.0, 0.0, trace) / n**2
+    return norms if norms.ndim else float(norms)
 
 
-def asymptotic_delta_norm(betas, bits, deltas) -> float:
+def _square(x: np.ndarray) -> np.ndarray:
+    """x**2 element by element through libm pow.
+
+    A float64 scalar's ``x**2`` calls pow, but an array's is x*x, and the
+    two differ in the last bit for about 1 in 1200 values; the large-array
+    limit squares as the scalar does.
+    """
+    return np.array([math.pow(v, 2.0) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def asymptotic_delta_norm(betas, bits, deltas) -> float | np.ndarray:
     """Large-array limit of ||Delta||_F^2 / N^2 conditioned on the phase errors.
 
     Equals the squared Frobenius norm of the path-domain residual matrix,
@@ -133,21 +169,22 @@ def asymptotic_delta_norm(betas, bits, deltas) -> float:
                                - 2 |eta_l eta_l'| cos(delta_l - delta_l')),
 
     equivalently twice that expression per unordered pair.  Perfect feedback
-    (eta = 1, delta = 0) cancels every pair exactly.
+    (eta = 1, delta = 0) cancels every pair exactly.  ``bits`` and ``deltas``
+    hold one entry per path, or one row per budget of a grid, which gives
+    one value per budget.  The ordered pairs are summed left to right, l
+    before l', from 0.0.
     """
     betas = np.asarray(betas, dtype=float)
     deltas = np.asarray(deltas, dtype=float)
     etas = eta(np.asarray(bits))
-    if not (betas.shape == deltas.shape == etas.shape):
+    if not (betas.ndim == 1 and deltas.shape == etas.shape
+            and etas.ndim in (1, 2) and etas.shape[-1] == betas.shape[0]):
         raise ValueError("betas, bits, and deltas must have matching lengths")
-    total = 0.0
-    L = betas.shape[0]
-    for i in range(L):
-        for j in range(L):
-            if i == j:
-                continue
-            ee = etas[i] * etas[j]
-            bb2 = (betas[i] * betas[j]) ** 2
-            total += bb2 * (1.0 + ee**2 - 2.0 * abs(ee) * np.cos(deltas[i] - deltas[j]))
-    return float(total)
-
+    left, right = np.nonzero(~np.eye(betas.shape[0], dtype=bool))
+    ee = etas[..., left] * etas[..., right]
+    terms = _square(betas[left] * betas[right]) * (
+        1.0 + _square(ee) - 2.0 * np.abs(ee) * np.cos(deltas[..., left] - deltas[..., right]))
+    # np.cumsum adds in order, where np.sum would add pairwise
+    start = np.zeros((*terms.shape[:-1], 1))
+    total = np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
+    return total if total.ndim else float(total)

@@ -160,11 +160,42 @@ class TestGreedy:
         assert alloc.objective == weighted_nmmse(weights, want)
 
     def test_budget_beyond_every_path_rejected(self):
-        p = AllocationProblem(weights=(1.0, 0.5), budget=2 * MAX_BITS + 1)
-        with pytest.raises(ValueError, match="exceeds"):
-            allocate_greedy(p)
+        for budget in (2 * MAX_BITS + 1, (3, 2 * MAX_BITS + 1, 0)):
+            p = AllocationProblem(weights=(1.0, 0.5), budget=budget)
+            with pytest.raises(ValueError, match=f"budget {2 * MAX_BITS + 1} exceeds"):
+                allocate_greedy(p)
         full = allocate_greedy(AllocationProblem(weights=(1.0, 0.5), budget=2 * MAX_BITS))
         assert full.bits == (MAX_BITS, MAX_BITS)
+
+
+class TestBudgetGrid:
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), weights=st.lists(
+        st.sampled_from([0.0, 1e-320, 1e-300, 0.25, 0.5, 1.0, 4.0]) | st.floats(0.0, 10.0),
+        min_size=1, max_size=8))
+    def test_rows_match_single_budget_calls(self, data, weights):
+        # an unsorted grid holding 0 and the largest placeable budget
+        L = len(weights)
+        extra = data.draw(st.lists(st.integers(0, L * MAX_BITS), max_size=6))
+        grid = tuple(data.draw(st.permutations([0, L * MAX_BITS, *extra])))
+        for allocate in (allocate_greedy, allocate_uniform):
+            rows = allocate(AllocationProblem(weights=tuple(weights), budget=grid))
+            assert len(rows.bits) == len(rows.objective) == len(grid)
+            for budget, bits, objective in zip(grid, rows.bits, rows.objective):
+                one = allocate(AllocationProblem(weights=tuple(weights), budget=budget))
+                assert bits == one.bits
+                assert np.float64(objective).tobytes() == np.float64(one.objective).tobytes()
+
+    def test_grid_shapes_and_validation(self):
+        p = AllocationProblem(weights=(1.0, 0.25), budget=[3, 0])
+        assert p.budget == (3, 0)
+        assert allocate_greedy(p).bits == ((3, 0), (0, 0))
+        assert allocate_uniform(p).bits == ((2, 1), (0, 0))
+        for bad in ((), (1, -1), (1, 2.5)):
+            with pytest.raises(ValueError, match="budget"):
+                AllocationProblem(weights=(1.0,), budget=bad)
+        with pytest.raises(ValueError, match="single budget"):
+            allocate_bruteforce(p)
 
 
 class TestBruteforce:

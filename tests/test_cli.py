@@ -98,14 +98,23 @@ def _relative_tolerance(row: list[str]) -> float | None:
     return 1e-12 if metric == "true_sum_se" and method.startswith("wmmse_") else 1e-9
 
 
-@pytest.mark.parametrize("workload,experiment", [
-    ("se_desk", "se"), ("se_paper", "se"), ("csi_sweep", "delta"), ("dft_zf", "se")])
-def test_sim_matches_reference_csv(tmp_path, workload, experiment):
-    out = tmp_path / "out.csv"
+@pytest.mark.parametrize("workload,experiment,seeds", [
+    pytest.param("se_desk", "se", (0,), id="se_desk-se"),
+    pytest.param("se_paper", "se", (0,), id="se_paper-se"),
+    # every reference seed: a csi_sweep campaign takes a fraction of a second
+    pytest.param("csi_sweep", "delta", range(16), id="csi_sweep-delta"),
+    pytest.param("dft_zf", "se", (0,), id="dft_zf-se")])
+def test_sim_matches_reference_csv(tmp_path, workload, experiment, seeds):
+    for seed in seeds:
+        _check_reference_seed(tmp_path, workload, experiment, seed)
+
+
+def _check_reference_seed(tmp_path, workload, experiment, seed):
+    out = tmp_path / f"{seed}.csv"
     assert main(["sim", experiment, "--config", str(BENCH / "workloads" / f"{workload}.cfg"),
-                 "--seed", "0", "--out", str(out)]) == 0
+                 "--seed", str(seed), "--out", str(out)]) == 0
     got = out.read_text().splitlines()
-    ref = (BENCH / "reference" / workload / "0.csv").read_text().splitlines()
+    ref = (BENCH / "reference" / workload / f"{seed}.csv").read_text().splitlines()
     assert len(got) == len(ref) and got[0] == ref[0]
     for got_line, ref_line in zip(got[1:], ref[1:]):
         row, ref_row = got_line.split(","), ref_line.split(",")

@@ -2,6 +2,7 @@ import logging
 
 import pytest
 
+from fddlink.allocation import MAX_BITS
 from fddlink.config import (
     ConfigError,
     ScenarioConfig,
@@ -169,3 +170,30 @@ class TestDftBudgetLimit:
     def test_limit_itself_and_other_methods_accepted(self):
         assert ScenarioConfig(se_methods=("zf_dft",), b_tot_grid=(MAX_DFT_BITS,))
         assert ScenarioConfig(b_tot_grid=(MAX_DFT_BITS + 1,))
+
+
+class TestAllocatableBudgetLimit:
+    """Budgets that no allocator can place on the fewest paths are config errors."""
+
+    CASES = [
+        # `sim mse` draws n_paths paths
+        {"n_paths": 1, "b_tot_grid": (63,)},
+        {"n_paths": 1, "l_grid": (3,), "b_tot_grid": (0, 63)},
+        # `sim delta` and `sim se` draw each l_grid entry
+        {"n_paths": 3, "l_grid": (2, 4), "b_tot_grid": (2 * MAX_BITS + 1, 0)},
+    ]
+
+    @pytest.mark.parametrize("values", CASES)
+    def test_rejected_from_text_construction_and_replace(self, values):
+        for build in (lambda: config_from_mapping(parse_config_text(
+                          TestDftBudgetLimit.as_text(values))),
+                      lambda: ScenarioConfig(**values),
+                      lambda: ScenarioConfig().replace(**values)):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.field == "b_tot_grid"
+            assert str(MAX_BITS) in str(err.value)
+
+    def test_limit_itself_accepted(self):
+        assert ScenarioConfig(n_paths=1, b_tot_grid=(MAX_BITS,))
+        assert ScenarioConfig(n_paths=3, l_grid=(2, 4), b_tot_grid=(2 * MAX_BITS,))

@@ -125,8 +125,9 @@ class TestSeExperiment:
         assert all(np.isfinite(r.mean) for r in records)
 
     def test_per_budget_csi_built_once_per_budget(self, monkeypatch):
-        # CSI does not depend on the transmit power: one build per
-        # (trial, user, budget), shared by every power of the grid
+        # CSI does not depend on the transmit power: DFT CSI is built once per
+        # (trial, user, budget) and MMSE CSI once per (trial, user) for the
+        # whole budget grid, each shared by every power of the grid
         calls = {}
 
         def counted(module, name):
@@ -143,8 +144,9 @@ class TestSeExperiment:
         cfg = small_cfg(trials=2, b_tot_grid=(9, 12), power_dbm_grid=(30.0, 37.0, 43.0),
                         se_methods=("zf_mmse", "zf_dft"))
         run_se_experiment(cfg)
-        per_budget = cfg.trials * cfg.n_users * len(cfg.b_tot_grid)
-        assert calls == {"reconstruct_mmse": per_budget, "dft_codebook_feedback": per_budget}
+        per_user = cfg.trials * cfg.n_users
+        assert calls == {"reconstruct_mmse": per_user,
+                         "dft_codebook_feedback": per_user * len(cfg.b_tot_grid)}
 
     def test_batched_gpip_points_match_solves_of_each_point(self, monkeypatch):
         cfg = small_cfg(n_antennas=16, n_users=3, n_paths=2, trials=3, b_tot_grid=(0, 6, 12),

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fddlink.allocation import eta, theoretical_weighted_mse
+from fddlink.allocation import (
+    MAX_BITS,
+    AllocationProblem,
+    allocate_greedy,
+    allocate_uniform,
+    eta,
+    theoretical_weighted_mse,
+)
 from fddlink.channel import (
     ArrayGeometry,
     PathSet,
@@ -24,6 +33,43 @@ from fddlink.reconstruction import (
 )
 
 GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.025)
+
+
+def asymptotic_delta_norm_by_pairs(betas, bits, deltas) -> float:
+    """Oracle: the closed form as a scalar double loop over ordered path pairs.
+
+    Squares are float64 scalar powers and the sum runs left to right from
+    0.0, l before l'.
+    """
+    betas = np.asarray(betas, dtype=float)
+    deltas = np.asarray(deltas, dtype=float)
+    etas = eta(np.asarray(bits))
+    total = 0.0
+    L = betas.shape[0]
+    for i in range(L):
+        for j in range(L):
+            if i == j:
+                continue
+            ee = etas[i] * etas[j]
+            bb2 = (betas[i] * betas[j]) ** 2
+            total += bb2 * (1.0 + ee**2 - 2.0 * abs(ee) * np.cos(deltas[i] - deltas[j]))
+    return float(total)
+
+
+def same_bits(got, want) -> bool:
+    """Float64 values equal bit for bit (signed zeros told apart)."""
+    return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+# weights with exact ties, zeros and subnormal products
+WEIGHTS = st.lists(st.sampled_from([0.0, 1e-300, 0.25, 0.5, 1.0, 4.0]) | st.floats(0.0, 10.0),
+                   min_size=1, max_size=8)
+
+
+def budget_grid(data, n_paths):
+    """An unsorted budget grid holding 0, n_paths * MAX_BITS and up to six more budgets."""
+    extra = data.draw(st.lists(st.integers(0, n_paths * MAX_BITS), max_size=6))
+    return tuple(data.draw(st.permutations([0, n_paths * MAX_BITS, *extra])))
 
 
 def dense_phi(rc):
@@ -172,6 +218,15 @@ class TestOuterProductError:
         fast = outer_error_norm(h, rc.hhat, ps, bits, geom)
         assert fast == pytest.approx(dense, rel=1e-10)
 
+    def test_gram_norm_rejects_bits_of_other_length(self):
+        geom = geom_n(8)
+        ps = PathSet(thetas=(0.3, -0.7, 0.1), betas=(1.0, 0.5, 0.2), distances=(1.0, 2.0, 3.0),
+                     phases_ul=(0.0, 0.0, 0.0), phases_dl=(0.1, 0.2, 0.3))
+        h = dl_channel(ps, geom)
+        for bits in ([2], [1, 1, 1, 1], [[2, 2]]):
+            with pytest.raises(ValueError, match="3 paths"):
+                outer_error_norm(h, h, ps, bits, geom)
+
     def test_delta_is_hermitian(self):
         geom = geom_n(16)
         ps = two_path_set()
@@ -234,6 +289,74 @@ class TestAsymptoticDeltaNorm:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             asymptotic_delta_norm([1.0, 1.0], [1], [0.0, 0.0])
+        with pytest.raises(ValueError):
+            asymptotic_delta_norm([1.0, 1.0], [[1, 1], [2, 2]], [0.0, 0.0])
+
+    @settings(deadline=None, max_examples=300)
+    @given(data=st.data(), betas=st.lists(
+        st.sampled_from([0.0, 1e-5, 1.0]) | st.floats(0.0, 1e-3), min_size=1, max_size=8))
+    def test_grid_matches_pair_loop_bitwise(self, data, betas):
+        L = len(betas)
+        rows = data.draw(st.integers(1, 5))
+        bits = data.draw(st.lists(st.lists(st.integers(0, MAX_BITS), min_size=L, max_size=L),
+                                  min_size=rows, max_size=rows))
+        deltas = data.draw(st.lists(st.lists(st.floats(-math.pi, math.pi), min_size=L,
+                                             max_size=L), min_size=rows, max_size=rows))
+        got = asymptotic_delta_norm(betas, bits, deltas)
+        assert got.shape == (rows,)
+        for g in range(rows):
+            want = asymptotic_delta_norm_by_pairs(betas, bits[g], deltas[g])
+            assert same_bits(got[g], want)
+            assert same_bits(asymptotic_delta_norm(betas, bits[g], deltas[g]), want)
+
+    def test_squares_round_as_scalar_powers(self):
+        # the csi_sweep workload at seed 202, trial 18, L = 3, budgets 0 and 9:
+        # the square of beta_0 beta_1 by x*x differs from the scalar power in
+        # the last bit, which changes the last digit of both values
+        betas = [1.1167124529750857e-05, 9.343086705370677e-06, 7.8169871708256e-06]
+        bits = [[0, 0, 0], [3, 3, 3]]
+        deltas = [[-0.06788972010152605, 0.5263325700671402, 2.9105685824766567],
+                  [-0.06788972010152605, -0.2590655933303081, -0.2310240711131364]]
+        bb = np.float64(betas[0]) * np.float64(betas[1])
+        assert bb * bb != bb**2
+        want = [asymptotic_delta_norm_by_pairs(betas, b, d) for b, d in zip(bits, deltas)]
+        assert want == [4.7680147172019235e-20, 1.266538894672497e-21]
+        assert same_bits(asymptotic_delta_norm(betas, bits, deltas), want)
+
+
+class TestBudgetGrid:
+    """One build over a budget grid equals the single-budget builds, byte for byte."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(data=st.data(), weights=WEIGHTS, seed=st.integers(0, 2**32 - 1),
+           n=st.sampled_from([1, 8, 64]))
+    def test_rows_equal_single_budget_builds(self, data, weights, seed, n):
+        L = len(weights)
+        rng = np.random.default_rng(seed)
+        ps = PathSet(thetas=rng.uniform(-math.pi / 2, math.pi / 2, L),
+                     betas=np.sqrt(weights), distances=rng.uniform(50.0, 300.0, L),
+                     phases_ul=rng.uniform(0, 2 * math.pi, L),
+                     phases_dl=rng.uniform(0, 2 * math.pi, L))
+        geom = geom_n(n)
+        h = dl_channel(ps, geom)
+        grid = budget_grid(data, L)
+        for allocate in (allocate_greedy, allocate_uniform):
+            bits = np.array(allocate(AllocationProblem(tuple(weights), grid)).bits)
+            fp = make_feedback_plan(ps, bits, geom)
+            rcs = reconstruct_mmse(ps, fp, geom)
+            emp = outer_error_norm(h, np.array([rc.hhat for rc in rcs]), ps, bits, geom)
+            asym = asymptotic_delta_norm(ps.betas, bits, fp.deltas)
+            assert len(rcs) == len(grid) and emp.shape == asym.shape == (len(grid),)
+            for g, row in enumerate(bits):
+                one = make_feedback_plan(ps, row, geom)
+                for field in ("bits", "q_values", "deltas"):
+                    want = getattr(one, field)
+                    assert getattr(fp, field)[g].tobytes() == want.tobytes()
+                rc = reconstruct_mmse(ps, one, geom)
+                assert rcs[g].factor.shape == rc.factor.shape
+                assert rcs[g].factor.tobytes() == rc.factor.tobytes()
+                assert same_bits(emp[g], outer_error_norm(h, rc.hhat, ps, row, geom))
+                assert same_bits(asym[g], asymptotic_delta_norm(ps.betas, row, one.deltas))
 
 
 class TestDftReconstruction:
