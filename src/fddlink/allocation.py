@@ -215,10 +215,17 @@ def allocate_uniform(p: AllocationProblem) -> Allocation:
     return _allocation(p, base[:, None] + (np.arange(L) < extra[:, None]))
 
 
-def theoretical_weighted_mse(betas, bits, num_antennas: int) -> float:
-    """Closed-form reconstruction MSE sum_l N * beta_l**2 * nmmse(B_l)."""
+def theoretical_weighted_mse(betas, bits, num_antennas: int) -> float | np.ndarray:
+    """Closed-form reconstruction MSE sum_l N * beta_l**2 * nmmse(B_l).
+
+    ``bits`` holds one count per path, or one row per budget of a grid,
+    which gives one value per budget.
+    """
     betas = np.asarray(betas, dtype=float)
     b = _as_bits_array(bits)
-    if betas.shape != b.shape:
+    if b.ndim not in (1, 2) or b.shape[-1:] != betas.shape:
         raise ValueError("betas and bits must have matching lengths")
-    return float(num_antennas * (betas**2 @ nmmse(b)))
+    weights = betas**2
+    # row by row: one dot product per budget, as for a single budget
+    mse = np.array([num_antennas * (weights @ row) for row in np.atleast_2d(nmmse(b))])
+    return mse if b.ndim == 2 else float(mse[0])

@@ -159,11 +159,10 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
         out = np.empty((len(b_grid), len(ALLOCATORS), 2))
         for si, strategy in enumerate(ALLOCATORS):
             fp, rcs = _mmse_csi(ps, ps, strategy, b_grid, geom)
+            out[:, si, 0] = allocation.theoretical_weighted_mse(ps.betas, fp.bits,
+                                                                geom.num_antennas)
             for bi, rc in enumerate(rcs):
-                err = float(np.sum(np.abs(h - rc.hhat) ** 2))
-                cf = allocation.theoretical_weighted_mse(ps.betas, fp.bits[bi],
-                                                         geom.num_antennas)
-                out[bi, si] = (cf, err)
+                out[bi, si, 1] = float(np.sum(np.abs(h - rc.hhat) ** 2))
         return out
 
     return _records("mse", cfg, _run_trials(cfg, trial, workers),
@@ -256,10 +255,11 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     dropped before the next budget's is built.  ZF and WMMSE points are
     evaluated on the spot.  A GPIP point only builds its PrecodingProblem
     there; once the loop ends, all of them are solved in one
-    gpip_solve_batch call, which runs the problems of one factor shape in
-    lockstep (robust and no-feedback GPIP have L + 1 columns per user,
-    plain and DFT GPIP one).  A failure names the seed, trial, point and
-    method; of several, the first in evaluation order is reported.
+    gpip_solve_batch call, which runs the problems of one reduced factor
+    shape in lockstep (robust and no-feedback GPIP have L + 1 columns per
+    user and rank L, plain and DFT GPIP one column).  A failure names the
+    seed, trial, point and method; of several, the first in evaluation
+    order is reported.
     """
     h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)

@@ -10,15 +10,18 @@ formed as an N x N matrix.  The sum-spectral-efficiency lower bound is a
 product of Rayleigh-quotient ratios of block-diagonal matrices built from
 these covariances.  Its stationary points solve a generalized eigenvalue
 condition, which the power-iteration solver chases with Woodbury-form
-solves: the K leave-one-user-out capacitance systems are principal
-submatrices of one Hermitian positive-definite matrix and are solved
-together by recursive block elimination (Schur complements over halves of
-the users), on coordinates in an orthonormal basis of the span of the
-factors and the start, so N enters a solve only at one QR and at the
-returned precoder.  gpip_solve_batch runs many problems of one factor shape
-in lockstep, one batched call per step for all of them; gpip_solve is a
-batch of one.  Zero-forcing and WMMSE serve as baselines; WMMSE iterates on
-the K x K Gram matrix of the channels.
+solves.  The solver first cuts each problem's factors to their numerical
+rank r by one thin SVD per user: the MMSE and no-feedback factors
+A [g | diag(sqrt(w))], A the N x L steering matrix, have rank L, not L + 1.
+The K leave-one-user-out capacitance systems are then principal submatrices
+of one Kr x Kr (KL, not K(L+1), for those factors) Hermitian
+positive-definite matrix and are solved together by recursive block
+elimination (Schur complements over halves of the users), on coordinates in
+an orthonormal basis of the span of the factors and the start, so N enters a
+solve only at the SVD, one QR and the returned precoder.  gpip_solve_batch
+runs many problems of one reduced shape in lockstep, one batched call per
+step for all of them; gpip_solve is a batch of one.  Zero-forcing and WMMSE
+serve as baselines; WMMSE iterates on the K x K Gram matrix of the channels.
 """
 
 from __future__ import annotations
@@ -126,12 +129,13 @@ class GpipConfig:
 class GpipResult:
     """Solver output: the N x K unit-norm precoder plus convergence diagnostics.
 
-    ``f`` owns its memory; ``gamma`` is the objective (product of the users'
-    ratios) at ``f``.
+    ``f`` owns its memory; ``log_gamma`` is the natural log of the objective
+    (product of the users' ratios) at ``f``, which itself can exceed the
+    float range at high SNR with many users.
     """
 
     f: np.ndarray
-    gamma: float
+    log_gamma: float
     iterations: int
     converged: bool
 
@@ -200,21 +204,19 @@ def _scaled_problem(pp: PrecodingProblem):
     return v / math.sqrt(scale), pp.noise_over_power / scale
 
 
-def _default_init(pp: PrecodingProblem, v: np.ndarray) -> np.ndarray:
-    """Zero-forcing start; degenerate columns fall back to dominant directions."""
+def _default_init(pp: PrecodingProblem, lead: np.ndarray, top: np.ndarray) -> np.ndarray:
+    """Zero-forcing start; degenerate columns fall back to dominant directions.
+
+    lead[j] is the leading left singular vector of user j's factor, the
+    dominant eigenvector of C_j, and top[j] its singular value; a user with
+    an all-zero factor falls back to the all-ones direction.
+    """
     n, k = pp.num_antennas, pp.num_users
     cols = pp.hhat.copy()
     norms = np.linalg.norm(cols, axis=0)
     floor = 1e-12 * max(norms.max(), 1e-300)
     for j in np.nonzero(norms <= floor)[0]:
-        vj = v[:, j]
-        if np.abs(vj).max() > 0:
-            # dominant eigenvector of V_j V_j^H, from the R x R Gram matrix
-            _, q = np.linalg.eigh(vj.conj().T @ vj)
-            top = vj @ q[:, -1]
-            cols[:, j] = top / np.linalg.norm(top)
-        else:
-            cols[:, j] = np.ones(n) / math.sqrt(n)
+        cols[:, j] = lead[j] if top[j] > 0 else np.ones(n) / math.sqrt(n)
     gram = cols.conj().T @ cols
     try:
         w = cols @ np.linalg.pinv(gram)
@@ -228,13 +230,35 @@ def _default_init(pp: PrecodingProblem, v: np.ndarray) -> np.ndarray:
     return w / col_norms / math.sqrt(k)
 
 
+def _reduced_problem(pp: PrecodingProblem):
+    """Scaled factors cut to their numerical rank, the noise terms and the start.
+
+    The thin SVD V_k = U_k diag(s_k) W_k^H of each user's scaled factor gives
+    C_k = V'_k V'_k^H with V'_k = U_k diag(s_k).  Every user keeps the
+    leading r columns of V'_k, where r is the largest count over the users
+    of singular values above R eps s_max (at least 1); the columns past a
+    user's own rank are zero up to rounding.  The MMSE and no-feedback
+    factors A [g | diag(sqrt(w))] have rank L, so their r is L, not R = L + 1.
+    The SVD, unlike an eigendecomposition of V_k^H V_k, does not square the
+    factor's condition number.  Returns the N x K x r factors, the noise
+    terms and the unit-norm start W0 (_default_init), which the leading left
+    singular vectors serve.
+    """
+    v, noise = _scaled_problem(pp)
+    u, s, _ = np.linalg.svd(v.transpose(1, 0, 2), full_matrices=False)
+    tol = v.shape[2] * np.finfo(float).eps * s[:, :1]
+    r = max(int(np.sum(s > tol, axis=1).max()), 1)
+    reduced = (u[:, :, :r] * s[:, None, :r]).transpose(1, 0, 2)
+    return reduced, noise, _normalized(_default_init(pp, u[:, :, 0], s[:, 0]))
+
+
 def _leave_one_block_out(gram: np.ndarray, s: np.ndarray, d: np.ndarray, y: np.ndarray,
                          r: int) -> np.ndarray:
     """Matrices Z whose column j solves t z = y[:, j] with block j removed.
 
     For each of the S problems on the leading axis, t = diag(d) + D G D with
-    D = diag(s) is PR x PR Hermitian positive definite with P = 2^d >= 2
-    blocks of R rows and columns, and y is PR x P; column j of the problem's
+    D = diag(s) is Pr x Pr Hermitian positive definite with P = 2^d >= 2
+    blocks of r rows and columns, and y is Pr x P; column j of the problem's
     Z is zero on block j.  The P systems are principal submatrices of t, so
     they share one recursive halving: each half of a group of users
     eliminates the other half once (X = T_oo^{-1} [T_oa, y_o]) and recurses
@@ -307,20 +331,23 @@ def _denominator_solve(vc: np.ndarray, gram: np.ndarray, wb: np.ndarray, c: np.n
     """Columns x_j = (c I + sum_{k != j} wb_k C_k)^{-1} rhs_j for every user j.
 
     Every argument stacks S problems on its leading axis.  Per problem, V is
-    the factor stack (user k's R columns side by side) as d x KR coordinates
-    in an orthonormal basis, given as vc = conj(V), with rhs in that basis;
-    gram is V^H V padded with zeros to PR x PR, where P is K rounded up to a
-    power of two.  With S = diag(sqrt(wb)) repeated over each user's R
-    columns and the KR x KR matrix M = c I + S G S, the Woodbury identity gives
+    the reduced factor stack (user k's r columns side by side, r = L for the
+    MMSE and no-feedback factors; see _reduced_problem) as d x Kr
+    coordinates in an orthonormal basis, given as vc = conj(V), with rhs in
+    that basis; gram is V^H V padded with zeros to Pr x Pr, where P is K
+    rounded up to a power of two.  With S = diag(sqrt(wb)) repeated over
+    each user's r columns and the Kr x Kr capacitance matrix
+    M = c I + S G S (KL x KL, not K(L+1) x K(L+1), for those factors), the
+    Woodbury identity gives
 
         x_j = (rhs_j - V S z_j) / c,
 
     where z_j solves M z = S V^H rhs_j with user j's block of M removed and
     is zero on that block.  Each of those K systems is a principal submatrix
     of the one Hermitian positive-definite M, and _leave_one_block_out solves
-    them all by recursive block elimination: about (KR)^3 flops and
+    them all by recursive block elimination: about (Kr)^3 flops and
     O(log K) batched solves per call, instead of K factorizations per
-    problem.  M is padded to PR with decoupled identity blocks and zero
+    problem.  M is padded to Pr with decoupled identity blocks and zero
     right-hand sides.  Raises LinAlgError when any problem's block solve
     fails.
     """
@@ -349,21 +376,22 @@ def _log_weights(logs: np.ndarray) -> np.ndarray:
     return np.exp(rest - rest.max(axis=1, keepdims=True))
 
 
-def _power_iteration(problems: list, members: list, cfg: GpipConfig,
+def _power_iteration(reduced: list, members: list, cfg: GpipConfig,
                      results: list, errors: dict) -> None:
-    """Solve problems[i] for every i in ``members``, which share one factor shape, in lockstep.
+    """Solve problem i for every i in ``members`` in lockstep.
 
-    Each problem's result goes to results[i]; a problem that fails is taken
-    out with its message in errors[i] while the others go on.  The stacked
-    arrays are compacted only on iterations where some problem left.
+    reduced[pos] is the _reduced_problem of problem members[pos]; all share
+    one reduced factor shape.  Each problem's result goes to results[i]; a
+    problem that fails is taken out with its message in errors[i] while the
+    others go on.  The stacked arrays are compacted only on iterations where
+    some problem left.
     """
-    first = problems[members[0]]
-    n, k, r = first.factors.shape
+    n, k, r = reduced[0][0].shape
     index = np.array(members)
     pr = (1 << (k - 1).bit_length()) * r
     d = min(n, k * r + k)
     basis = np.empty((len(members), n, d), dtype=complex)  # orthonormal Q per problem
-    vc = np.empty((len(members), d, k * r), dtype=complex)  # conj(Q^H V), d x KR per problem
+    vc = np.empty((len(members), d, k * r), dtype=complex)  # conj(Q^H V), d x Kr per problem
     gram = np.zeros((len(members), pr, pr), dtype=complex)  # V^H V, padded (_denominator_solve)
     noise = np.empty((len(members), k))
     cols = np.empty((len(members), d, k), dtype=complex)  # Q^H F of the unit-norm iterate F
@@ -376,20 +404,12 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
                 errors[int(index[pos])] = reason
             live[mask] = False
 
-    def load(pos, pp):
+    for pos, (v, noise[pos], w0) in enumerate(reduced):
         # every iterate lies in the span of V and the start W0: [V | W0] = Q R
-        v, noise[pos] = _scaled_problem(pp)
-        w0 = _normalized(_default_init(pp, v))
         basis[pos], coords = np.linalg.qr(np.concatenate((v.reshape(n, k * r), w0), axis=1))
         np.conjugate(coords[:, :k * r], out=vc[pos])
         gram[pos, :k * r, :k * r] = vc[pos].T @ coords[:, :k * r]
         cols[pos] = coords[:, k * r:]
-
-    for pos, i in enumerate(members):
-        try:
-            load(pos, problems[i])
-        except GpipError as exc:
-            drop(np.arange(live.size) == pos, str(exc))
 
     def objective():
         # logs of each problem's ratios at the iterate and its log objective;
@@ -406,7 +426,7 @@ def _power_iteration(problems: list, members: list, cfg: GpipConfig,
         if mask.any():
             for pos in np.flatnonzero(mask):
                 results[index[pos]] = GpipResult(
-                    f=basis[pos] @ best_cols[pos], gamma=math.exp(best_lg[pos]),
+                    f=basis[pos] @ best_cols[pos], log_gamma=float(best_lg[pos]),
                     iterations=iterations, converged=converged)
             live[mask] = False
 
@@ -461,17 +481,18 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
                      cfg: GpipConfig | None = None) -> list[GpipResult]:
     """Generalized power iteration for many product-of-ratios problems at once.
 
-    Each iteration maps user j's block through the inverse of its
-    denominator matrix c I + sum_{k != j} w_k C_k, in Woodbury form over the
-    rank-R factors, and renormalizes; all K users share one recursive block
-    elimination of a KR x KR matrix per iteration (see _denominator_solve),
-    and the Gram matrix of the factors is built once per solve.  A problem
-    stops once the relative improvement of its objective falls below
-    cfg.epsilon, and its iterate with the largest objective seen, including
-    the zero-forcing start, is returned, so the result never falls below the
-    initial point.
+    Each problem's factors are first cut to their numerical rank r
+    (_reduced_problem).  Each iteration maps user j's block through the
+    inverse of its denominator matrix c I + sum_{k != j} w_k C_k, in
+    Woodbury form over the rank-r factors, and renormalizes; all K users
+    share one recursive block elimination of a Kr x Kr matrix per iteration
+    (see _denominator_solve), and the Gram matrix of the factors is built
+    once per solve.  A problem stops once the relative improvement of its
+    objective falls below cfg.epsilon, and its iterate with the largest
+    objective seen, including the zero-forcing start, is returned, so the
+    result never falls below the initial point.
 
-    Problems with one factor shape (N, K, R) run in lockstep: every step is a
+    Problems with one reduced shape (N, K, r) run in lockstep: every step is a
     handful of batched calls over all of them, whose per-call cost on small
     matrices would otherwise repeat for each problem.  A problem leaves the
     batch when it stops or fails, and the others go on unchanged, so each
@@ -483,13 +504,19 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
     cfg = cfg or GpipConfig()
     results: list = [None] * len(problems)
     errors: dict[int, str] = {}
+    reduced: dict[int, tuple] = {}
     groups: dict[tuple, list] = {}
-    for i, pp in enumerate(problems):
-        groups.setdefault(pp.factors.shape, []).append(i)
     # a problem whose values leave the finite range is dropped with a GpipError
     with np.errstate(all="ignore"):
+        for i, pp in enumerate(problems):
+            try:
+                reduced[i] = _reduced_problem(pp)
+            except GpipError as exc:
+                errors[i] = str(exc)
+            else:
+                groups.setdefault(reduced[i][0].shape, []).append(i)
         for members in groups.values():
-            _power_iteration(problems, members, cfg, results, errors)
+            _power_iteration([reduced.pop(i) for i in members], members, cfg, results, errors)
     if errors:
         first = min(errors)
         raise GpipError(errors[first], problem=first)

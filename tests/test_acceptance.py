@@ -254,7 +254,8 @@ def test_c08_gpip_correctness():
             res = gpip_solve(pp, GpipConfig(epsilon=1e-10, max_iter=300))
             assert stationarity_residual(res.f, pp) < 1e-3
             init = zf_precoder(pp.hhat)
-            assert math.log2(res.gamma) >= sum_se_lower_bound(init, pp) + math.log2(1 - 1e-12)
+            assert res.log_gamma / math.log(2) >= (
+                sum_se_lower_bound(init, pp) + math.log2(1 - 1e-12))
 
         # iteration budget at (N, K) = (64, 16) with the default tolerance
         cfg_big = ScenarioConfig(n_antennas=64, n_users=16, n_paths=3)
@@ -265,7 +266,8 @@ def test_c08_gpip_correctness():
             res = gpip_solve(pp, GpipConfig())
             iterations.append(res.iterations)
             init = zf_precoder(pp.hhat)
-            assert math.log2(res.gamma) >= sum_se_lower_bound(init, pp) + math.log2(1 - 1e-12)
+            assert res.log_gamma / math.log(2) >= (
+                sum_se_lower_bound(init, pp) + math.log2(1 - 1e-12))
         assert float(np.median(iterations)) <= 10.0
 
 

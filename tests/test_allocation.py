@@ -185,6 +185,14 @@ class TestBudgetGrid:
                 one = allocate(AllocationProblem(weights=tuple(weights), budget=budget))
                 assert bits == one.bits
                 assert np.float64(objective).tobytes() == np.float64(one.objective).tobytes()
+            # the closed-form MSE of the grid, one row per budget, against the
+            # single-budget formula N * (beta**2 @ nmmse(bits))
+            betas = np.sqrt(weights)
+            mse = theoretical_weighted_mse(betas, rows.bits, 16)
+            assert mse.shape == (len(grid),)
+            for bits, value in zip(rows.bits, mse):
+                want = float(16 * (betas**2 @ nmmse(np.array(bits))))
+                assert np.float64(value).tobytes() == np.float64(want).tobytes()
 
     def test_grid_shapes_and_validation(self):
         p = AllocationProblem(weights=(1.0, 0.25), budget=[3, 0])
@@ -196,6 +204,9 @@ class TestBudgetGrid:
                 AllocationProblem(weights=(1.0,), budget=bad)
         with pytest.raises(ValueError, match="single budget"):
             allocate_bruteforce(p)
+        for bad in ([[1, 2, 3]], [[[1, 2]]]):
+            with pytest.raises(ValueError, match="matching lengths"):
+                theoretical_weighted_mse([1.0, 0.5], bad, 8)
 
 
 class TestBruteforce:

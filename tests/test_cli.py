@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -200,3 +201,17 @@ def test_failed_drop_names_seed_trial_point_and_method(tmp_path, capsys, command
     assert "zero-forcing needs K <= N" in err
     assert re.search(r"\(seed 1234, trial \d+, n_antennas 2, n_paths 2, power_dbm 43\.0, "
                      r"b_tot 0, method zf_mmse\)", err)
+
+
+def test_sim_se_objective_beyond_the_float_range(tmp_path):
+    # 64 users at 60 dBm: the lower bound is about 1200 bits/s/Hz, so the
+    # solver's objective, the product of the users' ratios, is about 2**1200
+    # and only its log is a float
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_antennas = 256\nn_users = 64\npower_dbm_grid = 60\nb_tot_grid = 21\n"
+                   "se_methods = gpip_plain\ngpip_max_iter = 3\ntrials = 1\n")
+    out = tmp_path / "o.csv"
+    assert main(["sim", "se", "--config", str(cfg), "--out", str(out)]) == 0
+    means = {r["metric"]: float(r["mean"]) for r in csv.DictReader(out.open())}
+    assert means["se_lower_bound"] * math.log(2) > math.log(sys.float_info.max)
+    assert math.isfinite(means["true_sum_se"])

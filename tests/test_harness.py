@@ -170,6 +170,24 @@ class TestSeExperiment:
         np.testing.assert_array_equal(batched[..., 2], alone[..., 2])
         np.testing.assert_allclose(batched[..., :2], alone[..., :2], rtol=1e-12, atol=0)
 
+    def test_robust_problems_solved_at_rank_l(self, monkeypatch):
+        # one drop of the se_desk scenario: each MMSE factor A [g | diag(sqrt(w))]
+        # has L + 1 columns and rank L, and the solver keeps L of them
+        cfg = ScenarioConfig(n_antennas=64, n_users=8, n_paths=3, power_dbm_grid=(43.0,),
+                             b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21), trials=1,
+                             se_methods=("gpip_robust",))
+        reduce = precoding._reduced_problem
+        widths = []
+
+        def spy(pp):
+            reduced = reduce(pp)
+            widths.append((pp.factors.shape[2], reduced[0].shape[2]))
+            return reduced
+
+        monkeypatch.setattr(precoding, "_reduced_problem", spy)
+        se_samples(cfg)
+        assert widths == [(4, 3)] * 8
+
     @pytest.mark.parametrize("methods, failed", [
         # the first budget's GPIP point comes before that budget's ZF point
         (("gpip_robust", "zf_mmse"), r"b_tot 0, method gpip_robust"),

@@ -136,7 +136,7 @@ def dense_default_init(pp, covs):
 
 
 def dense_gpip(pp, cfg):
-    """(gamma, iterations, converged) of the power iteration on dense covariances."""
+    """(log gamma, iterations, converged) of the power iteration on dense covariances."""
     covs, noise = dense_scaled_problem(pp)
     n = pp.num_antennas
     w = dense_default_init(pp, covs)
@@ -158,9 +158,9 @@ def dense_gpip(pp, cfg):
         lg_new = float(la.sum() - lb.sum())
         best_lg = max(best_lg, lg_new)
         if abs(math.expm1(lg_new - lg)) < cfg.epsilon:
-            return math.exp(best_lg), it, True
+            return best_lg, it, True
         lg = lg_new
-    return math.exp(best_lg), cfg.max_iter, False
+    return best_lg, cfg.max_iter, False
 
 
 def dense_residual(w, pp):
@@ -337,9 +337,9 @@ class TestFactoredMatchesDense:
     def test_gpip_iterations_and_gamma(self, pp):
         cfg = GpipConfig(max_iter=30)
         res = gpip_solve(pp, cfg)
-        d_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
+        d_log_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
         assert (res.iterations, res.converged) == (d_iterations, d_converged)
-        assert res.gamma == pytest.approx(d_gamma, rel=1e-9)
+        assert res.log_gamma == pytest.approx(d_log_gamma, abs=1e-9)
 
     def test_problem_from_reconstructions_pads_error_columns(self):
         rng = np.random.default_rng(2)
@@ -401,6 +401,40 @@ class TestFactoredMatchesDense:
         assert peak < 4 * 2**20
 
 
+@st.composite
+def mmse_shaped_problems(draw):
+    """Factors of the MMSE shape A_k [g_k | diag(sqrt(w_k))], A_k the N x L
+    steering matrix: rank L in L + 1 columns.  Path angles may nearly
+    coincide, some users have no estimate (g = 0, as at B = 0) and some
+    paths a zero error weight."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.integers(1, min(n, 6)))
+    n_paths = draw(st.integers(1, 3))
+    spread = draw(st.sampled_from((1e-9, 1e-6, 1e-3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = rng.uniform(-1.2, 1.2, (k, 1)) + spread * rng.uniform(-1.0, 1.0, (k, n_paths))
+    a = np.exp(-1j * math.pi * np.arange(n)[:, None] * np.sin(thetas)[:, None, :])
+    g = cnormal(rng, (k, n_paths)) * (rng.random((k, 1)) < 0.7)
+    w = rng.uniform(0.0, 1.0, (k, n_paths)) * (rng.random((k, n_paths)) < 0.7)
+    coeff = np.concatenate((g[:, :, None], np.sqrt(w)[:, :, None] * np.eye(n_paths)), axis=2)
+    return PrecodingProblem(factors=(a @ coeff).transpose(1, 0, 2),
+                            sigma2=10.0 ** rng.uniform(-2, 1, k),
+                            power=10.0 ** rng.uniform(-1, 1))
+
+
+class TestRankReduction:
+    """The solver runs on each problem's factors cut to their numerical rank."""
+
+    @settings(deadline=None, max_examples=100)
+    @given(pp=mmse_shaped_problems())
+    def test_mmse_shaped_factors_match_the_dense_oracle(self, pp):
+        cfg = GpipConfig(max_iter=30)
+        res = gpip_solve(pp, cfg)
+        d_log_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
+        assert (res.iterations, res.converged) == (d_iterations, d_converged)
+        assert res.log_gamma == pytest.approx(d_log_gamma, abs=1e-9)
+
+
 class TestBatchedSolver:
     """gpip_solve_batch: problems of one factor shape run in lockstep."""
 
@@ -411,21 +445,23 @@ class TestBatchedSolver:
         results = gpip_solve_batch(problems, cfg)
         assert len(results) == len(problems)
         for pp, res in zip(problems, results):
-            d_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
+            d_log_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
             assert (res.iterations, res.converged) == (d_iterations, d_converged)
-            assert res.gamma == pytest.approx(d_gamma, rel=1e-9)
+            assert res.log_gamma == pytest.approx(d_log_gamma, abs=1e-9)
             # f is the precoder gamma was scored at, back in C^N
             assert sum_se_lower_bound(res.f, pp) == pytest.approx(
-                math.log2(res.gamma), rel=1e-9, abs=1e-9)
+                res.log_gamma / math.log(2), rel=1e-9, abs=1e-9)
 
     @staticmethod
     def zero_noise_problem(rng, zero_weight):
         # sigma2 / power underflows to 0, so the first step divides by a zero
-        # noise term; with a zero error weight the capacitance matrix also
-        # has a zero row and its block solve fails
+        # noise term.  With a zero error weight for user 1 alone, user 0's
+        # factor keeps rank 3, so user 1's rank-reduced factor keeps its
+        # exactly zero third column: the capacitance matrix has a zero row
+        # and its block solve fails
         weights = np.full((2, 2), 0.1)
         if zero_weight:
-            weights[:, 1] = 0.0
+            weights[1, 1] = 0.0
         return make_problem(hhat=cnormal(rng, (6, 2)), sigma2=1e-300, power=1e300,
                             error_dirs=cnormal(rng, (2, 6, 2)), error_weights=weights)
 
@@ -487,7 +523,7 @@ class TestFactorSpan:
                           lambda a: np.vstack((a, np.zeros((extra, a.shape[1]))))):
             res = gpip_solve(self.moved(pp, factors, transform), cfg)
             assert (res.iterations, res.converged) == (base.iterations, base.converged)
-            assert res.gamma == pytest.approx(base.gamma, rel=1e-9)
+            assert res.log_gamma == pytest.approx(base.log_gamma, abs=1e-9)
 
     def test_basis_is_all_of_the_space(self):
         # N = 4 < K(L + 1) + K = 12
@@ -496,9 +532,9 @@ class TestFactorSpan:
         for _ in range(5):
             pp = random_problem(rng, n=4, k=3)
             res = gpip_solve(pp, cfg)
-            d_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
+            d_log_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
             assert (res.iterations, res.converged) == (d_iterations, d_converged)
-            assert res.gamma == pytest.approx(d_gamma, rel=1e-9)
+            assert res.log_gamma == pytest.approx(d_log_gamma, abs=1e-9)
             assert res.f.shape == (4, 3)
 
     def test_plain_gpip_without_estimates_keeps_its_start(self):
@@ -560,7 +596,7 @@ class TestObjective:
         for max_iter in range(1, 11):
             pp = random_problem(rng, n=6, k=4)
             res = gpip_solve(pp, GpipConfig(max_iter=max_iter))
-            assert math.log2(res.gamma) == pytest.approx(
+            assert res.log_gamma / math.log(2) == pytest.approx(
                 sum_se_lower_bound(res.f, pp), abs=1e-9)
 
     def test_scale_invariance(self):
@@ -688,7 +724,7 @@ class TestGpip:
                 pp = random_problem(rng, n=8, k=3, sigma2=0.3 * scale**2, scale=scale)
                 init = zf_precoder(pp.hhat)
                 res = gpip_solve(pp, GpipConfig(max_iter=20))
-                assert math.log2(res.gamma) >= (
+                assert res.log_gamma / math.log(2) >= (
                     sum_se_lower_bound(init, pp) + math.log2(1 - 1e-12))
                 assert 1 <= res.iterations <= 20
 
@@ -709,13 +745,15 @@ class TestGpip:
         rng = np.random.default_rng(14)
         pp = random_problem(rng, n=6, k=2)
         res = gpip_solve(pp)
-        # gamma is the objective at the returned (best) precoder
-        assert res.gamma > 0
-        assert math.log2(res.gamma) == pytest.approx(sum_se_lower_bound(res.f, pp), rel=1e-12)
+        # gamma is the objective at the returned (best) precoder; every
+        # ratio is at least 1
+        assert math.isfinite(res.log_gamma) and res.log_gamma >= 0
+        assert res.log_gamma / math.log(2) == pytest.approx(
+            sum_se_lower_bound(res.f, pp), rel=1e-12)
         assert 1 <= res.iterations <= GpipConfig().max_iter
         one_step = gpip_solve(pp, GpipConfig(max_iter=1))
         assert one_step.iterations == 1
-        assert res.gamma >= one_step.gamma * (1 - 1e-12)
+        assert res.log_gamma >= one_step.log_gamma + math.log1p(-1e-12)
 
     def test_non_finite_input_raises(self):
         rng = np.random.default_rng(15)
