@@ -7,12 +7,16 @@ error, and the sample count for every sweep coordinate and method.
 
 A user's MMSE CSI is built for the whole budget grid in one pass: one
 allocation, one feedback plan and one reconstruction per path set, whose
-rows are the budgets.
+rows are the budgets.  The SE sweep runs drops in blocks of consecutive
+trials: each drop scores its ZF and WMMSE points on the spot and queues its
+GPIP problems, and the block's queue is solved in one lockstep
+gpip_solve_batch call (se_samples).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -60,17 +64,26 @@ def emit_csv(records, path) -> None:
             ])
 
 
-def _run_trials(cfg: ScenarioConfig, trial_fn, workers: int | None = None) -> np.ndarray:
-    """Evaluate trial_fn(trial, rng) for every trial; stacking order is trial order."""
+def _run_blocks(cfg: ScenarioConfig, block_fn, size: int, workers: int | None = None) -> np.ndarray:
+    """Evaluate block_fn on consecutive blocks of ``size`` trials.
+
+    A block is a list of (trial, rng) pairs, and block_fn returns one output
+    per pair; outputs stack in trial order.  Workers map over blocks.
+    """
     workers = cfg.workers if workers is None else workers
-    trials = range(cfg.trials)
-    rngs = [np.random.default_rng(derive_trial_seed(cfg.seed, t)) for t in trials]
+    trials = [(t, np.random.default_rng(derive_trial_seed(cfg.seed, t))) for t in range(cfg.trials)]
+    blocks = [trials[i:i + size] for i in range(0, len(trials), size)]
     if workers <= 1:
-        results = [trial_fn(t, rng) for t, rng in zip(trials, rngs)]
+        results = [block_fn(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(trial_fn, trials, rngs))
-    return np.stack(results)
+            results = list(pool.map(block_fn, blocks))
+    return np.stack([out for outs in results for out in outs])
+
+
+def _run_trials(cfg: ScenarioConfig, trial_fn, workers: int | None = None) -> np.ndarray:
+    """Evaluate trial_fn(trial, rng) for every trial; stacking order is trial order."""
+    return _run_blocks(cfg, lambda block: [trial_fn(t, rng) for t, rng in block], 1, workers)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +258,8 @@ def _zf_columns(hhat: np.ndarray, recs_nf) -> np.ndarray:
     return cols
 
 
-def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray) -> None:
+def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray,
+              queue: list) -> None:
     """Fill out[power, budget, method] for one drawn scene at one array size.
 
     Methods whose CSI ignores the budget run once per power, ahead of the
@@ -254,22 +268,13 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     for the whole budget grid at once; DFT CSI is built once per budget and
     dropped before the next budget's is built.  ZF and WMMSE points are
     evaluated on the spot.  A GPIP point only builds its PrecodingProblem
-    there; once the loop ends, all of them are solved in one
-    gpip_solve_batch call, which runs the problems of one reduced factor
-    shape in lockstep (robust and no-feedback GPIP have L + 1 columns per
-    user and rank L, plain and DFT GPIP one column).  A failure names the
-    seed, trial, point and method; of several, the first in evaluation
-    order is reported.
+    there and appends (label, out slot, problem, true channel) to ``queue``
+    in evaluation order; se_samples solves the queue (_solve_queue).  A
+    failure is raised at once, named by the seed, trial, point and method.
     """
     h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
     csi = {}
-    deferred = []  # (point, out slot, problem) of each GPIP point, in evaluation order
-
-    def labelled(exc, reason, method, pdbm, b_tot):
-        return type(exc)(
-            f"{reason} (seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
-            f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {b_tot}, method {method})")
 
     def reconstructions(source, bi):
         if source not in csi:
@@ -278,12 +283,15 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
 
     def evaluate(method, pdbm, bi, slot):
         source, precoder, use_cov = SE_METHODS[method]
+        label = (f"seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
+                 f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {cfg.b_tot_grid[bi]}, "
+                 f"method {method}")
         try:
             recs = reconstructions(source, bi)
             pp = precoding.PrecodingProblem.from_reconstructions(
                 recs, power=cfg.power_watts(pdbm), sigma2=sigma2, use_cov=use_cov)
             if precoder == "gpip":
-                deferred.append(((method, pdbm, cfg.b_tot_grid[bi]), slot, pp))
+                queue.append((label, out[slot], pp, h_true))
                 return
             if precoder == "zf":
                 fallback = reconstructions("no_feedback", bi)
@@ -293,35 +301,57 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
             out[slot] = (precoding.true_sum_se(w, h_true, pp),
                          precoding.sum_se_lower_bound(w, pp), 0)
         except ValueError as exc:
-            raise labelled(exc, exc, method, pdbm, cfg.b_tot_grid[bi]) from exc
+            raise type(exc)(f"{exc} ({label})") from exc
 
-    failure = None
     per_budget = [SE_METHODS[m][0] in _PER_BUDGET for m in cfg.se_methods]
-    try:
+    for pi, pdbm in enumerate(cfg.power_dbm_grid):
+        for mi, method in enumerate(cfg.se_methods):
+            if not per_budget[mi]:
+                evaluate(method, pdbm, 0, (pi, slice(None), mi))
+    for bi in range(len(cfg.b_tot_grid)):
+        csi.pop("dft", None)
         for pi, pdbm in enumerate(cfg.power_dbm_grid):
             for mi, method in enumerate(cfg.se_methods):
-                if not per_budget[mi]:
-                    evaluate(method, pdbm, 0, (pi, slice(None), mi))
-        for bi in range(len(cfg.b_tot_grid)):
-            csi.pop("dft", None)
-            for pi, pdbm in enumerate(cfg.power_dbm_grid):
-                for mi, method in enumerate(cfg.se_methods):
-                    if per_budget[mi]:
-                        evaluate(method, pdbm, bi, (pi, bi, mi))
-    except ValueError as exc:
-        failure = exc  # reported unless a GPIP point queued before it fails
-    csi.clear()
+                if per_budget[mi]:
+                    evaluate(method, pdbm, bi, (pi, bi, mi))
 
+
+def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -> None:
+    """Solve every queued GPIP point in one gpip_solve_batch call and score it.
+
+    ``failure`` is the inline failure that stopped the queue, if any: the
+    queued points all precede it in evaluation order, so the first of them
+    that fails is reported instead of it.
+    """
     gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
     try:
-        results = precoding.gpip_solve_batch([pp for _, _, pp in deferred], gcfg)
+        results = precoding.gpip_solve_batch([pp for _, _, pp, _ in queue], gcfg)
     except precoding.GpipError as exc:
-        raise labelled(exc, exc.reason, *deferred[exc.problem][0]) from exc
+        raise type(exc)(f"{exc.reason} ({queue[exc.problem][0]})") from exc
     if failure is not None:
         raise failure
-    for (_, slot, pp), result in zip(deferred, results):
-        out[slot] = (precoding.true_sum_se(result.f, h_true, pp),
+    for (_, slot, pp, h_true), result in zip(queue, results):
+        slot[...] = (precoding.true_sum_se(result.f, h_true, pp),
                      precoding.sum_se_lower_bound(result.f, pp), result.iterations)
+
+
+# GPIP problems per gpip_solve_batch call that a block of drops aims for.  A
+# lockstep batch pays each step's numpy call overhead once for all of its
+# problems.  Per robust problem, on one BLAS thread of a 2-vCPU Xeon VM: at
+# N=64, K=8 (se_desk) 16.7 ms alone, 6.6 ms in a batch of 4, 5.0 of 8, 4.3
+# of 16 and 4.6 of 32; at N=256, K=16 (paper scale) 39 ms alone, 25 ms in a
+# batch of 2 and 18 ms from 4 to 32.  Past 32 little is left to gain, and a
+# block's queue stays about the size of one drop's or of 32 problems,
+# whichever is larger.
+GPIP_BATCH = 32
+
+
+def _gpip_points_per_drop(cfg: ScenarioConfig) -> int:
+    """GPIP points of one drop: per scene and power, one per budget of each
+    budget-dependent GPIP method and one of each other GPIP method."""
+    per_power = sum(len(cfg.b_tot_grid) if SE_METHODS[m][0] in _PER_BUDGET else 1
+                    for m in cfg.se_methods if SE_METHODS[m][1] == "gpip")
+    return len(cfg.n_grid) * len(cfg.l_grid) * len(cfg.power_dbm_grid) * per_power
 
 
 def se_axes(cfg: ScenarioConfig) -> tuple:
@@ -338,21 +368,43 @@ def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
     the se_axes after the trial axis; the last axis holds the two SE_METRICS
     and the GPIP iteration count (0 for other precoders).  Methods whose CSI
     source ignores the budget are computed once per (drop, N, L, power) and
-    replicated across budgets.  A solver or ZF failure is re-raised with the
-    seed, trial, sweep point and method that reproduce it.
+    replicated across budgets.
+
+    Drops run in blocks of consecutive trials, and workers map over blocks.
+    Each drop of a block draws its scenes and scores its ZF and WMMSE points
+    on the spot (_se_scene), and queues its GPIP points; the block's whole
+    queue, every drop and every (L, N) scene, is then solved in one
+    gpip_solve_batch call.  A block holds ceil(GPIP_BATCH / P) drops, P the
+    GPIP points per drop, but no more than ceil(trials / workers), so every
+    worker has a block, and one drop when P is 0.  A problem's result does
+    not depend on its batch, so neither block size nor worker count changes
+    the output.  A solver or ZF failure is re-raised with the seed, trial,
+    sweep point and method that reproduce it: the lowest failing trial's,
+    and within that trial the first failure in evaluation order.
     """
+    workers = cfg.workers if workers is None else workers
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in cfg.l_grid}
     shape = (*(len(values) for _, values in se_axes(cfg)), len(SE_METRICS) + 1)
+    per_drop = _gpip_points_per_drop(cfg)
+    size = 1 if per_drop == 0 else min(math.ceil(GPIP_BATCH / per_drop),
+                                       math.ceil(cfg.trials / workers))
 
-    def trial(t, rng):
-        out = np.empty(shape)
-        for li, L in enumerate(cfg.l_grid):
-            scene, ests = _draw_scene(cfgs_by_l[L], rng)
-            for ni, n in enumerate(cfg.n_grid):
-                _se_scene(cfg, t, scene, ests, cfg.geometry(n), out[ni, li])
-        return out
+    def block(drops):
+        outs, queue, failure = [], [], None
+        try:
+            for t, rng in drops:
+                out = np.empty(shape)
+                outs.append(out)
+                for li, L in enumerate(cfg.l_grid):
+                    scene, ests = _draw_scene(cfgs_by_l[L], rng)
+                    for ni, n in enumerate(cfg.n_grid):
+                        _se_scene(cfg, t, scene, ests, cfg.geometry(n), out[ni, li], queue)
+        except ValueError as exc:
+            failure = exc  # reported unless a GPIP point queued before it fails
+        _solve_queue(cfg, queue, failure)
+        return outs
 
-    return _run_trials(cfg, trial, workers)
+    return _run_blocks(cfg, block, size, workers)
 
 
 def run_se_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:

@@ -496,7 +496,8 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
     handful of batched calls over all of them, whose per-call cost on small
     matrices would otherwise repeat for each problem.  A problem leaves the
     batch when it stops or fails, and the others go on unchanged, so each
-    result is the one a solve of that problem alone gives.  Results come
+    result is the one a solve of that problem alone gives: bit-equal for a
+    fixed BLAS thread count, whatever else the batch holds.  Results come
     back in input order.  If any problem failed, the GpipError of the first
     failed one in input order is raised once all have run; its ``problem``
     is that index.

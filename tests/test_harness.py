@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -161,14 +163,99 @@ class TestSeExperiment:
 
         monkeypatch.setattr(precoding, "gpip_solve_batch", spy)
         batched = se_samples(cfg)
-        # one batch per drop: no-feedback GPIP once per power, the rest per budget too
-        assert sizes == [2 + 2 * 3 * 3] * cfg.trials
+        # 20 points per drop (no-feedback GPIP once per power, the rest per
+        # budget too): one batch per block of ceil(32 / 20) = 2 drops
+        assert sizes == [2 * 20, 20]
         monkeypatch.setattr(precoding, "gpip_solve_batch",
                             lambda problems, gcfg: [solve_batch([pp], gcfg)[0] for pp in problems])
         alone = se_samples(cfg)
         assert np.all(batched[..., 2] >= 1)
         np.testing.assert_array_equal(batched[..., 2], alone[..., 2])
         np.testing.assert_allclose(batched[..., :2], alone[..., :2], rtol=1e-12, atol=0)
+
+    @staticmethod
+    def spy_batches(monkeypatch):
+        """Sizes of the gpip_solve_batch calls, in call order."""
+        solve_batch = precoding.gpip_solve_batch
+        sizes = []
+
+        def spy(problems, gcfg):
+            sizes.append(len(problems))
+            return solve_batch(problems, gcfg)
+
+        monkeypatch.setattr(precoding, "gpip_solve_batch", spy)
+        return sizes
+
+    # 4 scenes x 4 GPIP methods at one power and one budget: 16 points per drop
+    SIXTEEN_POINTS = dict(n_users=2, trials=5, l_grid=(2, 3), n_grid=(8, 16), b_tot_grid=(6,),
+                          power_dbm_grid=(43.0,),
+                          se_methods=("gpip_robust", "gpip_plain", "gpip_nofeedback",
+                                      "gpip_dft", "zf_mmse"))
+
+    @pytest.mark.parametrize("workers", [1, 3, 5])
+    def test_blocks_match_solves_of_each_point_exactly(self, monkeypatch, workers):
+        # blocks of 2 drops at 1 and 3 workers (5 trials: the last block holds
+        # one), of 1 drop at 5 workers
+        cfg = small_cfg(**self.SIXTEEN_POINTS)
+        blocked = se_samples(cfg, workers)
+        solve_batch = precoding.gpip_solve_batch
+        monkeypatch.setattr(precoding, "gpip_solve_batch",
+                            lambda problems, gcfg: [solve_batch([pp], gcfg)[0] for pp in problems])
+        alone = se_samples(cfg, 1)
+        np.testing.assert_array_equal(blocked, alone)
+
+    @pytest.mark.parametrize("kw, workers, expected", [
+        # 16 points per drop: blocks of 2 drops
+        (SIXTEEN_POINTS, 1, [32, 32, 16]),
+        # 2 points per drop: blocks of min(16, ceil(trials / workers)) drops
+        (dict(trials=5, se_methods=("gpip_robust", "gpip_plain")), 1, [10]),
+        (dict(trials=5, se_methods=("gpip_robust", "gpip_plain")), 2, [6, 4]),
+        (dict(trials=20, se_methods=("gpip_robust", "gpip_plain")), 1, [32, 8]),
+        # 40 points per drop: one drop per block
+        (dict(trials=3, n_grid=(8, 16), power_dbm_grid=(30.0, 43.0), b_tot_grid=(0, 3, 6, 9, 12),
+              se_methods=("gpip_robust", "gpip_plain")), 1, [40, 40, 40]),
+    ])
+    def test_block_layout(self, monkeypatch, kw, workers, expected):
+        sizes = self.spy_batches(monkeypatch)
+        se_samples(small_cfg(**{"b_tot_grid": (6,), **kw}), workers)
+        assert sorted(sizes, reverse=True) == expected
+
+    def test_no_gpip_method_queues_nothing(self, monkeypatch):
+        sizes = self.spy_batches(monkeypatch)
+        se_samples(small_cfg(trials=3, se_methods=("zf_mmse", "wmmse_perfect")))
+        assert not any(sizes)
+
+    @staticmethod
+    def fail_on_call(monkeypatch, module, name, call, exc):
+        """Make module.name raise exc on its call-th call (0-based)."""
+        fn = getattr(module, name)
+        calls = itertools.count()
+
+        def wrapper(*args, **kwargs):
+            if next(calls) == call:
+                raise exc
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    @pytest.mark.parametrize("zf_trial, gpip_trial, failed", [
+        # ZF fails in trial 0 after its GPIP point is queued: trial 1's GPIP
+        # failure comes later
+        (0, 1, r"zf broke \(seed 321, trial 0, .*method zf_mmse\)$"),
+        # trial 0's GPIP point comes before trial 1's ZF point
+        (1, 0, r"gpip broke \(seed 321, trial 0, .*method gpip_robust\)$"),
+    ])
+    def test_block_reports_lowest_failing_trial(self, monkeypatch, zf_trial, gpip_trial, failed):
+        # one GPIP and then one ZF point per drop; the 2 trials form one block,
+        # and the solver sets up its problems in trial order
+        cfg = small_cfg(trials=2, b_tot_grid=(3,), se_methods=("gpip_robust", "zf_mmse"))
+        self.fail_on_call(monkeypatch, precoding, "zf_precoder", zf_trial, ValueError("zf broke"))
+        self.fail_on_call(monkeypatch, precoding, "_reduced_problem", gpip_trial,
+                          precoding.GpipError("gpip broke"))
+        sizes = self.spy_batches(monkeypatch)
+        with pytest.raises((precoding.GpipError, ValueError), match=failed):
+            se_samples(cfg)
+        assert len(sizes) == 1
 
     def test_robust_problems_solved_at_rank_l(self, monkeypatch):
         # one drop of the se_desk scenario: each MMSE factor A [g | diag(sqrt(w))]

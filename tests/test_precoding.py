@@ -452,6 +452,18 @@ class TestBatchedSolver:
             assert sum_se_lower_bound(res.f, pp) == pytest.approx(
                 res.log_gamma / math.log(2), rel=1e-9, abs=1e-9)
 
+    @settings(deadline=None, max_examples=60)
+    @given(problems=problem_batches())
+    def test_each_result_is_bit_equal_to_a_solve_alone(self, problems):
+        # not merely close: the harness solves the GPIP points of several
+        # drops in one batch and relies on this to keep its output unchanged
+        cfg = GpipConfig(max_iter=8)
+        for pp, res in zip(problems, gpip_solve_batch(problems, cfg)):
+            alone = gpip_solve(pp, cfg)
+            np.testing.assert_array_equal(res.f, alone.f)
+            assert res.log_gamma == alone.log_gamma
+            assert (res.iterations, res.converged) == (alone.iterations, alone.converged)
+
     @staticmethod
     def zero_noise_problem(rng, zero_weight):
         # sigma2 / power underflows to 0, so the first step divides by a zero
