@@ -13,7 +13,6 @@ from .allocation import (
     allocate_uniform,
     eta,
     nmmse,
-    nmmse_pl,
     theoretical_weighted_mse,
 )
 from .channel import (
@@ -56,12 +55,8 @@ from .precoding import (
     zf_precoder,
 )
 from .reconstruction import (
-    ReconstructedChannel,
     asymptotic_delta_norm,
-    error_covariance,
     outer_error_norm,
-    outer_product_error,
-    reconstruct_dft,
     reconstruct_mmse,
     reconstruct_no_feedback,
 )

@@ -54,20 +54,6 @@ def nmmse(bits):
     return 1.0 - e * e
 
 
-def nmmse_pl(x):
-    """Piecewise-linear interpolant of nmmse between adjacent integers."""
-    x = float(x)
-    if not np.isfinite(x) or x < 0:
-        raise ValueError(f"x must be a nonnegative real, got {x}")
-    if x > MAX_BITS:
-        raise ValueError(f"x must not exceed {MAX_BITS}")
-    lo = math.floor(x)
-    frac = x - lo
-    if frac == 0.0:
-        return nmmse(lo)
-    return (1.0 - frac) * nmmse(lo) + frac * nmmse(lo + 1)
-
-
 def marginal_gain_table(max_bits: int) -> np.ndarray:
     """Marginal NMMSE decrease nmmse(B) - nmmse(B+1) for B = 0..max_bits-1.
 
@@ -131,17 +117,11 @@ class Allocation:
     objective: float | tuple[float, ...]
 
 
-def weighted_nmmse(weights, bits) -> float:
-    """Objective sum_l weights[l] * nmmse(bits[l])."""
-    w = np.asarray(weights, dtype=float)
-    return float(w @ nmmse(_as_bits_array(bits)))
-
-
 def _allocation(p: AllocationProblem, bits: np.ndarray) -> Allocation:
     """The Allocation of ``bits``, one row per budget of ``p``; a single budget
     gives its row alone."""
     w = np.asarray(p.weights, dtype=float)
-    # row by row: one dot product per budget, as weighted_nmmse takes it
+    # row by row: one dot product per budget, as for a single budget
     objective = tuple(float(w @ row) for row in nmmse(bits))
     rows = tuple(map(tuple, bits.tolist()))
     if isinstance(p.budget, tuple):
@@ -204,8 +184,7 @@ def allocate_bruteforce(p: AllocationProblem) -> Allocation:
     w = np.asarray(p.weights, dtype=float)
     objectives = table[comps] @ w
     best = int(np.argmin(objectives))
-    bits = tuple(int(b) for b in comps[best])
-    return Allocation(bits=bits, objective=weighted_nmmse(w, bits))
+    return _allocation(p, comps[best:best + 1])
 
 
 def allocate_uniform(p: AllocationProblem) -> Allocation:

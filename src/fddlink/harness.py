@@ -7,10 +7,12 @@ error, and the sample count for every sweep coordinate and method.
 
 A user's MMSE CSI is built for the whole budget grid in one pass: one
 allocation, one feedback plan and one reconstruction per path set, whose
-rows are the budgets.  The SE sweep runs drops in blocks of consecutive
-trials: each drop scores its ZF and WMMSE points on the spot and queues its
-GPIP problems, and the block's queue is solved in one lockstep
-gpip_solve_batch call (se_samples).
+rows are the budgets.  Each CSI source hands the precoders one N x K x R
+stack of the users' reconstruction factors, with a leading budget axis for
+the sources that depend on the budget.  The SE sweep runs drops in blocks
+of consecutive trials: each drop scores its ZF and WMMSE points on the spot
+and queues its GPIP problems, and the block's queue is solved in one
+lockstep gpip_solve_batch call (se_samples).
 """
 
 from __future__ import annotations
@@ -137,7 +139,7 @@ def _mmse_csi(ps, est, strategy: str, budgets, geom):
     Bits are allocated over the estimated path powers, the feedback quantizes
     the true DL phases of ``ps``, and the reconstruction uses the estimated
     geometry ``est``.  Returns the feedback plan, with one row per budget,
-    and the list of reconstructed channels, one per budget.
+    and the (budgets, N, L+1) stack of reconstruction factors.
     """
     bits = _allocate(strategy, est.betas**2, budgets)
     fp = feedback.make_feedback_plan(ps, bits, geom)
@@ -171,11 +173,11 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
         h = channel.dl_channel(ps, geom)
         out = np.empty((len(b_grid), len(ALLOCATORS), 2))
         for si, strategy in enumerate(ALLOCATORS):
-            fp, rcs = _mmse_csi(ps, ps, strategy, b_grid, geom)
+            fp, factors = _mmse_csi(ps, ps, strategy, b_grid, geom)
             out[:, si, 0] = allocation.theoretical_weighted_mse(ps.betas, fp.bits,
                                                                 geom.num_antennas)
-            for bi, rc in enumerate(rcs):
-                out[bi, si, 1] = float(np.sum(np.abs(h - rc.hhat) ** 2))
+            for bi, factor in enumerate(factors):
+                out[bi, si, 1] = float(np.sum(np.abs(h - factor[:, 0]) ** 2))
         return out
 
     return _records("mse", cfg, _run_trials(cfg, trial, workers),
@@ -205,9 +207,8 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
         for li, L in enumerate(l_grid):
             ps = channel.draw_user_paths(cfgs_by_l[L], rng)
             h = channel.dl_channel(ps, geom)
-            fp, rcs = _mmse_csi(ps, ps, cfg.allocator, b_grid, geom)
-            hhat = np.array([rc.hhat for rc in rcs])
-            out[li, :, 0] = reconstruction.outer_error_norm(h, hhat, ps, fp.bits, geom)
+            fp, factors = _mmse_csi(ps, ps, cfg.allocator, b_grid, geom)
+            out[li, :, 0] = reconstruction.outer_error_norm(h, factors[..., 0], ps, fp.bits, geom)
             out[li, :, 1] = reconstruction.asymptotic_delta_norm(ps.betas, fp.bits, fp.deltas)
         return out
 
@@ -227,34 +228,36 @@ SE_METRICS = ("true_sum_se", "se_lower_bound")
 _PER_BUDGET = ("mmse", "dft")
 
 
-def _build_csi(source: str, b_tot: int, cfg: ScenarioConfig, scene, ests, h_true, geom):
-    """Per-user reconstructions from one CSI source.
+def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, h_true, geom) -> np.ndarray:
+    """The users' reconstruction factors from one CSI source, stacked N x K x R.
 
-    "mmse" ignores ``b_tot`` and builds every budget of the grid at once: it
-    returns one list of the users' reconstructions per budget.
+    "mmse" and "dft" depend on the budget and are built for the whole grid at
+    once, (budgets, N, K, R).  Column 0 of each factor is the estimate; MMSE
+    and no-feedback factors carry L error columns, DFT and perfect CSI none.
     """
     if source == "mmse":
-        per_user = [_mmse_csi(ps, est, cfg.allocator, cfg.b_tot_grid, geom)[1]
-                    for ps, est in zip(scene, ests)]
-        return [list(recs) for recs in zip(*per_user)]
+        return np.stack([_mmse_csi(ps, est, cfg.allocator, cfg.b_tot_grid, geom)[1]
+                         for ps, est in zip(scene, ests)], axis=2)
     if source == "no_feedback":
-        return [reconstruction.reconstruct_no_feedback(est, geom) for est in ests]
+        return np.stack([reconstruction.reconstruct_no_feedback(est, geom) for est in ests],
+                        axis=1)
     if source == "dft":
-        return [reconstruction.reconstruct_dft(
-                    feedback.dft_codebook_feedback(h, b_tot, geom)[1], geom)
-                for h in h_true.T]
+        return np.stack([np.column_stack([feedback.dft_codebook_feedback(h, b, geom)[1]
+                                          for h in h_true.T])
+                         for b in cfg.b_tot_grid])[..., None]
     # "perfect": the true channel, with no estimation error
-    return [reconstruction.ReconstructedChannel(h[:, None]) for h in h_true.T]
+    return h_true[:, :, None]
 
 
-def _zf_columns(hhat: np.ndarray, recs_nf) -> np.ndarray:
-    """Estimate columns; users without any feedback fall back to the
-    geometry-only estimate so zero-forcing stays defined at zero budget."""
+def _zf_columns(hhat: np.ndarray, hhat_nf: np.ndarray) -> np.ndarray:
+    """Estimate columns; users without any feedback fall back to their
+    geometry-only estimate in ``hhat_nf`` so zero-forcing stays defined at
+    zero budget."""
     cols = hhat.copy()
     norms = np.linalg.norm(cols, axis=0)
     floor = 1e-12 * max(float(norms.max()), 1e-300)
     for k in np.nonzero(norms <= floor)[0]:
-        cols[:, k] = recs_nf[k].hhat
+        cols[:, k] = hhat_nf[:, k]
     return cols
 
 
@@ -263,23 +266,22 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     """Fill out[power, budget, method] for one drawn scene at one array size.
 
     Methods whose CSI ignores the budget run once per power, ahead of the
-    budget loop.  CSI is built when a method first needs it.  It does not
-    depend on the power, so budgets loop outside powers.  MMSE CSI is built
-    for the whole budget grid at once; DFT CSI is built once per budget and
-    dropped before the next budget's is built.  ZF and WMMSE points are
-    evaluated on the spot.  A GPIP point only builds its PrecodingProblem
-    there and appends (label, out slot, problem, true channel) to ``queue``
-    in evaluation order; se_samples solves the queue (_solve_queue).  A
-    failure is raised at once, named by the seed, trial, point and method.
+    budget loop.  Each CSI source's factor stack (_build_csi) is built when a
+    method first needs it, for the whole budget grid at once, and serves
+    every power.  ZF and WMMSE points are evaluated on the spot.  A GPIP
+    point only builds its PrecodingProblem there and appends (label, out
+    slot, problem, true channel) to ``queue`` in evaluation order;
+    se_samples solves the queue (_solve_queue).  A failure is raised at
+    once, named by the seed, trial, point and method.
     """
     h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
     csi = {}
 
-    def reconstructions(source, bi):
+    def factors(source):
         if source not in csi:
-            csi[source] = _build_csi(source, cfg.b_tot_grid[bi], cfg, scene, ests, h_true, geom)
-        return csi[source][bi] if source == "mmse" else csi[source]
+            csi[source] = _build_csi(source, cfg, scene, ests, h_true, geom)
+        return csi[source]
 
     def evaluate(method, pdbm, bi, slot):
         source, precoder, use_cov = SE_METHODS[method]
@@ -287,15 +289,15 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
                  f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {cfg.b_tot_grid[bi]}, "
                  f"method {method}")
         try:
-            recs = reconstructions(source, bi)
-            pp = precoding.PrecodingProblem.from_reconstructions(
-                recs, power=cfg.power_watts(pdbm), sigma2=sigma2, use_cov=use_cov)
+            stack = factors(source)[bi] if source in _PER_BUDGET else factors(source)
+            pp = precoding.PrecodingProblem(factors=stack if use_cov else stack[..., :1],
+                                            sigma2=sigma2, power=cfg.power_watts(pdbm))
             if precoder == "gpip":
                 queue.append((label, out[slot], pp, h_true))
                 return
             if precoder == "zf":
-                fallback = reconstructions("no_feedback", bi)
-                w = precoding.zf_precoder(_zf_columns(pp.hhat, fallback))
+                hhat_nf = factors("no_feedback")[..., 0]
+                w = precoding.zf_precoder(_zf_columns(pp.hhat, hhat_nf))
             else:
                 w = precoding.wmmse_precoder(h_true, pp)
             out[slot] = (precoding.true_sum_se(w, h_true, pp),
@@ -309,7 +311,6 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
             if not per_budget[mi]:
                 evaluate(method, pdbm, 0, (pi, slice(None), mi))
     for bi in range(len(cfg.b_tot_grid)):
-        csi.pop("dft", None)
         for pi, pdbm in enumerate(cfg.power_dbm_grid):
             for mi, method in enumerate(cfg.se_methods):
                 if per_budget[mi]:

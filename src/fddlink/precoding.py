@@ -3,12 +3,13 @@
 A precoder is an N x K complex array whose column k is user k's beamformer.
 Its total power, and the norm that normalizes it, are summed user by user
 (column 0 first), so values do not depend on the array's memory layout.
-A problem holds each user's reconstruction factor V_k = [hhat_k | E_k]
-(N x R, R = L + 1 for the MMSE estimate, 1 without an error model), so the
-effective covariance C_k = hhat_k hhat_k^H + Phi_k = V_k V_k^H is never
-formed as an N x N matrix.  The sum-spectral-efficiency lower bound is a
-product of Rayleigh-quotient ratios of block-diagonal matrices built from
-these covariances.  Its stationary points solve a generalized eigenvalue
+A problem holds the users' reconstruction factors V_k = [hhat_k | E_k] as
+one N x K x R array (R = L + 1 for the MMSE and no-feedback estimates, 1
+without an error model), so the effective covariance
+C_k = hhat_k hhat_k^H + Phi_k = V_k V_k^H is never formed as an N x N
+matrix.  The sum-spectral-efficiency lower bound is a product of
+Rayleigh-quotient ratios of block-diagonal matrices built from these
+covariances.  Its stationary points solve a generalized eigenvalue
 condition, which the power-iteration solver chases with Woodbury-form
 solves.  The solver first cuts each problem's factors to their numerical
 rank r by one thin SVD per user: the MMSE and no-feedback factors
@@ -32,8 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .reconstruction import ReconstructedChannel
-
 
 class GpipError(RuntimeError):
     """Raised when the power-iteration solver cannot proceed.
@@ -54,8 +53,8 @@ class PrecodingProblem:
 
     factors is N x K x R: factors[:, k] is user k's reconstruction factor,
     column 0 its estimate hhat_k and the rest E_k with Phi_k = E_k E_k^H, so
-    C_k = factors[:, k] @ factors[:, k]^H.  Zero columns pad users with
-    fewer.  sigma2 holds per-user noise powers in watts.
+    C_k = factors[:, k] @ factors[:, k]^H.  sigma2 holds per-user noise
+    powers in watts.
     """
 
     factors: np.ndarray
@@ -95,20 +94,6 @@ class PrecodingProblem:
     @property
     def noise_over_power(self) -> np.ndarray:
         return self.sigma2 / self.power
-
-    @classmethod
-    def from_reconstructions(cls, recs: list[ReconstructedChannel], power: float,
-                             sigma2, use_cov: bool = True) -> "PrecodingProblem":
-        """Stack per-user reconstruction factors; ``use_cov=False`` keeps only hhat.
-
-        Users with fewer columns than others are padded with zero columns.
-        """
-        width = max(rc.factor.shape[1] for rc in recs) if use_cov else 1
-        factors = np.zeros((recs[0].factor.shape[0], len(recs), width), dtype=complex)
-        for k, rc in enumerate(recs):
-            cols = rc.factor[:, :width]
-            factors[:, k, :cols.shape[1]] = cols
-        return cls(factors=factors, sigma2=sigma2, power=power)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,6 @@ from fddlink.allocation import (
     allocate_greedy,
     eta,
     nmmse,
-    nmmse_pl,
     theoretical_weighted_mse,
 )
 from fddlink.channel import (
@@ -45,11 +44,10 @@ from fddlink.precoding import (
 )
 from fddlink.reconstruction import (
     asymptotic_delta_norm,
-    error_covariance,
     outer_error_norm,
-    outer_product_error,
     reconstruct_mmse,
 )
+from oracles import nmmse_pl, outer_product_error
 
 
 @contextmanager
@@ -139,7 +137,9 @@ def test_c05_error_covariance_monte_carlo():
         ps = PathSet(thetas=thetas, betas=betas, distances=np.full(3, 100.0),
                      phases_ul=np.zeros(3), phases_dl=np.full(3, 0.5))
         fp = make_feedback_plan(ps, bits, geom)
-        phi = error_covariance(ps, bits, geom)
+        # the covariance the precoder sees: Phi = E E^H from the factor [hhat | E]
+        e = reconstruct_mmse(ps, fp, geom)[:, 1:]
+        phi = e @ e.conj().T
 
         trace = float(np.trace(phi).real)
         expected_trace = theoretical_weighted_mse(betas, bits, n)
@@ -208,10 +208,8 @@ def test_c07_outer_error_large_array_limit():
             val = outer_error_norm(h, hhat, ps, bits, geom)
             if n == 1024:
                 # dense and factored routes must agree where both are cheap
-                from fddlink.reconstruction import ReconstructedChannel
-                rc = ReconstructedChannel(
-                    np.column_stack((hhat, a * np.sqrt(1.0 - eta(bits) ** 2))))
-                _, dense_val = outer_product_error(h, rc)
+                factor = np.column_stack((hhat, a * np.sqrt(1.0 - eta(bits) ** 2)))
+                _, dense_val = outer_product_error(h, factor)
                 assert abs(dense_val - val) <= 1e-9 * max(val, 1.0)
             gaps.append(abs(val - limit))
         assert gaps[-1] / limit < 0.05
@@ -227,8 +225,8 @@ def _scene_problem(cfg, rng, b_tot, power_dbm=43.0):
         bits = allocate_greedy(problem).bits
         fp = make_feedback_plan(ps, bits, geom)
         recs.append(reconstruct_mmse(ps, fp, geom))
-    return PrecodingProblem.from_reconstructions(
-        recs, power=10 ** ((power_dbm - 30) / 10),
+    return PrecodingProblem(
+        factors=np.stack(recs, axis=1), power=10 ** ((power_dbm - 30) / 10),
         sigma2=np.full(cfg.n_users, cfg.noise_watts))
 
 
@@ -238,8 +236,8 @@ def test_c08_gpip_correctness():
         geom = geom_n(16)
         ps = PathSet(thetas=[0.4], betas=[3e-7], distances=[140.0],
                      phases_ul=[0.2], phases_dl=[3.3])
-        rc = reconstruct_mmse(ps, make_feedback_plan(ps, [2], geom), geom)
-        pp1 = PrecodingProblem.from_reconstructions([rc], power=20.0, sigma2=5e-15)
+        factor = reconstruct_mmse(ps, make_feedback_plan(ps, [2], geom), geom)
+        pp1 = PrecodingProblem(factors=factor[:, None], power=20.0, sigma2=5e-15)
         res1 = gpip_solve(pp1)
         direction = steering_matrix(ps.thetas, geom.lambda_dl, geom)[:, 0] / 4.0
         assert abs(np.vdot(res1.f[:, 0], direction)) > 1 - 1e-6

@@ -15,10 +15,9 @@ from fddlink.allocation import (
     eta,
     marginal_gain_table,
     nmmse,
-    nmmse_pl,
     theoretical_weighted_mse,
-    weighted_nmmse,
 )
+from oracles import nmmse_pl, weighted_nmmse
 
 
 def eta_by_quadrature(bits: int) -> float:

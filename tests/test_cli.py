@@ -130,6 +130,20 @@ def _check_reference_seed(tmp_path, workload, experiment, seed):
         assert shift <= 4 * float(ref_row[9]), ref_line
 
 
+DATA = Path(__file__).resolve().parent / "data"
+
+
+@pytest.mark.parametrize("experiment,workers", [("se", 1), ("se", 3), ("mse", 1)],
+                         ids=["se-w1", "se-w3", "mse-w1"])
+def test_all_methods_config_matches_golden_csv(tmp_path, experiment, workers):
+    # all eight SE methods over two array sizes, two path counts, two powers
+    # and four budgets, with estimation noise: every CSI source and precoder
+    out = tmp_path / "out.csv"
+    assert main(["sim", experiment, "--config", str(DATA / "all_methods.cfg"),
+                 "--workers", str(workers), "--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"all_methods_{experiment}.csv").read_bytes()
+
+
 def test_zf_defined_when_dft_users_share_a_codeword(tmp_path):
     # small budgets give colliding codewords; seed 168 hits one at b_tot = 0
     cfg = tmp_path / "s.cfg"

@@ -3,9 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from fddlink import feedback, precoding, reconstruction
+from fddlink import channel, feedback, precoding, reconstruction
+from fddlink.allocation import AllocationProblem, allocate_greedy, eta
 from fddlink.config import ScenarioConfig
 from fddlink.harness import (
+    _build_csi,
+    _draw_scene,
     derive_trial_seed,
     emit_csv,
     run_delta_experiment,
@@ -95,6 +98,45 @@ class TestDeltaExperiment:
         records = run_delta_experiment(cfg)
         emp = {r.b_tot: (r.mean, r.std_err) for r in records if r.metric == "delta_norm_emp"}
         assert emp[12][0] <= emp[2][0] + 2 * (emp[12][1] + emp[2][1])
+
+
+class TestBuildCsi:
+    def test_stacks_are_the_users_factors(self):
+        # each source's stack equals the per-user calls' output, byte for
+        # byte, at each budget of the grid for MMSE and DFT
+        cfg = small_cfg(n_antennas=16, n_users=3, n_paths=3, b_tot_grid=(0, 3, 9, 15),
+                        aoa_sigma=0.01, gain_rel_sigma=0.05)
+        geom = cfg.geometry()
+        scene, ests = _draw_scene(cfg, np.random.default_rng(8))
+        h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
+        stacks = {source: _build_csi(source, cfg, scene, ests, h_true, geom)
+                  for source in ("mmse", "dft", "no_feedback", "perfect")}
+        budgets, n, k, paths = len(cfg.b_tot_grid), 16, 3, 3
+        assert stacks["mmse"].shape == (budgets, n, k, paths + 1)
+        assert stacks["dft"].shape == (budgets, n, k, 1)
+        assert stacks["no_feedback"].shape == (n, k, paths + 1)
+        assert stacks["perfect"].shape == (n, k, 1)
+        # the estimates, which a method without the covariance sees as [..., :1]
+        hhat = {"mmse": np.empty((budgets, n, k), dtype=complex),
+                "no_feedback": np.empty((n, k), dtype=complex)}
+        for u, (ps, est) in enumerate(zip(scene, ests)):
+            a = channel.steering_matrix(est.thetas, geom.lambda_dl, geom)
+            nf = reconstruction.reconstruct_no_feedback(est, geom)
+            assert stacks["no_feedback"][:, u].tobytes() == nf.tobytes()
+            hhat["no_feedback"][:, u] = a @ est.betas
+            assert stacks["perfect"][:, u, 0].tobytes() == h_true[:, u].tobytes()
+            for bi, b in enumerate(cfg.b_tot_grid):
+                bits = np.array(allocate_greedy(AllocationProblem(tuple(est.betas**2), b)).bits)
+                fp = feedback.make_feedback_plan(ps, bits, geom)
+                mmse = reconstruction.reconstruct_mmse(est, fp, geom)
+                assert stacks["mmse"][bi, :, u].tobytes() == mmse.tobytes()
+                hhat["mmse"][bi, :, u] = a @ (eta(bits) * est.betas * np.exp(1j * fp.q_values))
+                _, dft = feedback.dft_codebook_feedback(h_true[:, u], b, geom)
+                assert stacks["dft"][bi, :, u, 0].tobytes() == dft.tobytes()
+        for source, want in hhat.items():
+            plain = stacks[source][..., :1]
+            assert plain.shape == (*want.shape, 1)
+            np.testing.assert_allclose(plain[..., 0], want, rtol=1e-12, atol=0)
 
 
 class TestSeExperiment:

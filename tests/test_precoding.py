@@ -24,7 +24,7 @@ from fddlink.precoding import (
     wmmse_precoder,
     zf_precoder,
 )
-from fddlink.reconstruction import ReconstructedChannel, reconstruct_mmse
+from fddlink.reconstruction import reconstruct_mmse
 
 
 def cnormal(rng, shape):
@@ -340,49 +340,6 @@ class TestFactoredMatchesDense:
         d_log_gamma, d_iterations, d_converged = dense_gpip(pp, cfg)
         assert (res.iterations, res.converged) == (d_iterations, d_converged)
         assert res.log_gamma == pytest.approx(d_log_gamma, abs=1e-9)
-
-    def test_problem_from_reconstructions_pads_error_columns(self):
-        rng = np.random.default_rng(2)
-        dirs = cnormal(rng, (6, 2))
-        recs = [ReconstructedChannel(np.column_stack((cnormal(rng, 6),
-                                                      dirs * np.sqrt([0.3, 0.0])))),
-                ReconstructedChannel(cnormal(rng, (6, 1)))]
-        pp = PrecodingProblem.from_reconstructions(recs, power=2.0, sigma2=0.1)
-        assert pp.factors.shape == (6, 2, 3)
-        for k, rc in enumerate(recs):
-            phi = (rc.factor[:, 1:] @ rc.factor[:, 1:].conj().T if k == 0
-                   else np.zeros((6, 6)))
-            np.testing.assert_allclose(dense_covs(pp)[k],
-                                       np.outer(rc.hhat, rc.hhat.conj()) + phi, atol=1e-13)
-        plain = PrecodingProblem.from_reconstructions(recs, power=2.0, sigma2=0.1,
-                                                      use_cov=False)
-        assert plain.factors.shape == (6, 2, 1)
-
-    @settings(deadline=None, max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8),
-           widths=st.lists(st.integers(0, 4), min_size=1, max_size=6))
-    def test_stacked_factors_are_the_users_factors(self, seed, n, widths):
-        # users of mixed R = L + 1; each factor is [hhat | dirs sqrt(w)] with
-        # some zero weights, and the stack pads with zero columns
-        rng = np.random.default_rng(seed)
-        parts = []
-        for width in widths:
-            weights = rng.uniform(0.0, 1.0, width) * (rng.random(width) < 0.7)
-            parts.append((cnormal(rng, n), cnormal(rng, (n, width)), weights))
-        recs = [ReconstructedChannel(np.column_stack((hhat, dirs * np.sqrt(weights))))
-                for hhat, dirs, weights in parts]
-        for use_cov in (True, False):
-            pp = PrecodingProblem.from_reconstructions(recs, power=1.0, sigma2=0.1,
-                                                       use_cov=use_cov)
-            r = 1 + max(widths) if use_cov else 1
-            want = np.zeros((n, len(parts), r), dtype=complex)
-            for k, (hhat, dirs, weights) in enumerate(parts):
-                want[:, k, 0] = hhat
-                if use_cov:
-                    want[:, k, 1:1 + dirs.shape[1]] = dirs * np.sqrt(weights)
-            assert pp.factors.shape == want.shape
-            assert pp.factors.tobytes() == want.tobytes()
-            assert pp.hhat.tobytes() == want[:, :, 0].tobytes()
 
     def test_paper_scale_memory(self):
         # one dense K x N x N covariance stack alone would take 16 MiB here
@@ -709,8 +666,8 @@ class TestGpip:
         geom = self.geom(8)
         ps = PathSet(thetas=[0.4], betas=[2e-7], distances=[150.0],
                      phases_ul=[0.3], phases_dl=[4.0])
-        rc = reconstruct_mmse(ps, make_feedback_plan(ps, [2], geom), geom)
-        pp = PrecodingProblem.from_reconstructions([rc], power=20.0, sigma2=5e-15)
+        factor = reconstruct_mmse(ps, make_feedback_plan(ps, [2], geom), geom)
+        pp = PrecodingProblem(factors=factor[:, None], power=20.0, sigma2=5e-15)
         res = gpip_solve(pp)
         a = np.exp(-1j * (2 * math.pi / geom.lambda_dl) * np.arange(8)
                    * geom.spacing * math.sin(0.4)) / math.sqrt(8)

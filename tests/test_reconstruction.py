@@ -22,15 +22,12 @@ from fddlink.channel import (
 )
 from fddlink.feedback import make_feedback_plan, quantize_phases
 from fddlink.reconstruction import (
-    ReconstructedChannel,
     asymptotic_delta_norm,
-    error_covariance,
     outer_error_norm,
-    outer_product_error,
-    reconstruct_dft,
     reconstruct_mmse,
     reconstruct_no_feedback,
 )
+from oracles import error_covariance, outer_product_error
 
 GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.025)
 
@@ -72,10 +69,15 @@ def budget_grid(data, n_paths):
     return tuple(data.draw(st.permutations([0, n_paths * MAX_BITS, *extra])))
 
 
-def dense_phi(rc):
-    """The N x N error covariance E E^H from the error columns of the factor."""
-    e = rc.factor[:, 1:]
+def dense_phi(factor):
+    """The N x N error covariance E E^H from the error columns of the factor [hhat | E]."""
+    e = factor[:, 1:]
     return e @ e.conj().T
+
+
+def mmse_phi(ps, bits, geom):
+    """Phi of the MMSE reconstruction of ``ps`` at ``bits``."""
+    return dense_phi(reconstruct_mmse(ps, make_feedback_plan(ps, bits, geom), geom))
 
 
 def geom_n(n):
@@ -98,12 +100,12 @@ class TestReconstructMmse:
         fp = make_feedback_plan(ps, [30], GEOM)
         rc = reconstruct_mmse(ps, fp, GEOM)
         h = dl_channel(ps, GEOM)
-        assert np.linalg.norm(h - rc.hhat) / np.linalg.norm(h) < 1e-6
+        assert np.linalg.norm(h - rc[:, 0]) / np.linalg.norm(h) < 1e-6
 
     def test_zero_bits_collapse_to_prior_mean(self):
         ps = one_path(0.2, 1.5, 80.0, 0.0, 2.6)
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, [0], GEOM), GEOM)
-        assert np.linalg.norm(rc.hhat) == 0.0
+        assert np.linalg.norm(rc[:, 0]) == 0.0
         a = steering_matrix(ps.thetas, GEOM.lambda_dl, GEOM)[:, 0]
         np.testing.assert_allclose(dense_phi(rc), 1.5**2 * np.outer(a, a.conj()), atol=1e-12)
         assert np.trace(dense_phi(rc)).real == pytest.approx(4 * 1.5**2)
@@ -137,7 +139,7 @@ class TestReconstructMmse:
         rc = reconstruct_mmse(est, fp, GEOM)
         a = steering_matrix(est.thetas, GEOM.lambda_dl, GEOM)
         expected = a @ (eta(np.array([3, 2])) * est.betas * np.exp(1j * fp.q_values))
-        np.testing.assert_allclose(rc.hhat, expected, atol=1e-14)
+        np.testing.assert_allclose(rc[:, 0], expected, atol=1e-14)
 
 
 class TestReconstructNoFeedback:
@@ -145,11 +147,11 @@ class TestReconstructNoFeedback:
         ps = one_path(0.2, 0.7, 90.0, 0.0, 2.6)
         rc = reconstruct_no_feedback(ps, GEOM)
         a = steering_matrix(ps.thetas, GEOM.lambda_dl, GEOM)[:, 0]
-        np.testing.assert_allclose(rc.hhat, 0.7 * a, atol=1e-14)
+        np.testing.assert_allclose(rc[:, 0], 0.7 * a, atol=1e-14)
 
     def test_ignores_dl_phase(self):
-        h1 = reconstruct_no_feedback(one_path(0.2, 0.7, 90.0, 0.0, 2.6), GEOM).hhat
-        h2 = reconstruct_no_feedback(one_path(0.2, 0.7, 90.0, 0.0, 0.4), GEOM).hhat
+        h1 = reconstruct_no_feedback(one_path(0.2, 0.7, 90.0, 0.0, 2.6), GEOM)[:, 0]
+        h2 = reconstruct_no_feedback(one_path(0.2, 0.7, 90.0, 0.0, 0.4), GEOM)[:, 0]
         assert np.linalg.norm(h1) == pytest.approx(np.linalg.norm(h2))
 
     def test_cov_modes(self):
@@ -160,19 +162,29 @@ class TestReconstructNoFeedback:
 
 
 class TestErrorCovariance:
+    """Phi = E E^H from the error columns of reconstruct_mmse's factor."""
+
+    def test_matches_the_explicit_covariance(self):
+        # A diag(beta**2 (1 - eta**2)) A^H, built as the N x N product
+        for n, bits in ((4, [0, 0]), (4, [1, 2]), (8, [3, 0]), (16, [2, 5])):
+            ps = two_path_set(betas=(1.0, 0.4))
+            geom = geom_n(n)
+            np.testing.assert_allclose(mmse_phi(ps, bits, geom),
+                                       error_covariance(ps, bits, geom), rtol=0, atol=1e-14)
+
     def test_vanishes_with_many_bits(self):
         ps = two_path_set()
-        phi = error_covariance(ps, [30, 30], GEOM)
+        phi = mmse_phi(ps, [30, 30], GEOM)
         assert np.linalg.norm(phi) < 1e-10
 
     def test_single_path_rank_one(self):
         ps = one_path(0.3, 1.0, 100.0, 0.1, 0.2)
-        phi = error_covariance(ps, [1], GEOM)
+        phi = mmse_phi(ps, [1], GEOM)
         assert np.linalg.matrix_rank(phi, tol=1e-10) == 1
 
     def test_hermitian_psd(self):
         ps = two_path_set(betas=(1.0, 0.4))
-        phi = error_covariance(ps, [1, 2], GEOM)
+        phi = mmse_phi(ps, [1, 2], GEOM)
         np.testing.assert_allclose(phi, phi.conj().T, atol=1e-14)
         assert np.min(np.linalg.eigvalsh(phi)) > -1e-12
 
@@ -192,7 +204,7 @@ class TestErrorCovariance:
         a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
         errors = coeff @ a.T  # (trials, N)
         emp = errors.conj().T @ errors / trials
-        phi = error_covariance(ps, bits, geom)
+        phi = dense_phi(reconstruct_mmse(ps, fp, geom))
         rel = np.linalg.norm(emp - phi.conj()) / np.linalg.norm(phi)
         assert rel < 0.05
 
@@ -215,7 +227,7 @@ class TestOuterProductError:
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, bits, geom), geom)
         h = dl_channel(ps, geom)
         _, dense = outer_product_error(h, rc)
-        fast = outer_error_norm(h, rc.hhat, ps, bits, geom)
+        fast = outer_error_norm(h, rc[:, 0], ps, bits, geom)
         assert fast == pytest.approx(dense, rel=1e-10)
 
     def test_gram_norm_rejects_bits_of_other_length(self):
@@ -344,7 +356,7 @@ class TestBudgetGrid:
             bits = np.array(allocate(AllocationProblem(tuple(weights), grid)).bits)
             fp = make_feedback_plan(ps, bits, geom)
             rcs = reconstruct_mmse(ps, fp, geom)
-            emp = outer_error_norm(h, np.array([rc.hhat for rc in rcs]), ps, bits, geom)
+            emp = outer_error_norm(h, rcs[..., 0], ps, bits, geom)
             asym = asymptotic_delta_norm(ps.betas, bits, fp.deltas)
             assert len(rcs) == len(grid) and emp.shape == asym.shape == (len(grid),)
             for g, row in enumerate(bits):
@@ -353,29 +365,7 @@ class TestBudgetGrid:
                     want = getattr(one, field)
                     assert getattr(fp, field)[g].tobytes() == want.tobytes()
                 rc = reconstruct_mmse(ps, one, geom)
-                assert rcs[g].factor.shape == rc.factor.shape
-                assert rcs[g].factor.tobytes() == rc.factor.tobytes()
-                assert same_bits(emp[g], outer_error_norm(h, rc.hhat, ps, row, geom))
+                assert rcs[g].shape == rc.shape
+                assert rcs[g].tobytes() == rc.tobytes()
+                assert same_bits(emp[g], outer_error_norm(h, rc[:, 0], ps, row, geom))
                 assert same_bits(asym[g], asymptotic_delta_norm(ps.betas, row, one.deltas))
-
-
-class TestDftReconstruction:
-    def test_wraps_estimate_with_zero_cov(self):
-        rc = reconstruct_dft(np.ones(4, dtype=complex), GEOM)
-        assert rc.factor.shape == (4, 1)
-        np.testing.assert_array_equal(rc.hhat, np.ones(4))
-        assert np.all(dense_phi(rc) == 0)
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ValueError):
-            reconstruct_dft(np.ones(3, dtype=complex), GEOM)
-
-
-class TestReconstructedChannel:
-    def test_malformed_factors_rejected(self):
-        with pytest.raises(ValueError, match="N x R"):
-            ReconstructedChannel(np.ones(4, dtype=complex))
-        with pytest.raises(ValueError, match="R >= 1"):
-            ReconstructedChannel(np.ones((4, 0), dtype=complex))
-        with pytest.raises(ValueError, match="N x R"):
-            ReconstructedChannel(np.ones((4, 1, 1)))
