@@ -10,6 +10,9 @@ An allocation problem takes one budget or a tuple of budgets (a budget
 grid).  Greedy bits are nested in the budget: the bits at budget b are the
 first b grants of one ranking of the marginal gains, so the allocators
 serve a whole grid from one pass and a single budget is its one-row case.
+allocate_bits is that pass as an array: it takes the weights of a stack of
+path sets and returns their bits over the grid, without the validated
+problem and per-budget objective that an Allocation carries.
 """
 
 from __future__ import annotations
@@ -129,6 +132,37 @@ def _allocation(p: AllocationProblem, bits: np.ndarray) -> Allocation:
     return Allocation(bits=rows[0], objective=objective[0])
 
 
+def allocate_bits(strategy: str, weights, budgets) -> np.ndarray:
+    """Bits per path at each budget of a grid, as an int64 array.
+
+    ``weights`` are the per-path weights (..., L), any leading axes stacking
+    path sets, and ``budgets`` the grid (B,), so the bits are (..., B, L).
+    ``strategy`` is "greedy" (see allocate_greedy), "uniform" (see
+    allocate_uniform) or "none" (no bits at any budget).  Each stacked path
+    set gets the bits it would get alone.
+    """
+    weights = np.asarray(weights, dtype=float)
+    budgets = np.asarray(budgets, dtype=np.int64)
+    lead, L = weights.shape[:-1], weights.shape[-1]
+    if strategy == "greedy":
+        top = int(budgets.max())
+        if top > L * MAX_BITS:
+            raise ValueError(f"budget {top} exceeds {MAX_BITS} bits on every path")
+        table = (weights[..., None] * _GAINS).reshape(*lead, L * MAX_BITS)
+        taken = np.argsort(-table, axis=-1, kind="stable")[..., :top] // MAX_BITS
+        # granted[..., n, l]: bits of path l after the first n grants
+        granted = np.zeros((*lead, top + 1, L), dtype=np.int64)
+        np.cumsum(taken[..., None] == np.arange(L), axis=-2, out=granted[..., 1:, :])
+        return granted[..., budgets, :]
+    if strategy == "uniform":
+        base, extra = np.divmod(budgets, L)
+        rows = base[:, None] + (np.arange(L) < extra[:, None])
+        return np.broadcast_to(rows, (*lead, *rows.shape)).copy()
+    if strategy == "none":
+        return np.zeros((*lead, len(budgets), L), dtype=np.int64)
+    raise ValueError(f"unknown allocator {strategy!r}")
+
+
 def allocate_greedy(p: AllocationProblem) -> Allocation:
     """Incremental marginal-analysis allocator.
 
@@ -141,18 +175,7 @@ def allocate_greedy(p: AllocationProblem) -> Allocation:
     first B grants never reach past bit B - 1: one sort of the table over all
     MAX_BITS bits serves every budget of a grid.
     """
-    L = len(p.weights)
-    w = np.asarray(p.weights, dtype=float)
-    budgets = p.budgets
-    top = int(budgets.max())
-    if top > L * MAX_BITS:
-        raise ValueError(f"budget {top} exceeds {MAX_BITS} bits on every path")
-    table = w[:, None] * _GAINS
-    taken = np.argsort(-table, axis=None, kind="stable")[:top] // MAX_BITS
-    # granted[n, l]: bits of path l after the first n grants
-    granted = np.zeros((top + 1, L), dtype=np.int64)
-    np.cumsum(taken[:, None] == np.arange(L), axis=0, out=granted[1:])
-    return _allocation(p, granted[budgets])
+    return _allocation(p, allocate_bits("greedy", p.weights, p.budgets))
 
 
 def _compositions(total: int, parts: int):
@@ -189,9 +212,7 @@ def allocate_bruteforce(p: AllocationProblem) -> Allocation:
 
 def allocate_uniform(p: AllocationProblem) -> Allocation:
     """Even split of each budget; any remainder goes to the leading paths."""
-    L = len(p.weights)
-    base, extra = np.divmod(p.budgets, L)
-    return _allocation(p, base[:, None] + (np.arange(L) < extra[:, None]))
+    return _allocation(p, allocate_bits("uniform", p.weights, p.budgets))
 
 
 def theoretical_weighted_mse(betas, bits, num_antennas: int) -> float | np.ndarray:

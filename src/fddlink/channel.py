@@ -4,6 +4,11 @@ Narrowband uplink/downlink channels are synthesized as weighted sums of
 steering vectors.  Angles, path amplitudes, traversed distances, and the
 number of paths are shared between the two bands; only the wavelength and
 the per-path reflection phases differ, so the bands are not reciprocal.
+
+A PathSet may stack many path sets of one path count: its per-path arrays
+are (..., L), and the steering matrices, DL phases, gains and channels of
+a stack carry the same leading axes.  Each stacked path set is computed
+exactly as it would be alone, one matrix-vector product per channel.
 """
 
 from __future__ import annotations
@@ -41,7 +46,8 @@ class PathSet:
     thetas (AoAs) lie in [-pi/2, pi/2], betas (amplitudes) are nonnegative
     and the reflection phases lie in [0, 2*pi).  The amplitudes and geometry
     are band-invariant, the reflection phases are not.  Each field is stored
-    as a read-only float64 copy.
+    as a read-only float64 copy.  The fields share one shape (..., L): any
+    leading axes stack path sets of L paths each (see ``stack``).
     """
 
     thetas: np.ndarray
@@ -51,29 +57,49 @@ class PathSet:
     phases_dl: np.ndarray
 
     def __post_init__(self):
-        for f in fields(self):
-            values = np.array(getattr(self, f.name), dtype=float)
+        names = [f.name for f in fields(self)]
+        for name in names:
+            values = np.array(getattr(self, name), dtype=float)
             values.flags.writeable = False
-            object.__setattr__(self, f.name, values)
-        shapes = {getattr(self, f.name).shape for f in fields(self)}
-        if len(shapes) != 1 or self.thetas.ndim != 1:
-            raise ValueError(f"path arrays must be 1-D of one length, got shapes {shapes}")
-        if len(self.thetas) < 1:
+            object.__setattr__(self, name, values)
+        shapes = {getattr(self, name).shape for name in names}
+        if len(shapes) != 1 or self.thetas.ndim < 1:
+            raise ValueError(f"path arrays must share one shape (..., L), got shapes {shapes}")
+        if self.thetas.shape[-1] < 1:
             raise ValueError("a PathSet needs at least one path")
-        if np.any(self.betas < 0):
+        if (self.betas < 0).any():
             raise ValueError(f"path amplitudes must be nonnegative, got {self.betas}")
-        if not np.all((self.thetas >= -math.pi / 2) & (self.thetas <= math.pi / 2)):
+        if not ((self.thetas >= -math.pi / 2) & (self.thetas <= math.pi / 2)).all():
             raise ValueError(f"thetas out of [-pi/2, pi/2]: {self.thetas}")
 
     def __len__(self):
-        return len(self.thetas)
+        """The number of paths of each path set, L."""
+        return self.thetas.shape[-1]
+
+    @classmethod
+    def stack(cls, path_sets) -> PathSet:
+        """One PathSet whose new leading axis runs over ``path_sets``."""
+        return cls(*(np.array([getattr(ps, f.name) for ps in path_sets]) for f in fields(cls)))
 
 
 def steering_matrix(thetas, wavelength: float, geom: ArrayGeometry) -> np.ndarray:
-    """N x L matrix whose columns are steering vectors at the given angles."""
+    """N x L matrix whose columns are steering vectors at the given angles.
+
+    Angles of shape (..., L) give the (..., N, L) stack of such matrices.
+    """
     thetas = np.asarray(thetas, dtype=float)
     n = np.arange(geom.num_antennas)[:, None]
-    return np.exp(-1j * (TWO_PI / wavelength) * n * geom.spacing * np.sin(thetas)[None, :])
+    return np.exp(-1j * (TWO_PI / wavelength) * n * geom.spacing * np.sin(thetas)[..., None, :])
+
+
+def superpose(a: np.ndarray, gains: np.ndarray) -> np.ndarray:
+    """The columns of ``a`` weighted by ``gains`` and summed: a @ gains.
+
+    ``a`` is (..., N, L) and ``gains`` (..., L), and their leading axes
+    broadcast.  Each stacked product is the BLAS matrix-vector call that a
+    single N x L matrix and L-vector make.
+    """
+    return (a @ gains[..., None])[..., 0]
 
 
 def dl_path_gains(ps: PathSet, geom: ArrayGeometry) -> np.ndarray:
@@ -87,15 +113,16 @@ def ul_path_gains(ps: PathSet, geom: ArrayGeometry) -> np.ndarray:
 
 
 def dl_channel(ps: PathSet, geom: ArrayGeometry) -> np.ndarray:
-    """Narrowband DL channel: sum of steering vectors weighted by DL gains."""
-    a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    return a @ dl_path_gains(ps, geom)
+    """Narrowband DL channel: sum of steering vectors weighted by DL gains.
+
+    A stack of path sets gives one channel per path set, (..., N).
+    """
+    return superpose(steering_matrix(ps.thetas, geom.lambda_dl, geom), dl_path_gains(ps, geom))
 
 
 def ul_channel(ps: PathSet, geom: ArrayGeometry) -> np.ndarray:
     """Narrowband UL channel: sum of steering vectors weighted by UL gains."""
-    a = steering_matrix(ps.thetas, geom.lambda_ul, geom)
-    return a @ ul_path_gains(ps, geom)
+    return superpose(steering_matrix(ps.thetas, geom.lambda_ul, geom), ul_path_gains(ps, geom))
 
 
 def dl_phases(ps: PathSet, geom: ArrayGeometry) -> np.ndarray:
@@ -158,17 +185,19 @@ def perturb_estimates(ps: PathSet, aoa_sigma: float, gain_rel_sigma: float,
     AoAs get additive Gaussian error of std ``aoa_sigma`` (rad) clamped to
     [-pi/2, pi/2]; amplitudes get relative Gaussian error of std
     ``gain_rel_sigma`` clamped at zero.  Distances and phases are left
-    untouched (the estimator never observes them directly).
+    untouched (the estimator never observes them directly).  A stack of
+    path sets draws its errors path set by path set, as one call per path
+    set in stack order would.
     """
     if aoa_sigma < 0 or gain_rel_sigma < 0:
         raise ValueError("noise sigmas must be nonnegative")
     # path by path, the AoA error is drawn before the gain error
     sigmas = [s for s in (aoa_sigma, gain_rel_sigma) if s > 0]
-    errors = rng.normal(0.0, sigmas, size=(len(ps), len(sigmas)))
+    errors = rng.normal(0.0, sigmas, size=(*ps.thetas.shape, len(sigmas)))
     thetas, betas = ps.thetas, ps.betas
     if aoa_sigma > 0:
-        thetas = np.clip(thetas + errors[:, 0], -math.pi / 2, math.pi / 2)
+        thetas = np.clip(thetas + errors[..., 0], -math.pi / 2, math.pi / 2)
     if gain_rel_sigma > 0:
-        betas = betas * (1.0 + errors[:, -1])
+        betas = betas * (1.0 + errors[..., -1])
         betas = np.where(betas < 0.0, 0.0, betas)  # max(beta, 0.0), signed zeros kept
     return replace(ps, thetas=thetas, betas=betas)

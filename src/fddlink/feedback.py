@@ -1,7 +1,8 @@
 """Per-path phase quantization and the DFT-codebook feedback baseline.
 
 A feedback plan quantizes one path set's DL phases at one bit allocation or
-at every row of a budget grid's allocations at once.
+at every row of a budget grid's allocations at once, and a stack of path
+sets with one bit array (and grid) per path set in the same quantizer call.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ class FeedbackPlan:
     """Per-path bit counts together with the quantized DL phases and their errors.
 
     The arrays share one shape whose last axis runs over the paths; a plan
-    for a budget grid has one row per budget.
+    for a budget grid has one row per budget, (..., budgets, L) for a stack
+    of path sets (..., L).
     """
 
     bits: np.ndarray
@@ -57,15 +59,32 @@ def quantize_phases(angles, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return q, index, delta
 
 
+def budget_axis(ps: PathSet, bits) -> bool:
+    """Whether per-path ``bits`` for ``ps`` have a budget axis.
+
+    For path sets of shape (..., L) the bits are (..., L), one count per
+    path, or (..., budgets, L), one row per budget of a grid; any other
+    shape raises ValueError.
+    """
+    shape, got = ps.thetas.shape, np.shape(bits)
+    if got == shape:
+        return False
+    if len(got) == len(shape) + 1 and got[:-2] == shape[:-1] and got[-1] == shape[-1]:
+        return True
+    raise ValueError(f"got bit counts of shape {got} for {shape[-1]} paths of shape {shape}")
+
+
 def make_feedback_plan(ps: PathSet, bits, geom: ArrayGeometry) -> FeedbackPlan:
     """Quantize each true DL path phase of ``ps`` with the given bit counts.
 
     ``bits`` holds one count per path, or one row of them per budget of a
-    grid (shape (budgets, L)); one quantizer call serves every row.
+    grid (see budget_axis); one quantizer call serves every row of every
+    stacked path set.
     """
-    if np.ndim(bits) not in (1, 2) or np.shape(bits)[-1] != len(ps):
-        raise ValueError(f"got bit counts of shape {np.shape(bits)} for {len(ps)} paths")
-    q, _, deltas = quantize_phases(dl_phases(ps, geom), bits)  # validates bits
+    phases = dl_phases(ps, geom)
+    if budget_axis(ps, bits):
+        phases = phases[..., None, :]
+    q, _, deltas = quantize_phases(phases, bits)  # validates bits
     return FeedbackPlan(bits=np.asarray(bits, dtype=np.int64), q_values=q, deltas=deltas)
 
 

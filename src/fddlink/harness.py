@@ -5,12 +5,15 @@ streams are derived by hashing (seed, trial index), so results do not depend
 on execution order or worker count.  Records carry a mean, its standard
 error, and the sample count for every sweep coordinate and method.
 
-A user's MMSE CSI is built for the whole budget grid in one pass: one
-allocation, one feedback plan and one reconstruction per path set, whose
-rows are the budgets.  Each CSI source hands the precoders one N x K x R
-stack of the users' reconstruction factors, with a leading budget axis for
-the sources that depend on the budget.  The SE sweep runs drops in blocks
-of consecutive trials: each drop scores its ZF and WMMSE points on the spot
+CSI is built for a stack of path sets and the whole budget grid in one
+pass: one allocation, one feedback plan and one reconstruction for all of
+them, whose leading axes are the path sets and the budgets.  `sim se`
+stacks a scene's K users, and `sim delta` runs its trials in blocks and
+stacks a block's path sets of each path count, so one pass serves a block
+and path count.  Each CSI source hands the precoders one N x K x R stack of
+the users' reconstruction factors, with a leading budget axis for the
+sources that depend on the budget.  The SE sweep runs drops in blocks of
+consecutive trials: each drop scores its ZF and WMMSE points on the spot
 and queues its GPIP problems, and the block's queue is solved in one
 lockstep gpip_solve_batch call (se_samples).
 """
@@ -121,38 +124,27 @@ def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
 # the drop pipeline shared by every experiment
 
 
-def _allocate(strategy: str, weights, budgets) -> np.ndarray:
-    """Bits per path (columns) for each budget of the grid (rows)."""
-    if strategy == "none":
-        return np.zeros((len(budgets), len(weights)), dtype=np.int64)
-    problem = allocation.AllocationProblem(weights=tuple(weights), budget=tuple(budgets))
-    if strategy == "greedy":
-        return np.array(allocation.allocate_greedy(problem).bits, dtype=np.int64)
-    if strategy == "uniform":
-        return np.array(allocation.allocate_uniform(problem).bits, dtype=np.int64)
-    raise ValueError(f"unknown allocator {strategy!r}")
-
-
 def _mmse_csi(ps, est, strategy: str, budgets, geom):
-    """One user's phase feedback and MMSE reconstruction at every budget of a grid.
+    """Phase feedback and MMSE reconstruction of path sets at every budget of a grid.
 
     Bits are allocated over the estimated path powers, the feedback quantizes
     the true DL phases of ``ps``, and the reconstruction uses the estimated
-    geometry ``est``.  Returns the feedback plan, with one row per budget,
-    and the (budgets, N, L+1) stack of reconstruction factors.
+    geometry ``est``.  For path sets stacked (..., L), returns the feedback
+    plan, with one row per budget, (..., budgets, L), and the
+    (..., budgets, N, L+1) stack of reconstruction factors.
     """
-    bits = _allocate(strategy, est.betas**2, budgets)
+    bits = allocation.allocate_bits(strategy, est.betas**2, budgets)
     fp = feedback.make_feedback_plan(ps, bits, geom)
     return fp, reconstruction.reconstruct_mmse(est, fp, geom)
 
 
 def _draw_scene(cfg: ScenarioConfig, rng):
-    """True per-user paths and the base station's estimates of them."""
-    scene = channel.draw_scene(cfg, rng)
+    """True paths of the cfg.n_users users and the base station's estimates of
+    them, each one PathSet stacking the users, (K, L)."""
+    scene = channel.PathSet.stack(channel.draw_scene(cfg, rng))
     if cfg.aoa_sigma == 0 and cfg.gain_rel_sigma == 0:
         return scene, scene
-    return scene, [channel.perturb_estimates(ps, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
-                   for ps in scene]
+    return scene, channel.perturb_estimates(scene, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -191,28 +183,74 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
 # outer-product approximation-error experiment
 
 
+def _delta_norms(ps, strategy: str, budgets, geom) -> np.ndarray:
+    """Both outer-product error norms of path sets at every budget, in one pass.
+
+    The estimates are the true paths.  For path sets stacked (..., L),
+    returns (..., budgets, 2): the realized (1/N^2)*||Delta||_F^2 and its
+    large-array limit at the realized phase errors.  One steering matrix
+    and one eta per path set and budget serve the channel, the estimate and
+    both norms.
+    """
+    bits = allocation.allocate_bits(strategy, ps.betas**2, budgets)
+    fp = feedback.make_feedback_plan(ps, bits, geom)
+    # a budget axis on the per-path-set arrays
+    a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)[..., None, :, :]
+    betas = ps.betas[..., None, :]
+    etas = allocation.eta(fp.bits)
+    h = channel.superpose(a, channel.dl_path_gains(ps, geom)[..., None, :])
+    hhat = reconstruction.mmse_estimate(a, betas, etas, fp.q_values)
+    return np.stack((reconstruction.outer_error_norm(h, hhat, a, betas, etas),
+                     reconstruction.asymptotic_delta_norm(betas, etas, fp.deltas)), axis=-1)
+
+
+# Working set of one `sim delta` block.  The largest arrays of a pass are the
+# outer-error Gram step's U = [h | hhat | A] and its conjugate, two complex
+# (trials, budgets, N, L+2) arrays, and a block holds as many trials as fit
+# both in DELTA_BLOCK_BYTES.  On the csi_sweep workload (N=64, L up to 8, 8
+# budgets: 160 KiB per trial), one BLAS thread of a 2-vCPU Xeon VM, one path
+# set per pass ran 388-516 drops/s at a peak RSS of 38.2-38.5 MiB, which the
+# campaign's imports set.  Blocks of 2 trials ran 743-787 drops/s at -0.2 to
+# 0.0 MiB against it, 3 ran 739-960 at +0.1 MiB and 4 ran 928-1024 at +0.2 to
+# +0.5 MiB, so blocks of 3 keep the working set under the import peak.
+DELTA_BLOCK_BYTES = 512 * 1024
+
+
+def _delta_block(cfg: ScenarioConfig, workers: int) -> int:
+    """Trials per `sim delta` block: as many as DELTA_BLOCK_BYTES holds, at least
+    one, and no more than ceil(trials / workers), so every worker has a block."""
+    per_trial = 2 * len(cfg.b_tot_grid) * cfg.n_antennas * (max(cfg.l_grid) + 2) * 16
+    return max(1, min(DELTA_BLOCK_BYTES // per_trial, math.ceil(cfg.trials / workers)))
+
+
 def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     """Normalized outer-product approximation error versus budget and path count.
 
     Emits the realized (1/N^2)*||Delta||_F^2 alongside the large-array
     closed-form value evaluated at the same realized quantization errors.
+    Trials run in blocks of consecutive trials, and workers map over blocks.
+    Each trial draws one path set per path count, in l_grid order, from its
+    own stream; a block stacks its trials' path sets of each path count and
+    computes both norms for all of them and every budget in one pass
+    (_delta_norms).  The block size comes from the sweep's sizes
+    (_delta_block).  A path set's norms do not depend on its block, so
+    neither block size nor worker count changes the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
     l_grid = cfg.l_grid
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in l_grid}
+    workers = cfg.workers if workers is None else workers
 
-    def trial(t, rng):
-        out = np.empty((len(l_grid), len(b_grid), 2))
+    def block(trials):
+        out = np.empty((len(trials), len(l_grid), len(b_grid), 2))
         for li, L in enumerate(l_grid):
-            ps = channel.draw_user_paths(cfgs_by_l[L], rng)
-            h = channel.dl_channel(ps, geom)
-            fp, factors = _mmse_csi(ps, ps, cfg.allocator, b_grid, geom)
-            out[li, :, 0] = reconstruction.outer_error_norm(h, factors[..., 0], ps, fp.bits, geom)
-            out[li, :, 1] = reconstruction.asymptotic_delta_norm(ps.betas, fp.bits, fp.deltas)
+            ps = channel.PathSet.stack([channel.draw_user_paths(cfgs_by_l[L], rng)
+                                        for _, rng in trials])
+            out[:, li] = _delta_norms(ps, cfg.allocator, b_grid, geom)
         return out
 
-    return _records("delta", cfg, _run_trials(cfg, trial, workers),
+    return _records("delta", cfg, _run_blocks(cfg, block, _delta_block(cfg, workers), workers),
                     (("n_paths", l_grid), ("b_tot", b_grid),
                      ("metric", ("delta_norm_emp", "delta_norm_asym"))),
                     n_antennas=cfg.n_antennas, n_users=1,
@@ -231,16 +269,19 @@ _PER_BUDGET = ("mmse", "dft")
 def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, h_true, geom) -> np.ndarray:
     """The users' reconstruction factors from one CSI source, stacked N x K x R.
 
-    "mmse" and "dft" depend on the budget and are built for the whole grid at
-    once, (budgets, N, K, R).  Column 0 of each factor is the estimate; MMSE
-    and no-feedback factors carry L error columns, DFT and perfect CSI none.
+    ``scene`` and ``ests`` stack the K users' true and estimated path sets,
+    and ``h_true`` is the N x K true channel.  "mmse" and "dft" depend on
+    the budget and are built for the whole grid at once, (budgets, N, K, R);
+    the MMSE and no-feedback factors of all K users are one pass.  Column 0
+    of each factor is the estimate; MMSE and no-feedback factors carry L
+    error columns, DFT and perfect CSI none.
     """
     if source == "mmse":
-        return np.stack([_mmse_csi(ps, est, cfg.allocator, cfg.b_tot_grid, geom)[1]
-                         for ps, est in zip(scene, ests)], axis=2)
+        factors = _mmse_csi(scene, ests, cfg.allocator, cfg.b_tot_grid, geom)[1]
+        return np.ascontiguousarray(np.moveaxis(factors, 0, 2))
     if source == "no_feedback":
-        return np.stack([reconstruction.reconstruct_no_feedback(est, geom) for est in ests],
-                        axis=1)
+        factors = reconstruction.reconstruct_no_feedback(ests, geom)
+        return np.ascontiguousarray(np.moveaxis(factors, 0, 1))
     if source == "dft":
         return np.stack([np.column_stack([feedback.dft_codebook_feedback(h, b, geom)[1]
                                           for h in h_true.T])
@@ -265,6 +306,8 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
               queue: list) -> None:
     """Fill out[power, budget, method] for one drawn scene at one array size.
 
+    ``scene`` and ``ests`` stack the users' true and estimated path sets.
+
     Methods whose CSI ignores the budget run once per power, ahead of the
     budget loop.  Each CSI source's factor stack (_build_csi) is built when a
     method first needs it, for the whole budget grid at once, and serves
@@ -274,7 +317,7 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     se_samples solves the queue (_solve_queue).  A failure is raised at
     once, named by the seed, trial, point and method.
     """
-    h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
+    h_true = np.ascontiguousarray(channel.dl_channel(scene, geom).T)
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
     csi = {}
 
@@ -286,7 +329,7 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     def evaluate(method, pdbm, bi, slot):
         source, precoder, use_cov = SE_METHODS[method]
         label = (f"seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
-                 f"n_paths {len(scene[0])}, power_dbm {pdbm}, b_tot {cfg.b_tot_grid[bi]}, "
+                 f"n_paths {len(scene)}, power_dbm {pdbm}, b_tot {cfg.b_tot_grid[bi]}, "
                  f"method {method}")
         try:
             stack = factors(source)[bi] if source in _PER_BUDGET else factors(source)

@@ -196,16 +196,14 @@ def test_c07_outer_error_large_array_limit():
         deltas = np.array([0.9, -0.4])
         q = np.array([math.pi / 2, math.pi])
         bits = np.array([1, 1])
-        limit = asymptotic_delta_norm([1.0, 1.0], bits, deltas)
+        limit = asymptotic_delta_norm([1.0, 1.0], eta(bits), deltas)
         gaps = []
         for n in (64, 256, 1024, 4096):
             geom = geom_n(n)
-            ps = PathSet(thetas=thetas, betas=np.ones(2), distances=np.zeros(2),
-                         phases_ul=np.zeros(2), phases_dl=np.zeros(2))
             a = steering_matrix(thetas, geom.lambda_dl, geom)
             h = a @ np.exp(1j * (q + deltas))
             hhat = a @ (eta(bits) * np.exp(1j * q))
-            val = outer_error_norm(h, hhat, ps, bits, geom)
+            val = outer_error_norm(h, hhat, a, np.ones(2), eta(bits))
             if n == 1024:
                 # dense and factored routes must agree where both are cheap
                 factor = np.column_stack((hhat, a * np.sqrt(1.0 - eta(bits) ** 2)))
@@ -319,9 +317,10 @@ def test_c11_byte_identical_reruns(tmp_path):
             "mse": (run_mse_experiment,
                     ScenarioConfig(n_antennas=16, n_paths=3, trials=6, seed=5,
                                    b_tot_grid=(0, 6))),
+            # blocks of 3 trials at one worker and at 3, of one at 8
             "delta": (run_delta_experiment,
-                      ScenarioConfig(n_antennas=32, n_paths=2, trials=5, seed=6,
-                                     b_tot_grid=(3, 9))),
+                      ScenarioConfig(n_antennas=64, n_paths=2, l_grid=(2, 8), trials=7,
+                                     seed=6, b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))),
             "se": (run_se_experiment,
                    ScenarioConfig(n_antennas=16, n_users=3, n_paths=2, trials=4,
                                   seed=7, b_tot_grid=(6,),
@@ -330,8 +329,9 @@ def test_c11_byte_identical_reruns(tmp_path):
         }
         for name, (runner, cfg) in runs.items():
             paths = []
-            for label, workers in (("a", 1), ("b", 3), ("c", 1)):
+            # the last run has more workers than trials
+            for label, workers in (("a", 1), ("b", 3), ("c", 1), ("d", 8)):
                 out = tmp_path / f"{name}_{label}.csv"
                 emit_csv(runner(cfg, workers=workers), out)
                 paths.append(out.read_bytes())
-            assert paths[0] == paths[1] == paths[2], name
+            assert paths[0] == paths[1] == paths[2] == paths[3], name

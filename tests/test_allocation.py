@@ -9,6 +9,7 @@ from scipy import integrate
 from fddlink.allocation import (
     MAX_BITS,
     AllocationProblem,
+    allocate_bits,
     allocate_bruteforce,
     allocate_greedy,
     allocate_uniform,
@@ -168,17 +169,27 @@ class TestGreedy:
 
 
 class TestBudgetGrid:
+    WEIGHT = st.sampled_from([0.0, 1e-320, 1e-300, 0.25, 0.5, 1.0, 4.0]) | st.floats(0.0, 10.0)
+
     @settings(deadline=None, max_examples=300)
-    @given(data=st.data(), weights=st.lists(
-        st.sampled_from([0.0, 1e-320, 1e-300, 0.25, 0.5, 1.0, 4.0]) | st.floats(0.0, 10.0),
-        min_size=1, max_size=8))
+    @given(data=st.data(), weights=st.lists(WEIGHT, min_size=1, max_size=8))
     def test_rows_match_single_budget_calls(self, data, weights):
-        # an unsorted grid holding 0 and the largest placeable budget
+        # an unsorted grid holding 0 and the largest placeable budget, and a
+        # stack of mixed path sets: the drawn weights, reversed, and fresh ones
         L = len(weights)
         extra = data.draw(st.lists(st.integers(0, L * MAX_BITS), max_size=6))
         grid = tuple(data.draw(st.permutations([0, L * MAX_BITS, *extra])))
-        for allocate in (allocate_greedy, allocate_uniform):
+        stack = np.array([weights, weights[::-1],
+                          data.draw(st.lists(self.WEIGHT, min_size=L, max_size=L))])
+        for strategy in ("greedy", "uniform", "none"):
+            bits = allocate_bits(strategy, stack, grid)
+            assert bits.shape == (3, len(grid), L) and bits.dtype == np.int64
+            for weights_s, bits_s in zip(stack, bits):
+                np.testing.assert_array_equal(bits_s, allocate_bits(strategy, weights_s, grid))
+        np.testing.assert_array_equal(allocate_bits("none", weights, grid), 0)
+        for allocate, strategy in ((allocate_greedy, "greedy"), (allocate_uniform, "uniform")):
             rows = allocate(AllocationProblem(weights=tuple(weights), budget=grid))
+            np.testing.assert_array_equal(rows.bits, allocate_bits(strategy, stack, grid)[0])
             assert len(rows.bits) == len(rows.objective) == len(grid)
             for budget, bits, objective in zip(grid, rows.bits, rows.objective):
                 one = allocate(AllocationProblem(weights=tuple(weights), budget=budget))
@@ -203,6 +214,8 @@ class TestBudgetGrid:
                 AllocationProblem(weights=(1.0,), budget=bad)
         with pytest.raises(ValueError, match="single budget"):
             allocate_bruteforce(p)
+        with pytest.raises(ValueError, match="unknown allocator"):
+            allocate_bits("optimal", p.weights, p.budgets)
         for bad in ([[1, 2, 3]], [[[1, 2]]]):
             with pytest.raises(ValueError, match="matching lengths"):
                 theoretical_weighted_mse([1.0, 0.5], bad, 8)

@@ -9,6 +9,7 @@ from fddlink.channel import (
     PathSet,
     dl_channel,
     dl_path_gains,
+    dl_phases,
     draw_scene,
     draw_user_paths,
     path_loss,
@@ -93,6 +94,8 @@ class TestPathSet:
     @pytest.mark.parametrize("change", [
         {name: [] for name in VALID}, dict(betas=[1.0]), dict(phases_dl=[[0.0, 0.0]]),
         dict(betas=[1.0, -1e-12]), dict(thetas=[0.0, 1.6]), dict(thetas=[0.0, np.nan]),
+        {name: 0.0 for name in VALID}, {name: [[], []] for name in VALID},
+        dict(thetas=[[0.0, 0.5], [0.1, 0.2]]),
     ])
     def test_rejects_malformed_paths(self, change):
         with pytest.raises(ValueError):
@@ -138,6 +141,31 @@ class TestChannelSynthesis:
         doubled = replace(ps, betas=2 * ps.betas)
         np.testing.assert_allclose(dl_channel(doubled, GEOM),
                                    2 * dl_channel(ps, GEOM), atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 4, 64])
+    def test_stack_matches_single_path_sets(self, n):
+        # a (2, 3) stack of mixed 5-path sets gives each path set's steering
+        # matrix, phases, gains and channels bit for bit
+        rng = np.random.default_rng(n)
+        geom = ArrayGeometry(n, 0.015, 0.03, 0.025)
+        sets = [make_paths(thetas=rng.uniform(-1.5, 1.5, 5), betas=rng.uniform(0, 2, 5),
+                           distances=rng.uniform(50, 300, 5), phases_ul=rng.uniform(0, 6, 5),
+                           phases_dl=rng.uniform(0, 6, 5)) for _ in range(6)]
+        stack = PathSet.stack([PathSet.stack(sets[:3]), PathSet.stack(sets[3:])])
+        assert stack.thetas.shape == (2, 3, 5) and len(stack) == 5
+        calls = {
+            "steering": lambda ps: steering_matrix(ps.thetas, geom.lambda_dl, geom),
+            "phases": lambda ps: dl_phases(ps, geom),
+            "gains": lambda ps: dl_path_gains(ps, geom),
+            "dl": lambda ps: dl_channel(ps, geom),
+            "ul": lambda ps: ul_channel(ps, geom),
+        }
+        for name, call in calls.items():
+            got = call(stack)
+            for i, ps in enumerate(sets):
+                want = call(ps)
+                np.testing.assert_array_equal(got[divmod(i, 3)], want)
+                assert got[divmod(i, 3)].tobytes() == want.tobytes(), name
 
 
 class TestPathLoss:
@@ -235,17 +263,24 @@ class TestPerturbEstimates:
                              [(0.05, 0.2), (0.0, 0.3), (0.1, 0.0), (0.0, 0.0), (3.0, 2.0)])
     def test_matches_per_path_scalar_draws(self, aoa_sigma, gain_rel_sigma):
         # reference: path by path, one scalar AoA draw, then one scalar gain draw
-        ps = make_paths(thetas=np.linspace(-1.5, 1.5, 8), betas=np.linspace(0.0, 1.0, 8))
-        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-        out = perturb_estimates(ps, aoa_sigma, gain_rel_sigma, rng)
-        thetas, betas = [], []
-        for theta, beta in zip(ps.thetas, ps.betas):
-            if aoa_sigma > 0:
-                theta = float(np.clip(theta + ref_rng.normal(0.0, aoa_sigma),
-                                      -math.pi / 2, math.pi / 2))
-            if gain_rel_sigma > 0:
-                beta = max(beta * (1.0 + ref_rng.normal(0.0, gain_rel_sigma)), 0.0)
-            thetas.append(theta)
-            betas.append(beta)
-        assert_same_paths(out, replace(ps, thetas=thetas, betas=betas))
-        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        # one path set, and a stack of 3 whose errors are drawn path set by
+        # path set
+        rows = np.linspace(0.0, 1.0, 24).reshape(3, 8)
+        stack = PathSet.stack([make_paths(thetas=3 * row - 1.5, betas=row) for row in rows])
+        for ps in (make_paths(thetas=np.linspace(-1.5, 1.5, 8), betas=np.linspace(0.0, 1.0, 8)),
+                   stack):
+            rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+            out = perturb_estimates(ps, aoa_sigma, gain_rel_sigma, rng)
+            thetas, betas = [], []
+            for theta, beta in zip(ps.thetas.ravel(), ps.betas.ravel()):
+                if aoa_sigma > 0:
+                    theta = float(np.clip(theta + ref_rng.normal(0.0, aoa_sigma),
+                                          -math.pi / 2, math.pi / 2))
+                if gain_rel_sigma > 0:
+                    beta = max(beta * (1.0 + ref_rng.normal(0.0, gain_rel_sigma)), 0.0)
+                thetas.append(theta)
+                betas.append(beta)
+            shape = ps.thetas.shape
+            assert_same_paths(out, replace(ps, thetas=np.reshape(thetas, shape),
+                                           betas=np.reshape(betas, shape)))
+            assert rng.bit_generator.state == ref_rng.bit_generator.state

@@ -119,6 +119,13 @@ class TestQuantizePhase:
         for i, a in enumerate(angles):
             qi, ii, di = quantize_phases(a, 3)
             assert (qi, ii, di) == (q[i], idx[i], delta[i])
+        # a stack of 4 path sets of 16 paths, each angle quantized at the 3
+        # bit rows of its path set, as a feedback plan over a budget grid does
+        bits = rng.integers(0, 9, size=(4, 3, 16))
+        stacked = quantize_phases(angles.reshape(4, 1, 16), bits)
+        for s, g in np.ndindex(4, 3):
+            for got, want in zip(stacked, quantize_phases(angles.reshape(4, 16)[s], bits[s, g])):
+                np.testing.assert_array_equal(got[s, g], want)
 
 
 class TestErrorStatistics:
@@ -162,6 +169,13 @@ class TestFeedbackPlan:
                      phases_ul=[0.3], phases_dl=[1.2])
         with pytest.raises(ValueError):
             make_feedback_plan(ps, [1, 2], self.GEOM)
+        # a stack of 2 path sets takes (2, L) or (2, budgets, L) bits
+        stack = PathSet.stack([ps, ps])
+        for bits in ([1], [[1]], [[[1]]], [[1], [2], [3]], [[[1]], [[2]], [[3]]]):
+            with pytest.raises(ValueError, match="1 paths of shape"):
+                make_feedback_plan(stack, bits, self.GEOM)
+        assert make_feedback_plan(stack, [[[1], [2], [3]], [[4], [5], [6]]], self.GEOM).bits.shape \
+            == (2, 3, 1)
 
 
 class TestDftCodebook:

@@ -1,9 +1,10 @@
 import itertools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from fddlink import channel, feedback, precoding, reconstruction
+from fddlink import allocation, channel, feedback, harness, precoding, reconstruction
 from fddlink.allocation import AllocationProblem, allocate_greedy, eta
 from fddlink.config import ScenarioConfig
 from fddlink.harness import (
@@ -24,6 +25,17 @@ def small_cfg(**kw):
                 b_tot_grid=(0, 4), decay_ratio=0.4)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def count_calls(monkeypatch, calls: dict, module, name):
+    """Count the calls of module.name in calls[name]."""
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
 
 
 class TestSeeding:
@@ -99,6 +111,50 @@ class TestDeltaExperiment:
         emp = {r.b_tot: (r.mean, r.std_err) for r in records if r.metric == "delta_norm_emp"}
         assert emp[12][0] <= emp[2][0] + 2 * (emp[12][1] + emp[2][1])
 
+    # N=64, L up to 8 and 8 budgets: 160 KiB of Gram-step arrays per trial,
+    # blocks of 3 trials
+    BLOCKS_OF_3 = dict(n_antennas=64, l_grid=(2, 8), trials=7,
+                       b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
+
+    @staticmethod
+    def spy_blocks(monkeypatch):
+        """Path sets per _delta_norms pass, in call order."""
+        delta_norms = harness._delta_norms
+        sizes = []
+
+        def spy(ps, *args):
+            sizes.append(ps.thetas.shape[0])
+            return delta_norms(ps, *args)
+
+        monkeypatch.setattr(harness, "_delta_norms", spy)
+        return sizes
+
+    @pytest.mark.parametrize("kw, workers, expected", [
+        (BLOCKS_OF_3, 1, [3, 3, 1]),
+        (BLOCKS_OF_3, 3, [3, 3, 1]),
+        # blocks of ceil(trials / workers)
+        (BLOCKS_OF_3, 4, [2, 2, 2, 1]),
+        (BLOCKS_OF_3, 8, [1] * 7),
+        # 8 KiB per trial (N=32, L=2, 2 budgets): one block
+        (dict(n_antennas=32, trials=7, b_tot_grid=(3, 9)), 1, [7]),
+    ])
+    def test_block_layout(self, monkeypatch, kw, workers, expected):
+        sizes = self.spy_blocks(monkeypatch)
+        cfg = small_cfg(**kw)
+        run_delta_experiment(cfg, workers)
+        assert sorted(sizes, reverse=True) == sorted(expected * len(cfg.l_grid), reverse=True)
+
+    def test_one_steering_matrix_and_eta_per_pass(self, monkeypatch):
+        # each (block, path count) pass computes the DL steering matrices and
+        # eta once, for the channel, the estimate and both norms
+        calls = {}
+        count_calls(monkeypatch, calls, channel, "steering_matrix")
+        count_calls(monkeypatch, calls, allocation, "eta")
+        sizes = self.spy_blocks(monkeypatch)
+        run_delta_experiment(small_cfg(**self.BLOCKS_OF_3), 1)
+        assert len(sizes) == 3 * 2
+        assert calls == {"steering_matrix": len(sizes), "eta": len(sizes)}
+
 
 class TestBuildCsi:
     def test_stacks_are_the_users_factors(self):
@@ -108,7 +164,16 @@ class TestBuildCsi:
                         aoa_sigma=0.01, gain_rel_sigma=0.05)
         geom = cfg.geometry()
         scene, ests = _draw_scene(cfg, np.random.default_rng(8))
-        h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in scene])
+        # the same scene user by user: the users' paths, then each one's estimates
+        rng = np.random.default_rng(8)
+        users = channel.draw_scene(cfg, rng)
+        user_ests = [channel.perturb_estimates(ps, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
+                     for ps in users]
+        for stack, sets in ((scene, users), (ests, user_ests)):
+            for f in fields(channel.PathSet):
+                want = np.stack([getattr(ps, f.name) for ps in sets])
+                assert getattr(stack, f.name).tobytes() == want.tobytes()
+        h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in users])
         stacks = {source: _build_csi(source, cfg, scene, ests, h_true, geom)
                   for source in ("mmse", "dft", "no_feedback", "perfect")}
         budgets, n, k, paths = len(cfg.b_tot_grid), 16, 3, 3
@@ -119,7 +184,7 @@ class TestBuildCsi:
         # the estimates, which a method without the covariance sees as [..., :1]
         hhat = {"mmse": np.empty((budgets, n, k), dtype=complex),
                 "no_feedback": np.empty((n, k), dtype=complex)}
-        for u, (ps, est) in enumerate(zip(scene, ests)):
+        for u, (ps, est) in enumerate(zip(users, user_ests)):
             a = channel.steering_matrix(est.thetas, geom.lambda_dl, geom)
             nf = reconstruction.reconstruct_no_feedback(est, geom)
             assert stacks["no_feedback"][:, u].tobytes() == nf.tobytes()
@@ -170,27 +235,16 @@ class TestSeExperiment:
 
     def test_per_budget_csi_built_once_per_budget(self, monkeypatch):
         # CSI does not depend on the transmit power: DFT CSI is built once per
-        # (trial, user, budget) and MMSE CSI once per (trial, user) for the
-        # whole budget grid, each shared by every power of the grid
+        # (trial, user, budget) and MMSE CSI once per trial for every user and
+        # the whole budget grid, each shared by every power of the grid
         calls = {}
-
-        def counted(module, name):
-            fn = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counted(reconstruction, "reconstruct_mmse")
-        counted(feedback, "dft_codebook_feedback")
+        count_calls(monkeypatch, calls, reconstruction, "reconstruct_mmse")
+        count_calls(monkeypatch, calls, feedback, "dft_codebook_feedback")
         cfg = small_cfg(trials=2, b_tot_grid=(9, 12), power_dbm_grid=(30.0, 37.0, 43.0),
                         se_methods=("zf_mmse", "zf_dft"))
         run_se_experiment(cfg)
-        per_user = cfg.trials * cfg.n_users
-        assert calls == {"reconstruct_mmse": per_user,
-                         "dft_codebook_feedback": per_user * len(cfg.b_tot_grid)}
+        assert calls == {"reconstruct_mmse": cfg.trials,
+                         "dft_codebook_feedback": cfg.trials * cfg.n_users * len(cfg.b_tot_grid)}
 
     def test_batched_gpip_points_match_solves_of_each_point(self, monkeypatch):
         cfg = small_cfg(n_antennas=16, n_users=3, n_paths=2, trials=3, b_tot_grid=(0, 6, 12),

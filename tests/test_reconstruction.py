@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fddlink.allocation import (
     MAX_BITS,
     AllocationProblem,
+    allocate_bits,
     allocate_greedy,
     allocate_uniform,
     eta,
@@ -56,6 +57,12 @@ def asymptotic_delta_norm_by_pairs(betas, bits, deltas) -> float:
 def same_bits(got, want) -> bool:
     """Float64 values equal bit for bit (signed zeros told apart)."""
     return np.asarray(got, dtype=float).tobytes() == np.asarray(want, dtype=float).tobytes()
+
+
+def assert_same(got, want):
+    """Arrays equal in shape, dtype and every bit."""
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 # weights with exact ties, zeros and subnormal products
@@ -227,7 +234,8 @@ class TestOuterProductError:
         rc = reconstruct_mmse(ps, make_feedback_plan(ps, bits, geom), geom)
         h = dl_channel(ps, geom)
         _, dense = outer_product_error(h, rc)
-        fast = outer_error_norm(h, rc[:, 0], ps, bits, geom)
+        a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
+        fast = outer_error_norm(h, rc[:, 0], a, ps.betas, eta(np.array(bits)))
         assert fast == pytest.approx(dense, rel=1e-10)
 
     def test_gram_norm_rejects_bits_of_other_length(self):
@@ -235,9 +243,12 @@ class TestOuterProductError:
         ps = PathSet(thetas=(0.3, -0.7, 0.1), betas=(1.0, 0.5, 0.2), distances=(1.0, 2.0, 3.0),
                      phases_ul=(0.0, 0.0, 0.0), phases_dl=(0.1, 0.2, 0.3))
         h = dl_channel(ps, geom)
+        a = steering_matrix(ps.thetas, geom.lambda_dl, geom)
         for bits in ([2], [1, 1, 1, 1], [[2, 2]]):
             with pytest.raises(ValueError, match="3 paths"):
-                outer_error_norm(h, h, ps, bits, geom)
+                outer_error_norm(h, h, a, ps.betas, eta(np.array(bits)))
+        with pytest.raises(ValueError, match="8 antennas"):
+            outer_error_norm(h[:4], h, a, ps.betas, eta(np.array([1, 1, 1])))
 
     def test_delta_is_hermitian(self):
         geom = geom_n(16)
@@ -270,16 +281,16 @@ class TestOuterProductError:
 
 class TestAsymptoticDeltaNorm:
     def test_single_path_empty_sum(self):
-        assert asymptotic_delta_norm([1.0], [3], [0.1]) == 0.0
+        assert asymptotic_delta_norm([1.0], eta([3]), [0.1]) == 0.0
 
     def test_perfect_feedback_cancels(self):
-        assert asymptotic_delta_norm([1.0, 2.0], [40, 40], [0.0, 0.0]) == pytest.approx(
+        assert asymptotic_delta_norm([1.0, 2.0], eta([40, 40]), [0.0, 0.0]) == pytest.approx(
             0.0, abs=1e-10)
 
     def test_two_path_equal_delta_value(self):
         e1 = eta(1)
         expected = 2 * (1 - e1**2) ** 2
-        assert asymptotic_delta_norm([1, 1], [1, 1], [0.0, 0.0]) == pytest.approx(
+        assert asymptotic_delta_norm([1, 1], eta([1, 1]), [0.0, 0.0]) == pytest.approx(
             expected, abs=1e-12)
 
     def test_finite_n_cross_check(self):
@@ -288,38 +299,50 @@ class TestAsymptoticDeltaNorm:
         qs = np.array([math.pi / 2, math.pi])
         bits = np.array([1, 1])
         thetas = np.array([0.3, -0.7])
-        expected = asymptotic_delta_norm([1, 1], bits, deltas)
+        expected = asymptotic_delta_norm([1, 1], eta(bits), deltas)
         geom = geom_n(2048)
         a = steering_matrix(thetas, geom.lambda_dl, geom)
         h = a @ np.exp(1j * (qs + deltas))
         hhat = a @ (eta(bits) * np.exp(1j * qs))
-        ps = PathSet(thetas=thetas, betas=np.ones(2), distances=np.zeros(2),
-                     phases_ul=np.zeros(2), phases_dl=np.zeros(2))
-        val = outer_error_norm(h, hhat, ps, bits, geom)
+        val = outer_error_norm(h, hhat, a, np.ones(2), eta(bits))
         assert val == pytest.approx(expected, rel=0.01)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            asymptotic_delta_norm([1.0, 1.0], [1], [0.0, 0.0])
+            asymptotic_delta_norm([1.0, 1.0], eta([1]), [0.0, 0.0])
         with pytest.raises(ValueError):
-            asymptotic_delta_norm([1.0, 1.0], [[1, 1], [2, 2]], [0.0, 0.0])
+            asymptotic_delta_norm([1.0, 1.0], eta([[1, 1], [2, 2]]), [0.0, 0.0])
+        with pytest.raises(ValueError):
+            asymptotic_delta_norm([1.0], eta([1, 1]), [0.0, 0.0])
+
+    BETA = st.sampled_from([0.0, 1e-5, 1.0]) | st.floats(0.0, 1e-3)
 
     @settings(deadline=None, max_examples=300)
-    @given(data=st.data(), betas=st.lists(
-        st.sampled_from([0.0, 1e-5, 1.0]) | st.floats(0.0, 1e-3), min_size=1, max_size=8))
+    @given(data=st.data(), betas=st.lists(BETA, min_size=1, max_size=8))
     def test_grid_matches_pair_loop_bitwise(self, data, betas):
+        # a stack of path sets, the drawn one first, each with a grid of rows
         L = len(betas)
+        sets = [betas, *data.draw(st.lists(st.lists(self.BETA, min_size=L, max_size=L),
+                                           max_size=2))]
         rows = data.draw(st.integers(1, 5))
-        bits = data.draw(st.lists(st.lists(st.integers(0, MAX_BITS), min_size=L, max_size=L),
-                                  min_size=rows, max_size=rows))
-        deltas = data.draw(st.lists(st.lists(st.floats(-math.pi, math.pi), min_size=L,
-                                             max_size=L), min_size=rows, max_size=rows))
-        got = asymptotic_delta_norm(betas, bits, deltas)
-        assert got.shape == (rows,)
-        for g in range(rows):
-            want = asymptotic_delta_norm_by_pairs(betas, bits[g], deltas[g])
-            assert same_bits(got[g], want)
-            assert same_bits(asymptotic_delta_norm(betas, bits[g], deltas[g]), want)
+
+        def grids(values):
+            return st.lists(st.lists(st.lists(values, min_size=L, max_size=L),
+                                     min_size=rows, max_size=rows),
+                            min_size=len(sets), max_size=len(sets))
+
+        bits = np.array(data.draw(grids(st.integers(0, MAX_BITS))))
+        deltas = np.array(data.draw(grids(st.floats(-math.pi, math.pi))))
+        got = asymptotic_delta_norm(np.array(sets)[:, None, :], eta(bits), deltas)
+        assert got.shape == (len(sets), rows)
+        for s, set_betas in enumerate(sets):
+            np.testing.assert_array_equal(
+                asymptotic_delta_norm(set_betas, eta(bits[s]), deltas[s]), got[s])
+            for g in range(rows):
+                want = asymptotic_delta_norm_by_pairs(set_betas, bits[s, g], deltas[s, g])
+                assert same_bits(got[s, g], want)
+                assert same_bits(asymptotic_delta_norm(set_betas, eta(bits[s, g]), deltas[s, g]),
+                                 want)
 
     def test_squares_round_as_scalar_powers(self):
         # the csi_sweep workload at seed 202, trial 18, L = 3, budgets 0 and 9:
@@ -333,39 +356,67 @@ class TestAsymptoticDeltaNorm:
         assert bb * bb != bb**2
         want = [asymptotic_delta_norm_by_pairs(betas, b, d) for b, d in zip(bits, deltas)]
         assert want == [4.7680147172019235e-20, 1.266538894672497e-21]
-        assert same_bits(asymptotic_delta_norm(betas, bits, deltas), want)
+        assert same_bits(asymptotic_delta_norm(betas, eta(np.array(bits)), deltas), want)
+        # a stack of two-path sets with amplitudes (v, 1) and eta = 0 gives
+        # twice the square of v, for many v whose x*x and pow differ
+        v = np.random.default_rng(5).uniform(0.0, 1.0, 100_000)
+        assert np.count_nonzero(v * v != [math.pow(x, 2.0) for x in v]) > 10
+        betas = np.column_stack((v, np.ones_like(v)))
+        got = asymptotic_delta_norm(betas, np.zeros_like(betas), np.zeros_like(betas))
+        assert same_bits(got, [2.0 * math.pow(x, 2.0) for x in v])
 
 
 class TestBudgetGrid:
-    """One build over a budget grid equals the single-budget builds, byte for byte."""
+    """One build over a stack of path sets and a budget grid equals the builds
+    of each path set at each budget, byte for byte."""
 
     @settings(deadline=None, max_examples=100)
     @given(data=st.data(), weights=WEIGHTS, seed=st.integers(0, 2**32 - 1),
            n=st.sampled_from([1, 8, 64]))
     def test_rows_equal_single_budget_builds(self, data, weights, seed, n):
+        # three mixed path sets: the drawn weights, random ones and the drawn
+        # ones permuted
         L = len(weights)
         rng = np.random.default_rng(seed)
-        ps = PathSet(thetas=rng.uniform(-math.pi / 2, math.pi / 2, L),
-                     betas=np.sqrt(weights), distances=rng.uniform(50.0, 300.0, L),
-                     phases_ul=rng.uniform(0, 2 * math.pi, L),
-                     phases_dl=rng.uniform(0, 2 * math.pi, L))
+        sets = [PathSet(thetas=rng.uniform(-math.pi / 2, math.pi / 2, L),
+                        betas=np.sqrt(w), distances=rng.uniform(50.0, 300.0, L),
+                        phases_ul=rng.uniform(0, 2 * math.pi, L),
+                        phases_dl=rng.uniform(0, 2 * math.pi, L))
+                for w in (weights, rng.uniform(0.0, 4.0, L), rng.permutation(weights))]
+        stack = PathSet.stack(sets)
         geom = geom_n(n)
-        h = dl_channel(ps, geom)
+        h = dl_channel(stack, geom)
+        a = steering_matrix(stack.thetas, geom.lambda_dl, geom)
         grid = budget_grid(data, L)
-        for allocate in (allocate_greedy, allocate_uniform):
-            bits = np.array(allocate(AllocationProblem(tuple(weights), grid)).bits)
-            fp = make_feedback_plan(ps, bits, geom)
-            rcs = reconstruct_mmse(ps, fp, geom)
-            emp = outer_error_norm(h, rcs[..., 0], ps, bits, geom)
-            asym = asymptotic_delta_norm(ps.betas, bits, fp.deltas)
-            assert len(rcs) == len(grid) and emp.shape == asym.shape == (len(grid),)
-            for g, row in enumerate(bits):
-                one = make_feedback_plan(ps, row, geom)
+        for strategy, allocate in (("greedy", allocate_greedy), ("uniform", allocate_uniform),
+                                   ("none", None)):
+            bits = allocate_bits(strategy, stack.betas**2, grid)
+            fp = make_feedback_plan(stack, bits, geom)
+            rcs = reconstruct_mmse(stack, fp, geom)
+            etas = eta(bits)
+            betas = stack.betas[:, None]
+            emp = outer_error_norm(h[:, None], rcs[..., 0], a[:, None], betas, etas)
+            asym = asymptotic_delta_norm(betas, etas, fp.deltas)
+            assert rcs.shape == (3, len(grid), n, L + 1)
+            assert emp.shape == asym.shape == (3, len(grid))
+            for s, ps in enumerate(sets):
+                assert_same(h[s], dl_channel(ps, geom))
+                assert_same(a[s], steering_matrix(ps.thetas, geom.lambda_dl, geom))
+                assert_same(bits[s], allocate_bits(strategy, ps.betas**2, grid))
+                if allocate is not None:
+                    problem = AllocationProblem(tuple(ps.betas**2), grid)
+                    np.testing.assert_array_equal(bits[s], allocate(problem).bits)
+                plan = make_feedback_plan(ps, bits[s], geom)
                 for field in ("bits", "q_values", "deltas"):
-                    want = getattr(one, field)
-                    assert getattr(fp, field)[g].tobytes() == want.tobytes()
-                rc = reconstruct_mmse(ps, one, geom)
-                assert rcs[g].shape == rc.shape
-                assert rcs[g].tobytes() == rc.tobytes()
-                assert same_bits(emp[g], outer_error_norm(h, rc[:, 0], ps, row, geom))
-                assert same_bits(asym[g], asymptotic_delta_norm(ps.betas, row, one.deltas))
+                    assert_same(getattr(fp, field)[s], getattr(plan, field))
+                assert_same(rcs[s], reconstruct_mmse(ps, plan, geom))
+                for g, row in enumerate(bits[s]):
+                    one = make_feedback_plan(ps, row, geom)
+                    for field in ("bits", "q_values", "deltas"):
+                        assert_same(getattr(fp, field)[s, g], getattr(one, field))
+                    rc = reconstruct_mmse(ps, one, geom)
+                    assert_same(rcs[s, g], rc)
+                    assert same_bits(emp[s, g],
+                                     outer_error_norm(h[s], rc[:, 0], a[s], ps.betas, eta(row)))
+                    assert same_bits(asym[s, g],
+                                     asymptotic_delta_norm(ps.betas, eta(row), one.deltas))
