@@ -6,12 +6,8 @@ and seeded Monte Carlo experiment campaigns.
 """
 
 from .allocation import (
-    Allocation,
-    AllocationProblem,
     allocate_bits,
     allocate_bruteforce,
-    allocate_greedy,
-    allocate_uniform,
     eta,
     nmmse,
     theoretical_weighted_mse,

@@ -6,19 +6,14 @@ nmmse(B) = 1 - eta(B)**2.  Granting bits one at a time to the path with the
 largest weighted marginal NMMSE decrease is optimal for the piecewise-linear
 relaxation, which agrees with nmmse at every integer.
 
-An allocation problem takes one budget or a tuple of budgets (a budget
-grid).  Greedy bits are nested in the budget: the bits at budget b are the
-first b grants of one ranking of the marginal gains, so the allocators
-serve a whole grid from one pass and a single budget is its one-row case.
-allocate_bits is that pass as an array: it takes the weights of a stack of
-path sets and returns their bits over the grid, without the validated
-problem and per-budget objective that an Allocation carries.
+An allocation is its int64 bits array.  allocate_bits is the one checked
+allocator, for a stack of path sets over a budget grid in one pass, and
+allocate_bruteforce the exhaustive single-budget oracle for its greedy bits.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -78,76 +73,48 @@ _GAINS = marginal_gain_table(MAX_BITS)
 _GAINS.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class AllocationProblem:
-    """Path weights (squared amplitudes) and a total bit budget.
-
-    ``budget`` is one total or a tuple of totals, a budget grid in any order.
-    """
-
-    weights: tuple[float, ...]
-    budget: int | tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.weights) < 1:
-            raise ValueError("need at least one weight")
-        if any(not np.isfinite(w) or w < 0 for w in self.weights):
-            raise ValueError("weights must be finite and nonnegative")
-        grid = np.ndim(self.budget) == 1
-        budgets = tuple(self.budget) if grid else (self.budget,)
-        if not budgets or any(b < 0 or int(b) != b for b in budgets):
-            raise ValueError(f"budget must be a nonnegative integer or a non-empty "
-                             f"tuple of them, got {self.budget}")
-        budgets = tuple(int(b) for b in budgets)
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(self, "budget", budgets if grid else budgets[0])
-
-    @property
-    def budgets(self) -> np.ndarray:
-        """The budgets as a 1-D array, one entry for a single budget."""
-        return np.array(self.budget, dtype=np.int64, ndmin=1)
-
-
-@dataclass(frozen=True)
-class Allocation:
-    """Bit counts per path and the weighted NMMSE they achieve.
-
-    For a budget grid, ``bits`` holds one tuple and ``objective`` one value
-    per budget, in the grid's order.
-    """
-
-    bits: tuple[int, ...] | tuple[tuple[int, ...], ...]
-    objective: float | tuple[float, ...]
-
-
-def _allocation(p: AllocationProblem, bits: np.ndarray) -> Allocation:
-    """The Allocation of ``bits``, one row per budget of ``p``; a single budget
-    gives its row alone."""
-    w = np.asarray(p.weights, dtype=float)
-    # row by row: one dot product per budget, as for a single budget
-    objective = tuple(float(w @ row) for row in nmmse(bits))
-    rows = tuple(map(tuple, bits.tolist()))
-    if isinstance(p.budget, tuple):
-        return Allocation(bits=rows, objective=objective)
-    return Allocation(bits=rows[0], objective=objective[0])
+def _checked(weights, budgets) -> tuple[np.ndarray, np.ndarray]:
+    """The weights (..., L) as floats and the budget grid (B,) as int64, once
+    both pass allocate_bits's input checks."""
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim == 0 or weights.shape[-1] == 0:
+        raise ValueError("need at least one weight")
+    if not ((weights >= 0) & (weights < np.inf)).all():
+        raise ValueError("weights must be finite and nonnegative")
+    grid = np.asarray(budgets, dtype=float)
+    if grid.ndim != 1 or not grid.size or not ((grid >= 0) & (grid == np.floor(grid))).all():
+        raise ValueError(f"budgets must be a non-empty list of nonnegative integers, "
+                         f"got {budgets}")
+    top = grid.max()
+    if top > weights.shape[-1] * MAX_BITS:
+        raise ValueError(f"budget {top:g} exceeds {MAX_BITS} bits on every path")
+    return weights, grid.astype(np.int64)
 
 
 def allocate_bits(strategy: str, weights, budgets) -> np.ndarray:
     """Bits per path at each budget of a grid, as an int64 array.
 
-    ``weights`` are the per-path weights (..., L), any leading axes stacking
-    path sets, and ``budgets`` the grid (B,), so the bits are (..., B, L).
-    ``strategy`` is "greedy" (see allocate_greedy), "uniform" (see
-    allocate_uniform) or "none" (no bits at any budget).  Each stacked path
-    set gets the bits it would get alone.
+    ``weights`` (..., L) are finite and nonnegative, any leading axes
+    stacking path sets, and ``budgets`` (B,) nonnegative integers in any
+    order, none above MAX_BITS on every path; the bits are (..., B, L), each
+    stacked path set's as it would get them alone.  ``strategy`` is
+    "greedy", "uniform" (an even split of each budget, any remainder to the
+    leading paths) or "none" (no bits).
+
+    Greedy starts from all-zero bits, and each round grants one bit to the
+    path with the largest weighted marginal decrease; ties go to the lowest
+    path index (numpy argmax convention).  Each path's marginal gains never
+    increase, so the rounds take the largest entries of the path-major
+    table weights[l] * gains[b], and a stable sort of it reproduces the
+    tie-breaks.  A grant at bit b has b grants of its own path ranked ahead
+    of it, so the first B grants never reach past bit B - 1: the bits are
+    nested in the budget, and one sort of the table over all MAX_BITS bits
+    serves every budget of the grid.
     """
-    weights = np.asarray(weights, dtype=float)
-    budgets = np.asarray(budgets, dtype=np.int64)
+    weights, budgets = _checked(weights, budgets)
     lead, L = weights.shape[:-1], weights.shape[-1]
     if strategy == "greedy":
         top = int(budgets.max())
-        if top > L * MAX_BITS:
-            raise ValueError(f"budget {top} exceeds {MAX_BITS} bits on every path")
         table = (weights[..., None] * _GAINS).reshape(*lead, L * MAX_BITS)
         taken = np.argsort(-table, axis=-1, kind="stable")[..., :top] // MAX_BITS
         # granted[..., n, l]: bits of path l after the first n grants
@@ -163,21 +130,6 @@ def allocate_bits(strategy: str, weights, budgets) -> np.ndarray:
     raise ValueError(f"unknown allocator {strategy!r}")
 
 
-def allocate_greedy(p: AllocationProblem) -> Allocation:
-    """Incremental marginal-analysis allocator.
-
-    Starting from all-zero bits, each round grants one bit to the path with
-    the largest weighted marginal decrease; ties go to the lowest path index
-    (numpy argmax convention).  Each path's marginal gains never increase,
-    so the rounds take the ``budget`` largest entries of the path-major table
-    weights[l] * gains[b], and a stable sort of it reproduces the tie-breaks.
-    A grant at bit b has b grants of its own path ranked ahead of it, so the
-    first B grants never reach past bit B - 1: one sort of the table over all
-    MAX_BITS bits serves every budget of a grid.
-    """
-    return _allocation(p, allocate_bits("greedy", p.weights, p.budgets))
-
-
 def _compositions(total: int, parts: int):
     if parts == 1:
         yield (total,)
@@ -187,45 +139,45 @@ def _compositions(total: int, parts: int):
             yield (first,) + rest
 
 
-def allocate_bruteforce(p: AllocationProblem) -> Allocation:
-    """Exhaustive minimizer over all compositions of the budget.
+def allocate_bruteforce(weights, budget: int) -> np.ndarray:
+    """Bits per path minimizing weights @ nmmse(bits) over every composition
+    of one budget, as an int64 array (L,); the first minimizer in
+    enumeration order wins a tie.
 
     Serves as the optimality oracle for the greedy allocator at one budget;
-    guarded so enumeration stays below 10**7 candidates.
+    takes the input allocate_bits takes, and is guarded so enumeration stays
+    below 10**7 candidates.
     """
-    if isinstance(p.budget, tuple):
-        raise ValueError("the exhaustive oracle takes a single budget")
-    L = len(p.weights)
-    count = math.comb(p.budget + L - 1, L - 1)
+    if np.ndim(budget) or np.ndim(weights) != 1:
+        raise ValueError("the exhaustive oracle takes one path set and a single budget")
+    w, (budget,) = _checked(weights, [budget])
+    budget, L = int(budget), len(w)
+    count = math.comb(budget + L - 1, L - 1)
     if count > 10**7:
         raise ValueError(f"enumeration of {count} compositions exceeds the 1e7 guard")
     comps = np.fromiter(
-        (b for comp in _compositions(p.budget, L) for b in comp),
+        (b for comp in _compositions(budget, L) for b in comp),
         dtype=np.int64, count=count * L,
     ).reshape(count, L)
-    table = nmmse(np.arange(p.budget + 1))
-    w = np.asarray(p.weights, dtype=float)
-    objectives = table[comps] @ w
-    best = int(np.argmin(objectives))
-    return _allocation(p, comps[best:best + 1])
-
-
-def allocate_uniform(p: AllocationProblem) -> Allocation:
-    """Even split of each budget; any remainder goes to the leading paths."""
-    return _allocation(p, allocate_bits("uniform", p.weights, p.budgets))
+    objectives = nmmse(np.arange(budget + 1))[comps] @ w
+    return comps[int(np.argmin(objectives))]
 
 
 def theoretical_weighted_mse(betas, bits, num_antennas: int) -> float | np.ndarray:
     """Closed-form reconstruction MSE sum_l N * beta_l**2 * nmmse(B_l).
 
     ``bits`` holds one count per path, or one row per budget of a grid,
-    which gives one value per budget.
+    which gives one value per budget.  Leading axes of ``betas`` (..., L)
+    stack path sets, whose bits are then (..., L) or (..., budgets, L).
     """
     betas = np.asarray(betas, dtype=float)
     b = _as_bits_array(bits)
-    if b.ndim not in (1, 2) or b.shape[-1:] != betas.shape:
+    grid = b.ndim == betas.ndim + 1
+    if not (betas.ndim >= 1 and (grid or b.ndim == betas.ndim)
+            and b.shape[:betas.ndim - 1] == betas.shape[:-1] and b.shape[-1:] == betas.shape[-1:]):
         raise ValueError("betas and bits must have matching lengths")
-    weights = betas**2
-    # row by row: one dot product per budget, as for a single budget
-    mse = np.array([num_antennas * (weights @ row) for row in np.atleast_2d(nmmse(b))])
-    return mse if b.ndim == 2 else float(mse[0])
+    weights = np.broadcast_to((betas**2)[..., None, :] if grid else betas**2, b.shape)
+    rows = zip(weights.reshape(-1, b.shape[-1]), nmmse(b).reshape(-1, b.shape[-1]))
+    # row by row: one dot product per path set and budget, as for a single one
+    mse = np.array([num_antennas * (w @ row) for w, row in rows]).reshape(b.shape[:-1])
+    return mse if mse.ndim else float(mse)

@@ -46,17 +46,15 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_allocate(args) -> int:
-    weights = tuple(float(tok) for tok in args.weights.split(",") if tok.strip())
-    problem = allocation.AllocationProblem(weights=weights, budget=args.budget)
-    solver = (allocation.allocate_greedy if args.method == "greedy"
-              else allocation.allocate_bruteforce)
-    result = solver(problem)
+    weights = [float(tok) for tok in args.weights.split(",") if tok.strip()]
+    bits = (allocation.allocate_bits("greedy", weights, [args.budget])[0]
+            if args.method == "greedy" else allocation.allocate_bruteforce(weights, args.budget))
     print(json.dumps({
-        "weights": list(weights),
+        "weights": weights,
         "budget": args.budget,
         "method": args.method,
-        "bits": list(result.bits),
-        "objective": result.objective,
+        "bits": bits.tolist(),
+        "objective": float(np.asarray(weights) @ allocation.nmmse(bits)),
     }))
     return 0
 

@@ -8,14 +8,14 @@ error, and the sample count for every sweep coordinate and method.
 CSI is built for a stack of path sets and the whole budget grid in one
 pass: one allocation, one feedback plan and one reconstruction for all of
 them, whose leading axes are the path sets and the budgets.  `sim se`
-stacks a scene's K users, and `sim delta` runs its trials in blocks and
-stacks a block's path sets of each path count, so one pass serves a block
-and path count.  Each CSI source hands the precoders one N x K x R stack of
-the users' reconstruction factors, with a leading budget axis for the
-sources that depend on the budget.  The SE sweep runs drops in blocks of
-consecutive trials: each drop scores its ZF and WMMSE points on the spot
-and queues its GPIP problems, and the block's queue is solved in one
-lockstep gpip_solve_batch call (se_samples).
+stacks a scene's K users, and `sim delta` and `sim mse` run their trials in
+blocks and stack a block's path sets, so one pass serves a block and path
+count (`sim delta`) or allocator (`sim mse`).  Each CSI source hands the
+precoders one N x K x R stack of the users' reconstruction factors, with a
+leading budget axis for the sources that depend on the budget.  The SE
+sweep runs drops in blocks of consecutive trials: each drop scores its ZF
+and WMMSE points on the spot and queues its GPIP problems, and the block's
+queue is solved in one lockstep gpip_solve_batch call (se_samples).
 """
 
 from __future__ import annotations
@@ -73,9 +73,12 @@ def _run_blocks(cfg: ScenarioConfig, block_fn, size: int, workers: int | None = 
     """Evaluate block_fn on consecutive blocks of ``size`` trials.
 
     A block is a list of (trial, rng) pairs, and block_fn returns one output
-    per pair; outputs stack in trial order.  Workers map over blocks.
+    per pair; outputs stack in trial order.  Workers map over blocks, and a
+    block holds at least one trial and no more than ceil(trials / workers),
+    so every worker has a block.
     """
     workers = cfg.workers if workers is None else workers
+    size = max(1, min(size, math.ceil(cfg.trials / workers)))
     trials = [(t, np.random.default_rng(derive_trial_seed(cfg.seed, t))) for t in range(cfg.trials)]
     blocks = [trials[i:i + size] for i in range(0, len(trials), size)]
     if workers <= 1:
@@ -84,11 +87,6 @@ def _run_blocks(cfg: ScenarioConfig, block_fn, size: int, workers: int | None = 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(block_fn, blocks))
     return np.stack([out for outs in results for out in outs])
-
-
-def _run_trials(cfg: ScenarioConfig, trial_fn, workers: int | None = None) -> np.ndarray:
-    """Evaluate trial_fn(trial, rng) for every trial; stacking order is trial order."""
-    return _run_blocks(cfg, lambda block: [trial_fn(t, rng) for t, rng in block], 1, workers)
 
 
 def _mean_and_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,20 +122,6 @@ def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
 # the drop pipeline shared by every experiment
 
 
-def _mmse_csi(ps, est, strategy: str, budgets, geom):
-    """Phase feedback and MMSE reconstruction of path sets at every budget of a grid.
-
-    Bits are allocated over the estimated path powers, the feedback quantizes
-    the true DL phases of ``ps``, and the reconstruction uses the estimated
-    geometry ``est``.  For path sets stacked (..., L), returns the feedback
-    plan, with one row per budget, (..., budgets, L), and the
-    (..., budgets, N, L+1) stack of reconstruction factors.
-    """
-    bits = allocation.allocate_bits(strategy, est.betas**2, budgets)
-    fp = feedback.make_feedback_plan(ps, bits, geom)
-    return fp, reconstruction.reconstruct_mmse(est, fp, geom)
-
-
 def _draw_scene(cfg: ScenarioConfig, rng):
     """True paths of the cfg.n_users users and the base station's estimates of
     them, each one PathSet stacking the users, (K, L)."""
@@ -145,6 +129,42 @@ def _draw_scene(cfg: ScenarioConfig, rng):
     if cfg.aoa_sigma == 0 and cfg.gain_rel_sigma == 0:
         return scene, scene
     return scene, channel.perturb_estimates(scene, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
+
+
+def _csi_pass(ps, strategy: str, budgets, geom):
+    """Feedback and MMSE estimate of path sets at every budget, in one pass.
+
+    The estimates are the true paths.  For path sets stacked (..., L),
+    returns the feedback plan (bits (..., budgets, L)), A (..., 1, N, L),
+    betas (..., 1, L), etas (..., budgets, L), h (..., 1, N) and hhat
+    (..., budgets, N).  One steering matrix and one eta per path set and
+    budget serve the channel, the estimate and any norm of them.
+    """
+    bits = allocation.allocate_bits(strategy, ps.betas**2, budgets)
+    fp = feedback.make_feedback_plan(ps, bits, geom)
+    a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)[..., None, :, :]
+    betas = ps.betas[..., None, :]
+    etas = allocation.eta(fp.bits)
+    h = channel.superpose(a, channel.dl_path_gains(ps, geom)[..., None, :])
+    return fp, a, betas, etas, h, reconstruction.mmse_estimate(a, betas, etas, fp.q_values)
+
+
+# Working set of one block of a `sim delta` or `sim mse` pass.  The largest
+# arrays of a `sim delta` pass are the outer-error Gram step's U = [h | hhat | A]
+# and its conjugate, two complex (trials, budgets, N, L+2) arrays, and a block
+# holds as many trials as fit both in DELTA_BLOCK_BYTES.  On the csi_sweep
+# workload (N=64, L up to 8, 8 budgets: 160 KiB per trial), one BLAS thread of
+# a 2-vCPU Xeon VM, one path set per pass ran 388-516 drops/s at a peak RSS of
+# 38.2-38.5 MiB, which the campaign's imports set.  Blocks of 2 trials ran
+# 743-787 drops/s at -0.2 to 0.0 MiB against it, 3 ran 739-960 at +0.1 MiB and
+# 4 ran 928-1024 at +0.2 to +0.5 MiB, so blocks of 3 keep the working set under
+# the import peak.
+DELTA_BLOCK_BYTES = 512 * 1024
+
+
+def _block_trials(cfg: ScenarioConfig, paths: int) -> int:
+    """Trials of ``paths`` paths whose Gram-step arrays DELTA_BLOCK_BYTES holds."""
+    return DELTA_BLOCK_BYTES // (2 * len(cfg.b_tot_grid) * cfg.n_antennas * (paths + 2) * 16)
 
 
 # ---------------------------------------------------------------------------
@@ -155,24 +175,27 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     """Per-user reconstruction MSE versus the total feedback budget.
 
     For each budget and each allocation strategy the closed-form expected MSE
-    and the realized Monte Carlo squared error are both aggregated.
+    and the realized Monte Carlo squared error are both aggregated.  Trials
+    run in blocks (_block_trials), and a block stacks its trials' path sets
+    and runs one CSI pass per strategy (_csi_pass).  A path set's errors do
+    not depend on its block, so neither block size nor worker count changes
+    the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
 
-    def trial(t, rng):
-        ps = channel.draw_user_paths(cfg, rng)
-        h = channel.dl_channel(ps, geom)
-        out = np.empty((len(b_grid), len(ALLOCATORS), 2))
+    def block(trials):
+        ps = channel.PathSet.stack([channel.draw_user_paths(cfg, rng) for _, rng in trials])
+        out = np.empty((len(trials), len(b_grid), len(ALLOCATORS), 2))
         for si, strategy in enumerate(ALLOCATORS):
-            fp, factors = _mmse_csi(ps, ps, strategy, b_grid, geom)
-            out[:, si, 0] = allocation.theoretical_weighted_mse(ps.betas, fp.bits,
-                                                                geom.num_antennas)
-            for bi, factor in enumerate(factors):
-                out[bi, si, 1] = float(np.sum(np.abs(h - factor[:, 0]) ** 2))
+            fp, _, _, _, h, hhat = _csi_pass(ps, strategy, b_grid, geom)
+            out[:, :, si, 0] = allocation.theoretical_weighted_mse(ps.betas, fp.bits,
+                                                                   geom.num_antennas)
+            out[:, :, si, 1] = np.sum(np.abs(h - hhat) ** 2, axis=-1)
         return out
 
-    return _records("mse", cfg, _run_trials(cfg, trial, workers),
+    size = _block_trials(cfg, cfg.n_paths)
+    return _records("mse", cfg, _run_blocks(cfg, block, size, workers),
                     (("b_tot", b_grid), ("method", ALLOCATORS),
                      ("metric", ("mse_closed_form", "mse_monte_carlo"))),
                     n_antennas=cfg.n_antennas, n_users=1, n_paths=cfg.n_paths,
@@ -184,43 +207,16 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
 
 
 def _delta_norms(ps, strategy: str, budgets, geom) -> np.ndarray:
-    """Both outer-product error norms of path sets at every budget, in one pass.
+    """Both outer-product error norms of path sets at every budget, from one
+    CSI pass (_csi_pass).
 
-    The estimates are the true paths.  For path sets stacked (..., L),
-    returns (..., budgets, 2): the realized (1/N^2)*||Delta||_F^2 and its
-    large-array limit at the realized phase errors.  One steering matrix
-    and one eta per path set and budget serve the channel, the estimate and
-    both norms.
+    For path sets stacked (..., L), returns (..., budgets, 2): the realized
+    (1/N^2)*||Delta||_F^2 and its large-array limit at the realized phase
+    errors.
     """
-    bits = allocation.allocate_bits(strategy, ps.betas**2, budgets)
-    fp = feedback.make_feedback_plan(ps, bits, geom)
-    # a budget axis on the per-path-set arrays
-    a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)[..., None, :, :]
-    betas = ps.betas[..., None, :]
-    etas = allocation.eta(fp.bits)
-    h = channel.superpose(a, channel.dl_path_gains(ps, geom)[..., None, :])
-    hhat = reconstruction.mmse_estimate(a, betas, etas, fp.q_values)
+    fp, a, betas, etas, h, hhat = _csi_pass(ps, strategy, budgets, geom)
     return np.stack((reconstruction.outer_error_norm(h, hhat, a, betas, etas),
                      reconstruction.asymptotic_delta_norm(betas, etas, fp.deltas)), axis=-1)
-
-
-# Working set of one `sim delta` block.  The largest arrays of a pass are the
-# outer-error Gram step's U = [h | hhat | A] and its conjugate, two complex
-# (trials, budgets, N, L+2) arrays, and a block holds as many trials as fit
-# both in DELTA_BLOCK_BYTES.  On the csi_sweep workload (N=64, L up to 8, 8
-# budgets: 160 KiB per trial), one BLAS thread of a 2-vCPU Xeon VM, one path
-# set per pass ran 388-516 drops/s at a peak RSS of 38.2-38.5 MiB, which the
-# campaign's imports set.  Blocks of 2 trials ran 743-787 drops/s at -0.2 to
-# 0.0 MiB against it, 3 ran 739-960 at +0.1 MiB and 4 ran 928-1024 at +0.2 to
-# +0.5 MiB, so blocks of 3 keep the working set under the import peak.
-DELTA_BLOCK_BYTES = 512 * 1024
-
-
-def _delta_block(cfg: ScenarioConfig, workers: int) -> int:
-    """Trials per `sim delta` block: as many as DELTA_BLOCK_BYTES holds, at least
-    one, and no more than ceil(trials / workers), so every worker has a block."""
-    per_trial = 2 * len(cfg.b_tot_grid) * cfg.n_antennas * (max(cfg.l_grid) + 2) * 16
-    return max(1, min(DELTA_BLOCK_BYTES // per_trial, math.ceil(cfg.trials / workers)))
 
 
 def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
@@ -232,15 +228,14 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
     Each trial draws one path set per path count, in l_grid order, from its
     own stream; a block stacks its trials' path sets of each path count and
     computes both norms for all of them and every budget in one pass
-    (_delta_norms).  The block size comes from the sweep's sizes
-    (_delta_block).  A path set's norms do not depend on its block, so
-    neither block size nor worker count changes the output.
+    (_delta_norms).  The block size comes from the sweep's sizes and its
+    largest path count (_block_trials).  A path set's norms do not depend on
+    its block, so neither block size nor worker count changes the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
     l_grid = cfg.l_grid
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in l_grid}
-    workers = cfg.workers if workers is None else workers
 
     def block(trials):
         out = np.empty((len(trials), len(l_grid), len(b_grid), 2))
@@ -250,7 +245,8 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
             out[:, li] = _delta_norms(ps, cfg.allocator, b_grid, geom)
         return out
 
-    return _records("delta", cfg, _run_blocks(cfg, block, _delta_block(cfg, workers), workers),
+    size = _block_trials(cfg, max(l_grid))
+    return _records("delta", cfg, _run_blocks(cfg, block, size, workers),
                     (("n_paths", l_grid), ("b_tot", b_grid),
                      ("metric", ("delta_norm_emp", "delta_norm_asym"))),
                     n_antennas=cfg.n_antennas, n_users=1,
@@ -277,7 +273,10 @@ def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, h_true, geom) -> n
     error columns, DFT and perfect CSI none.
     """
     if source == "mmse":
-        factors = _mmse_csi(scene, ests, cfg.allocator, cfg.b_tot_grid, geom)[1]
+        # bits over the estimated powers, feedback of the true DL phases
+        bits = allocation.allocate_bits(cfg.allocator, ests.betas**2, cfg.b_tot_grid)
+        fp = feedback.make_feedback_plan(scene, bits, geom)
+        factors = reconstruction.reconstruct_mmse(ests, fp, geom)
         return np.ascontiguousarray(np.moveaxis(factors, 0, 2))
     if source == "no_feedback":
         factors = reconstruction.reconstruct_no_feedback(ests, geom)
@@ -426,12 +425,10 @@ def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
     sweep point and method that reproduce it: the lowest failing trial's,
     and within that trial the first failure in evaluation order.
     """
-    workers = cfg.workers if workers is None else workers
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in cfg.l_grid}
     shape = (*(len(values) for _, values in se_axes(cfg)), len(SE_METRICS) + 1)
     per_drop = _gpip_points_per_drop(cfg)
-    size = 1 if per_drop == 0 else min(math.ceil(GPIP_BATCH / per_drop),
-                                       math.ceil(cfg.trials / workers))
+    size = 1 if per_drop == 0 else math.ceil(GPIP_BATCH / per_drop)
 
     def block(drops):
         outs, queue, failure = [], [], None

@@ -12,9 +12,8 @@ from contextlib import contextmanager
 import numpy as np
 
 from fddlink.allocation import (
-    AllocationProblem,
+    allocate_bits,
     allocate_bruteforce,
-    allocate_greedy,
     eta,
     nmmse,
     theoretical_weighted_mse,
@@ -94,11 +93,11 @@ def test_c03_greedy_equals_bruteforce():
             n_paths = int(rng.integers(1, 5))
             weights = tuple(10.0 ** rng.uniform(-1.5, 1.5, size=n_paths))
             budget = int(rng.integers(0, 13))
-            problem = AllocationProblem(weights=weights, budget=budget)
-            greedy = allocate_greedy(problem)
-            brute = allocate_bruteforce(problem)
-            assert abs(greedy.objective - brute.objective) < 1e-12
-            assert sum(greedy.bits) == budget
+            greedy = allocate_bits("greedy", weights, [budget])[0]
+            brute = allocate_bruteforce(weights, budget)
+            w = np.asarray(weights)
+            assert abs(w @ nmmse(greedy) - w @ nmmse(brute)) < 1e-12
+            assert sum(greedy) == budget
         assert time.perf_counter() - start < 30.0
 
 
@@ -219,8 +218,7 @@ def _scene_problem(cfg, rng, b_tot, power_dbm=43.0):
     recs = []
     for _ in range(cfg.n_users):
         ps = draw_user_paths(cfg, rng)
-        problem = AllocationProblem(weights=tuple(ps.betas**2), budget=b_tot)
-        bits = allocate_greedy(problem).bits
+        bits = allocate_bits("greedy", ps.betas**2, [b_tot])[0]
         fp = make_feedback_plan(ps, bits, geom)
         recs.append(reconstruct_mmse(ps, fp, geom))
     return PrecodingProblem(

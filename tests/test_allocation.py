@@ -8,11 +8,8 @@ from scipy import integrate
 
 from fddlink.allocation import (
     MAX_BITS,
-    AllocationProblem,
     allocate_bits,
     allocate_bruteforce,
-    allocate_greedy,
-    allocate_uniform,
     eta,
     marginal_gain_table,
     nmmse,
@@ -30,20 +27,30 @@ def eta_by_quadrature(bits: int) -> float:
     return real
 
 
-def greedy_by_rounds(p: AllocationProblem) -> tuple[int, ...]:
+def greedy(weights, budget: int) -> tuple[int, ...]:
+    """The greedy bits of one budget."""
+    return tuple(allocate_bits("greedy", weights, [budget])[0].tolist())
+
+
+def objective(weights, bits) -> float:
+    """weights @ nmmse(bits), as the allocate command computes it."""
+    return float(np.asarray(weights, dtype=float) @ nmmse(np.asarray(bits)))
+
+
+def greedy_by_rounds(weights, budget: int) -> tuple[int, ...]:
     """Reference allocator: one bit per round to the best open path, lowest index on ties."""
-    w = np.asarray(p.weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     bits = np.zeros(len(w), dtype=np.int64)
-    if p.budget > 0:
-        cap = min(p.budget, MAX_BITS)
+    if budget > 0:
+        cap = min(budget, MAX_BITS)
         gains = marginal_gain_table(cap)
-        for _ in range(p.budget):
+        for _ in range(budget):
             candidate = np.full(len(w), -1.0)
             open_paths = bits < cap
             candidate[open_paths] = w[open_paths] * gains[bits[open_paths]]
             step = int(np.argmax(candidate))
             if candidate[step] < 0.0:
-                raise ValueError(f"budget {p.budget} exceeds {MAX_BITS} bits on every path")
+                raise ValueError(f"budget {budget} exceeds {MAX_BITS} bits on every path")
             bits[step] += 1
     return tuple(int(b) for b in bits)
 
@@ -105,31 +112,33 @@ class TestNmmse:
 
 class TestGreedy:
     def test_dominant_path_takes_all(self):
-        alloc = allocate_greedy(AllocationProblem(weights=(1, 0.25, 0.0625), budget=3))
-        assert alloc.bits == (3, 0, 0)
-        assert alloc.objective == pytest.approx(
+        weights = (1, 0.25, 0.0625)
+        bits = greedy(weights, 3)
+        assert bits == (3, 0, 0)
+        assert objective(weights, bits) == pytest.approx(
             nmmse(3) + 0.25 + 0.0625, abs=1e-12)
 
     def test_equal_weights_lowest_index_tie_break(self):
-        alloc = allocate_greedy(AllocationProblem(weights=(1.0, 1.0), budget=2))
-        assert alloc.bits == (2, 0)
+        bits = greedy((1.0, 1.0), 2)
+        assert bits == (2, 0)
         other = weighted_nmmse((1.0, 1.0), (1, 1))
-        assert alloc.objective == pytest.approx(other, abs=1e-12)
+        assert objective((1.0, 1.0), bits) == pytest.approx(other, abs=1e-12)
 
     def test_zero_budget(self):
-        alloc = allocate_greedy(AllocationProblem(weights=(0.5, 0.25), budget=0))
-        assert alloc.bits == (0, 0)
-        assert alloc.objective == pytest.approx(0.75)
+        bits = greedy((0.5, 0.25), 0)
+        assert bits == (0, 0)
+        assert objective((0.5, 0.25), bits) == pytest.approx(0.75)
 
     def test_budget_monotone_and_incremental(self):
         weights = (1.0, 0.3, 0.02)
         prev_bits, prev_obj = (0, 0, 0), weighted_nmmse(weights, (0, 0, 0))
         for budget in range(1, 13):
-            alloc = allocate_greedy(AllocationProblem(weights=weights, budget=budget))
-            assert alloc.objective <= prev_obj + 1e-15
-            diff = np.array(alloc.bits) - np.array(prev_bits)
+            bits = greedy(weights, budget)
+            obj = objective(weights, bits)
+            assert obj <= prev_obj + 1e-15
+            diff = np.array(bits) - np.array(prev_bits)
             assert diff.sum() == 1 and np.all(diff >= 0)
-            prev_bits, prev_obj = alloc.bits, alloc.objective
+            prev_bits, prev_obj = bits, obj
 
     def test_heavier_paths_get_no_fewer_bits(self):
         rng = np.random.default_rng(21)
@@ -137,9 +146,9 @@ class TestGreedy:
             L = rng.integers(2, 5)
             weights = tuple(sorted(10.0 ** rng.uniform(-2, 1, size=L), reverse=True))
             budget = int(rng.integers(0, 13))
-            alloc = allocate_greedy(AllocationProblem(weights=weights, budget=budget))
+            bits = greedy(weights, budget)
             for i in range(L - 1):
-                assert alloc.bits[i] >= alloc.bits[i + 1]
+                assert bits[i] >= bits[i + 1]
 
 
     @settings(deadline=None, max_examples=300)
@@ -148,24 +157,67 @@ class TestGreedy:
            budget=st.integers(0, 130))
     def test_matches_round_by_round_reference(self, weights, budget):
         # sampled weights force exact ties, zero and subnormal products
-        p = AllocationProblem(weights=tuple(weights), budget=budget)
         try:
-            want = greedy_by_rounds(p)
+            want = greedy_by_rounds(weights, budget)
         except ValueError:
             with pytest.raises(ValueError, match="exceeds"):
-                allocate_greedy(p)
+                greedy(weights, budget)
             return
-        alloc = allocate_greedy(p)
-        assert alloc.bits == want
-        assert alloc.objective == weighted_nmmse(weights, want)
+        bits = greedy(weights, budget)
+        assert bits == want
+        assert objective(weights, bits) == weighted_nmmse(weights, want)
 
     def test_budget_beyond_every_path_rejected(self):
-        for budget in (2 * MAX_BITS + 1, (3, 2 * MAX_BITS + 1, 0)):
-            p = AllocationProblem(weights=(1.0, 0.5), budget=budget)
+        for budget in ([2 * MAX_BITS + 1], (3, 2 * MAX_BITS + 1, 0)):
             with pytest.raises(ValueError, match=f"budget {2 * MAX_BITS + 1} exceeds"):
-                allocate_greedy(p)
-        full = allocate_greedy(AllocationProblem(weights=(1.0, 0.5), budget=2 * MAX_BITS))
-        assert full.bits == (MAX_BITS, MAX_BITS)
+                allocate_bits("greedy", (1.0, 0.5), budget)
+        assert greedy((1.0, 0.5), 2 * MAX_BITS) == (MAX_BITS, MAX_BITS)
+
+
+class TestInputChecks:
+    """allocate_bits rejects input that would otherwise get wrong bits."""
+
+    STRATEGIES = ("greedy", "uniform", "none")
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_negative_budget_rejected(self, strategy):
+        # a budget of -1 once indexed the last row of the grant table
+        with pytest.raises(ValueError, match="budgets must be"):
+            allocate_bits(strategy, [1, 0.5, 0.25], [-1, 2])
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_fractional_budget_rejected(self, strategy):
+        # once truncated to 2
+        with pytest.raises(ValueError, match="budgets must be"):
+            allocate_bits(strategy, [1, 0.5], [2.7])
+        np.testing.assert_array_equal(allocate_bits(strategy, [1, 0.5], [2.0]),
+                                      allocate_bits(strategy, [1, 0.5], [2]))
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    @pytest.mark.parametrize("weights", [[1.0, float("nan")], [1.0, -0.5],
+                                         [[1.0, 2.0], [1.0, -1e-300]], [float("inf"), 1.0]])
+    def test_bad_weights_rejected(self, strategy, weights):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            allocate_bits(strategy, weights, [3])
+
+    @pytest.mark.parametrize("strategy", ("uniform", "none"))
+    def test_budget_ceiling_holds_for_every_strategy(self, strategy):
+        # greedy's ceiling (TestGreedy); uniform once split 200 bits over 2
+        # paths as [100, 100]
+        with pytest.raises(ValueError, match=f"budget 200 exceeds {MAX_BITS} bits on every path"):
+            allocate_bits(strategy, [1.0, 1.0], [3, 200])
+        assert allocate_bits(strategy, [1.0, 1.0], [2 * MAX_BITS]).shape == (1, 2)
+
+    @pytest.mark.parametrize("weights", [[], np.zeros((3, 0)), 1.0])
+    def test_no_weights_rejected(self, weights):
+        with pytest.raises(ValueError, match="at least one weight"):
+            allocate_bits("greedy", weights, [3])
+
+    def test_bruteforce_takes_the_same_checks(self):
+        for weights, budget, match in (([1.0, -0.5], 2, "weights"), ([1.0], -1, "budgets"),
+                                       ([1.0], 2.5, "budgets"), ([], 2, "weight")):
+            with pytest.raises(ValueError, match=match):
+                allocate_bruteforce(weights, budget)
 
 
 class TestBudgetGrid:
@@ -187,35 +239,33 @@ class TestBudgetGrid:
             for weights_s, bits_s in zip(stack, bits):
                 np.testing.assert_array_equal(bits_s, allocate_bits(strategy, weights_s, grid))
         np.testing.assert_array_equal(allocate_bits("none", weights, grid), 0)
-        for allocate, strategy in ((allocate_greedy, "greedy"), (allocate_uniform, "uniform")):
-            rows = allocate(AllocationProblem(weights=tuple(weights), budget=grid))
-            np.testing.assert_array_equal(rows.bits, allocate_bits(strategy, stack, grid)[0])
-            assert len(rows.bits) == len(rows.objective) == len(grid)
-            for budget, bits, objective in zip(grid, rows.bits, rows.objective):
-                one = allocate(AllocationProblem(weights=tuple(weights), budget=budget))
-                assert bits == one.bits
-                assert np.float64(objective).tobytes() == np.float64(one.objective).tobytes()
+        for strategy in ("greedy", "uniform"):
+            rows = allocate_bits(strategy, weights, grid)
+            np.testing.assert_array_equal(rows, allocate_bits(strategy, stack, grid)[0])
+            assert len(rows) == len(grid)
+            for budget, bits in zip(grid, rows):
+                np.testing.assert_array_equal(bits, allocate_bits(strategy, weights, [budget])[0])
             # the closed-form MSE of the grid, one row per budget, against the
             # single-budget formula N * (beta**2 @ nmmse(bits))
             betas = np.sqrt(weights)
-            mse = theoretical_weighted_mse(betas, rows.bits, 16)
+            mse = theoretical_weighted_mse(betas, rows, 16)
             assert mse.shape == (len(grid),)
-            for bits, value in zip(rows.bits, mse):
+            for bits, value in zip(rows, mse):
                 want = float(16 * (betas**2 @ nmmse(np.array(bits))))
                 assert np.float64(value).tobytes() == np.float64(want).tobytes()
 
     def test_grid_shapes_and_validation(self):
-        p = AllocationProblem(weights=(1.0, 0.25), budget=[3, 0])
-        assert p.budget == (3, 0)
-        assert allocate_greedy(p).bits == ((3, 0), (0, 0))
-        assert allocate_uniform(p).bits == ((2, 1), (0, 0))
+        weights, grid = (1.0, 0.25), [3, 0]
+        assert allocate_bits("greedy", weights, grid).tolist() == [[3, 0], [0, 0]]
+        assert allocate_bits("uniform", weights, grid).tolist() == [[2, 1], [0, 0]]
         for bad in ((), (1, -1), (1, 2.5)):
             with pytest.raises(ValueError, match="budget"):
-                AllocationProblem(weights=(1.0,), budget=bad)
-        with pytest.raises(ValueError, match="single budget"):
-            allocate_bruteforce(p)
+                allocate_bits("greedy", (1.0,), bad)
+        for bad_weights, bad_budget in ((weights, grid), ([weights, weights], 3)):
+            with pytest.raises(ValueError, match="one path set and a single budget"):
+                allocate_bruteforce(bad_weights, bad_budget)
         with pytest.raises(ValueError, match="unknown allocator"):
-            allocate_bits("optimal", p.weights, p.budgets)
+            allocate_bits("optimal", weights, grid)
         for bad in ([[1, 2, 3]], [[[1, 2]]]):
             with pytest.raises(ValueError, match="matching lengths"):
                 theoretical_weighted_mse([1.0, 0.5], bad, 8)
@@ -223,17 +273,17 @@ class TestBudgetGrid:
 
 class TestBruteforce:
     def test_matches_greedy_on_reference_instance(self):
-        p = AllocationProblem(weights=(1, 0.25, 0.0625), budget=3)
-        assert allocate_bruteforce(p).objective == pytest.approx(
-            allocate_greedy(p).objective, abs=1e-15)
+        weights = (1, 0.25, 0.0625)
+        assert objective(weights, allocate_bruteforce(weights, 3)) == pytest.approx(
+            objective(weights, greedy(weights, 3)), abs=1e-15)
 
     def test_single_path_gets_whole_budget(self):
-        alloc = allocate_bruteforce(AllocationProblem(weights=(0.7,), budget=9))
-        assert alloc.bits == (9,)
+        bits = allocate_bruteforce((0.7,), 9)
+        assert tuple(bits.tolist()) == (9,)
 
     def test_enumeration_guard(self):
         with pytest.raises(ValueError):
-            allocate_bruteforce(AllocationProblem(weights=(1.0,) * 12, budget=40))
+            allocate_bruteforce((1.0,) * 12, 40)
 
     def test_oracle_equivalence_random_instances(self):
         rng = np.random.default_rng(2024)
@@ -241,17 +291,17 @@ class TestBruteforce:
             L = int(rng.integers(1, 5))
             weights = tuple(10.0 ** rng.uniform(-1.5, 1.5, size=L))
             budget = int(rng.integers(0, 13))
-            p = AllocationProblem(weights=weights, budget=budget)
-            g, b = allocate_greedy(p), allocate_bruteforce(p)
-            assert g.objective == pytest.approx(b.objective, abs=1e-12)
+            g = objective(weights, greedy(weights, budget))
+            b = objective(weights, allocate_bruteforce(weights, budget))
+            assert g == pytest.approx(b, abs=1e-12)
 
 
 class TestUniform:
     def test_even_split(self):
-        assert allocate_uniform(AllocationProblem(weights=(1, 1, 1), budget=6)).bits == (2, 2, 2)
+        assert allocate_bits("uniform", (1, 1, 1), [6])[0].tolist() == [2, 2, 2]
 
     def test_remainder_to_leading_paths(self):
-        assert allocate_uniform(AllocationProblem(weights=(1, 1, 1), budget=7)).bits == (3, 2, 2)
+        assert allocate_bits("uniform", (1, 1, 1), [7])[0].tolist() == [3, 2, 2]
 
 
 class TestTheoreticalMse:

@@ -11,6 +11,71 @@ from fddlink.cli import main
 from fddlink.config import SE_METHODS
 
 
+def read_rows(path) -> list[dict]:
+    """The rows of a CSV file, read with the file closed afterwards."""
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+# the exact stdout of `fddlink allocate` on five instances under both
+# methods; on 1,1/2 greedy breaks the tie to the lowest path index and the
+# exhaustive search to the last composition
+ALLOCATE_PINS = [
+    ("1,0.25,0.0625", 3, "greedy",
+     '{"weights": [1.0, 0.25, 0.0625], "budget": 3, "method": "greedy"'
+     ', "bits": [3, 0, 0], "objective": 0.3628587964482163}'),
+    ("1,1", 2, "greedy",
+     '{"weights": [1.0, 1.0], "budget": 2, "method": "greedy"'
+     ', "bits": [2, 0], "objective": 1.1894305308612978}'),
+    ("0.5,0.25", 0, "greedy",
+     '{"weights": [0.5, 0.25], "budget": 0, "method": "greedy"'
+     ', "bits": [0, 0], "objective": 0.75}'),
+    ("0.7", 9, "greedy",
+     '{"weights": [0.7], "budget": 9, "method": "greedy"'
+     ', "bits": [9], "objective": 8.784851582066544e-06}'),
+    ("1,0.3,0.02", 12, "greedy",
+     '{"weights": [1.0, 0.3, 0.02], "budget": 12, "method": "greedy"'
+     ', "bits": [5, 5, 2], "objective": 0.007959837358776884}'),
+    ("1,0.25,0.0625", 3, "bruteforce",
+     '{"weights": [1.0, 0.25, 0.0625], "budget": 3, "method": "bruteforce"'
+     ', "bits": [3, 0, 0], "objective": 0.3628587964482163}'),
+    ("1,1", 2, "bruteforce",
+     '{"weights": [1.0, 1.0], "budget": 2, "method": "bruteforce"'
+     ', "bits": [0, 2], "objective": 1.1894305308612978}'),
+    ("0.5,0.25", 0, "bruteforce",
+     '{"weights": [0.5, 0.25], "budget": 0, "method": "bruteforce"'
+     ', "bits": [0, 0], "objective": 0.75}'),
+    ("0.7", 9, "bruteforce",
+     '{"weights": [0.7], "budget": 9, "method": "bruteforce"'
+     ', "bits": [9], "objective": 8.784851582066544e-06}'),
+    ("1,0.3,0.02", 12, "bruteforce",
+     '{"weights": [1.0, 0.3, 0.02], "budget": 12, "method": "bruteforce"'
+     ', "bits": [5, 5, 2], "objective": 0.007959837358776884}'),
+]
+
+
+@pytest.mark.parametrize("weights, budget, method, line", ALLOCATE_PINS)
+def test_allocate_stdout_is_pinned(capsys, weights, budget, method, line):
+    assert main(["allocate", "--weights", weights, "--budget", str(budget),
+                 "--method", method]) == 0
+    assert capsys.readouterr().out == line + "\n"
+
+
+@pytest.mark.parametrize("method", ["greedy", "bruteforce"])
+@pytest.mark.parametrize("weights, budget, field", [
+    (",", "2", "weight"),
+    ("1,-0.5", "2", "weights"),
+    ("1,nan", "2", "weights"),
+    ("1,0.5", "-1", "budget"),
+    ("1,0.5", "200", "budget 200"),
+])
+def test_allocate_rejects_bad_input(capsys, method, weights, budget, field):
+    assert main(["allocate", "--weights", weights, "--budget", budget, "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+
+
 def test_allocate_prints_json(capsys):
     assert main(["allocate", "--weights", "1,0.25,0.0625", "--budget", "3"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -29,7 +94,7 @@ def test_sim_mse_writes_csv(tmp_path, capsys):
     cfg.write_text("n_antennas = 8\nn_paths = 2\ntrials = 3\nb_tot_grid = 0,2\n")
     out = tmp_path / "out.csv"
     assert main(["sim", "mse", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert len(rows) == 2 * 3 * 2
     assert {r["experiment"] for r in rows} == {"mse"}
 
@@ -57,7 +122,7 @@ def test_precode_writes_per_drop_records(tmp_path, capsys):
                    "b_tot_grid = 4\nse_methods = gpip_robust\n")
     out = tmp_path / "drops.csv"
     assert main(["precode", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert list(rows[0]) == ["drop", "n_antennas", "n_paths", "power_dbm", "b_tot", "method",
                              "true_sum_se", "se_lower_bound", "iterations"]
     assert [r["drop"] for r in rows] == ["0", "1", "2", "3"]
@@ -72,7 +137,7 @@ def test_precode_zf_and_wmmse(tmp_path):
                    "b_tot_grid = 0, 15\nse_methods = zf_mmse, wmmse_perfect\n")
     out = tmp_path / "drops.csv"
     assert main(["precode", "--config", str(cfg), "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     # drop-major, then the sweep axes in se_samples order
     assert [(r["drop"], r["b_tot"], r["method"]) for r in rows] == [
         (d, b, m) for d in "01" for b in ("0", "15") for m in ("zf_mmse", "wmmse_perfect")]
@@ -151,7 +216,7 @@ def test_zf_defined_when_dft_users_share_a_codeword(tmp_path):
     cfg.write_text(re.sub(r"(?m)^b_tot_grid = .*$", "b_tot_grid = 0,3,6,9,12,15", text))
     out = tmp_path / "o.csv"
     assert main(["sim", "se", "--config", str(cfg), "--seed", "168", "--out", str(out)]) == 0
-    rows = list(csv.DictReader(out.open()))
+    rows = read_rows(out)
     assert len(rows) == 6 * 3 * 2
     assert all(math.isfinite(float(r["mean"])) for r in rows)
 
@@ -181,8 +246,8 @@ def test_precode_row_is_the_sim_se_point(tmp_path, precoder, reconstruction, se_
     drops, se = tmp_path / "drops.csv", tmp_path / "se.csv"
     assert main(["precode", "--config", str(cfg), "--out", str(drops)]) == 0
     assert main(["sim", "se", "--config", str(cfg), "--out", str(se)]) == 0
-    (row,) = [r for r in csv.DictReader(drops.open()) if r["method"] == se_method]
-    means = {r["metric"]: r["mean"] for r in csv.DictReader(se.open())
+    (row,) = [r for r in read_rows(drops) if r["method"] == se_method]
+    means = {r["metric"]: r["mean"] for r in read_rows(se)
              if r["method"] == se_method}
     assert row["true_sum_se"] == means["true_sum_se"]
     assert row["se_lower_bound"] == means["se_lower_bound"]
@@ -197,8 +262,8 @@ def test_precode_rows_are_the_sim_se_sweep(tmp_path):
     assert main(["precode", "--config", str(cfg), "--out", str(drops)]) == 0
     assert main(["sim", "se", "--config", str(cfg), "--out", str(se)]) == 0
     key = ("n_antennas", "n_paths", "power_dbm", "b_tot", "method")
-    means = {(*(r[k] for k in key), r["metric"]): r["mean"] for r in csv.DictReader(se.open())}
-    rows = list(csv.DictReader(drops.open()))
+    means = {(*(r[k] for k in key), r["metric"]): r["mean"] for r in read_rows(se)}
+    rows = read_rows(drops)
     assert len(rows) == 2 * 2 * len(SE_METHODS) and len(means) == 2 * len(rows)
     for row in rows:
         for metric in ("true_sum_se", "se_lower_bound"):
@@ -226,6 +291,6 @@ def test_sim_se_objective_beyond_the_float_range(tmp_path):
                    "se_methods = gpip_plain\ngpip_max_iter = 3\ntrials = 1\n")
     out = tmp_path / "o.csv"
     assert main(["sim", "se", "--config", str(cfg), "--out", str(out)]) == 0
-    means = {r["metric"]: float(r["mean"]) for r in csv.DictReader(out.open())}
+    means = {r["metric"]: float(r["mean"]) for r in read_rows(out)}
     assert means["se_lower_bound"] * math.log(2) > math.log(sys.float_info.max)
     assert math.isfinite(means["true_sum_se"])

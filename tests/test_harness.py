@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from fddlink import allocation, channel, feedback, harness, precoding, reconstruction
-from fddlink.allocation import AllocationProblem, allocate_greedy, eta
-from fddlink.config import ScenarioConfig
+from fddlink.allocation import allocate_bits, eta
+from fddlink.config import ALLOCATORS, ScenarioConfig
 from fddlink.harness import (
     _build_csi,
     _draw_scene,
@@ -92,6 +92,43 @@ class TestMseExperiment:
         assert rec.mean == pytest.approx(vals.mean(), rel=1e-12)
         assert rec.std_err == pytest.approx(
             vals.std(ddof=1) / np.sqrt(len(vals)), rel=1e-12)
+
+    @pytest.mark.parametrize("workers, expected", [(1, [3, 3, 1]), (3, [3, 3, 1]),
+                                                   (8, [1] * 7)])
+    def test_blocks_match_the_per_trial_loop(self, monkeypatch, workers, expected):
+        # N=64, L=8 and 8 budgets: blocks of 3 trials, one CSI pass per block
+        # and allocator; the samples equal one trial at a time through the
+        # channel and the reconstruction factor, byte for byte
+        cfg = small_cfg(n_antennas=64, n_paths=8, trials=7,
+                        b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
+        geom = cfg.geometry()
+        want = np.empty((cfg.trials, len(cfg.b_tot_grid), len(ALLOCATORS), 2))
+        for t in range(cfg.trials):
+            rng = np.random.default_rng(derive_trial_seed(cfg.seed, t))
+            ps = channel.draw_user_paths(cfg, rng)
+            h = channel.dl_channel(ps, geom)
+            for si, strategy in enumerate(ALLOCATORS):
+                bits = allocation.allocate_bits(strategy, ps.betas**2, cfg.b_tot_grid)
+                fp = feedback.make_feedback_plan(ps, bits, geom)
+                want[t, :, si, 0] = allocation.theoretical_weighted_mse(ps.betas, bits, 64)
+                for bi, factor in enumerate(reconstruction.reconstruct_mmse(ps, fp, geom)):
+                    want[t, bi, si, 1] = np.sum(np.abs(h - factor[:, 0]) ** 2)
+        sizes, samples = [], []
+        csi_pass, records = harness._csi_pass, harness._records
+
+        def spy_pass(ps, *args):
+            sizes.append(ps.thetas.shape[0])
+            return csi_pass(ps, *args)
+
+        def spy_records(experiment, cfg, got, *args, **kw):
+            samples.append(got)
+            return records(experiment, cfg, got, *args, **kw)
+
+        monkeypatch.setattr(harness, "_csi_pass", spy_pass)
+        monkeypatch.setattr(harness, "_records", spy_records)
+        run_mse_experiment(cfg, workers)
+        assert sorted(sizes, reverse=True) == sorted(expected * len(ALLOCATORS), reverse=True)
+        assert samples[0].tobytes() == want.tobytes()
 
 
 class TestDeltaExperiment:
@@ -191,7 +228,7 @@ class TestBuildCsi:
             hhat["no_feedback"][:, u] = a @ est.betas
             assert stacks["perfect"][:, u, 0].tobytes() == h_true[:, u].tobytes()
             for bi, b in enumerate(cfg.b_tot_grid):
-                bits = np.array(allocate_greedy(AllocationProblem(tuple(est.betas**2), b)).bits)
+                bits = allocate_bits("greedy", est.betas**2, [b])[0]
                 fp = feedback.make_feedback_plan(ps, bits, geom)
                 mmse = reconstruction.reconstruct_mmse(est, fp, geom)
                 assert stacks["mmse"][bi, :, u].tobytes() == mmse.tobytes()

@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 
 from fddlink.allocation import (
     MAX_BITS,
-    AllocationProblem,
     allocate_bits,
-    allocate_greedy,
-    allocate_uniform,
     eta,
     theoretical_weighted_mse,
 )
@@ -388,8 +385,7 @@ class TestBudgetGrid:
         h = dl_channel(stack, geom)
         a = steering_matrix(stack.thetas, geom.lambda_dl, geom)
         grid = budget_grid(data, L)
-        for strategy, allocate in (("greedy", allocate_greedy), ("uniform", allocate_uniform),
-                                   ("none", None)):
+        for strategy in ("greedy", "uniform", "none"):
             bits = allocate_bits(strategy, stack.betas**2, grid)
             fp = make_feedback_plan(stack, bits, geom)
             rcs = reconstruct_mmse(stack, fp, geom)
@@ -403,9 +399,8 @@ class TestBudgetGrid:
                 assert_same(h[s], dl_channel(ps, geom))
                 assert_same(a[s], steering_matrix(ps.thetas, geom.lambda_dl, geom))
                 assert_same(bits[s], allocate_bits(strategy, ps.betas**2, grid))
-                if allocate is not None:
-                    problem = AllocationProblem(tuple(ps.betas**2), grid)
-                    np.testing.assert_array_equal(bits[s], allocate(problem).bits)
+                np.testing.assert_array_equal(
+                    bits[s], [allocate_bits(strategy, tuple(ps.betas**2), [b])[0] for b in grid])
                 plan = make_feedback_plan(ps, bits[s], geom)
                 for field in ("bits", "q_values", "deltas"):
                     assert_same(getattr(fp, field)[s], getattr(plan, field))
