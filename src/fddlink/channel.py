@@ -8,7 +8,10 @@ the per-path reflection phases differ, so the bands are not reciprocal.
 A PathSet may stack many path sets of one path count: its per-path arrays
 are (..., L), and the steering matrices, DL phases, gains and channels of
 a stack carry the same leading axes.  Each stacked path set is computed
-exactly as it would be alone, one matrix-vector product per channel.
+exactly as it would be alone, one matrix-vector product per channel.  A
+stack is drawn in one step from rows of standard uniforms, one row of 4L+1
+per user (paths_from_uniforms): a scene's users from one generator call, or
+one row from each trial's own generator.
 """
 
 from __future__ import annotations
@@ -130,15 +133,17 @@ def dl_phases(ps: PathSet, geom: ArrayGeometry) -> np.ndarray:
     return np.mod(-TWO_PI * ps.distances / geom.lambda_dl + ps.phases_dl, TWO_PI)
 
 
-def path_loss(distance: float, cfg) -> float:
+def path_loss(distance, cfg):
     """Log-distance path loss as a linear power gain.
 
     PL(d) = cfg.pl_ref_gain * (d / cfg.pl_ref_distance)^(-cfg.pl_exponent),
-    with the reference gain in linear scale.
+    with the reference gain in linear scale, element by element for an
+    array of distances.  The power is libm pow's, as for a Python float.
     """
-    if not np.isfinite(distance) or distance <= 0:
+    distance = np.asarray(distance, dtype=float)
+    if not ((distance > 0) & (distance < np.inf)).all():
         raise ValueError(f"distance must be positive, got {distance}")
-    return cfg.pl_ref_gain * (distance / cfg.pl_ref_distance) ** (-cfg.pl_exponent)
+    return cfg.pl_ref_gain * np.float_power(distance / cfg.pl_ref_distance, -cfg.pl_exponent)
 
 
 def power_decay_profile(num_paths: int, decay_ratio: float) -> np.ndarray:
@@ -149,33 +154,56 @@ def power_decay_profile(num_paths: int, decay_ratio: float) -> np.ndarray:
     return w / w.sum()
 
 
-def draw_user_paths(cfg, rng: np.random.Generator) -> PathSet:
-    """Draw one user's multipath geometry.
+def uniforms_per_user(num_paths: int) -> int:
+    """Standard uniforms that one user's draw of L paths takes: 4L + 1."""
+    return 4 * num_paths + 1
 
-    The user lands uniformly in a disc of radius ISD/2 around the BS.  AoAs
-    are i.i.d. uniform on [-pi/2, pi/2], reflection phases i.i.d. uniform on
-    [0, 2*pi) and independent across bands.  Per-path power follows the
-    geometric decay profile applied to the user-level path loss, and each
-    path adds a uniform excess distance affecting only its phase.
+
+def _uniform(low: float, high: float, u: np.ndarray) -> np.ndarray:
+    """Uniforms on [low, high) from standard ones, as Generator.uniform maps them."""
+    return low + (high - low) * u
+
+
+def paths_from_uniforms(u, cfg) -> PathSet:
+    """Users' multipath geometry from standard uniforms, one user per row.
+
+    ``u`` is (..., 4L+1), and the path sets are (..., L).  A row holds the
+    user's distance uniform, then L uniforms each for the AoAs, the excess
+    distances, the UL and the DL reflection phases.  The user lands uniformly
+    in a disc of radius ISD/2 around the BS.  AoAs are uniform on
+    [-pi/2, pi/2], reflection phases uniform on [0, 2*pi) and independent
+    across bands.  Per-path power follows the geometric decay profile applied
+    to the user-level path loss, and each path adds a uniform excess distance
+    affecting only its phase.  cfg.n_paths is not read: L comes from ``u``.
     """
-    L = cfg.n_paths
+    u = np.asarray(u, dtype=float)
+    L, rest = divmod(u.shape[-1] - 1, 4) if u.ndim else (0, 0)
+    if L < 1 or rest:
+        raise ValueError(f"need rows of 4L+1 uniforms for L >= 1 paths, got shape {u.shape}")
     radius = cfg.isd / 2.0
-    r_user = radius * math.sqrt(rng.uniform())
-    r_user = max(r_user, cfg.pl_ref_distance)  # keep the path-loss model in range
-    pl = path_loss(r_user, cfg)
+    # keep the path-loss model in range
+    r_user = np.maximum(radius * np.sqrt(u[..., 0]), cfg.pl_ref_distance)
     weights = power_decay_profile(L, cfg.decay_ratio)
-    betas = np.sqrt(pl * weights)
-    thetas = rng.uniform(-math.pi / 2, math.pi / 2, size=L)
-    dists = r_user + rng.uniform(0.0, cfg.excess_range, size=L)
-    phis_ul = rng.uniform(0.0, TWO_PI, size=L)
-    phis_dl = rng.uniform(0.0, TWO_PI, size=L)
-    return PathSet(thetas=thetas, betas=betas, distances=dists,
-                   phases_ul=phis_ul, phases_dl=phis_dl)
+    betas = np.sqrt(path_loss(r_user, cfg)[..., None] * weights)
+    thetas, excess, phis_ul, phis_dl = (u[..., 1 + i * L:1 + (i + 1) * L] for i in range(4))
+    return PathSet(thetas=_uniform(-math.pi / 2, math.pi / 2, thetas),
+                   betas=betas,
+                   distances=r_user[..., None] + _uniform(0.0, cfg.excess_range, excess),
+                   phases_ul=_uniform(0.0, TWO_PI, phis_ul),
+                   phases_dl=_uniform(0.0, TWO_PI, phis_dl))
 
 
-def draw_scene(cfg, rng: np.random.Generator) -> list[PathSet]:
-    """Draw independent multipath geometry for each of cfg.n_users users."""
-    return [draw_user_paths(cfg, rng) for _ in range(cfg.n_users)]
+def draw_user_paths(cfg, rng: np.random.Generator) -> PathSet:
+    """Draw one user's cfg.n_paths paths from one row of rng's uniforms
+    (paths_from_uniforms)."""
+    return paths_from_uniforms(rng.random(uniforms_per_user(cfg.n_paths)), cfg)
+
+
+def draw_scene(cfg, rng: np.random.Generator) -> PathSet:
+    """Draw independent multipath geometry for each of cfg.n_users users, one
+    PathSet stacking them (K, L), from one (K, 4L+1) array of rng's uniforms:
+    user by user, as cfg.n_users calls of draw_user_paths draw them."""
+    return paths_from_uniforms(rng.random((cfg.n_users, uniforms_per_user(cfg.n_paths))), cfg)
 
 
 def perturb_estimates(ps: PathSet, aoa_sigma: float, gain_rel_sigma: float,

@@ -7,12 +7,18 @@ error, and the sample count for every sweep coordinate and method.
 
 CSI is built for a stack of path sets and the whole budget grid in one
 pass: one allocation, one feedback plan and one reconstruction for all of
-them, whose leading axes are the path sets and the budgets.  `sim se`
-stacks a scene's K users, and `sim delta` and `sim mse` run their trials in
-blocks and stack a block's path sets, so one pass serves a block and path
-count (`sim delta`) or allocator (`sim mse`).  Each CSI source hands the
-precoders one N x K x R stack of the users' reconstruction factors, with a
-leading budget axis for the sources that depend on the budget.  The SE
+them, whose leading axes are the path sets and the budgets.  A stack of
+path sets is built once from rows of standard uniforms
+(channel.paths_from_uniforms).  `sim se` stacks a scene's K users, drawn as
+one (K, 4L+1) array, and `sim delta` and `sim mse` run their trials in
+blocks and stack a block's path sets, one row of uniforms per trial, so one
+pass serves a block and path count (`sim delta`) or allocator (`sim mse`).
+A block holds as many trials as the pass's small per-trial arrays fit in
+DELTA_BLOCK_BYTES (_block_trials), and `sim delta`'s outer-error Gram step,
+whose arrays are larger, runs on chunks of the block (_gram_trials).  Each
+CSI source hands the precoders one N x K x R stack of the users'
+reconstruction factors, with a leading budget axis for the sources that
+depend on the budget.  The SE
 sweep runs drops in blocks of consecutive trials: each drop scores its ZF
 and WMMSE points on the spot and queues its GPIP problems, and the block's
 queue is solved in one lockstep gpip_solve_batch call (se_samples).
@@ -125,7 +131,7 @@ def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
 def _draw_scene(cfg: ScenarioConfig, rng):
     """True paths of the cfg.n_users users and the base station's estimates of
     them, each one PathSet stacking the users, (K, L)."""
-    scene = channel.PathSet.stack(channel.draw_scene(cfg, rng))
+    scene = channel.draw_scene(cfg, rng)
     if cfg.aoa_sigma == 0 and cfg.gain_rel_sigma == 0:
         return scene, scene
     return scene, channel.perturb_estimates(scene, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
@@ -149,22 +155,48 @@ def _csi_pass(ps, strategy: str, budgets, geom):
     return fp, a, betas, etas, h, reconstruction.mmse_estimate(a, betas, etas, fp.q_values)
 
 
-# Working set of one block of a `sim delta` or `sim mse` pass.  The largest
-# arrays of a `sim delta` pass are the outer-error Gram step's U = [h | hhat | A]
-# and its conjugate, two complex (trials, budgets, N, L+2) arrays, and a block
-# holds as many trials as fit both in DELTA_BLOCK_BYTES.  On the csi_sweep
-# workload (N=64, L up to 8, 8 budgets: 160 KiB per trial), one BLAS thread of
-# a 2-vCPU Xeon VM, one path set per pass ran 388-516 drops/s at a peak RSS of
-# 38.2-38.5 MiB, which the campaign's imports set.  Blocks of 2 trials ran
-# 743-787 drops/s at -0.2 to 0.0 MiB against it, 3 ran 739-960 at +0.1 MiB and
-# 4 ran 928-1024 at +0.2 to +0.5 MiB, so blocks of 3 keep the working set under
-# the import peak.
+# Working set of one block of a `sim delta` or `sim mse` pass.  A block holds
+# as many trials as fit the pass's per-trial arrays in DELTA_BLOCK_BYTES: the
+# DL steering matrix A and its complex phase temporary (2 x N x L), the
+# channel h (N) and the estimates hhat (budgets x N), all complex.  The
+# outer-error Gram step's U = [h | hhat | A] and its conjugate are far larger,
+# two complex (budgets, N, L+2) arrays per trial, so `sim delta` runs that
+# step on chunks of the block's trials that fit both in half of
+# DELTA_BLOCK_BYTES (_gram_trials).  On the csi_sweep workload (N=64, L up to
+# 8, 8 budgets, 40 trials: 25 KiB of pass arrays and 160 KiB of Gram-step
+# arrays per trial, so Gram chunks of 1 trial at L=8 and 5 at L=1),
+# `bench/run.py --seconds 20` on one BLAS thread of a 2-vCPU Xeon VM, two runs
+# each, with the campaign's tracemalloc peak:
+#
+#   trials per block               drops/s     peak RSS (MiB)  traced peak (KiB)
+#   3, whole-block Gram step       1038-1040   38.30           689
+#     (per-trial path draws)
+#   3                              1123-1124   37.73           424
+#   10                             1685-1687   37.97           538
+#   20 (this rule)                 1858-1863   38.15-38.17     712
+#   40                             1931-1937   38.48-38.49     1069
+#
+# Gram chunks that fit U and its conjugate in all of DELTA_BLOCK_BYTES (3
+# trials at L=8) ran blocks of 20 about 3 % slower, at a traced peak of
+# 1007 KiB.
 DELTA_BLOCK_BYTES = 512 * 1024
 
 
 def _block_trials(cfg: ScenarioConfig, paths: int) -> int:
-    """Trials of ``paths`` paths whose Gram-step arrays DELTA_BLOCK_BYTES holds."""
-    return DELTA_BLOCK_BYTES // (2 * len(cfg.b_tot_grid) * cfg.n_antennas * (paths + 2) * 16)
+    """Trials of ``paths`` paths whose pass arrays DELTA_BLOCK_BYTES holds."""
+    return DELTA_BLOCK_BYTES // (16 * cfg.n_antennas * (2 * paths + len(cfg.b_tot_grid) + 1))
+
+
+def _gram_trials(budgets: int, n: int, paths: int) -> int:
+    """Trials per outer-error Gram step: U = [h | hhat | A] and its conjugate,
+    two complex (budgets, N, L+2) arrays per trial, in half of
+    DELTA_BLOCK_BYTES, and at least one."""
+    return max(1, DELTA_BLOCK_BYTES // 2 // (2 * budgets * n * (paths + 2) * 16))
+
+
+def _uniform_rows(trials, width: int) -> np.ndarray:
+    """(trials, width): one row of standard uniforms from each trial's stream."""
+    return np.stack([rng.random(width) for _, rng in trials])
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +216,10 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
 
+    width = channel.uniforms_per_user(cfg.n_paths)
+
     def block(trials):
-        ps = channel.PathSet.stack([channel.draw_user_paths(cfg, rng) for _, rng in trials])
+        ps = channel.paths_from_uniforms(_uniform_rows(trials, width), cfg)
         out = np.empty((len(trials), len(b_grid), len(ALLOCATORS), 2))
         for si, strategy in enumerate(ALLOCATORS):
             fp, _, _, _, h, hhat = _csi_pass(ps, strategy, b_grid, geom)
@@ -210,13 +244,19 @@ def _delta_norms(ps, strategy: str, budgets, geom) -> np.ndarray:
     """Both outer-product error norms of path sets at every budget, from one
     CSI pass (_csi_pass).
 
-    For path sets stacked (..., L), returns (..., budgets, 2): the realized
-    (1/N^2)*||Delta||_F^2 and its large-array limit at the realized phase
-    errors.
+    For path sets stacked (trials, L), returns (trials, budgets, 2): the
+    realized (1/N^2)*||Delta||_F^2 and its large-array limit at the realized
+    phase errors.  The Gram step of the realized norm runs on chunks of
+    _gram_trials path sets; each Gram matrix is the BLAS call that a single
+    path set makes, so the chunks do not change the norms.
     """
     fp, a, betas, etas, h, hhat = _csi_pass(ps, strategy, budgets, geom)
-    return np.stack((reconstruction.outer_error_norm(h, hhat, a, betas, etas),
-                     reconstruction.asymptotic_delta_norm(betas, etas, fp.deltas)), axis=-1)
+    step = _gram_trials(len(budgets), geom.num_antennas, len(ps))
+    emp = np.concatenate([
+        reconstruction.outer_error_norm(*(x[i:i + step] for x in (h, hhat, a, betas, etas)))
+        for i in range(0, len(hhat), step)])
+    del a, h, hhat  # the large-array limit's temporaries take their place
+    return np.stack((emp, reconstruction.asymptotic_delta_norm(betas, etas, fp.deltas)), axis=-1)
 
 
 def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
@@ -225,24 +265,26 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
     Emits the realized (1/N^2)*||Delta||_F^2 alongside the large-array
     closed-form value evaluated at the same realized quantization errors.
     Trials run in blocks of consecutive trials, and workers map over blocks.
-    Each trial draws one path set per path count, in l_grid order, from its
-    own stream; a block stacks its trials' path sets of each path count and
-    computes both norms for all of them and every budget in one pass
-    (_delta_norms).  The block size comes from the sweep's sizes and its
-    largest path count (_block_trials).  A path set's norms do not depend on
-    its block, so neither block size nor worker count changes the output.
+    Each trial draws one path set per path count, in l_grid order, from one
+    row of its own stream's uniforms; a block stacks its trials' path sets
+    of each path count and computes both norms for all of them and every
+    budget in one pass (_delta_norms).  The block size comes from the
+    sweep's sizes and its largest path count (_block_trials).  A path set's
+    norms do not depend on its block, so neither block size nor worker count
+    changes the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
     l_grid = cfg.l_grid
-    cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in l_grid}
+    widths = [channel.uniforms_per_user(L) for L in l_grid]
+    cuts = np.cumsum(widths)[:-1]
 
     def block(trials):
+        rows = np.split(_uniform_rows(trials, sum(widths)), cuts, axis=-1)
         out = np.empty((len(trials), len(l_grid), len(b_grid), 2))
-        for li, L in enumerate(l_grid):
-            ps = channel.PathSet.stack([channel.draw_user_paths(cfgs_by_l[L], rng)
-                                        for _, rng in trials])
-            out[:, li] = _delta_norms(ps, cfg.allocator, b_grid, geom)
+        for li, u in enumerate(rows):
+            out[:, li] = _delta_norms(channel.paths_from_uniforms(u, cfg), cfg.allocator,
+                                      b_grid, geom)
         return out
 
     size = _block_trials(cfg, max(l_grid))
@@ -262,11 +304,13 @@ SE_METRICS = ("true_sum_se", "se_lower_bound")
 _PER_BUDGET = ("mmse", "dft")
 
 
-def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, h_true, geom) -> np.ndarray:
+def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, a_est, h_true,
+               geom) -> np.ndarray:
     """The users' reconstruction factors from one CSI source, stacked N x K x R.
 
     ``scene`` and ``ests`` stack the K users' true and estimated path sets,
-    and ``h_true`` is the N x K true channel.  "mmse" and "dft" depend on
+    ``a_est`` is the K x N x L stack of the estimates' DL steering matrices
+    and ``h_true`` the N x K true channel.  "mmse" and "dft" depend on
     the budget and are built for the whole grid at once, (budgets, N, K, R);
     the MMSE and no-feedback factors of all K users are one pass.  Column 0
     of each factor is the estimate; MMSE and no-feedback factors carry L
@@ -276,10 +320,10 @@ def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, h_true, geom) -> n
         # bits over the estimated powers, feedback of the true DL phases
         bits = allocation.allocate_bits(cfg.allocator, ests.betas**2, cfg.b_tot_grid)
         fp = feedback.make_feedback_plan(scene, bits, geom)
-        factors = reconstruction.reconstruct_mmse(ests, fp, geom)
+        factors = reconstruction.reconstruct_mmse(ests, fp, geom, a_est)
         return np.ascontiguousarray(np.moveaxis(factors, 0, 2))
     if source == "no_feedback":
-        factors = reconstruction.reconstruct_no_feedback(ests, geom)
+        factors = reconstruction.reconstruct_no_feedback(ests, geom, a_est)
         return np.ascontiguousarray(np.moveaxis(factors, 0, 1))
     if source == "dft":
         return np.stack([np.column_stack([feedback.dft_codebook_feedback(h, b, geom)[1]
@@ -316,13 +360,16 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     se_samples solves the queue (_solve_queue).  A failure is raised at
     once, named by the seed, trial, point and method.
     """
-    h_true = np.ascontiguousarray(channel.dl_channel(scene, geom).T)
+    # one DL steering matrix per angle set serves the channel and the CSI
+    a = channel.steering_matrix(scene.thetas, geom.lambda_dl, geom)
+    a_est = a if ests is scene else channel.steering_matrix(ests.thetas, geom.lambda_dl, geom)
+    h_true = np.ascontiguousarray(channel.superpose(a, channel.dl_path_gains(scene, geom)).T)
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
     csi = {}
 
     def factors(source):
         if source not in csi:
-            csi[source] = _build_csi(source, cfg, scene, ests, h_true, geom)
+            csi[source] = _build_csi(source, cfg, scene, ests, a_est, h_true, geom)
         return csi[source]
 
     def evaluate(method, pdbm, bi, slot):

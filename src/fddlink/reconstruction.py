@@ -25,7 +25,8 @@ from .channel import ArrayGeometry, PathSet
 from .feedback import FeedbackPlan, budget_axis
 
 
-def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> np.ndarray:
+def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry,
+                     a: np.ndarray | None = None) -> np.ndarray:
     """MSE-optimal estimate sum_l eta(B_l) * beta_l * exp(j q_l) * a(theta_l).
 
     ``ps`` may hold true or estimated parameters; the covariance is built
@@ -33,9 +34,11 @@ def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> np.n
     estimate (eta(0) = 0) and fully to the covariance.  Returns the
     N x (L+1) factor [hhat | E], or for a budget grid's plan the
     (budgets, N, L+1) stack of them; a stack of path sets (..., L) adds its
-    leading axes in front.
+    leading axes in front.  ``a`` is the DL steering matrix of ps.thetas
+    (..., N, L) when the caller already holds it.
     """
-    a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
+    if a is None:
+        a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
     betas = ps.betas
     if budget_axis(ps, fp.bits):
         a, betas = a[..., None, :, :], betas[..., None, :]
@@ -50,14 +53,16 @@ def mmse_estimate(a: np.ndarray, betas, etas, q_values) -> np.ndarray:
     return channel.superpose(a, etas * betas * np.exp(1j * q_values))
 
 
-def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry) -> np.ndarray:
+def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry,
+                            a: np.ndarray | None = None) -> np.ndarray:
     """Unit-phase estimate sum_l beta_l * a(theta_l) built from UL-side data only.
 
     No phase information exists, so the covariance carries each path's whole
     power (the zero-bit limit).  Returns the N x (L+1) factor [hhat | E], or
-    (..., N, L+1) for a stack of path sets.
+    (..., N, L+1) for a stack of path sets.  ``a`` is as in reconstruct_mmse.
     """
-    a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
+    if a is None:
+        a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
     return _factor(a, channel.superpose(a, ps.betas.astype(complex)), ps.betas**2)
 
 

@@ -2,8 +2,9 @@
 
 The package works on reconstruction factors and on the NMMSE curve at
 integer bits.  These are the textbook forms it never builds: the
-piecewise-linear relaxation, the weighted NMMSE objective, and the dense
-N x N error covariance and outer-product error.
+piecewise-linear relaxation, the weighted NMMSE objective, the dense
+N x N error covariance and outer-product error, and one user's path draw
+as five scalar-valued uniform calls.
 """
 
 import math
@@ -11,7 +12,7 @@ import math
 import numpy as np
 
 from fddlink.allocation import MAX_BITS, eta, nmmse
-from fddlink.channel import steering_matrix
+from fddlink.channel import TWO_PI, PathSet, power_decay_profile, steering_matrix
 
 
 def nmmse_pl(x):
@@ -45,3 +46,23 @@ def outer_product_error(h_true, factor) -> tuple[np.ndarray, float]:
     h = np.asarray(h_true)
     delta = np.outer(h, h.conj()) - factor @ factor.conj().T
     return delta, float(np.sum(np.abs(delta) ** 2)) / h.shape[0] ** 2
+
+
+def draw_user_paths_by_calls(cfg, rng) -> PathSet:
+    """One user's cfg.n_paths paths, one Generator.uniform call per quantity.
+
+    The distance uniform comes first, then L uniforms each for the AoAs, the
+    excess distances, the UL and the DL phases; the path loss is a Python
+    float power.
+    """
+    L = cfg.n_paths
+    r_user = cfg.isd / 2.0 * math.sqrt(rng.uniform())
+    r_user = max(r_user, cfg.pl_ref_distance)
+    pl = cfg.pl_ref_gain * (r_user / cfg.pl_ref_distance) ** (-cfg.pl_exponent)
+    betas = np.sqrt(pl * power_decay_profile(L, cfg.decay_ratio))
+    thetas = rng.uniform(-math.pi / 2, math.pi / 2, size=L)
+    dists = r_user + rng.uniform(0.0, cfg.excess_range, size=L)
+    phis_ul = rng.uniform(0.0, TWO_PI, size=L)
+    phis_dl = rng.uniform(0.0, TWO_PI, size=L)
+    return PathSet(thetas=thetas, betas=betas, distances=dists,
+                   phases_ul=phis_ul, phases_dl=phis_dl)

@@ -3,6 +3,8 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddlink.channel import (
     ArrayGeometry,
@@ -13,11 +15,14 @@ from fddlink.channel import (
     draw_scene,
     draw_user_paths,
     path_loss,
+    paths_from_uniforms,
     perturb_estimates,
     steering_matrix,
+    uniforms_per_user,
     ul_channel,
 )
 from fddlink.config import ScenarioConfig
+from oracles import draw_user_paths_by_calls
 
 GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.025)
 
@@ -192,8 +197,53 @@ class TestDrawScene:
         cfg = ScenarioConfig(n_users=3, n_paths=4)
         scene1 = draw_scene(cfg, np.random.default_rng(42))
         scene2 = draw_scene(cfg, np.random.default_rng(42))
-        for ps1, ps2 in zip(scene1, scene2):
-            assert_same_paths(ps1, ps2)
+        assert scene1.thetas.shape == (3, 4)
+        assert_same_paths(scene1, scene2)
+
+    # a reference distance past the disc radius ISD/2 = 250 m clamps every user
+    @settings(deadline=None, max_examples=200)
+    @given(paths=st.integers(1, 8), users=st.integers(1, 5),
+           pl_exponent=st.floats(1.5, 5.0), decay_ratio=st.floats(0.05, 1.0),
+           excess_range=st.floats(0.0, 300.0), pl_ref_distance=st.floats(0.1, 400.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_stacked_draw_matches_draws_by_calls(self, paths, users, pl_exponent, decay_ratio,
+                                                 excess_range, pl_ref_distance, seed):
+        # byte for byte the path sets of five Generator.uniform calls per
+        # user, and every stream left where those calls leave it: K users
+        # from one stream (draw_scene), and one user from each of K streams
+        cfg = ScenarioConfig(n_paths=paths, n_users=users, pl_exponent=pl_exponent,
+                             decay_ratio=decay_ratio, excess_range=excess_range,
+                             pl_ref_distance=pl_ref_distance)
+
+        def streams():
+            return [np.random.default_rng([seed, k]) for k in range(users)]
+
+        def assert_matches(got, ref_rng, want_rngs):
+            want = [draw_user_paths_by_calls(cfg, rng) for rng in want_rngs]
+            assert_same_paths(got, PathSet.stack(want))
+            assert ref_rng.random() == want_rngs[-1].random()
+
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_matches(draw_scene(cfg, rng), rng, [ref] * users)
+        rngs, refs = streams(), streams()
+        rows = np.stack([rng.random(uniforms_per_user(paths)) for rng in rngs])
+        assert_matches(paths_from_uniforms(rows, cfg), rngs[-1], refs)
+        for rng, ref in zip(rngs[:-1], refs[:-1]):
+            assert rng.random() == ref.random()
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert_matches(PathSet.stack([draw_user_paths(cfg, rng)]), rng, [ref])
+
+    def test_clamps_users_inside_the_reference_distance(self):
+        # u = 0 lands on the BS and u = 1 at 250 m; both read pl_ref_distance
+        cfg = ScenarioConfig(n_paths=2, pl_ref_distance=300.0, excess_range=0.0)
+        ps = paths_from_uniforms(np.array([[0.0] * 9, [1.0] * 9]), cfg)
+        np.testing.assert_array_equal(ps.distances, 300.0)
+        np.testing.assert_array_equal(ps.betas[0], ps.betas[1])
+
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 8), (3, 10)])
+    def test_rejects_rows_that_are_not_4l_plus_1_wide(self, shape):
+        with pytest.raises(ValueError, match="4L\\+1"):
+            paths_from_uniforms(np.zeros(shape), ScenarioConfig())
 
     def test_aoa_mean_matches_uniform_law(self):
         cfg = ScenarioConfig(n_users=1, n_paths=50)

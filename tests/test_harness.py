@@ -18,6 +18,7 @@ from fddlink.harness import (
     run_se_experiment,
     se_samples,
 )
+from oracles import draw_user_paths_by_calls
 
 
 def small_cfg(**kw):
@@ -93,12 +94,12 @@ class TestMseExperiment:
         assert rec.std_err == pytest.approx(
             vals.std(ddof=1) / np.sqrt(len(vals)), rel=1e-12)
 
-    @pytest.mark.parametrize("workers, expected", [(1, [3, 3, 1]), (3, [3, 3, 1]),
+    @pytest.mark.parametrize("workers, expected", [(1, [7]), (3, [3, 3, 1]),
                                                    (8, [1] * 7)])
     def test_blocks_match_the_per_trial_loop(self, monkeypatch, workers, expected):
-        # N=64, L=8 and 8 budgets: blocks of 3 trials, one CSI pass per block
-        # and allocator; the samples equal one trial at a time through the
-        # channel and the reconstruction factor, byte for byte
+        # N=64, L=8 and 8 budgets: blocks of up to 20 trials, one CSI pass
+        # per block and allocator; the samples equal one trial at a time
+        # through the channel and the reconstruction factor, byte for byte
         cfg = small_cfg(n_antennas=64, n_paths=8, trials=7,
                         b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
         geom = cfg.geometry()
@@ -148,10 +149,11 @@ class TestDeltaExperiment:
         emp = {r.b_tot: (r.mean, r.std_err) for r in records if r.metric == "delta_norm_emp"}
         assert emp[12][0] <= emp[2][0] + 2 * (emp[12][1] + emp[2][1])
 
-    # N=64, L up to 8 and 8 budgets: 160 KiB of Gram-step arrays per trial,
-    # blocks of 3 trials
-    BLOCKS_OF_3 = dict(n_antennas=64, l_grid=(2, 8), trials=7,
-                       b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
+    # N=64, L up to 8 and 8 budgets: 25 KiB of pass arrays per trial, blocks
+    # of 20 trials; Gram-step arrays of 64 KiB per trial at L=2 and 160 KiB at
+    # L=8, Gram chunks of 4 trials and of 1
+    BLOCKS_OF_20 = dict(n_antennas=64, l_grid=(2, 8), trials=7,
+                        b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
 
     @staticmethod
     def spy_blocks(monkeypatch):
@@ -167,13 +169,14 @@ class TestDeltaExperiment:
         return sizes
 
     @pytest.mark.parametrize("kw, workers, expected", [
-        (BLOCKS_OF_3, 1, [3, 3, 1]),
-        (BLOCKS_OF_3, 3, [3, 3, 1]),
+        (BLOCKS_OF_20, 1, [7]),
         # blocks of ceil(trials / workers)
-        (BLOCKS_OF_3, 4, [2, 2, 2, 1]),
-        (BLOCKS_OF_3, 8, [1] * 7),
-        # 8 KiB per trial (N=32, L=2, 2 budgets): one block
+        (BLOCKS_OF_20, 3, [3, 3, 1]),
+        (BLOCKS_OF_20, 4, [2, 2, 2, 1]),
+        (BLOCKS_OF_20, 8, [1] * 7),
+        # 3.5 KiB per trial (N=32, L=2, 2 budgets): one block
         (dict(n_antennas=32, trials=7, b_tot_grid=(3, 9)), 1, [7]),
+        ({**BLOCKS_OF_20, "trials": 45}, 1, [20, 20, 5]),
     ])
     def test_block_layout(self, monkeypatch, kw, workers, expected):
         sizes = self.spy_blocks(monkeypatch)
@@ -188,9 +191,46 @@ class TestDeltaExperiment:
         count_calls(monkeypatch, calls, channel, "steering_matrix")
         count_calls(monkeypatch, calls, allocation, "eta")
         sizes = self.spy_blocks(monkeypatch)
-        run_delta_experiment(small_cfg(**self.BLOCKS_OF_3), 1)
+        run_delta_experiment(small_cfg(**{**self.BLOCKS_OF_20, "trials": 45}), 1)
         assert len(sizes) == 3 * 2
         assert calls == {"steering_matrix": len(sizes), "eta": len(sizes)}
+
+    def test_gram_chunks_match_one_path_set_at_a_time(self, monkeypatch):
+        # one block of 7 trials: at L=2 its Gram step runs on chunks of 4 and
+        # 3 trials, at L=8 on chunks of 1; the samples equal each
+        # trial's path sets drawn by five uniform calls and run alone through
+        # the public API, byte for byte
+        cfg = small_cfg(**self.BLOCKS_OF_20)
+        geom = cfg.geometry()
+        want = np.empty((cfg.trials, len(cfg.l_grid), len(cfg.b_tot_grid), 2))
+        for t in range(cfg.trials):
+            rng = np.random.default_rng(derive_trial_seed(cfg.seed, t))
+            for li, L in enumerate(cfg.l_grid):
+                ps = draw_user_paths_by_calls(cfg.replace(n_paths=L), rng)
+                bits = allocate_bits(cfg.allocator, ps.betas**2, cfg.b_tot_grid)
+                fp = feedback.make_feedback_plan(ps, bits, geom)
+                a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
+                hhat = reconstruction.reconstruct_mmse(ps, fp, geom)[..., 0]
+                want[t, li, :, 0] = reconstruction.outer_error_norm(
+                    channel.dl_channel(ps, geom), hhat, a, ps.betas, eta(bits))
+                want[t, li, :, 1] = reconstruction.asymptotic_delta_norm(
+                    ps.betas, eta(bits), fp.deltas)
+        chunks, samples = [], []
+        norm, records = reconstruction.outer_error_norm, harness._records
+
+        def spy_norm(h, *args):
+            chunks.append(len(h))
+            return norm(h, *args)
+
+        def spy_records(experiment, cfg, got, *args, **kw):
+            samples.append(got)
+            return records(experiment, cfg, got, *args, **kw)
+
+        monkeypatch.setattr(reconstruction, "outer_error_norm", spy_norm)
+        monkeypatch.setattr(harness, "_records", spy_records)
+        run_delta_experiment(cfg, 1)
+        assert chunks == [4, 3] + [1] * 7
+        assert samples[0].tobytes() == want.tobytes()
 
 
 class TestBuildCsi:
@@ -203,7 +243,7 @@ class TestBuildCsi:
         scene, ests = _draw_scene(cfg, np.random.default_rng(8))
         # the same scene user by user: the users' paths, then each one's estimates
         rng = np.random.default_rng(8)
-        users = channel.draw_scene(cfg, rng)
+        users = [channel.draw_user_paths(cfg, rng) for _ in range(cfg.n_users)]
         user_ests = [channel.perturb_estimates(ps, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
                      for ps in users]
         for stack, sets in ((scene, users), (ests, user_ests)):
@@ -211,7 +251,8 @@ class TestBuildCsi:
                 want = np.stack([getattr(ps, f.name) for ps in sets])
                 assert getattr(stack, f.name).tobytes() == want.tobytes()
         h_true = np.column_stack([channel.dl_channel(ps, geom) for ps in users])
-        stacks = {source: _build_csi(source, cfg, scene, ests, h_true, geom)
+        a_est = channel.steering_matrix(ests.thetas, geom.lambda_dl, geom)
+        stacks = {source: _build_csi(source, cfg, scene, ests, a_est, h_true, geom)
                   for source in ("mmse", "dft", "no_feedback", "perfect")}
         budgets, n, k, paths = len(cfg.b_tot_grid), 16, 3, 3
         assert stacks["mmse"].shape == (budgets, n, k, paths + 1)
@@ -282,6 +323,18 @@ class TestSeExperiment:
         run_se_experiment(cfg)
         assert calls == {"reconstruct_mmse": cfg.trials,
                          "dft_codebook_feedback": cfg.trials * cfg.n_users * len(cfg.b_tot_grid)}
+
+    @pytest.mark.parametrize("aoa_sigma, per_scene", [(0.0, 1), (0.01, 2)])
+    def test_one_steering_matrix_per_scene_and_angle_set(self, monkeypatch, aoa_sigma,
+                                                         per_scene):
+        # one DL steering matrix per (drop, L, N) serves the true channel and
+        # the MMSE and no-feedback factors; estimated AoAs add their own
+        calls = {}
+        count_calls(monkeypatch, calls, channel, "steering_matrix")
+        cfg = small_cfg(trials=3, l_grid=(2, 3), n_grid=(8, 16), aoa_sigma=aoa_sigma,
+                        se_methods=("gpip_robust", "zf_nofeedback", "wmmse_perfect"))
+        se_samples(cfg)
+        assert calls == {"steering_matrix": per_scene * cfg.trials * 2 * 2}
 
     def test_batched_gpip_points_match_solves_of_each_point(self, monkeypatch):
         cfg = small_cfg(n_antennas=16, n_users=3, n_paths=2, trials=3, b_tot_grid=(0, 6, 12),
