@@ -43,6 +43,7 @@ from .precoding import (
     GpipError,
     GpipResult,
     PrecodingProblem,
+    ZfError,
     gpip_solve,
     gpip_solve_batch,
     stationarity_residual,

@@ -18,10 +18,12 @@ DELTA_BLOCK_BYTES (_block_trials), and `sim delta`'s outer-error Gram step,
 whose arrays are larger, runs on chunks of the block (_gram_trials).  Each
 CSI source hands the precoders one N x K x R stack of the users'
 reconstruction factors, with a leading budget axis for the sources that
-depend on the budget.  The SE
-sweep runs drops in blocks of consecutive trials: each drop scores its ZF
-and WMMSE points on the spot and queues its GPIP problems, and the block's
-queue is solved in one lockstep gpip_solve_batch call (se_samples).
+depend on the budget; the DFT-codebook search takes the K users' channels
+in one call per budget.  The SE sweep runs drops in blocks of consecutive
+trials: each scene of a drop precodes its ZF points in one stacked
+zf_precoder call and scores its ZF and WMMSE points in one stacked
+true_sum_se and sum_se_lower_bound call, and queues its GPIP problems; the
+block's queue is solved in one lockstep gpip_solve_batch call (se_samples).
 """
 
 from __future__ import annotations
@@ -312,9 +314,10 @@ def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, a_est, h_true,
     ``a_est`` is the K x N x L stack of the estimates' DL steering matrices
     and ``h_true`` the N x K true channel.  "mmse" and "dft" depend on
     the budget and are built for the whole grid at once, (budgets, N, K, R);
-    the MMSE and no-feedback factors of all K users are one pass.  Column 0
-    of each factor is the estimate; MMSE and no-feedback factors carry L
-    error columns, DFT and perfect CSI none.
+    the MMSE and no-feedback factors of all K users are one pass, and the
+    DFT codewords of all K users one dft_codebook_feedback call per budget.
+    Column 0 of each factor is the estimate; MMSE and no-feedback factors
+    carry L error columns, DFT and perfect CSI none.
     """
     if source == "mmse":
         # bits over the estimated powers, feedback of the true DL phases
@@ -326,23 +329,27 @@ def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, a_est, h_true,
         factors = reconstruction.reconstruct_no_feedback(ests, geom, a_est)
         return np.ascontiguousarray(np.moveaxis(factors, 0, 1))
     if source == "dft":
-        return np.stack([np.column_stack([feedback.dft_codebook_feedback(h, b, geom)[1]
-                                          for h in h_true.T])
-                         for b in cfg.b_tot_grid])[..., None]
+        hhat = np.stack([feedback.dft_codebook_feedback(h_true.T, b, geom)[1]
+                         for b in cfg.b_tot_grid])
+        return np.ascontiguousarray(hhat.transpose(0, 2, 1))[..., None]
     # "perfect": the true channel, with no estimation error
     return h_true[:, :, None]
 
 
 def _zf_columns(hhat: np.ndarray, hhat_nf: np.ndarray) -> np.ndarray:
-    """Estimate columns; users without any feedback fall back to their
-    geometry-only estimate in ``hhat_nf`` so zero-forcing stays defined at
-    zero budget."""
-    cols = hhat.copy()
-    norms = np.linalg.norm(cols, axis=0)
-    floor = 1e-12 * max(float(norms.max()), 1e-300)
-    for k in np.nonzero(norms <= floor)[0]:
-        cols[:, k] = hhat_nf[:, k]
-    return cols
+    """Estimate columns of stacked points (..., N, K); in each point, users
+    without any feedback fall back to their geometry-only estimate in
+    ``hhat_nf`` (N, K) so zero-forcing stays defined at zero budget."""
+    norms = np.linalg.norm(hhat, axis=-2)
+    fallback = norms <= 1e-12 * np.maximum(norms.max(axis=-1, keepdims=True), 1e-300)
+    return np.where(fallback[..., None, :], hhat_nf, hhat) if fallback.any() else hhat
+
+
+def _label(cfg: ScenarioConfig, point: tuple) -> str:
+    """What reproduces a failed SE point (trial, N, L, power, budget, method)."""
+    trial, n, paths, pdbm, b_tot, method = point
+    return (f"seed {cfg.seed}, trial {trial}, n_antennas {n}, n_paths {paths}, "
+            f"power_dbm {pdbm}, b_tot {b_tot}, method {method}")
 
 
 def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray,
@@ -351,59 +358,102 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
 
     ``scene`` and ``ests`` stack the users' true and estimated path sets.
 
-    Methods whose CSI ignores the budget run once per power, ahead of the
-    budget loop.  Each CSI source's factor stack (_build_csi) is built when a
-    method first needs it, for the whole budget grid at once, and serves
-    every power.  ZF and WMMSE points are evaluated on the spot.  A GPIP
-    point only builds its PrecodingProblem there and appends (label, out
-    slot, problem, true channel) to ``queue`` in evaluation order;
-    se_samples solves the queue (_solve_queue).  A failure is raised at
-    once, named by the seed, trial, point and method.
+    Points are evaluated in order: methods whose CSI ignores the budget once
+    per power, then every budget's points.  Each CSI source's factor stack
+    (_build_csi) is built when a method first needs it, for the whole budget
+    grid at once, and serves every power.  A GPIP point builds its
+    PrecodingProblem and appends (point, out slot, problem, true channel) to
+    ``queue``; se_samples solves the queue (_solve_queue).  A WMMSE point is
+    precoded on the spot and a ZF point only collected.  Once the scene is
+    through, its ZF points are precoded in one stacked zf_precoder call, and
+    its ZF and WMMSE points are scored in one stacked true_sum_se and
+    sum_se_lower_bound call; each point's values are bit-equal to its own
+    calls.  The first failure in evaluation order is raised, named by the
+    seed, trial, point and method (_label, formatted only then); a failing
+    ZF point also cuts ``queue`` back to the GPIP points queued before it.
     """
     # one DL steering matrix per angle set serves the channel and the CSI
     a = channel.steering_matrix(scene.thetas, geom.lambda_dl, geom)
     a_est = a if ests is scene else channel.steering_matrix(ests.thetas, geom.lambda_dl, geom)
     h_true = np.ascontiguousarray(channel.superpose(a, channel.dl_path_gains(scene, geom)).T)
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
-    csi = {}
+    csi, perfect = {}, {}
+    # the ZF and WMMSE points in evaluation order, each (point, out slot, queue
+    # length, estimates), and their precoders, None for ZF until it runs
+    scored, precoders = [], []
 
     def factors(source):
         if source not in csi:
             csi[source] = _build_csi(source, cfg, scene, ests, a_est, h_true, geom)
         return csi[source]
 
+    def problem(pdbm):
+        # the perfect-CSI problem at a power, which checks the noise and the power
+        if pdbm not in perfect:
+            perfect[pdbm] = precoding.PrecodingProblem(factors=h_true[:, :, None], sigma2=sigma2,
+                                                       power=cfg.power_watts(pdbm))
+        return perfect[pdbm]
+
+    def point(method, pdbm, bi):
+        return (trial, geom.num_antennas, len(scene), pdbm, cfg.b_tot_grid[bi], method)
+
     def evaluate(method, pdbm, bi, slot):
         source, precoder, use_cov = SE_METHODS[method]
-        label = (f"seed {cfg.seed}, trial {trial}, n_antennas {geom.num_antennas}, "
-                 f"n_paths {len(scene)}, power_dbm {pdbm}, b_tot {cfg.b_tot_grid[bi]}, "
-                 f"method {method}")
+        stack = factors(source)[bi] if source in _PER_BUDGET else factors(source)
+        pp = problem(pdbm)
+        if precoder == "gpip":
+            queue.append((point(method, pdbm, bi), out[slot], precoding.PrecodingProblem(
+                factors=stack if use_cov else stack[..., :1], sigma2=sigma2, power=pp.power),
+                h_true))
+            return
+        if precoder == "zf":
+            factors("no_feedback")  # the fallback estimates (_zf_columns)
+        precoders.append(None if precoder == "zf" else precoding.wmmse_precoder(h_true, pp))
+        scored.append((point(method, pdbm, bi), slot, len(queue), stack[..., 0]))
+
+    def precode_and_score():
+        if not scored:
+            return
+        estimates = np.stack([est for *_, est in scored])
+        zf = [i for i, w in enumerate(precoders) if w is None]
+        if zf:
+            cols = _zf_columns(estimates[zf], factors("no_feedback")[..., 0])
+            try:
+                w = precoding.zf_precoder(cols)
+            except ValueError as exc:
+                # a ZfError names its point; any other failure is the first point's
+                failed, _, queued, _ = scored[zf[getattr(exc, "point", None) or 0]]
+                del queue[queued:]
+                raise type(exc)(f"{getattr(exc, 'reason', exc)} ({_label(cfg, failed)})") from exc
+            for i, wi in zip(zf, w):
+                precoders[i] = wi
+        w = np.stack(precoders)
+        pp = precoding.PrecodingProblem(
+            factors=estimates[..., None], sigma2=sigma2,
+            power=np.array([cfg.power_watts(key[3]) for key, *_ in scored]))
+        rates = precoding.true_sum_se(w, h_true, pp)
+        bounds = precoding.sum_se_lower_bound(w, pp)
+        for (_, slot, _, _), rate, bound in zip(scored, rates, bounds):
+            out[slot] = (rate, bound, 0)
+
+    def run(method, pdbm, bi, slot):
         try:
-            stack = factors(source)[bi] if source in _PER_BUDGET else factors(source)
-            pp = precoding.PrecodingProblem(factors=stack if use_cov else stack[..., :1],
-                                            sigma2=sigma2, power=cfg.power_watts(pdbm))
-            if precoder == "gpip":
-                queue.append((label, out[slot], pp, h_true))
-                return
-            if precoder == "zf":
-                hhat_nf = factors("no_feedback")[..., 0]
-                w = precoding.zf_precoder(_zf_columns(pp.hhat, hhat_nf))
-            else:
-                w = precoding.wmmse_precoder(h_true, pp)
-            out[slot] = (precoding.true_sum_se(w, h_true, pp),
-                         precoding.sum_se_lower_bound(w, pp), 0)
+            evaluate(method, pdbm, bi, slot)
         except ValueError as exc:
-            raise type(exc)(f"{exc} ({label})") from exc
+            precode_and_score()  # a failing ZF point before this one comes first
+            raise type(exc)(f"{exc} ({_label(cfg, point(method, pdbm, bi))})") from exc
 
     per_budget = [SE_METHODS[m][0] in _PER_BUDGET for m in cfg.se_methods]
     for pi, pdbm in enumerate(cfg.power_dbm_grid):
         for mi, method in enumerate(cfg.se_methods):
             if not per_budget[mi]:
-                evaluate(method, pdbm, 0, (pi, slice(None), mi))
+                run(method, pdbm, 0, (pi, slice(None), mi))
     for bi in range(len(cfg.b_tot_grid)):
         for pi, pdbm in enumerate(cfg.power_dbm_grid):
             for mi, method in enumerate(cfg.se_methods):
                 if per_budget[mi]:
-                    evaluate(method, pdbm, bi, (pi, bi, mi))
+                    run(method, pdbm, bi, (pi, bi, mi))
+    precode_and_score()
 
 
 def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -> None:
@@ -417,7 +467,7 @@ def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -
     try:
         results = precoding.gpip_solve_batch([pp for _, _, pp, _ in queue], gcfg)
     except precoding.GpipError as exc:
-        raise type(exc)(f"{exc.reason} ({queue[exc.problem][0]})") from exc
+        raise type(exc)(f"{exc.reason} ({_label(cfg, queue[exc.problem][0])})") from exc
     if failure is not None:
         raise failure
     for (_, slot, pp, h_true), result in zip(queue, results):
@@ -461,14 +511,14 @@ def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
     replicated across budgets.
 
     Drops run in blocks of consecutive trials, and workers map over blocks.
-    Each drop of a block draws its scenes and scores its ZF and WMMSE points
-    on the spot (_se_scene), and queues its GPIP points; the block's whole
-    queue, every drop and every (L, N) scene, is then solved in one
-    gpip_solve_batch call.  A block holds ceil(GPIP_BATCH / P) drops, P the
-    GPIP points per drop, but no more than ceil(trials / workers), so every
-    worker has a block, and one drop when P is 0.  A problem's result does
-    not depend on its batch, so neither block size nor worker count changes
-    the output.  A solver or ZF failure is re-raised with the seed, trial,
+    Each drop of a block draws its scenes, scores each scene's ZF and WMMSE
+    points in one stacked pass (_se_scene), and queues its GPIP points; the
+    block's whole queue, every drop and every (L, N) scene, is then solved
+    in one gpip_solve_batch call.  A block holds ceil(GPIP_BATCH / P)
+    drops, P the GPIP points per drop, but no more than ceil(trials /
+    workers), so every worker has a block, and one drop when P is 0.  A
+    problem's result does not depend on its batch, so neither block size
+    nor worker count changes the output.  A solver or ZF failure is re-raised with the seed, trial,
     sweep point and method that reproduce it: the lowest failing trial's,
     and within that trial the first failure in evaluation order.
     """

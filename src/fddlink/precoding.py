@@ -23,6 +23,8 @@ solve only at the SVD, one QR and the returned precoder.  gpip_solve_batch
 runs many problems of one reduced shape in lockstep, one batched call per
 step for all of them; gpip_solve is a batch of one.  Zero-forcing and WMMSE
 serve as baselines; WMMSE iterates on the K x K Gram matrix of the channels.
+Zero-forcing and the two SE scores also take stacks of points (..., N, K),
+each point's result bit-equal to its own call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,20 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+
+class ZfError(ValueError):
+    """Raised when zero-forcing is undefined.
+
+    ``reason`` says why; ``point`` is the index, in C order over the leading
+    axes of a stack, of the first point it is undefined for, which the
+    message then names, and None when the whole input is at fault.
+    """
+
+    def __init__(self, reason: str, point: int | None = None):
+        super().__init__(reason if point is None else f"point {point}: {reason}")
+        self.reason = reason
+        self.point = point
 
 
 class GpipError(RuntimeError):
@@ -54,7 +70,9 @@ class PrecodingProblem:
     factors is N x K x R: factors[:, k] is user k's reconstruction factor,
     column 0 its estimate hhat_k and the rest E_k with Phi_k = E_k E_k^H, so
     C_k = factors[:, k] @ factors[:, k]^H.  sigma2 holds per-user noise
-    powers in watts.
+    powers in watts.  A stack of problems (..., N, K, R) that share sigma2,
+    with one power or one per problem (...), serves the SE scores
+    (true_sum_se, sum_se_lower_bound); the solvers take one problem.
     """
 
     factors: np.ndarray
@@ -63,9 +81,10 @@ class PrecodingProblem:
 
     def __post_init__(self):
         factors = np.ascontiguousarray(self.factors, dtype=complex)
-        if factors.ndim != 3 or factors.shape[2] < 1:
-            raise ValueError(f"factors must be N x K x R with R >= 1, got shape {factors.shape}")
-        k = factors.shape[1]
+        if factors.ndim < 3 or factors.shape[-1] < 1:
+            raise ValueError("factors must be N x K x R, or a stack of them, with R >= 1, "
+                             f"got shape {factors.shape}")
+        k = factors.shape[-2]
         sigma2 = np.atleast_1d(np.asarray(self.sigma2, dtype=float))
         if sigma2.shape == (1,):
             sigma2 = np.full(k, sigma2[0])
@@ -73,27 +92,41 @@ class PrecodingProblem:
             raise ValueError(f"sigma2 must have {k} entries")
         if not np.all((sigma2 > 0) & np.isfinite(sigma2)):
             raise ValueError("noise powers must be positive and finite")
-        if not (self.power > 0 and math.isfinite(self.power)):
+        power = np.asarray(self.power, dtype=float)
+        if power.shape not in ((), factors.shape[:-3]):
+            raise ValueError(f"got powers of shape {power.shape} for problems of shape "
+                             f"{factors.shape[:-3]}")
+        if not np.all((power > 0) & np.isfinite(power)):
             raise ValueError(f"transmit power must be positive and finite, got {self.power}")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "sigma2", sigma2)
+        if power.ndim:
+            object.__setattr__(self, "power", power)
 
     @property
     def hhat(self) -> np.ndarray:
-        """N x K estimates, column 0 of each user's factor."""
-        return self.factors[:, :, 0]
+        """N x K estimates (..., N, K for a stack), column 0 of each user's factor."""
+        return self.factors[..., 0]
 
     @property
     def num_antennas(self) -> int:
-        return self.factors.shape[0]
+        return self.factors.shape[-3]
 
     @property
     def num_users(self) -> int:
-        return self.factors.shape[1]
+        return self.factors.shape[-2]
 
     @property
     def noise_over_power(self) -> np.ndarray:
-        return self.sigma2 / self.power
+        """sigma2 / power, (..., K) for a stack with one power per problem."""
+        power = self.power
+        return self.sigma2 / (power[..., None] if isinstance(power, np.ndarray) else power)
+
+
+def _one_problem(pp: PrecodingProblem) -> None:
+    """Reject a stack of problems, which only the SE scores take."""
+    if pp.factors.ndim != 3:
+        raise ValueError(f"expected one problem, got a stack of shape {pp.factors.shape}")
 
 
 @dataclass(frozen=True)
@@ -141,15 +174,17 @@ def _ratios(p: np.ndarray, noise) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _projections(v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(K*R) x K matrix V^H W of the flattened factors against the precoder columns."""
-    n, k, r = v.shape
-    return v.reshape(n, k * r).conj().T @ w
+    """(K*R) x K matrix V^H W of the flattened factors against the precoder
+    columns, for each problem of a stack (..., N, K, R) and (..., N, K)."""
+    *lead, n, k, r = v.shape
+    return v.reshape(*lead, n, k * r).conj().swapaxes(-1, -2) @ w
 
 
-def _power(w: np.ndarray) -> float:
-    """||W||_F^2, summed user by user."""
-    u = w.T.ravel()  # one copy; np.vdot(w.T, w.T) would make two
-    return float(np.vdot(u, u).real)
+def _power(w: np.ndarray) -> np.ndarray:
+    """||W||_F^2 of each precoder of a stack (..., N, K), summed user by user,
+    as a (..., 1) array."""
+    u = w.swapaxes(-1, -2).reshape(*w.shape[:-2], 1, -1)
+    return np.vecdot(u, u).real  # the BLAS call of np.vdot(u, u) for each precoder
 
 
 def _normalized(w: np.ndarray) -> np.ndarray:
@@ -160,15 +195,17 @@ def _normalized(w: np.ndarray) -> np.ndarray:
     return w / norm
 
 
-def sum_se_lower_bound(w: np.ndarray, pp: PrecodingProblem) -> float:
+def sum_se_lower_bound(w: np.ndarray, pp: PrecodingProblem) -> float | np.ndarray:
     """Achievable-rate lower bound in bits/s/Hz of the N x K precoder ``w``
     given the reconstructed CSI: log2 of the product of the users' ratios.
 
     Noise enters as sigma2/P scaled by ||W||_F^2, so the value depends only
     on the precoder's direction and matches the unit-norm convention exactly.
+    A stack of precoders (..., N, K) and of problems gives one bound per
+    point (...), each bit-equal to the point's own call.
     """
     q_num, q_den = _ratios(_projections(pp.factors, w), pp.noise_over_power * _power(w))
-    return float(np.sum(np.log2(q_num) - np.log2(q_den)))
+    return np.sum(np.log2(q_num) - np.log2(q_den), axis=-1)
 
 
 def _scaled_problem(pp: PrecodingProblem):
@@ -180,6 +217,7 @@ def _scaled_problem(pp: PrecodingProblem):
     (tiny) path gains.  The scale is the larger of max_k trace(C_k) / N,
     with trace(C_k) = ||V[:, k]||_F^2, and the largest noise term.
     """
+    _one_problem(pp)
     v = pp.factors
     traces = np.sum(v.real**2 + v.imag**2, axis=(0, 2))
     scale = max(float(np.max(traces)) / pp.num_antennas,
@@ -548,37 +586,58 @@ def zf_precoder(hhat: np.ndarray) -> np.ndarray:
     When the Gram matrix cannot be inverted, as when users share one DFT
     codeword, the Moore-Penrose pseudo-inverse gives the minimum-norm
     least-squares directions instead.  Only an all-zero channel column
-    leaves ZF undefined.  Returns the unit-norm N x K precoder.
+    leaves ZF undefined (ZfError).  Returns the unit-norm N x K precoder.
+
+    A stack of channels (..., N, K) gives a stack of precoders, each
+    bit-equal to the point's own call: the Gram matrices are inverted in one
+    batched call, and a point whose inverse fails or is unusable falls back
+    to its own pseudo-inverse.  The ZfError of a zero column names the first
+    such point.
     """
     h = np.asarray(hhat, dtype=complex)
-    n, k = h.shape
+    n, k = h.shape[-2:]
     if k > n:
-        raise ValueError(f"zero-forcing needs K <= N, got K={k}, N={n}")
-    gram = h.conj().T @ h
+        raise ZfError(f"zero-forcing needs K <= N, got K={k}, N={n}")
+    points = h.reshape(-1, n, k)
+    gram = points.conj().swapaxes(-1, -2) @ points
 
-    def usable(w):
-        norms = np.linalg.norm(w, axis=0)
-        return np.all(norms > 0) and np.all(np.isfinite(norms))
+    def unusable(norms):
+        return ~np.all((norms > 0) & np.isfinite(norms), axis=-1)
 
     try:
-        w = h @ np.linalg.inv(gram)
-    except np.linalg.LinAlgError:
-        w = None
-    if w is None or not usable(w):
-        w = h @ np.linalg.pinv(gram)
-        if not usable(w):
-            raise ValueError("channel matrix has a zero column; ZF undefined")
-    return w / np.linalg.norm(w, axis=0) / math.sqrt(k)
+        w = points @ np.linalg.inv(gram)
+    except np.linalg.LinAlgError:  # some Gram matrix is singular: invert point by point
+        w = np.full_like(points, np.nan)
+        for i, g in enumerate(gram):
+            try:
+                w[i] = points[i] @ np.linalg.inv(g)
+            except np.linalg.LinAlgError:
+                pass
+    norms = np.linalg.norm(w, axis=-2)  # of each point's columns
+    for i in np.flatnonzero(unusable(norms)):
+        w[i] = points[i] @ np.linalg.pinv(gram[i])
+        norms[i] = np.linalg.norm(w[i], axis=0)
+    bad = np.flatnonzero(unusable(norms))
+    if bad.size:
+        raise ZfError("channel matrix has a zero column; ZF undefined",
+                      point=int(bad[0]) if h.ndim > 2 else None)
+    w /= norms[:, None, :]
+    w /= math.sqrt(k)
+    return w.reshape(h.shape)
 
 
-def true_sum_se(w: np.ndarray, h_true: np.ndarray, pp: PrecodingProblem) -> float:
-    """Sum rate in bits/s/Hz when the true channels meet the N x K precoder ``w``."""
+def true_sum_se(w: np.ndarray, h_true: np.ndarray, pp: PrecodingProblem) -> float | np.ndarray:
+    """Sum rate in bits/s/Hz when the true channels meet the N x K precoder ``w``.
+
+    A stack of precoders (..., N, K) and of problems gives one rate per point
+    (...), each bit-equal to the point's own call; ``h_true`` broadcasts.
+    """
     h = np.asarray(h_true, dtype=complex)
-    cross = np.abs(h.conj().T @ w) ** 2  # [k, i] = |h_k^H f_i|^2
-    sig = np.diag(cross)
-    interference = cross.sum(axis=1) - sig
+    cross = np.abs(h.conj().swapaxes(-1, -2) @ w) ** 2  # [..., k, i] = |h_k^H f_i|^2
+    sig = np.diagonal(cross, axis1=-2, axis2=-1)
+    interference = cross.sum(axis=-1) - sig
     noise = pp.noise_over_power * _power(w)
-    return float(np.sum(np.log2(1.0 + sig / (interference + noise))))
+    return np.sum(np.log2(1.0 + sig / (interference + noise)), axis=-1)
 
 
 def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
@@ -594,6 +653,7 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
     Raises ValueError for an all-zero user channel.  Returns the unit-norm
     N x K precoder.
     """
+    _one_problem(pp)
     h = np.asarray(h_true, dtype=complex)
     n, k = h.shape
     norms = np.linalg.norm(h, axis=0)

@@ -167,9 +167,9 @@ def _relative_tolerance(row: list[str]) -> float | None:
 @pytest.mark.parametrize("workload,experiment,seeds", [
     pytest.param("se_desk", "se", (0,), id="se_desk-se"),
     pytest.param("se_paper", "se", (0,), id="se_paper-se"),
-    # every reference seed: a csi_sweep campaign takes a fraction of a second
+    # every reference seed: a csi_sweep or dft_zf campaign takes a fraction of a second
     pytest.param("csi_sweep", "delta", range(16), id="csi_sweep-delta"),
-    pytest.param("dft_zf", "se", (0,), id="dft_zf-se")])
+    pytest.param("dft_zf", "se", range(16), id="dft_zf-se")])
 def test_sim_matches_reference_csv(tmp_path, workload, experiment, seeds):
     for seed in seeds:
         _check_reference_seed(tmp_path, workload, experiment, seed)

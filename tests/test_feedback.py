@@ -50,6 +50,14 @@ def full_fft_feedback(h: np.ndarray, total_bits: int) -> tuple[int, np.ndarray]:
     return index, float(np.linalg.norm(h)) * codeword
 
 
+def rebuilt_channel(h: np.ndarray, index: int, total_bits: int) -> np.ndarray:
+    """||h|| times the unit-norm codeword ``index``, ||h|| taken by np.linalg.norm."""
+    size, n = 2**total_bits, len(h)
+    freq = index / size if size >= n else index * n // size / n
+    codeword = np.exp(-1j * TWO_PI * np.arange(n) * freq) / math.sqrt(n)
+    return float(np.linalg.norm(h)) * codeword
+
+
 def random_channel(rng, num_antennas: int, num_paths: int) -> np.ndarray:
     return dl_channel(PathSet(thetas=rng.uniform(-math.pi / 2, math.pi / 2, num_paths),
                               betas=rng.rayleigh(size=num_paths),
@@ -341,4 +349,93 @@ class TestDftCodebook:
         finally:
             tracemalloc.stop()
         assert 0 <= idx < 2**21 and hhat.shape == (256,)
+        assert peak < 8 * 2**20
+
+
+class TestStackedDftSearch:
+    """A stack of channels is searched in one call, each row bit-equal to its own call."""
+
+    @staticmethod
+    def flat_row(num_antennas: int) -> np.ndarray:
+        # test_flat_channel_stays_small's channel: its search cuts to _MAX_CELLS
+        h = np.zeros(num_antennas, dtype=complex)
+        h[:2] = 1.0, 1e-12
+        return h
+
+    @settings(deadline=None, max_examples=150)
+    @given(data=st.data(), branch=st.integers(0, 2), num_antennas=st.integers(2, 128),
+           num_random=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_single_calls(self, data, branch, num_antennas, num_random, seed):
+        # budgets from each branch: below N (subsampled DFT), up to 64 N (one
+        # FFT) and beyond (branch and bound), up to MAX_DFT_BITS
+        edges = (0, (num_antennas - 1).bit_length(), (64 * num_antennas).bit_length(),
+                 MAX_DFT_BITS + 1)
+        total_bits = data.draw(st.integers(edges[branch], edges[branch + 1] - 1))
+        rng = np.random.default_rng(seed)
+        rows = [random_channel(rng, num_antennas, int(rng.integers(1, 6)))
+                for _ in range(num_random)]
+        single = np.zeros(num_antennas, dtype=complex)
+        single[rng.integers(num_antennas)] = 0.3 - 1.2j
+        # the special rows between random ones: the flat row's cut to _MAX_CELLS
+        # must not change its neighbours
+        for special in (np.zeros(num_antennas, dtype=complex), single,
+                        self.flat_row(num_antennas)):
+            rows.insert(int(rng.integers(len(rows) + 1)), special)
+        stack = np.array(rows)
+        geom = geometry(num_antennas)
+        idx, hhat = dft_codebook_feedback(stack, total_bits, geom)
+        assert idx.shape == (len(rows),) and hhat.shape == stack.shape
+        for r, h in enumerate(rows):
+            want_idx, want_hhat = dft_codebook_feedback(h, total_bits, geom)
+            assert idx[r] == want_idx
+            assert hhat[r].tobytes() == want_hhat.tobytes()
+            # the norm as np.linalg.norm takes it for one vector, not by an axis sum
+            if h.any():
+                assert hhat[r].tobytes() == rebuilt_channel(h, int(idx[r]), total_bits).tobytes()
+        # leading axes: a (2, rows / 2) stack gives the same rows
+        if len(rows) % 2 == 0:
+            idx2, hhat2 = dft_codebook_feedback(stack.reshape(2, -1, num_antennas), total_bits,
+                                                geom)
+            assert idx2.tobytes() == idx.reshape(2, -1).tobytes()
+            assert hhat2.tobytes() == hhat.reshape(2, -1, num_antennas).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e3])
+    @pytest.mark.parametrize("total_bits", [20, MAX_DFT_BITS])
+    def test_flat_row_cut_leaves_its_neighbours(self, scale, total_bits):
+        # the flat row keeps _MAX_CELLS cells at every level; its neighbours'
+        # cells, with smaller or larger bounds, are not cut with them
+        rng = np.random.default_rng(21)
+        geom = geometry(64)
+        rows = [scale * random_channel(rng, 64, 3) for _ in range(4)]
+        rows.insert(2, self.flat_row(64))
+        idx, hhat = dft_codebook_feedback(np.array(rows), total_bits, geom)
+        for r, h in enumerate(rows):
+            want_idx, want_hhat = dft_codebook_feedback(h, total_bits, geom)
+            assert idx[r] == want_idx
+            assert hhat[r].tobytes() == want_hhat.tobytes()
+
+    def test_single_vector_gives_an_integer_index(self):
+        h = random_channel(np.random.default_rng(3), 16, 2)
+        for total_bits in (2, 8, 20):
+            idx, hhat = dft_codebook_feedback(h, total_bits, geometry(16))
+            assert np.ndim(idx) == 0 and isinstance(int(idx), int) and hhat.shape == (16,)
+
+    def test_empty_stack(self):
+        for total_bits in (2, 8, 20):
+            idx, hhat = dft_codebook_feedback(np.zeros((0, 16), dtype=complex), total_bits,
+                                              geometry(16))
+            assert idx.shape == (0,) and hhat.shape == (0, 16)
+
+    def test_paper_scale_stack_memory(self):
+        # 16 users at N = 256, B = 21: the rows' coarse grids are searched a few at
+        # a time, so the stack needs no more memory than one row did
+        rng = np.random.default_rng(12)
+        stack = np.array([random_channel(rng, 256, 3) for _ in range(16)])
+        tracemalloc.start()
+        try:
+            idx, hhat = dft_codebook_feedback(stack, 21, geometry(256))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert idx.shape == (16,) and hhat.shape == (16, 256)
         assert peak < 8 * 2**20

@@ -313,8 +313,8 @@ class TestSeExperiment:
 
     def test_per_budget_csi_built_once_per_budget(self, monkeypatch):
         # CSI does not depend on the transmit power: DFT CSI is built once per
-        # (trial, user, budget) and MMSE CSI once per trial for every user and
-        # the whole budget grid, each shared by every power of the grid
+        # (trial, budget) for every user and MMSE CSI once per trial for every
+        # user and the whole budget grid, each shared by every power of the grid
         calls = {}
         count_calls(monkeypatch, calls, reconstruction, "reconstruct_mmse")
         count_calls(monkeypatch, calls, feedback, "dft_codebook_feedback")
@@ -322,7 +322,7 @@ class TestSeExperiment:
                         se_methods=("zf_mmse", "zf_dft"))
         run_se_experiment(cfg)
         assert calls == {"reconstruct_mmse": cfg.trials,
-                         "dft_codebook_feedback": cfg.trials * cfg.n_users * len(cfg.b_tot_grid)}
+                         "dft_codebook_feedback": cfg.trials * len(cfg.b_tot_grid)}
 
     @pytest.mark.parametrize("aoa_sigma, per_scene", [(0.0, 1), (0.01, 2)])
     def test_one_steering_matrix_per_scene_and_angle_set(self, monkeypatch, aoa_sigma,
@@ -442,6 +442,68 @@ class TestSeExperiment:
         with pytest.raises((precoding.GpipError, ValueError), match=failed):
             se_samples(cfg)
         assert len(sizes) == 1
+
+    def test_stacked_zf_and_scores_match_calls_of_each_point(self, monkeypatch):
+        # zero budget (ZF on the no-feedback fallback columns), DFT budgets of
+        # 1 and 2 bits (users sharing a codeword, so ZF takes the pseudo-inverse),
+        # two powers and estimation noise: the drop's stacked calls give the
+        # same bytes as one call per point
+        cfg = small_cfg(n_users=3, trials=4, b_tot_grid=(0, 1, 2, 6), power_dbm_grid=(30.0, 43.0),
+                        aoa_sigma=0.01, l_grid=(2, 3), n_grid=(8, 16),
+                        se_methods=("zf_mmse", "zf_nofeedback", "zf_dft", "wmmse_perfect"))
+        stacked = se_samples(cfg)
+        originals = {name: getattr(precoding, name)
+                     for name in ("zf_precoder", "true_sum_se", "sum_se_lower_bound")}
+
+        def per_point(name):
+            def call(w, *args):
+                pp = args[-1] if args else None
+                if w.ndim == 2:  # WMMSE's zero-forcing start
+                    return originals[name](w, *args)
+                out = []
+                for i in range(len(w)):
+                    point = () if pp is None else (precoding.PrecodingProblem(
+                        factors=pp.factors[i], sigma2=pp.sigma2, power=pp.power[i]),)
+                    out.append(originals[name](w[i], *args[:-1], *point))
+                return np.array(out)
+            return call
+
+        for name in originals:
+            monkeypatch.setattr(precoding, name, per_point(name))
+        assert stacked.tobytes() == se_samples(cfg).tobytes()
+
+    def test_stacked_zf_failure_names_its_point_and_cuts_the_queue(self, monkeypatch):
+        # per budget one GPIP and then one ZF point; the drop's ZF points are
+        # one zf_precoder call, whose error names its second point (b_tot 3):
+        # only the GPIP points of b_tot 0 and 3 come before it
+        cfg = small_cfg(trials=1, b_tot_grid=(0, 3, 6), se_methods=("gpip_robust", "zf_mmse"))
+        stacks = []
+
+        def fail(cols):
+            stacks.append(cols.shape)
+            raise precoding.ZfError("zf broke", point=1)
+
+        monkeypatch.setattr(precoding, "zf_precoder", fail)
+        sizes = self.spy_batches(monkeypatch)
+        with pytest.raises(precoding.ZfError,
+                           match=r"^zf broke \(seed 321, trial 0, .*b_tot 3, method zf_mmse\)$"):
+            se_samples(cfg)
+        assert stacks == [(3, cfg.n_antennas, cfg.n_users)]
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("zf_fails, failed", [
+        (True, r"zf broke \(.*method zf_nofeedback\)$"),
+        (False, r"wmmse broke \(.*method wmmse_perfect\)$"),
+    ])
+    def test_collected_zf_point_fails_before_a_later_point(self, monkeypatch, zf_fails, failed):
+        # the ZF point comes first in evaluation order but is precoded only once
+        # the scene is through; a later point's failure must not hide its failure
+        cfg = small_cfg(trials=1, se_methods=("zf_nofeedback", "wmmse_perfect"))
+        if zf_fails:
+            self.fail_on_call(monkeypatch, precoding, "zf_precoder", 0, ValueError("zf broke"))
+        self.fail_on_call(monkeypatch, precoding, "wmmse_precoder", 0, ValueError("wmmse broke"))
+        with pytest.raises(ValueError, match=failed):
+            se_samples(cfg)
 
     def test_robust_problems_solved_at_rank_l(self, monkeypatch):
         # one drop of the se_desk scenario: each MMSE factor A [g | diag(sqrt(w))]

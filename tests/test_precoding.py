@@ -13,6 +13,7 @@ from fddlink.precoding import (
     GpipConfig,
     GpipError,
     PrecodingProblem,
+    ZfError,
     _denominator_solve,
     _projections,
     _ratios,
@@ -654,6 +655,76 @@ class TestZeroForcing:
         h = np.ones((2, 3), dtype=complex)
         with pytest.raises(ValueError):
             zf_precoder(h)
+
+
+class TestStackedZfAndScores:
+    """A stack of points (..., N, K) precodes and scores each point bit for bit as alone."""
+
+    @staticmethod
+    def points(rng, count=6, n=8, k=3):
+        h = cnormal(rng, (count, n, k))
+        # point 2: users 0 and 1 share one direction, as with a common DFT
+        # codeword, so its Gram matrix is exactly singular and takes the
+        # pseudo-inverse; every other point inverts its own
+        h[2, :, 1] = 2.0 * h[2, :, 0]
+        return h
+
+    def test_stack_matches_each_point(self):
+        h = self.points(np.random.default_rng(31))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(h[2].conj().T @ h[2])
+        w = zf_precoder(h)
+        assert w.shape == h.shape
+        for hi, wi in zip(h, w):
+            assert wi.tobytes() == zf_precoder(hi).tobytes()
+        # any leading axes
+        assert zf_precoder(h.reshape(2, 3, 8, 3)).tobytes() == w.tobytes()
+
+    def test_regular_stack_matches_each_point(self):
+        h = cnormal(np.random.default_rng(32), (5, 16, 4))
+        w = zf_precoder(h)
+        for hi, wi in zip(h, w):
+            assert wi.tobytes() == zf_precoder(hi).tobytes()
+
+    def test_zero_column_names_its_point(self):
+        h = self.points(np.random.default_rng(33))
+        h[4, :, 2] = 0.0
+        h[5, :, 0] = 0.0
+        with pytest.raises(ZfError, match=r"^point 4: channel matrix has a zero column") as info:
+            zf_precoder(h)
+        assert info.value.point == 4
+        assert info.value.reason == "channel matrix has a zero column; ZF undefined"
+        with pytest.raises(ZfError, match="^channel matrix has a zero column") as info:
+            zf_precoder(h[4])
+        assert info.value.point is None
+
+    def test_scores_match_each_point(self):
+        rng = np.random.default_rng(34)
+        h_true, hhat = cnormal(rng, (8, 3)), cnormal(rng, (5, 8, 3))
+        w = zf_precoder(hhat)
+        powers = np.array([1.0, 10.0, 10.0, 200.0, 3.5])
+        sigma2 = np.array([0.5, 0.7, 1.1])
+        stack = PrecodingProblem(factors=hhat[..., None], sigma2=sigma2, power=powers)
+        rates, bounds = true_sum_se(w, h_true, stack), sum_se_lower_bound(w, stack)
+        assert rates.shape == bounds.shape == (5,)
+        for i in range(5):
+            pp = make_problem(hhat=hhat[i], sigma2=sigma2, power=powers[i])
+            assert rates[i].tobytes() == true_sum_se(w[i], h_true, pp).tobytes()
+            assert bounds[i].tobytes() == sum_se_lower_bound(w[i], pp).tobytes()
+
+    def test_stacked_problem_validation(self):
+        factors = np.ones((4, 2, 3, 1), dtype=complex)
+        with pytest.raises(ValueError, match="powers of shape"):
+            PrecodingProblem(factors=factors, sigma2=np.ones(3), power=np.ones(3))
+        with pytest.raises(ValueError, match="finite"):
+            PrecodingProblem(factors=factors, sigma2=np.ones(3), power=np.array([1, 2, np.inf, 4]))
+        stack = PrecodingProblem(factors=factors, sigma2=np.ones(3), power=np.arange(1.0, 5.0))
+        assert stack.noise_over_power.shape == (4, 3)
+        # the solvers take one problem
+        with pytest.raises(ValueError, match="one problem"):
+            gpip_solve(stack)
+        with pytest.raises(ValueError, match="one problem"):
+            wmmse_precoder(np.ones((2, 3), dtype=complex), stack)
 
 
 class TestGpip:
