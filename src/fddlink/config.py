@@ -159,7 +159,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         need(max(cfg.b_tot_grid) <= MAX_DFT_BITS, "b_tot_grid",
              f"entries must be <= {MAX_DFT_BITS} with a DFT-codebook method")
     need(0 < cfg.gpip_epsilon < math.inf, "gpip_epsilon", "must be positive and finite")
-    need(isinstance(cfg.gpip_max_iter, numbers.Integral) and cfg.gpip_max_iter >= 1,
+    need(not isinstance(cfg.gpip_max_iter, bool)
+         and isinstance(cfg.gpip_max_iter, numbers.Integral) and cfg.gpip_max_iter >= 1,
          "gpip_max_iter", f"must be an integer >= 1, got {cfg.gpip_max_iter!r}")
     need(cfg.workers >= 1, "workers", "must be >= 1")
 

@@ -10,21 +10,21 @@ C_k = hhat_k hhat_k^H + Phi_k = V_k V_k^H is never formed as an N x N
 matrix.  The sum-spectral-efficiency lower bound is a product of
 Rayleigh-quotient ratios of block-diagonal matrices built from these
 covariances.  Its stationary points solve a generalized eigenvalue
-condition, which the power-iteration solver chases with Woodbury-form
-solves.  The solver first cuts each problem's factors to their numerical
-rank r by one thin SVD per user: the MMSE and no-feedback factors
-A [g | diag(sqrt(w))], A the N x L steering matrix, have rank L, not L + 1.
-The K leave-one-user-out capacitance systems are then principal submatrices
-of one Kr x Kr (KL, not K(L+1), for those factors) Hermitian
-positive-definite matrix and are solved together by recursive block
-elimination (Schur complements over halves of the users), on coordinates in
-an orthonormal basis of the span of the factors and the start, so N enters a
-solve only at the SVD, one QR and the returned precoder.  gpip_solve_batch
-runs many problems of one reduced shape in lockstep, one batched call per
-step for all of them; gpip_solve is a batch of one.  Zero-forcing and WMMSE
-serve as baselines; WMMSE iterates on the K x K Gram matrix of the channels.
-Zero-forcing and the two SE scores also take stacks of points (..., N, K),
-each point's result bit-equal to its own call.
+condition, which the power-iteration solver (GPIP) chases.  The solver first
+cuts each problem's factors to their numerical rank r by one thin SVD per
+user (the MMSE and no-feedback factors A [g | diag(sqrt(w))], A the N x L
+steering matrix, have rank L, not L + 1) and takes one QR of [V | W0], W0
+the start, so N enters a solve only at the SVD, that QR and the returned
+precoder.  The GPI map's pieces (_gpi_setup, _gpi_logs, _gpi_weights) serve
+the solver and stationarity_residual alike.  A step's K leave-one-user-out
+capacitance systems are principal submatrices of one Kr x Kr Hermitian
+positive-definite matrix, solved together by recursive block elimination.
+One lockstep loop runs all problems of one reduced shape, one batched call
+per step; gpip_solve_batch groups problems by shape, and gpip_solve is a
+batch of one.  Zero-forcing and WMMSE serve as baselines; WMMSE iterates on
+the K x K Gram matrix of the channels.  Zero-forcing and the two SE scores
+also take stacks of points (..., N, K), each point's result bit-equal to its
+own call.
 """
 
 from __future__ import annotations
@@ -137,9 +137,10 @@ class GpipConfig:
     max_iter: int = 50
 
     def __post_init__(self):
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
+        if (isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -395,109 +396,131 @@ def _denominator_solve(vc: np.ndarray, gram: np.ndarray, wb: np.ndarray, c: np.n
 
 def _log_weights(logs: np.ndarray) -> np.ndarray:
     """Per-user weights exp(sum_{k != j} logs_k), scaled so each problem's largest is 1."""
-    rest = logs.sum(axis=1, keepdims=True) - logs
-    return np.exp(rest - rest.max(axis=1, keepdims=True))
+    rest = logs.sum(axis=-1, keepdims=True) - logs
+    return np.exp(rest - rest.max(axis=-1, keepdims=True))
+
+
+def _gpi_setup(v: np.ndarray, w: np.ndarray):
+    """One problem's GPI coordinates: [V | W] = Q R for its N x K x r factors
+    V and the N x K precoder W.
+
+    GPI iterates stay in the span of V and the start, so the map runs in the
+    N x d basis Q, d = min(N, Kr + K).  Returns Q and, in it, conj(V)
+    (d x Kr), the Gram matrix V^H V and W (d x K).
+    """
+    n, k, r = v.shape
+    basis, coords = np.linalg.qr(np.concatenate((v.reshape(n, k * r), w), axis=1))
+    vc = np.conjugate(coords[:, :k * r])
+    return basis, vc, vc.T @ coords[:, :k * r], coords[:, k * r:]
+
+
+def _gpi_logs(vc: np.ndarray, noise: np.ndarray, cols: np.ndarray):
+    """Projections p = V^H F, each user's log ratios la (numerator) and lb
+    (denominator) and the log objective at the unit-norm iterate F, for one
+    problem or a stack in _gpi_setup's coordinates.  As q_den <= q_num, the
+    objective is finite exactly when every q_num is finite and q_den positive.
+    """
+    p = vc.swapaxes(-1, -2) @ cols
+    q_num, q_den = _ratios(p, noise)  # ||f|| = 1
+    la, lb = np.log(q_num), np.log(q_den)
+    return p, la, lb, la.sum(axis=-1) - lb.sum(axis=-1)
+
+
+def _gpi_weights(vc: np.ndarray, noise: np.ndarray, cols: np.ndarray, p: np.ndarray,
+                 la: np.ndarray, lb: np.ndarray):
+    """wb = _log_weights(lb) and, with wa = _log_weights(la), the A-side images
+    sum_k wa_k C_k f_j + (wa . noise) f_j, formed in the buffer of ``cols``."""
+    wa, wb = _log_weights(la), _log_weights(lb)
+    r = vc.shape[-1] // wa.shape[-1]
+    cols *= np.sum(wa * noise, axis=-1)[..., None, None]
+    cols += _factor_product(vc, np.repeat(wa, r, axis=-1)[..., None] * p)
+    return wb, cols
+
+
+def _compact(arrays: dict, keep: np.ndarray) -> None:
+    """Keep the rows ``keep`` of each array, one at a time: old copies do not pile up."""
+    for name in arrays:
+        arrays[name] = arrays[name][keep]
 
 
 def _power_iteration(reduced: list, members: list, cfg: GpipConfig,
                      results: list, errors: dict) -> None:
-    """Solve problem i for every i in ``members`` in lockstep.
+    """Solve problem members[pos], reduced[pos] its _reduced_problem, for every
+    input position pos in lockstep; all share one reduced factor shape.
 
-    reduced[pos] is the _reduced_problem of problem members[pos]; all share
-    one reduced factor shape.  Each problem's result goes to results[i]; a
-    problem that fails is taken out with its message in errors[i] while the
-    others go on.  The stacked arrays are compacted only on iterations where
-    some problem left.
+    The running problems' arrays sit in ``live``, one row each, compacted on
+    iterations where some problem left.  A problem leaves with its result in
+    results[i], or its message in errors[i]; the bases are read only then.
     """
     n, k, r = reduced[0][0].shape
-    index = np.array(members)
-    pr = (1 << (k - 1).bit_length()) * r
-    d = min(n, k * r + k)
-    basis = np.empty((len(members), n, d), dtype=complex)  # orthonormal Q per problem
-    vc = np.empty((len(members), d, k * r), dtype=complex)  # conj(Q^H V), d x Kr per problem
-    gram = np.zeros((len(members), pr, pr), dtype=complex)  # V^H V, padded (_denominator_solve)
-    noise = np.empty((len(members), k))
-    cols = np.empty((len(members), d, k), dtype=complex)  # Q^H F of the unit-norm iterate F
-    live = np.ones(len(members), dtype=bool)
+    pr = (1 << (k - 1).bit_length()) * r  # _denominator_solve pads the Gram matrix to pr
+    size, d = len(reduced), min(n, k * r + k)
+    bases = np.empty((size, n, d), dtype=complex)
+    live = {"pos": np.arange(size), "noise": np.array([x[1] for x in reduced]),
+            "vc": np.empty((size, d, k * r), dtype=complex),
+            "gram": np.zeros((size, pr, pr), dtype=complex),
+            "cols": np.empty((size, d, k), dtype=complex)}
+    for pos, (v, _, w0) in enumerate(reduced):
+        bases[pos], live["vc"][pos], live["gram"][pos, :k * r, :k * r], live["cols"][pos] = (
+            _gpi_setup(v, w0))
+    running = np.ones(len(reduced), dtype=bool)
 
-    def drop(mask, reason):
-        mask = mask & live
-        if mask.any():
-            for pos in np.flatnonzero(mask):
-                errors[int(index[pos])] = reason
-            live[mask] = False
+    def leave(mask, error=None, stop=None):
+        # running problems in mask leave with the message ``error``, or with
+        # their best iterate and stop = (iterations, converged)
+        mask &= running
+        if not mask.any():
+            return
+        for row in np.flatnonzero(mask):
+            pos = live["pos"][row]
+            if error is None:
+                results[members[pos]] = GpipResult(
+                    bases[pos] @ live["best_cols"][row], float(live["best_lg"][row]), *stop)
+            else:
+                errors[members[pos]] = error
+        running[mask] = False
 
-    for pos, (v, noise[pos], w0) in enumerate(reduced):
-        # every iterate lies in the span of V and the start W0: [V | W0] = Q R
-        basis[pos], coords = np.linalg.qr(np.concatenate((v.reshape(n, k * r), w0), axis=1))
-        np.conjugate(coords[:, :k * r], out=vc[pos])
-        gram[pos, :k * r, :k * r] = vc[pos].T @ coords[:, :k * r]
-        cols[pos] = coords[:, k * r:]
-
-    def objective():
-        # logs of each problem's ratios at the iterate and its log objective;
-        # q_den <= q_num, so the latter is finite exactly when every q_num is
-        # finite and every q_den positive
-        q_num, q_den = _ratios(p, noise)  # ||f|| = 1 throughout
-        la, lb = np.log(q_num), np.log(q_den)
-        lg = la.sum(axis=1) - lb.sum(axis=1)
-        drop(~np.isfinite(lg), "non-finite or non-positive quadratic forms")
-        return la, lb, lg
-
-    def finish(mask, iterations, converged):
-        mask &= live
-        if mask.any():
-            for pos in np.flatnonzero(mask):
-                results[index[pos]] = GpipResult(
-                    f=basis[pos] @ best_cols[pos], log_gamma=float(best_lg[pos]),
-                    iterations=iterations, converged=converged)
-            live[mask] = False
-
-    p = vc.transpose(0, 2, 1) @ cols
-    la, lb, lg = objective()
-    best_lg, best_cols = lg.copy(), cols.copy()
+    live["p"], live["la"], live["lb"], live["lg"] = _gpi_logs(
+        live["vc"], live["noise"], live["cols"])
+    live["best_lg"], live["best_cols"] = live["lg"], live["cols"].copy()
+    leave(~np.isfinite(live["lg"]), "non-finite or non-positive quadratic forms")
 
     for iterations in range(1, cfg.max_iter + 1):
-        if not live.all():
-            basis = basis[live]  # the largest array: alone, so its old copy overlaps no other
-            index, noise, vc, gram, cols, best_cols, p, la, lb, lg, best_lg = (
-                a[live] for a in (index, noise, vc, gram, cols, best_cols, p, la, lb, lg, best_lg))
-            live = live[live]
-            if not live.size:
+        if not running.all():
+            _compact(live, running)
+            running = running[running]
+            if not running.size:
                 return
-        wa, wb = _log_weights(la), _log_weights(lb)
-        # A-side images sum_k wa_k C_k f_j + (wa . noise) f_j, one column per
-        # user, formed in the iterate's buffer: the iterate is not read again
-        rhs = cols
-        rhs *= np.sum(wa * noise, axis=1)[:, None, None]
-        rhs += _factor_product(vc, np.repeat(wa, r, axis=1)[:, :, None] * p)
-        del p  # recomputed after the step
-        c = np.sum(wb * noise, axis=1)
+        wb, rhs = _gpi_weights(live["vc"], live["noise"], live.pop("cols"), live.pop("p"),
+                               live["la"], live["lb"])
+        c = np.sum(wb * live["noise"], axis=1)
         try:
-            cols = _denominator_solve(vc, gram, wb, c, rhs)
+            cols = _denominator_solve(live["vc"], live["gram"], wb, c, rhs)
         except np.linalg.LinAlgError:
             # find the failed problems one at a time; the others keep their step
             cols = np.full_like(rhs, np.nan)
-            for pos in range(live.size):
-                one = slice(pos, pos + 1)
+            for row in range(running.size):
+                one = slice(row, row + 1)
                 try:
-                    cols[one] = _denominator_solve(vc[one], gram[one], wb[one], c[one], rhs[one])
+                    cols[one] = _denominator_solve(live["vc"][one], live["gram"][one], wb[one],
+                                                   c[one], rhs[one])
                 except np.linalg.LinAlgError:
-                    s = np.sqrt(np.repeat(wb[pos], r))
-                    m = s[:, None] * gram[pos, :k * r, :k * r] * s + c[pos] * np.eye(k * r)
-                    drop(np.arange(live.size) == pos, "denominator block solve failed "
-                         f"(condition estimate {float(np.linalg.cond(m)):.3e})")
-        flat = cols.reshape(live.size, -1).view(float)
+                    s = np.sqrt(np.repeat(wb[row], r))
+                    m = s[:, None] * live["gram"][row, :k * r, :k * r] * s + c[row] * np.eye(k * r)
+                    leave(np.arange(running.size) == row, "denominator block solve failed "
+                          f"(condition estimate {float(np.linalg.cond(m)):.3e})")
+        flat = cols.reshape(running.size, -1).view(float)
         cols /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None, None]
+        live["cols"] = cols
 
-        p = vc.transpose(0, 2, 1) @ cols
-        la, lb, lg_new = objective()
-        improved = lg_new > best_lg
-        best_lg = np.where(improved, lg_new, best_lg)
-        np.copyto(best_cols, cols, where=improved[:, None, None])
-        finish(np.abs(np.expm1(lg_new - lg)) < cfg.epsilon, iterations, True)
-        lg = lg_new
-    finish(live, cfg.max_iter, False)
+        live["p"], live["la"], live["lb"], lg = _gpi_logs(live["vc"], live["noise"], cols)
+        leave(~np.isfinite(lg), "non-finite or non-positive quadratic forms")
+        improved = lg > live["best_lg"]
+        live["best_lg"] = np.where(improved, lg, live["best_lg"])
+        np.copyto(live["best_cols"], cols, where=improved[:, None, None])
+        leave(np.abs(np.expm1(lg - live["lg"])) < cfg.epsilon, stop=(iterations, True))
+        live["lg"] = lg
+    leave(running, stop=(cfg.max_iter, False))
 
 
 def gpip_solve_batch(problems: list[PrecodingProblem],
@@ -505,22 +528,23 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
     """Generalized power iteration for many product-of-ratios problems at once.
 
     Each problem's factors are first cut to their numerical rank r
-    (_reduced_problem).  Each iteration maps user j's block through the
-    inverse of its denominator matrix c I + sum_{k != j} w_k C_k, in
-    Woodbury form over the rank-r factors, and renormalizes; all K users
-    share one recursive block elimination of a Kr x Kr matrix per iteration
-    (see _denominator_solve), and the Gram matrix of the factors is built
-    once per solve.  A problem stops once the relative improvement of its
+    (_reduced_problem).  Each iteration is the GPI map: the weights and
+    A-side images (_gpi_weights), then user j's block through the inverse of
+    its denominator matrix c I + sum_{k != j} w_k C_k, in Woodbury form over
+    the rank-r factors with one recursive block elimination of a Kr x Kr
+    matrix for all K users (_denominator_solve), then renormalization and the
+    logs (_gpi_logs).  A problem stops once the relative improvement of its
     objective falls below cfg.epsilon, and its iterate with the largest
     objective seen, including the zero-forcing start, is returned, so the
     result never falls below the initial point.
 
-    Problems with one reduced shape (N, K, r) run in lockstep: every step is a
-    handful of batched calls over all of them, whose per-call cost on small
-    matrices would otherwise repeat for each problem.  A problem leaves the
-    batch when it stops or fails, and the others go on unchanged, so each
-    result is the one a solve of that problem alone gives: bit-equal for a
-    fixed BLAS thread count, whatever else the batch holds.  Results come
+    Problems with one reduced shape (N, K, r) run in one lockstep loop
+    (_power_iteration): every step is a handful of batched calls over all of
+    them, whose per-call cost on small matrices would otherwise repeat for
+    each problem.  A problem leaves the batch when it stops or fails, and the
+    others go on unchanged, so each result is the one a solve of that problem
+    alone gives: bit-equal for a fixed BLAS thread count, whatever else the
+    batch holds.  Results come
     back in input order.  If any problem failed, the GpipError of the first
     failed one in input order is raised once all have run; its ``problem``
     is that index.
@@ -556,28 +580,21 @@ def stationarity_residual(w: np.ndarray, pp: PrecodingProblem) -> float:
     """Relative residual of the generalized eigenvalue condition at the N x K precoder ``w``.
 
     Zero (numerically) exactly when w satisfies
-    aggregate_num(w) w = gamma(w) * aggregate_den(w) w.  Raises ValueError
-    for an all-zero precoder.
+    aggregate_num(w) w = gamma(w) * aggregate_den(w) w.  The GPI map's pieces
+    give the A side in the basis of [V | w]; only the B-side image is added
+    here.  Raises ValueError for an all-zero precoder.
     """
     v, noise = _scaled_problem(pp)
     n, k, r = v.shape
-    cols = _normalized(w)
-    p = _projections(v, cols)
-    q_num, q_den = _ratios(p, noise)
-    la, lb = np.log(q_num), np.log(q_den)
-    log_g = float(la.sum() - lb.sum())
-    # One shared normalizer keeps the identity A f = gamma B f intact.
-    log_wa = la.sum() - la
-    log_wb = lb.sum() - lb
-    ref = log_wa.max()
-    wa = np.exp(log_wa - ref)
-    wgb = np.exp(log_g + log_wb - ref)  # gamma folded into the B-side weights
-    vf = v.reshape(n, k * r)
-    num_img = vf @ (np.repeat(wa, r)[:, None] * p) + float(wa @ noise) * cols
-    own_dropped = np.repeat(wgb[:, None] * (1.0 - np.eye(k)), r, axis=0)
-    den_img = vf @ (own_dropped * p) + float(wgb @ noise) * cols
-    resid = np.linalg.norm(num_img - den_img)
-    return float(resid / np.linalg.norm(num_img))
+    _, vc, _, cols = _gpi_setup(v, _normalized(w))
+    p, la, lb, _ = _gpi_logs(vc, noise, cols)
+    wb, num_img = _gpi_weights(vc, noise, cols.copy(), p, la, lb)
+    others = np.repeat(wb[:, None] * (1.0 - np.eye(k)), r, axis=0)
+    den_img = _factor_product(vc, others * p) + float(wb @ noise) * cols
+    # gamma on the A side's scale: _log_weights scales wa and wb each by its
+    # largest weight, and gamma max(wb) / max(wa) = exp(min la - min lb)
+    den_img *= math.exp(la.min() - lb.min())
+    return float(np.linalg.norm(num_img - den_img) / np.linalg.norm(num_img))
 
 
 def zf_precoder(hhat: np.ndarray) -> np.ndarray:

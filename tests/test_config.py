@@ -128,7 +128,7 @@ class TestReplace:
         assert err.value.field == "noise_dbm"
 
     @pytest.mark.parametrize("field, value", [
-        ("gpip_max_iter", 2.5), ("gpip_max_iter", 0),
+        ("gpip_max_iter", 2.5), ("gpip_max_iter", 0), ("gpip_max_iter", True),
         ("gpip_epsilon", float("inf")), ("gpip_epsilon", float("nan")), ("gpip_epsilon", 0.0),
     ])
     def test_gpip_settings_checked(self, field, value):

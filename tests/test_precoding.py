@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fddlink.channel import ArrayGeometry, PathSet
@@ -263,6 +263,21 @@ def problem_batches(draw):
             for kind in kinds]
 
 
+def staggered_batch():
+    """Problems of one factor shape that leave a batch at different steps.
+
+    With GpipConfig(max_iter=8) the first, with no estimates and no error
+    columns (as at B = 0), stops at iteration 1; the others stop at 8 (the
+    cap), 2 and 5.  So the batch is compacted three times while problems
+    that came later in the input still run.
+    """
+    rng = np.random.default_rng(0)
+    n, k = 4, 3
+    return [make_problem(hhat=np.zeros((n, k)), sigma2=np.full(k, 0.1), power=1.0)] + [
+        make_problem(hhat=cnormal(rng, (n, k)), sigma2=np.full(k, 0.5), power=10.0)
+        for _ in range(3)]
+
+
 @st.composite
 def hard_denominator_inputs(draw):
     """Denominator systems on which a shared inverse with per-user downdates fails.
@@ -286,6 +301,27 @@ def hard_denominator_inputs(draw):
                       error_weights=rng.uniform(0.0, 1.0, (k, n_dirs)))
     wb = rng.uniform(0.0, 1.0, k) * (rng.random(k) < 0.8)
     return pp, wb, c, cnormal(rng, (n, k))
+
+
+@st.composite
+def mmse_shaped_problems(draw):
+    """Factors of the MMSE shape A_k [g_k | diag(sqrt(w_k))], A_k the N x L
+    steering matrix: rank L in L + 1 columns.  Path angles may nearly
+    coincide, some users have no estimate (g = 0, as at B = 0) and some
+    paths a zero error weight."""
+    n = draw(st.integers(1, 16))
+    k = draw(st.integers(1, min(n, 6)))
+    n_paths = draw(st.integers(1, 3))
+    spread = draw(st.sampled_from((1e-9, 1e-6, 1e-3, 1.0)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    thetas = rng.uniform(-1.2, 1.2, (k, 1)) + spread * rng.uniform(-1.0, 1.0, (k, n_paths))
+    a = np.exp(-1j * math.pi * np.arange(n)[:, None] * np.sin(thetas)[:, None, :])
+    g = cnormal(rng, (k, n_paths)) * (rng.random((k, 1)) < 0.7)
+    w = rng.uniform(0.0, 1.0, (k, n_paths)) * (rng.random((k, n_paths)) < 0.7)
+    coeff = np.concatenate((g[:, :, None], np.sqrt(w)[:, :, None] * np.eye(n_paths)), axis=2)
+    return PrecodingProblem(factors=(a @ coeff).transpose(1, 0, 2),
+                            sigma2=10.0 ** rng.uniform(-2, 1, k),
+                            power=10.0 ** rng.uniform(-1, 1))
 
 
 class TestFactoredMatchesDense:
@@ -326,9 +362,12 @@ class TestFactoredMatchesDense:
         if pp.num_users == 1:
             np.testing.assert_allclose(got, rhs / c, rtol=1e-15)
 
-    @settings(deadline=None, max_examples=100)
-    @given(pp=small_problems(), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None, max_examples=150)
+    @given(pp=st.one_of(small_problems(), mmse_shaped_problems()),
+           seed=st.integers(0, 2**32 - 1))
     def test_stationarity_residual(self, pp, seed):
+        # the residual runs in the basis of [V | w]; the MMSE-shaped factors
+        # have rank L in L + 1 columns, some zero estimates and near-equal angles
         w = random_precoder(np.random.default_rng(seed), pp.num_antennas, pp.num_users)
         assert stationarity_residual(w, pp) == pytest.approx(
             dense_residual(w, pp), rel=1e-8, abs=1e-10)
@@ -357,27 +396,6 @@ class TestFactoredMatchesDense:
             tracemalloc.stop()
         assert res.iterations >= 1
         assert peak < 4 * 2**20
-
-
-@st.composite
-def mmse_shaped_problems(draw):
-    """Factors of the MMSE shape A_k [g_k | diag(sqrt(w_k))], A_k the N x L
-    steering matrix: rank L in L + 1 columns.  Path angles may nearly
-    coincide, some users have no estimate (g = 0, as at B = 0) and some
-    paths a zero error weight."""
-    n = draw(st.integers(1, 16))
-    k = draw(st.integers(1, min(n, 6)))
-    n_paths = draw(st.integers(1, 3))
-    spread = draw(st.sampled_from((1e-9, 1e-6, 1e-3, 1.0)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    thetas = rng.uniform(-1.2, 1.2, (k, 1)) + spread * rng.uniform(-1.0, 1.0, (k, n_paths))
-    a = np.exp(-1j * math.pi * np.arange(n)[:, None] * np.sin(thetas)[:, None, :])
-    g = cnormal(rng, (k, n_paths)) * (rng.random((k, 1)) < 0.7)
-    w = rng.uniform(0.0, 1.0, (k, n_paths)) * (rng.random((k, n_paths)) < 0.7)
-    coeff = np.concatenate((g[:, :, None], np.sqrt(w)[:, :, None] * np.eye(n_paths)), axis=2)
-    return PrecodingProblem(factors=(a @ coeff).transpose(1, 0, 2),
-                            sigma2=10.0 ** rng.uniform(-2, 1, k),
-                            power=10.0 ** rng.uniform(-1, 1))
 
 
 class TestRankReduction:
@@ -412,6 +430,7 @@ class TestBatchedSolver:
 
     @settings(deadline=None, max_examples=60)
     @given(problems=problem_batches())
+    @example(problems=staggered_batch())
     def test_each_result_is_bit_equal_to_a_solve_alone(self, problems):
         # not merely close: the harness solves the GPIP points of several
         # drops in one batch and relies on this to keep its output unchanged
@@ -488,12 +507,16 @@ class TestFactorSpan:
         factors[:, zero, 0] = cnormal(rng, (n, int(zero.sum())))
         unitary = np.linalg.qr(cnormal(rng, (n, n)))[0]
         cfg = GpipConfig(max_iter=30)
-        base = gpip_solve(self.moved(pp, factors, lambda a: a), cfg)
+        base_pp = self.moved(pp, factors, lambda a: a)
+        base = gpip_solve(base_pp, cfg)
+        base_residual = stationarity_residual(base.f, base_pp)
         for transform in (lambda a: unitary @ a,
                           lambda a: np.vstack((a, np.zeros((extra, a.shape[1]))))):
-            res = gpip_solve(self.moved(pp, factors, transform), cfg)
+            moved = self.moved(pp, factors, transform)
+            res = gpip_solve(moved, cfg)
             assert (res.iterations, res.converged) == (base.iterations, base.converged)
             assert res.log_gamma == pytest.approx(base.log_gamma, abs=1e-9)
+            assert stationarity_residual(res.f, moved) == pytest.approx(base_residual, abs=1e-8)
 
     def test_basis_is_all_of_the_space(self):
         # N = 4 < K(L + 1) + K = 12
@@ -896,10 +919,12 @@ class TestStackAndConfig:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GpipConfig(epsilon=0.0)
+        with pytest.raises(ValueError, match="finite"):
+            GpipConfig(epsilon=math.inf)
         with pytest.raises(ValueError):
             GpipConfig(max_iter=0)
 
-    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3"])
+    @pytest.mark.parametrize("max_iter", [2.5, 3.0, "3", True])
     def test_non_integer_max_iter_rejected(self, max_iter):
         with pytest.raises(ValueError, match="integer"):
             GpipConfig(max_iter=max_iter)
