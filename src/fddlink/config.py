@@ -119,14 +119,25 @@ class ScenarioConfig:
         return ScenarioConfig(**current)
 
 
+def _is_integer(value) -> bool:
+    """An integral number that is not a bool, such as 3 or np.int64(3)."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral)
+
+
 def _validate(cfg: ScenarioConfig) -> None:
     def need(cond, field_name, msg):
         if not cond:
             raise ConfigError(field_name, msg)
 
-    need(cfg.n_antennas >= 1, "n_antennas", "must be >= 1")
-    need(cfg.n_users >= 1, "n_users", "must be >= 1")
-    need(cfg.n_paths >= 1, "n_paths", "must be >= 1")
+    lowest = {"seed": 0, "b_tot_grid": 0}  # the others start at 1
+    for name in ("n_antennas", "n_users", "n_paths", "trials", "seed", "workers"):
+        value, low = getattr(cfg, name), lowest.get(name, 1)
+        need(_is_integer(value) and value >= low, name,
+             f"must be an integer >= {low}, got {value!r}")
+    for name in ("l_grid", "n_grid", "b_tot_grid"):
+        values, low = getattr(cfg, name), lowest.get(name, 1)
+        need(all(_is_integer(v) and v >= low for v in values), name,
+             f"entries must be integers >= {low}, got {values!r}")
     need(cfg.lambda_ul > 0, "lambda_ul", "must be positive")
     need(cfg.lambda_dl > 0, "lambda_dl", "must be positive")
     need(cfg.spacing > 0, "spacing", "must be positive")
@@ -136,16 +147,11 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(all(math.isfinite(p) for p in cfg.power_dbm_grid), "power_dbm_grid",
          "entries must be finite")
     need(len(cfg.b_tot_grid) > 0, "b_tot_grid", "must be non-empty")
-    need(all(b >= 0 for b in cfg.b_tot_grid), "b_tot_grid", "entries must be >= 0")
-    need(all(l >= 1 for l in cfg.l_grid), "l_grid", "entries must be >= 1")
-    need(all(n >= 1 for n in cfg.n_grid), "n_grid", "entries must be >= 1")
     # `sim mse` draws n_paths paths, `sim delta` and `sim se` each l_grid entry
     fewest_paths = min(cfg.n_paths, *cfg.l_grid)
     need(max(cfg.b_tot_grid) <= MAX_BITS * fewest_paths, "b_tot_grid",
          f"entries must be <= {MAX_BITS * fewest_paths}: {MAX_BITS} bits on each path "
          f"of the smallest path count ({fewest_paths}) in n_paths and l_grid")
-    need(cfg.trials >= 1, "trials", "must be >= 1")
-    need(cfg.seed >= 0, "seed", "must be >= 0")
     need(cfg.pl_ref_distance > 0, "pl_ref_distance", "must be positive")
     need(0 < cfg.decay_ratio <= 1, "decay_ratio", "must be in (0, 1]")
     need(cfg.excess_range >= 0, "excess_range", "must be >= 0")
@@ -159,10 +165,8 @@ def _validate(cfg: ScenarioConfig) -> None:
         need(max(cfg.b_tot_grid) <= MAX_DFT_BITS, "b_tot_grid",
              f"entries must be <= {MAX_DFT_BITS} with a DFT-codebook method")
     need(0 < cfg.gpip_epsilon < math.inf, "gpip_epsilon", "must be positive and finite")
-    need(not isinstance(cfg.gpip_max_iter, bool)
-         and isinstance(cfg.gpip_max_iter, numbers.Integral) and cfg.gpip_max_iter >= 1,
+    need(_is_integer(cfg.gpip_max_iter) and cfg.gpip_max_iter >= 1,
          "gpip_max_iter", f"must be an integer >= 1, got {cfg.gpip_max_iter!r}")
-    need(cfg.workers >= 1, "workers", "must be >= 1")
 
 
 def _parse_int(text: str) -> int:

@@ -24,6 +24,8 @@ trials: each scene of a drop precodes its ZF points in one stacked
 zf_precoder call and scores its ZF and WMMSE points in one stacked
 true_sum_se and sum_se_lower_bound call, and queues its GPIP problems; the
 block's queue is solved in one lockstep gpip_solve_batch call (se_samples).
+A scene's MMSE and no-feedback GPIP problems are queued as coordinates in
+one basis of its users' estimated steering vectors (_signal_basis).
 """
 
 from __future__ import annotations
@@ -336,6 +338,20 @@ def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, a_est, h_true,
     return h_true[:, :, None]
 
 
+def _signal_basis(a_est: np.ndarray) -> np.ndarray:
+    """Orthonormal N x min(N, KL) basis Q of the span of the K x N x L
+    estimated DL steering matrices: one reduced QR of [A_1 ... A_K].
+
+    A scene's MMSE and no-feedback factors, and the GPIP start and iterates
+    on them, lie in that span, so GPIP solves them as Q^H V.  The start's
+    all-ones fallback becomes Q 1 / sqrt(KL); only all-zero path gains reach
+    it.  Factors of one column stay N-dimensional: DFT codewords leave the
+    span, and plain GPIP's rows amplify the rounding of a change of basis.
+    """
+    k, n, paths = a_est.shape
+    return np.linalg.qr(a_est.transpose(1, 0, 2).reshape(n, k * paths))[0]
+
+
 def _zf_columns(hhat: np.ndarray, hhat_nf: np.ndarray) -> np.ndarray:
     """Estimate columns of stacked points (..., N, K); in each point, users
     without any feedback fall back to their geometry-only estimate in
@@ -362,22 +378,25 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     per power, then every budget's points.  Each CSI source's factor stack
     (_build_csi) is built when a method first needs it, for the whole budget
     grid at once, and serves every power.  A GPIP point builds its
-    PrecodingProblem and appends (point, out slot, problem, true channel) to
-    ``queue``; se_samples solves the queue (_solve_queue).  A WMMSE point is
-    precoded on the spot and a ZF point only collected.  Once the scene is
-    through, its ZF points are precoded in one stacked zf_precoder call, and
-    its ZF and WMMSE points are scored in one stacked true_sum_se and
-    sum_se_lower_bound call; each point's values are bit-equal to its own
-    calls.  The first failure in evaluation order is raised, named by the
-    seed, trial, point and method (_label, formatted only then); a failing
-    ZF point also cuts ``queue`` back to the GPIP points queued before it.
+    PrecodingProblem and appends (point, out slot, problem, true channel,
+    basis) to ``queue``; se_samples solves the queue (_solve_queue).  Factors
+    with error columns are queued as Q^H V in the scene's basis Q
+    (_signal_basis, built on first use), and the others with basis None.  A
+    WMMSE point is precoded on the spot and a ZF point only collected.  Once
+    the scene is through, its ZF points are precoded in one stacked
+    zf_precoder call, and its ZF and WMMSE points are scored in one stacked
+    true_sum_se and sum_se_lower_bound call; each point's values are
+    bit-equal to its own calls.  The first failure in evaluation order is
+    raised, named by the seed, trial, point and method (_label, formatted
+    only then); a failing ZF point also cuts ``queue`` back to the GPIP
+    points queued before it.
     """
     # one DL steering matrix per angle set serves the channel and the CSI
     a = channel.steering_matrix(scene.thetas, geom.lambda_dl, geom)
     a_est = a if ests is scene else channel.steering_matrix(ests.thetas, geom.lambda_dl, geom)
     h_true = np.ascontiguousarray(channel.superpose(a, channel.dl_path_gains(scene, geom)).T)
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
-    csi, perfect = {}, {}
+    csi, perfect, subspace = {}, {}, {}
     # the ZF and WMMSE points in evaluation order, each (point, out slot, queue
     # length, estimates), and their precoders, None for ZF until it runs
     scored, precoders = [], []
@@ -386,6 +405,11 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
         if source not in csi:
             csi[source] = _build_csi(source, cfg, scene, ests, a_est, h_true, geom)
         return csi[source]
+
+    def signal_basis():
+        if "basis" not in subspace:
+            subspace["basis"] = _signal_basis(a_est)
+        return subspace["basis"]
 
     def problem(pdbm):
         # the perfect-CSI problem at a power, which checks the noise and the power
@@ -402,9 +426,14 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
         stack = factors(source)[bi] if source in _PER_BUDGET else factors(source)
         pp = problem(pdbm)
         if precoder == "gpip":
+            stack = stack if use_cov else stack[..., :1]
+            basis = None
+            if stack.shape[-1] > 1:  # error columns: in the span of the steering vectors
+                basis = signal_basis()
+                n, k, r = stack.shape
+                stack = (basis.conj().T @ stack.reshape(n, k * r)).reshape(-1, k, r)
             queue.append((point(method, pdbm, bi), out[slot], precoding.PrecodingProblem(
-                factors=stack if use_cov else stack[..., :1], sigma2=sigma2, power=pp.power),
-                h_true))
+                factors=stack, sigma2=sigma2, power=pp.power), h_true, basis))
             return
         if precoder == "zf":
             factors("no_feedback")  # the fallback estimates (_zf_columns)
@@ -459,20 +488,37 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
 def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -> None:
     """Solve every queued GPIP point in one gpip_solve_batch call and score it.
 
+    A point queued in a basis Q scores Q f on the true channel, which leaves
+    the span when the estimated angles are off, and its bound in
+    coordinates.  A scene's points of one factor shape are scored in one
+    stacked call of each score, bit-equal to one call per point.
+
     ``failure`` is the inline failure that stopped the queue, if any: the
     queued points all precede it in evaluation order, so the first of them
     that fails is reported instead of it.
     """
     gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
     try:
-        results = precoding.gpip_solve_batch([pp for _, _, pp, _ in queue], gcfg)
+        results = precoding.gpip_solve_batch([pp for _, _, pp, _, _ in queue], gcfg)
     except precoding.GpipError as exc:
         raise type(exc)(f"{exc.reason} ({_label(cfg, queue[exc.problem][0])})") from exc
     if failure is not None:
         raise failure
-    for (_, slot, pp, h_true), result in zip(queue, results):
-        slot[...] = (precoding.true_sum_se(result.f, h_true, pp),
-                     precoding.sum_se_lower_bound(result.f, pp), result.iterations)
+    # a scene's channel and basis serve all of its points of one shape
+    groups = {}
+    for (_, slot, pp, h_true, basis), result in zip(queue, results):
+        groups.setdefault((id(h_true), pp.factors.shape), []).append(
+            (slot, pp, h_true, basis, result))
+    for points in groups.values():
+        slots, pps, (h_true, *_), (basis, *_), results = zip(*points)
+        pp = precoding.PrecodingProblem(factors=np.stack([p.factors for p in pps]),
+                                        sigma2=pps[0].sigma2,
+                                        power=np.array([p.power for p in pps]))
+        f = np.stack([r.f for r in results])
+        rates = precoding.true_sum_se(f if basis is None else basis @ f, h_true, pp)
+        bounds = precoding.sum_se_lower_bound(f, pp)
+        for slot, rate, bound, result in zip(slots, rates, bounds, results):
+            slot[...] = (rate, bound, result.iterations)
 
 
 # GPIP problems per gpip_solve_batch call that a block of drops aims for.  A

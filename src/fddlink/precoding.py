@@ -15,10 +15,13 @@ cuts each problem's factors to their numerical rank r by one thin SVD per
 user (the MMSE and no-feedback factors A [g | diag(sqrt(w))], A the N x L
 steering matrix, have rank L, not L + 1) and takes one QR of [V | W0], W0
 the start, so N enters a solve only at the SVD, that QR and the returned
-precoder.  The GPI map's pieces (_gpi_setup, _gpi_logs, _gpi_weights) serve
-the solver and stationarity_residual alike.  A step's K leave-one-user-out
-capacitance systems are principal submatrices of one Kr x Kr Hermitian
-positive-definite matrix, solved together by recursive block elimination.
+precoder.  The SE sweep hands it MMSE and no-feedback factors as KL x K x R
+coordinates in a basis of the estimated steering vectors
+(harness._signal_basis).  The GPI map's pieces (_gpi_setup, _gpi_logs,
+_gpi_weights) serve the solver and stationarity_residual alike.  A step's K
+leave-one-user-out capacitance systems are principal submatrices of one
+Kr x Kr Hermitian positive-definite matrix, solved together by recursive
+block elimination.
 One lockstep loop runs all problems of one reduced shape, one batched call
 per step; gpip_solve_batch groups problems by shape, and gpip_solve is a
 batch of one.  Zero-forcing and WMMSE serve as baselines; WMMSE iterates on

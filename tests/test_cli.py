@@ -165,6 +165,10 @@ def _relative_tolerance(row: list[str]) -> float | None:
 
 
 @pytest.mark.parametrize("workload,experiment,seeds", [
+    # seed 0 only for the se_* workloads: plain GPIP's true_sum_se rows
+    # amplify rounding, and the code that wrote the references has since
+    # moved them by 6.9e-7 to 3.8e-6 relative at se_desk seeds 4, 7, 12 and
+    # 14 and by 7.9e-8 at se_paper seed 13, past the 1e-9 tolerance
     pytest.param("se_desk", "se", (0,), id="se_desk-se"),
     pytest.param("se_paper", "se", (0,), id="se_paper-se"),
     # every reference seed: a csi_sweep or dft_zf campaign takes a fraction of a second

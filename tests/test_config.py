@@ -1,5 +1,6 @@
 import logging
 
+import numpy as np
 import pytest
 
 from fddlink.allocation import MAX_BITS
@@ -137,6 +138,25 @@ class TestReplace:
             with pytest.raises(ConfigError) as err:
                 build()
             assert err.value.field == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 2.5), ("seed", 1.5), ("workers", True), ("workers", 1.5),
+        ("n_antennas", 8.0), ("n_users", 2.0), ("n_paths", False), ("seed", -1),
+        ("l_grid", (2.0,)), ("l_grid", (2, True)), ("n_grid", (8, 16.0)),
+        ("b_tot_grid", (0, 3.0)), ("b_tot_grid", (-3,)),
+    ])
+    def test_integer_fields_checked(self, field, value):
+        # a float seed would run as its integer part, a float trial count or
+        # path count would fail inside the first experiment
+        for build in (lambda: ScenarioConfig(**{field: value}),
+                      lambda: ScenarioConfig().replace(**{field: value})):
+            with pytest.raises(ConfigError, match=rf"^config field '{field}': .*integer"):
+                build()
+
+    def test_numpy_integers_accepted(self):
+        cfg = ScenarioConfig().replace(trials=np.int64(3), seed=np.uint32(7),
+                                       b_tot_grid=(np.int64(0), 6), l_grid=(np.int32(2),))
+        assert (cfg.trials, cfg.seed, cfg.l_grid) == (3, 7, (2,))
 
     def test_replace_changes_single_field(self):
         cfg = ScenarioConfig().replace(seed=99)

@@ -3,6 +3,8 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddlink import allocation, channel, feedback, harness, precoding, reconstruction
 from fddlink.allocation import allocate_bits, eta
@@ -452,8 +454,13 @@ class TestSeExperiment:
                         aoa_sigma=0.01, l_grid=(2, 3), n_grid=(8, 16),
                         se_methods=("zf_mmse", "zf_nofeedback", "zf_dft", "wmmse_perfect"))
         stacked = se_samples(cfg)
-        originals = {name: getattr(precoding, name)
-                     for name in ("zf_precoder", "true_sum_se", "sum_se_lower_bound")}
+        self.call_each_point(monkeypatch, ("zf_precoder", "true_sum_se", "sum_se_lower_bound"))
+        assert stacked.tobytes() == se_samples(cfg).tobytes()
+
+    @staticmethod
+    def call_each_point(monkeypatch, names):
+        """Make each precoding.<name> of a stack of points call itself point by point."""
+        originals = {name: getattr(precoding, name) for name in names}
 
         def per_point(name):
             def call(w, *args):
@@ -470,6 +477,21 @@ class TestSeExperiment:
 
         for name in originals:
             monkeypatch.setattr(precoding, name, per_point(name))
+
+    def test_stacked_gpip_scores_match_calls_of_each_point(self, monkeypatch):
+        # every GPIP method, two scenes per drop, two powers and estimation
+        # noise: each scene's points of one factor shape (in the scene's basis
+        # or not) are scored in one call, whose values are the bytes of one
+        # call per point
+        cfg = small_cfg(n_users=3, trials=3, b_tot_grid=(0, 3, 6), power_dbm_grid=(30.0, 43.0),
+                        aoa_sigma=0.01, l_grid=(2, 3),
+                        se_methods=("gpip_robust", "gpip_plain", "gpip_nofeedback", "gpip_dft"))
+        calls = {}
+        count_calls(monkeypatch, calls, precoding, "true_sum_se")
+        stacked = se_samples(cfg)
+        # per scene: one call for the projected and one for the N-dimensional points
+        assert calls == {"true_sum_se": cfg.trials * 2 * 2}
+        self.call_each_point(monkeypatch, ("true_sum_se", "sum_se_lower_bound"))
         assert stacked.tobytes() == se_samples(cfg).tobytes()
 
     def test_stacked_zf_failure_names_its_point_and_cuts_the_queue(self, monkeypatch):
@@ -545,6 +567,88 @@ class TestSeExperiment:
                         se_methods=("gpip_robust",))
         records = run_se_experiment(cfg)
         assert all(np.isfinite(r.mean) for r in records)
+
+
+class TestSignalBasis:
+    """Covariance-aware GPIP runs on coordinates in the scene's basis of the
+    estimated steering vectors (harness._signal_basis)."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 10), k=st.integers(1, 4),
+           paths=st.integers(1, 3), zero_estimates=st.booleans(), shared_angles=st.booleans(),
+           aoa_error=st.booleans())
+    def test_coordinates_solve_as_the_full_problem(self, seed, n, k, paths, zero_estimates,
+                                                   shared_angles, aoa_error):
+        # zero estimates are the MMSE factors at zero budget; two users at one
+        # angle set make [A_1 ... A_K] rank-deficient (two paths each, so
+        # their estimates still differ); K L >= N makes Q all of the space;
+        # an AoA error puts the true channel outside the span
+        k = min(k, n)
+        paths = max(paths, 2) if shared_angles and k > 1 else paths
+        rng = np.random.default_rng(seed)
+        geom = ScenarioConfig(n_antennas=n).geometry()
+        thetas = rng.uniform(-1.4, 1.4, (k, paths))
+        if shared_angles and k > 1:
+            thetas[1] = thetas[0]
+        a_est = channel.steering_matrix(thetas, geom.lambda_dl, geom)
+        gains = rng.normal(size=(k, paths)) + 1j * rng.normal(size=(k, paths))
+        coeffs = np.zeros((k, paths, paths + 1), dtype=complex)
+        coeffs[:, :, 0] = 0 if zero_estimates else gains
+        coeffs[:, np.arange(paths), np.arange(1, paths + 1)] = rng.uniform(0.1, 1.0, (k, paths))
+        factors = np.ascontiguousarray((a_est @ coeffs).transpose(1, 0, 2))  # N x K x (L+1)
+        true_thetas = thetas + (rng.normal(0, 0.05, thetas.shape) if aoa_error else 0)
+        h_true = np.einsum("knl,kl->nk", channel.steering_matrix(true_thetas, geom.lambda_dl,
+                                                                 geom), gains)
+        sigma2, power = rng.uniform(0.05, 1.0, k), float(rng.uniform(0.5, 20.0))
+        full = precoding.PrecodingProblem(factors=factors, sigma2=sigma2, power=power)
+        basis = harness._signal_basis(a_est)
+        assert basis.shape == (n, min(n, k * paths))
+        coords = precoding.PrecodingProblem(
+            factors=(basis.conj().T @ factors.reshape(n, -1)).reshape(-1, k, paths + 1),
+            sigma2=sigma2, power=power)
+        cfg = precoding.GpipConfig(max_iter=30)
+        want, got = precoding.gpip_solve(full, cfg), precoding.gpip_solve(coords, cfg)
+        assert (got.iterations, got.converged) == (want.iterations, want.converged)
+        # rounding moves both values where the objective is nearly flat, as
+        # with zero estimates and a shared angle set, in any basis: over 5000
+        # drawn cases the coordinates moved the true SE, which is not the
+        # solved objective, by at most 2.7e-9 relative and the bound by 1.7e-9
+        # (a case stopped at max_iter while still climbing, with K L >= N: Q
+        # is then a rotation), and a unitary rotation of one N-dimensional
+        # problem moved its true SE by 1.1e-8
+        assert precoding.sum_se_lower_bound(got.f, coords) == pytest.approx(
+            precoding.sum_se_lower_bound(want.f, full), rel=1e-7)
+        assert precoding.true_sum_se(basis @ got.f, h_true, coords) == pytest.approx(
+            precoding.true_sum_se(want.f, h_true, full), rel=1e-7)
+
+    @pytest.mark.parametrize("methods, per_scene", [
+        (("gpip_plain", "gpip_dft", "zf_mmse", "zf_nofeedback", "wmmse_perfect"), 0),
+        (("gpip_robust", "gpip_plain"), 1),
+        (("zf_mmse", "gpip_nofeedback", "gpip_robust"), 1),
+    ])
+    def test_basis_built_only_for_covariance_aware_gpip(self, monkeypatch, methods, per_scene):
+        calls = {}
+        count_calls(monkeypatch, calls, harness, "_signal_basis")
+        cfg = small_cfg(trials=3, l_grid=(2, 3), n_grid=(8, 16), b_tot_grid=(0, 6),
+                        aoa_sigma=0.01, se_methods=methods)
+        se_samples(cfg)
+        assert calls.get("_signal_basis", 0) == per_scene * cfg.trials * 2 * 2
+
+    def test_projected_problems_are_queued_in_coordinates(self, monkeypatch):
+        # N = 16, K = 2, L = 3: robust and no-feedback factors are 6 x 2 x 4,
+        # plain and DFT ones keep N = 16 rows
+        sizes = []
+        solve_batch = precoding.gpip_solve_batch
+
+        def spy(problems, gcfg):
+            sizes.extend(pp.factors.shape for pp in problems)
+            return solve_batch(problems, gcfg)
+
+        monkeypatch.setattr(precoding, "gpip_solve_batch", spy)
+        se_samples(small_cfg(n_antennas=16, n_paths=3, trials=1, b_tot_grid=(6,),
+                             se_methods=("gpip_nofeedback", "gpip_robust", "gpip_plain",
+                                         "gpip_dft")))
+        assert sizes == [(6, 2, 4), (6, 2, 4), (16, 2, 1), (16, 2, 1)]
 
 
 class TestDeterminismAndCsv:
