@@ -17,7 +17,6 @@ from .channel import (
     PathSet,
     dl_channel,
     draw_scene,
-    draw_user_paths,
     path_loss,
     perturb_estimates,
     ul_channel,

@@ -193,16 +193,10 @@ def paths_from_uniforms(u, cfg) -> PathSet:
                    phases_dl=_uniform(0.0, TWO_PI, phis_dl))
 
 
-def draw_user_paths(cfg, rng: np.random.Generator) -> PathSet:
-    """Draw one user's cfg.n_paths paths from one row of rng's uniforms
-    (paths_from_uniforms)."""
-    return paths_from_uniforms(rng.random(uniforms_per_user(cfg.n_paths)), cfg)
-
-
 def draw_scene(cfg, rng: np.random.Generator) -> PathSet:
     """Draw independent multipath geometry for each of cfg.n_users users, one
     PathSet stacking them (K, L), from one (K, 4L+1) array of rng's uniforms:
-    user by user, as cfg.n_users calls of draw_user_paths draw them."""
+    user by user, each user's paths from one row (paths_from_uniforms)."""
     return paths_from_uniforms(rng.random((cfg.n_users, uniforms_per_user(cfg.n_paths))), cfg)
 
 

@@ -124,6 +124,15 @@ def _is_integer(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, numbers.Integral)
 
 
+def _positive_linear(db: float) -> bool:
+    """Whether 10^(db/10) is positive and finite: false for a dB value
+    whose power overflows a float or underflows to zero, and for NaN."""
+    try:
+        return 0 < 10.0 ** (db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
 def _validate(cfg: ScenarioConfig) -> None:
     def need(cond, field_name, msg):
         if not cond:
@@ -142,16 +151,21 @@ def _validate(cfg: ScenarioConfig) -> None:
     need(cfg.lambda_dl > 0, "lambda_dl", "must be positive")
     need(cfg.spacing > 0, "spacing", "must be positive")
     need(cfg.isd > 0, "isd", "must be positive")
-    need(math.isfinite(cfg.noise_dbm), "noise_dbm", "must be finite")
+    need(_positive_linear(cfg.noise_dbm - 30.0), "noise_dbm",
+         f"must give a positive, finite power in watts, got {cfg.noise_dbm!r}")
     need(len(cfg.power_dbm_grid) > 0, "power_dbm_grid", "must be non-empty")
-    need(all(math.isfinite(p) for p in cfg.power_dbm_grid), "power_dbm_grid",
-         "entries must be finite")
+    need(all(_positive_linear(p - 30.0) for p in cfg.power_dbm_grid), "power_dbm_grid",
+         f"entries must give positive, finite powers in watts, got {cfg.power_dbm_grid!r}")
     need(len(cfg.b_tot_grid) > 0, "b_tot_grid", "must be non-empty")
     # `sim mse` draws n_paths paths, `sim delta` and `sim se` each l_grid entry
     fewest_paths = min(cfg.n_paths, *cfg.l_grid)
     need(max(cfg.b_tot_grid) <= MAX_BITS * fewest_paths, "b_tot_grid",
          f"entries must be <= {MAX_BITS * fewest_paths}: {MAX_BITS} bits on each path "
          f"of the smallest path count ({fewest_paths}) in n_paths and l_grid")
+    need(_positive_linear(cfg.pl_ref_gain_db), "pl_ref_gain_db",
+         f"must give a positive, finite linear gain, got {cfg.pl_ref_gain_db!r}")
+    need(0 <= cfg.pl_exponent < math.inf, "pl_exponent",
+         f"must be finite and >= 0, got {cfg.pl_exponent!r}")
     need(cfg.pl_ref_distance > 0, "pl_ref_distance", "must be positive")
     need(0 < cfg.decay_ratio <= 1, "decay_ratio", "must be in (0, 1]")
     need(cfg.excess_range >= 0, "excess_range", "must be >= 0")

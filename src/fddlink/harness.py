@@ -20,12 +20,12 @@ CSI source hands the precoders one N x K x R stack of the users'
 reconstruction factors, with a leading budget axis for the sources that
 depend on the budget; the DFT-codebook search takes the K users' channels
 in one call per budget.  The SE sweep runs drops in blocks of consecutive
-trials: each scene of a drop precodes its ZF points in one stacked
-zf_precoder call and scores its ZF and WMMSE points in one stacked
-true_sum_se and sum_se_lower_bound call, and queues its GPIP problems; the
-block's queue is solved in one lockstep gpip_solve_batch call (se_samples).
-A scene's MMSE and no-feedback GPIP problems are queued as coordinates in
-one basis of its users' estimated steering vectors (_signal_basis).
+trials.  Each scene is one pass over its points (_se_scene): it precodes
+its ZF points in one stacked zf_precoder call and queues its GPIP problems,
+the MMSE and no-feedback ones in one basis of its users' estimated steering
+vectors (_signal_basis), and a block's queue is one lockstep
+gpip_solve_batch call (se_samples).  Each stack of points is scored in one
+call of each score (_score).
 """
 
 from __future__ import annotations
@@ -368,130 +368,119 @@ def _label(cfg: ScenarioConfig, point: tuple) -> str:
             f"power_dbm {pdbm}, b_tot {b_tot}, method {method}")
 
 
+def _se_points(cfg: ScenarioConfig) -> list:
+    """A scene's SE points in evaluation order, each (method, power_dbm,
+    budget index, out slot): the methods whose CSI ignores the budget once
+    per power, in a slot that spans the budgets, then every budget's points."""
+    powers, methods = list(enumerate(cfg.power_dbm_grid)), list(enumerate(cfg.se_methods))
+    return ([(m, pdbm, 0, (pi, slice(None), mi)) for pi, pdbm in powers for mi, m in methods
+             if SE_METHODS[m][0] not in _PER_BUDGET]
+            + [(m, pdbm, bi, (pi, bi, mi)) for bi in range(len(cfg.b_tot_grid))
+               for pi, pdbm in powers for mi, m in methods if SE_METHODS[m][0] in _PER_BUDGET])
+
+
+def _score(targets, w, h_true, factors, sigma2, powers, iterations, basis=None) -> None:
+    """Write (true SE, bound, iterations) to each target from one call of
+    each score on a scene's stacked precoders w (..., N, K), each point
+    bit-equal to its own calls.  Precoders in the coordinates of ``basis``
+    Q score Q w on the N-dimensional true channel, the bound in coordinates.
+    """
+    pp = precoding.PrecodingProblem(factors=factors, sigma2=sigma2, power=powers)
+    rates = precoding.true_sum_se(w if basis is None else basis @ w, h_true, pp)
+    bounds = precoding.sum_se_lower_bound(w, pp)
+    for target, rate, bound, its in zip(targets, rates, bounds, iterations):
+        target[...] = (rate, bound, its)
+
+
 def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray,
               queue: list) -> None:
     """Fill out[power, budget, method] for one drawn scene at one array size.
 
     ``scene`` and ``ests`` stack the users' true and estimated path sets.
-
-    Points are evaluated in order: methods whose CSI ignores the budget once
-    per power, then every budget's points.  Each CSI source's factor stack
-    (_build_csi) is built when a method first needs it, for the whole budget
-    grid at once, and serves every power.  A GPIP point builds its
-    PrecodingProblem and appends (point, out slot, problem, true channel,
-    basis) to ``queue``; se_samples solves the queue (_solve_queue).  Factors
-    with error columns are queued as Q^H V in the scene's basis Q
-    (_signal_basis, built on first use), and the others with basis None.  A
-    WMMSE point is precoded on the spot and a ZF point only collected.  Once
-    the scene is through, its ZF points are precoded in one stacked
-    zf_precoder call, and its ZF and WMMSE points are scored in one stacked
-    true_sum_se and sum_se_lower_bound call; each point's values are
-    bit-equal to its own calls.  The first failure in evaluation order is
-    raised, named by the seed, trial, point and method (_label, formatted
-    only then); a failing ZF point also cuts ``queue`` back to the GPIP
-    points queued before it.
+    One pass walks the points in evaluation order (_se_points).  A CSI
+    source's factor stack (_build_csi, every budget), the basis
+    (_signal_basis) and a power's perfect-CSI problem, which checks the
+    noise and the power, are built by the first point that needs them.  A
+    GPIP point queues (point, out view, problem, true channel, basis) for
+    _solve_queue, as Q^H V in the basis Q when its factors have error
+    columns; a WMMSE point is precoded on the spot and a ZF point collected.
+    Then the ZF points are precoded in one stacked zf_precoder call and the
+    ZF and WMMSE points scored together (_score).  The first failure in
+    evaluation order is raised, named by _label (formatted only then); a
+    failing ZF point also cuts ``queue`` back to the GPIP points before it.
     """
     # one DL steering matrix per angle set serves the channel and the CSI
     a = channel.steering_matrix(scene.thetas, geom.lambda_dl, geom)
     a_est = a if ests is scene else channel.steering_matrix(ests.thetas, geom.lambda_dl, geom)
     h_true = np.ascontiguousarray(channel.superpose(a, channel.dl_path_gains(scene, geom)).T)
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
-    csi, perfect, subspace = {}, {}, {}
-    # the ZF and WMMSE points in evaluation order, each (point, out slot, queue
-    # length, estimates), and their precoders, None for ZF until it runs
-    scored, precoders = [], []
+    # the CSI sources and "basis" by name, and each power's perfect-CSI problem
+    built = {}
+    # the ZF and WMMSE points in evaluation order: (point, out view, queue
+    # length, estimates, precoder or None for ZF)
+    scored = []
 
-    def factors(source):
-        if source not in csi:
-            csi[source] = _build_csi(source, cfg, scene, ests, a_est, h_true, geom)
-        return csi[source]
-
-    def signal_basis():
-        if "basis" not in subspace:
-            subspace["basis"] = _signal_basis(a_est)
-        return subspace["basis"]
-
-    def problem(pdbm):
-        # the perfect-CSI problem at a power, which checks the noise and the power
-        if pdbm not in perfect:
-            perfect[pdbm] = precoding.PrecodingProblem(factors=h_true[:, :, None], sigma2=sigma2,
-                                                       power=cfg.power_watts(pdbm))
-        return perfect[pdbm]
-
-    def point(method, pdbm, bi):
-        return (trial, geom.num_antennas, len(scene), pdbm, cfg.b_tot_grid[bi], method)
-
-    def evaluate(method, pdbm, bi, slot):
+    def evaluate(method, pdbm, bi, slot, point):
         source, precoder, use_cov = SE_METHODS[method]
-        stack = factors(source)[bi] if source in _PER_BUDGET else factors(source)
-        pp = problem(pdbm)
+        if source not in built:
+            built[source] = _build_csi(source, cfg, scene, ests, a_est, h_true, geom)
+        if pdbm not in built:
+            built[pdbm] = precoding.PrecodingProblem(factors=h_true[:, :, None], sigma2=sigma2,
+                                                     power=cfg.power_watts(pdbm))
+        stack = built[source][bi] if source in _PER_BUDGET else built[source]
         if precoder == "gpip":
             stack = stack if use_cov else stack[..., :1]
             basis = None
             if stack.shape[-1] > 1:  # error columns: in the span of the steering vectors
-                basis = signal_basis()
+                if "basis" not in built:
+                    built["basis"] = _signal_basis(a_est)
+                basis = built["basis"]
                 n, k, r = stack.shape
                 stack = (basis.conj().T @ stack.reshape(n, k * r)).reshape(-1, k, r)
-            queue.append((point(method, pdbm, bi), out[slot], precoding.PrecodingProblem(
-                factors=stack, sigma2=sigma2, power=pp.power), h_true, basis))
+            queue.append((point, out[slot], precoding.PrecodingProblem(
+                factors=stack, sigma2=sigma2, power=built[pdbm].power), h_true, basis))
             return
-        if precoder == "zf":
-            factors("no_feedback")  # the fallback estimates (_zf_columns)
-        precoders.append(None if precoder == "zf" else precoding.wmmse_precoder(h_true, pp))
-        scored.append((point(method, pdbm, bi), slot, len(queue), stack[..., 0]))
+        if precoder == "zf" and "no_feedback" not in built:  # fallback estimates (_zf_columns)
+            built["no_feedback"] = _build_csi("no_feedback", cfg, scene, ests, a_est, h_true, geom)
+        w = precoding.wmmse_precoder(h_true, built[pdbm]) if precoder == "wmmse" else None
+        scored.append((point, out[slot], len(queue), stack[..., 0], w))
 
     def precode_and_score():
         if not scored:
             return
-        estimates = np.stack([est for *_, est in scored])
-        zf = [i for i, w in enumerate(precoders) if w is None]
+        points, targets, queued, estimates, w = zip(*scored)
+        estimates, w = np.stack(estimates), list(w)
+        zf = [i for i, wi in enumerate(w) if wi is None]
         if zf:
-            cols = _zf_columns(estimates[zf], factors("no_feedback")[..., 0])
+            cols = _zf_columns(estimates[zf], built["no_feedback"][..., 0])
             try:
-                w = precoding.zf_precoder(cols)
+                w_zf = precoding.zf_precoder(cols)
             except ValueError as exc:
                 # a ZfError names its point; any other failure is the first point's
-                failed, _, queued, _ = scored[zf[getattr(exc, "point", None) or 0]]
-                del queue[queued:]
-                raise type(exc)(f"{getattr(exc, 'reason', exc)} ({_label(cfg, failed)})") from exc
-            for i, wi in zip(zf, w):
-                precoders[i] = wi
-        w = np.stack(precoders)
-        pp = precoding.PrecodingProblem(
-            factors=estimates[..., None], sigma2=sigma2,
-            power=np.array([cfg.power_watts(key[3]) for key, *_ in scored]))
-        rates = precoding.true_sum_se(w, h_true, pp)
-        bounds = precoding.sum_se_lower_bound(w, pp)
-        for (_, slot, _, _), rate, bound in zip(scored, rates, bounds):
-            out[slot] = (rate, bound, 0)
+                failed = zf[getattr(exc, "point", None) or 0]
+                del queue[queued[failed]:]
+                raise type(exc)(f"{getattr(exc, 'reason', exc)} "
+                                f"({_label(cfg, points[failed])})") from exc
+            for i, wi in zip(zf, w_zf):
+                w[i] = wi
+        _score(targets, np.stack(w), h_true, estimates[..., None], sigma2,
+               np.array([cfg.power_watts(p[3]) for p in points]), [0] * len(w))
 
-    def run(method, pdbm, bi, slot):
+    for method, pdbm, bi, slot in _se_points(cfg):
+        point = (trial, geom.num_antennas, len(scene), pdbm, cfg.b_tot_grid[bi], method)
         try:
-            evaluate(method, pdbm, bi, slot)
+            evaluate(method, pdbm, bi, slot, point)
         except ValueError as exc:
             precode_and_score()  # a failing ZF point before this one comes first
-            raise type(exc)(f"{exc} ({_label(cfg, point(method, pdbm, bi))})") from exc
-
-    per_budget = [SE_METHODS[m][0] in _PER_BUDGET for m in cfg.se_methods]
-    for pi, pdbm in enumerate(cfg.power_dbm_grid):
-        for mi, method in enumerate(cfg.se_methods):
-            if not per_budget[mi]:
-                run(method, pdbm, 0, (pi, slice(None), mi))
-    for bi in range(len(cfg.b_tot_grid)):
-        for pi, pdbm in enumerate(cfg.power_dbm_grid):
-            for mi, method in enumerate(cfg.se_methods):
-                if per_budget[mi]:
-                    run(method, pdbm, bi, (pi, bi, mi))
+            raise type(exc)(f"{exc} ({_label(cfg, point)})") from exc
     precode_and_score()
 
 
 def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -> None:
     """Solve every queued GPIP point in one gpip_solve_batch call and score it.
 
-    A point queued in a basis Q scores Q f on the true channel, which leaves
-    the span when the estimated angles are off, and its bound in
-    coordinates.  A scene's points of one factor shape are scored in one
-    stacked call of each score, bit-equal to one call per point.
+    A scene's points of one factor shape, in its basis or not, are scored
+    together (_score).
 
     ``failure`` is the inline failure that stopped the queue, if any: the
     queued points all precede it in evaluation order, so the first of them
@@ -506,19 +495,14 @@ def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -
         raise failure
     # a scene's channel and basis serve all of its points of one shape
     groups = {}
-    for (_, slot, pp, h_true, basis), result in zip(queue, results):
+    for (_, target, pp, h_true, basis), result in zip(queue, results):
         groups.setdefault((id(h_true), pp.factors.shape), []).append(
-            (slot, pp, h_true, basis, result))
+            (target, pp, h_true, basis, result))
     for points in groups.values():
-        slots, pps, (h_true, *_), (basis, *_), results = zip(*points)
-        pp = precoding.PrecodingProblem(factors=np.stack([p.factors for p in pps]),
-                                        sigma2=pps[0].sigma2,
-                                        power=np.array([p.power for p in pps]))
-        f = np.stack([r.f for r in results])
-        rates = precoding.true_sum_se(f if basis is None else basis @ f, h_true, pp)
-        bounds = precoding.sum_se_lower_bound(f, pp)
-        for slot, rate, bound, result in zip(slots, rates, bounds, results):
-            slot[...] = (rate, bound, result.iterations)
+        targets, pps, (h_true, *_), (basis, *_), results = zip(*points)
+        _score(targets, np.stack([r.f for r in results]), h_true,
+               np.stack([p.factors for p in pps]), pps[0].sigma2,
+               np.array([p.power for p in pps]), [r.iterations for r in results], basis)
 
 
 # GPIP problems per gpip_solve_batch call that a block of drops aims for.  A
@@ -533,11 +517,9 @@ GPIP_BATCH = 32
 
 
 def _gpip_points_per_drop(cfg: ScenarioConfig) -> int:
-    """GPIP points of one drop: per scene and power, one per budget of each
-    budget-dependent GPIP method and one of each other GPIP method."""
-    per_power = sum(len(cfg.b_tot_grid) if SE_METHODS[m][0] in _PER_BUDGET else 1
-                    for m in cfg.se_methods if SE_METHODS[m][1] == "gpip")
-    return len(cfg.n_grid) * len(cfg.l_grid) * len(cfg.power_dbm_grid) * per_power
+    """GPIP points of one drop: those of a scene (_se_points) in each scene."""
+    per_scene = sum(SE_METHODS[m][1] == "gpip" for m, *_ in _se_points(cfg))
+    return len(cfg.n_grid) * len(cfg.l_grid) * per_scene
 
 
 def se_axes(cfg: ScenarioConfig) -> tuple:

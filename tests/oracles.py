@@ -4,7 +4,8 @@ The package works on reconstruction factors and on the NMMSE curve at
 integer bits.  These are the textbook forms it never builds: the
 piecewise-linear relaxation, the weighted NMMSE objective, the dense
 N x N error covariance and outer-product error, and one user's path draw
-as five scalar-valued uniform calls.
+as five scalar-valued uniform calls, and one user's draw from one row of
+uniforms, which draw_scene stacks for its users.
 """
 
 import math
@@ -12,7 +13,14 @@ import math
 import numpy as np
 
 from fddlink.allocation import MAX_BITS, eta, nmmse
-from fddlink.channel import TWO_PI, PathSet, power_decay_profile, steering_matrix
+from fddlink.channel import (
+    TWO_PI,
+    PathSet,
+    paths_from_uniforms,
+    power_decay_profile,
+    steering_matrix,
+    uniforms_per_user,
+)
 
 
 def nmmse_pl(x):
@@ -46,6 +54,12 @@ def outer_product_error(h_true, factor) -> tuple[np.ndarray, float]:
     h = np.asarray(h_true)
     delta = np.outer(h, h.conj()) - factor @ factor.conj().T
     return delta, float(np.sum(np.abs(delta) ** 2)) / h.shape[0] ** 2
+
+
+def draw_user_paths(cfg, rng) -> PathSet:
+    """Draw one user's cfg.n_paths paths from one row of rng's uniforms
+    (paths_from_uniforms)."""
+    return paths_from_uniforms(rng.random(uniforms_per_user(cfg.n_paths)), cfg)
 
 
 def draw_user_paths_by_calls(cfg, rng) -> PathSet:

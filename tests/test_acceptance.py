@@ -21,7 +21,6 @@ from fddlink.allocation import (
 from fddlink.channel import (
     ArrayGeometry,
     PathSet,
-    draw_user_paths,
     power_decay_profile,
     steering_matrix,
 )
@@ -46,7 +45,7 @@ from fddlink.reconstruction import (
     outer_error_norm,
     reconstruct_mmse,
 )
-from oracles import nmmse_pl, outer_product_error
+from oracles import draw_user_paths, nmmse_pl, outer_product_error
 
 
 @contextmanager

@@ -13,7 +13,6 @@ from fddlink.channel import (
     dl_path_gains,
     dl_phases,
     draw_scene,
-    draw_user_paths,
     path_loss,
     paths_from_uniforms,
     perturb_estimates,
@@ -22,7 +21,7 @@ from fddlink.channel import (
     ul_channel,
 )
 from fddlink.config import ScenarioConfig
-from oracles import draw_user_paths_by_calls
+from oracles import draw_user_paths, draw_user_paths_by_calls
 
 GEOM = ArrayGeometry(num_antennas=4, spacing=0.015, lambda_ul=0.03, lambda_dl=0.025)
 

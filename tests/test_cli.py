@@ -116,6 +116,19 @@ def test_sim_rejects_bad_config(tmp_path, capsys):
     assert "trials" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["noise_dbm = 4000", "power_dbm_grid = 43, 4000",
+                                  "pl_ref_gain_db = 4000"])
+def test_sim_rejects_db_values_that_overflow(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_antennas = 8\nn_users = 2\ntrials = 1\n{line}\n")
+    out = tmp_path / "out.csv"
+    assert main(["sim", "se", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config field '{line.split(' = ')[0]}': ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_precode_writes_per_drop_records(tmp_path, capsys):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("n_antennas = 8\nn_users = 2\nn_paths = 2\ntrials = 4\n"

@@ -217,3 +217,45 @@ class TestAllocatableBudgetLimit:
     def test_limit_itself_accepted(self):
         assert ScenarioConfig(n_paths=1, b_tot_grid=(MAX_BITS,))
         assert ScenarioConfig(n_paths=3, l_grid=(2, 4), b_tot_grid=(2 * MAX_BITS,))
+
+
+class TestLinearValues:
+    """dBm and dB fields must give positive, finite watts and gains, and the
+    path-loss exponent must keep the path gains finite."""
+
+    CASES = [
+        ({"noise_dbm": 4000.0}, "noise_dbm"),
+        ({"noise_dbm": -4000.0}, "noise_dbm"),  # zero watts
+        ({"power_dbm_grid": (43.0, 4000.0)}, "power_dbm_grid"),
+        ({"power_dbm_grid": (-4000.0,)}, "power_dbm_grid"),
+        ({"pl_ref_gain_db": 4000.0}, "pl_ref_gain_db"),
+        ({"pl_ref_gain_db": -4000.0}, "pl_ref_gain_db"),
+        ({"pl_exponent": -400.0}, "pl_exponent"),
+        ({"pl_exponent": -0.5}, "pl_exponent"),
+    ]
+
+    @pytest.mark.parametrize("values, field", CASES)
+    def test_rejected_from_text_construction_and_replace(self, values, field):
+        for build in (lambda: config_from_mapping(parse_config_text(
+                          TestDftBudgetLimit.as_text(values))),
+                      lambda: ScenarioConfig(**values),
+                      lambda: ScenarioConfig().replace(**values)):
+            with pytest.raises(ConfigError) as err:
+                build()
+            assert err.value.field == field
+
+    @pytest.mark.parametrize("field, value", [
+        ("pl_exponent", float("inf")), ("pl_exponent", float("nan")),
+        ("pl_ref_gain_db", float("inf")), ("pl_ref_gain_db", float("nan")),
+    ])
+    def test_non_finite_rejected_when_built_directly(self, field, value):
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig(**{field: value})
+        assert err.value.field == field
+
+    def test_extremes_that_stay_in_range_accepted(self):
+        # -3200 dBm is a subnormal noise power, still positive
+        cfg = ScenarioConfig(noise_dbm=-3200.0, power_dbm_grid=(-300.0, 300.0),
+                             pl_ref_gain_db=300.0, pl_exponent=0.0)
+        assert 0 < cfg.noise_watts < cfg.power_watts(-300.0)
+        assert cfg.power_watts(300.0) < float("inf") and cfg.pl_ref_gain == 1e30

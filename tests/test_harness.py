@@ -20,7 +20,7 @@ from fddlink.harness import (
     run_se_experiment,
     se_samples,
 )
-from oracles import draw_user_paths_by_calls
+from oracles import draw_user_paths, draw_user_paths_by_calls
 
 
 def small_cfg(**kw):
@@ -80,8 +80,6 @@ class TestMseExperiment:
     def test_mean_and_stderr_reproducible_from_trial_seeds(self):
         # independent recomputation of the no-feedback closed-form column
         # using the documented per-trial seed derivation
-        from fddlink.channel import draw_user_paths
-
         cfg = small_cfg(trials=9, b_tot_grid=(5,))
         records = run_mse_experiment(cfg)
         rec = next(r for r in records
@@ -108,7 +106,7 @@ class TestMseExperiment:
         want = np.empty((cfg.trials, len(cfg.b_tot_grid), len(ALLOCATORS), 2))
         for t in range(cfg.trials):
             rng = np.random.default_rng(derive_trial_seed(cfg.seed, t))
-            ps = channel.draw_user_paths(cfg, rng)
+            ps = draw_user_paths(cfg, rng)
             h = channel.dl_channel(ps, geom)
             for si, strategy in enumerate(ALLOCATORS):
                 bits = allocation.allocate_bits(strategy, ps.betas**2, cfg.b_tot_grid)
@@ -245,7 +243,7 @@ class TestBuildCsi:
         scene, ests = _draw_scene(cfg, np.random.default_rng(8))
         # the same scene user by user: the users' paths, then each one's estimates
         rng = np.random.default_rng(8)
-        users = [channel.draw_user_paths(cfg, rng) for _ in range(cfg.n_users)]
+        users = [draw_user_paths(cfg, rng) for _ in range(cfg.n_users)]
         user_ests = [channel.perturb_estimates(ps, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
                      for ps in users]
         for stack, sets in ((scene, users), (ests, user_ests)):
@@ -561,6 +559,35 @@ class TestSeExperiment:
                            match=rf"\(seed 321, trial 0, n_antennas 2, n_paths 2, "
                                  rf"power_dbm 43\.0, {failed}\)$"):
             se_samples(cfg)
+
+    def test_failed_csi_build_names_the_first_point_that_needs_it(self, monkeypatch):
+        # the no-feedback ZF points come first; the MMSE source is built, and
+        # fails, at the first budget's robust GPIP point
+        cfg = small_cfg(trials=1, b_tot_grid=(0, 3), se_methods=("zf_nofeedback", "gpip_robust"))
+        self.fail_on_call(monkeypatch, reconstruction, "reconstruct_mmse", 0,
+                          ValueError("mmse broke"))
+        with pytest.raises(ValueError, match=r"^mmse broke \(seed 321, trial 0, .*"
+                                             r"b_tot 0, method gpip_robust\)$"):
+            se_samples(cfg)
+
+    @pytest.mark.parametrize("methods, sources", [
+        (("zf_mmse",), ["mmse", "no_feedback"]),
+        (("wmmse_perfect",), ["perfect"]),
+        (("gpip_dft", "zf_nofeedback"), ["no_feedback", "dft"]),
+    ])
+    def test_each_needed_csi_source_built_once_per_scene(self, monkeypatch, methods, sources):
+        # in the order the scene's points first need them, and no other
+        build, built = harness._build_csi, []
+
+        def spy(source, *args):
+            built.append(source)
+            return build(source, *args)
+
+        monkeypatch.setattr(harness, "_build_csi", spy)
+        cfg = small_cfg(trials=2, l_grid=(2, 3), b_tot_grid=(0, 3), power_dbm_grid=(30.0, 43.0),
+                        se_methods=methods)
+        se_samples(cfg)
+        assert built == sources * cfg.trials * len(cfg.l_grid)
 
     def test_estimation_noise_path(self):
         cfg = small_cfg(trials=2, aoa_sigma=0.05, gain_rel_sigma=0.1,
