@@ -17,24 +17,17 @@ import sys
 import numpy as np
 
 from . import allocation
-from .config import PAPER_SCALE_OVERRIDES, ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, config_from_mapping, load_config
 from .harness import SE_METRICS, emit_csv, run_experiment, se_axes, se_samples
 from .precoding import GpipError
 
 
 def _load_scenario(args) -> ScenarioConfig:
     paper_scale = getattr(args, "paper_scale", False)
-    if args.config:
-        cfg = load_config(args.config, paper_scale=paper_scale)
-    else:
-        cfg = ScenarioConfig()
-        if paper_scale:
-            cfg = cfg.replace(**PAPER_SCALE_OVERRIDES)
-    if getattr(args, "seed", None) is not None:
-        cfg = cfg.replace(seed=args.seed)
-    if getattr(args, "workers", None) is not None:
-        cfg = cfg.replace(workers=args.workers)
-    return cfg
+    cfg = (load_config(args.config, paper_scale=paper_scale) if args.config
+           else config_from_mapping({}, paper_scale=paper_scale))
+    given = {key: getattr(args, key, None) for key in ("seed", "workers")}
+    return cfg.replace(**{key: value for key, value in given.items() if value is not None})
 
 
 def _cmd_sim(args) -> int:

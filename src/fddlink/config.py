@@ -114,6 +114,14 @@ class ScenarioConfig:
         )
 
     def replace(self, **changes) -> "ScenarioConfig":
+        """A copy with ``changes`` applied and validated.
+
+        The derived fields keep the values resolved at construction unless
+        ``changes`` sets them too: ``replace(n_paths=5)`` keeps l_grid,
+        ``replace(n_antennas=256)`` keeps n_grid and ``replace(lambda_ul=x)``
+        keeps spacing.  Pass the grid along, as in
+        ``cfg.replace(n_paths=L, l_grid=(L,))``.
+        """
         current = {f.name: getattr(self, f.name) for f in fields(self)}
         current.update(changes)
         return ScenarioConfig(**current)

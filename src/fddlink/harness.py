@@ -79,34 +79,23 @@ def emit_csv(records, path) -> None:
             ])
 
 
-def _run_blocks(cfg: ScenarioConfig, block_fn, size: int, workers: int | None = None) -> np.ndarray:
+def _run_blocks(cfg: ScenarioConfig, block_fn, size: int) -> np.ndarray:
     """Evaluate block_fn on consecutive blocks of ``size`` trials.
 
     A block is a list of (trial, rng) pairs, and block_fn returns one output
-    per pair; outputs stack in trial order.  Workers map over blocks, and a
-    block holds at least one trial and no more than ceil(trials / workers),
-    so every worker has a block.
+    per pair; outputs stack in trial order.  cfg.workers threads map over
+    blocks, and a block holds at least one trial and no more than
+    ceil(trials / workers), so every worker has a block.
     """
-    workers = cfg.workers if workers is None else workers
-    size = max(1, min(size, math.ceil(cfg.trials / workers)))
+    size = max(1, min(size, math.ceil(cfg.trials / cfg.workers)))
     trials = [(t, np.random.default_rng(derive_trial_seed(cfg.seed, t))) for t in range(cfg.trials)]
     blocks = [trials[i:i + size] for i in range(0, len(trials), size)]
-    if workers <= 1:
+    if cfg.workers <= 1:
         results = [block_fn(block) for block in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             results = list(pool.map(block_fn, blocks))
     return np.stack([out for outs in results for out in outs])
-
-
-def _mean_and_stderr(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mean = samples.mean(axis=0)
-    n = samples.shape[0]
-    if n > 1:
-        std_err = samples.std(axis=0, ddof=1) / np.sqrt(n)
-    else:
-        std_err = np.zeros_like(mean)
-    return mean, std_err
 
 
 def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
@@ -118,7 +107,8 @@ def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
     metrics.  An axis may hold more slots than values, and the extra ones
     are not recorded.  ``fixed`` sets the fields that no axis sweeps.
     """
-    mean, std_err = _mean_and_stderr(samples)
+    mean, n = samples.mean(axis=0), samples.shape[0]
+    std_err = samples.std(axis=0, ddof=1) / np.sqrt(n) if n > 1 else np.zeros_like(mean)
     records = []
     for idx in np.ndindex(*(len(values) for _, values in axes)):
         point = {name: values[i] for (name, values), i in zip(axes, idx)}
@@ -207,7 +197,7 @@ def _uniform_rows(trials, width: int) -> np.ndarray:
 # reconstruction-MSE experiment
 
 
-def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
+def run_mse_experiment(cfg: ScenarioConfig) -> list:
     """Per-user reconstruction MSE versus the total feedback budget.
 
     For each budget and each allocation strategy the closed-form expected MSE
@@ -233,7 +223,7 @@ def run_mse_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
         return out
 
     size = _block_trials(cfg, cfg.n_paths)
-    return _records("mse", cfg, _run_blocks(cfg, block, size, workers),
+    return _records("mse", cfg, _run_blocks(cfg, block, size),
                     (("b_tot", b_grid), ("method", ALLOCATORS),
                      ("metric", ("mse_closed_form", "mse_monte_carlo"))),
                     n_antennas=cfg.n_antennas, n_users=1, n_paths=cfg.n_paths,
@@ -263,19 +253,19 @@ def _delta_norms(ps, strategy: str, budgets, geom) -> np.ndarray:
     return np.stack((emp, reconstruction.asymptotic_delta_norm(betas, etas, fp.deltas)), axis=-1)
 
 
-def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
+def run_delta_experiment(cfg: ScenarioConfig) -> list:
     """Normalized outer-product approximation error versus budget and path count.
 
     Emits the realized (1/N^2)*||Delta||_F^2 alongside the large-array
     closed-form value evaluated at the same realized quantization errors.
-    Trials run in blocks of consecutive trials, and workers map over blocks.
-    Each trial draws one path set per path count, in l_grid order, from one
-    row of its own stream's uniforms; a block stacks its trials' path sets
-    of each path count and computes both norms for all of them and every
-    budget in one pass (_delta_norms).  The block size comes from the
-    sweep's sizes and its largest path count (_block_trials).  A path set's
-    norms do not depend on its block, so neither block size nor worker count
-    changes the output.
+    Trials run in blocks of consecutive trials, and cfg.workers threads map
+    over blocks.  Each trial draws one path set per path count, in l_grid
+    order, from one row of its own stream's uniforms; a block stacks its
+    trials' path sets of each path count and computes both norms for all of
+    them and every budget in one pass (_delta_norms).  The block size comes
+    from the sweep's sizes and its largest path count (_block_trials).  A
+    path set's norms do not depend on its block, so neither block size nor
+    worker count changes the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
@@ -292,7 +282,7 @@ def run_delta_experiment(cfg: ScenarioConfig, workers: int | None = None) -> lis
         return out
 
     size = _block_trials(cfg, max(l_grid))
-    return _records("delta", cfg, _run_blocks(cfg, block, size, workers),
+    return _records("delta", cfg, _run_blocks(cfg, block, size),
                     (("n_paths", l_grid), ("b_tot", b_grid),
                      ("metric", ("delta_norm_emp", "delta_norm_asym"))),
                     n_antennas=cfg.n_antennas, n_users=1,
@@ -529,7 +519,7 @@ def se_axes(cfg: ScenarioConfig) -> tuple:
             ("method", cfg.se_methods))
 
 
-def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
+def se_samples(cfg: ScenarioConfig) -> np.ndarray:
     """Per-drop SE outputs over the whole sweep.
 
     Shape (trials, n_grid, l_grid, power_dbm_grid, b_tot_grid, se_methods, 3),
@@ -538,17 +528,18 @@ def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
     source ignores the budget are computed once per (drop, N, L, power) and
     replicated across budgets.
 
-    Drops run in blocks of consecutive trials, and workers map over blocks.
-    Each drop of a block draws its scenes, scores each scene's ZF and WMMSE
-    points in one stacked pass (_se_scene), and queues its GPIP points; the
-    block's whole queue, every drop and every (L, N) scene, is then solved
-    in one gpip_solve_batch call.  A block holds ceil(GPIP_BATCH / P)
-    drops, P the GPIP points per drop, but no more than ceil(trials /
-    workers), so every worker has a block, and one drop when P is 0.  A
-    problem's result does not depend on its batch, so neither block size
-    nor worker count changes the output.  A solver or ZF failure is re-raised with the seed, trial,
-    sweep point and method that reproduce it: the lowest failing trial's,
-    and within that trial the first failure in evaluation order.
+    Drops run in blocks of consecutive trials, and cfg.workers threads map
+    over blocks.  Each drop of a block draws its scenes, scores each scene's
+    ZF and WMMSE points in one stacked pass (_se_scene), and queues its GPIP
+    points; the block's whole queue, every drop and every (L, N) scene, is
+    then solved in one gpip_solve_batch call.  A block holds
+    ceil(GPIP_BATCH / P) drops, P the GPIP points per drop, but no more
+    than ceil(trials / workers), so every worker has a block, and one drop
+    when P is 0.  A problem's result does not depend on its batch, so
+    neither block size nor worker count changes the output.  A solver or ZF
+    failure is re-raised with the seed, trial, sweep point and method that
+    reproduce it: the lowest failing trial's, and within that trial the
+    first failure in evaluation order.
     """
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in cfg.l_grid}
     shape = (*(len(values) for _, values in se_axes(cfg)), len(SE_METRICS) + 1)
@@ -570,16 +561,16 @@ def se_samples(cfg: ScenarioConfig, workers: int | None = None) -> np.ndarray:
         _solve_queue(cfg, queue, failure)
         return outs
 
-    return _run_blocks(cfg, block, size, workers)
+    return _run_blocks(cfg, block, size)
 
 
-def run_se_experiment(cfg: ScenarioConfig, workers: int | None = None) -> list:
+def run_se_experiment(cfg: ScenarioConfig) -> list:
     """Ergodic sum spectral efficiency over drops for each configured method.
 
     Sweeps the cross product of the antenna, path-count, power, and budget
     grids (see se_samples).
     """
-    return _records("se", cfg, se_samples(cfg, workers),
+    return _records("se", cfg, se_samples(cfg),
                     (*se_axes(cfg), ("metric", SE_METRICS)), n_users=cfg.n_users)
 
 
@@ -590,7 +581,7 @@ EXPERIMENTS = {
 }
 
 
-def run_experiment(kind: str, cfg: ScenarioConfig, workers: int | None = None) -> list:
+def run_experiment(kind: str, cfg: ScenarioConfig) -> list:
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {kind!r}; choose from {tuple(EXPERIMENTS)}")
-    return EXPERIMENTS[kind](cfg, workers)
+    return EXPERIMENTS[kind](cfg)

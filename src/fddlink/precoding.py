@@ -670,8 +670,9 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
     and from matched filtering otherwise.  Later iterates are W = H B, B
     K x K: the nonzero eigenpairs (Lambda, H D^(1/2) Q Lambda^(-1/2)) of
     H D H^H, D = diag(v |u|^2), come from those of D^(1/2) H^H H D^(1/2).
-    Raises ValueError for an all-zero user channel.  Returns the unit-norm
-    N x K precoder.
+    Raises ValueError for an all-zero user channel or a user whose MMSE
+    receiver saturates (its MMSE is not positive at rounding, so its weight
+    1/MMSE is undefined).  Returns the unit-norm N x K precoder.
     """
     _one_problem(pp)
     h = np.asarray(h_true, dtype=complex)
@@ -694,14 +695,20 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
         sig = np.diag(cross)
         return float(np.sum(np.log2(1.0 + sig / (cross.sum(axis=1) - sig + sigma2))))
 
+    def receivers(c):  # MMSE receivers u and inverse MMSEs v
+        totals = np.sum(np.abs(c) ** 2, axis=1) + sigma2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mmse = 1.0 - np.abs(np.diag(c)) ** 2 / totals
+        if not np.all(mmse > 0):
+            raise ValueError(f"user {np.argmin(mmse > 0)}'s MMSE receiver saturated (interference "
+                             "plus noise is zero at rounding); WMMSE undefined")
+        return np.diag(c) / totals, 1.0 / mmse
+
     c = hs.conj().T @ w
+    u, v = receivers(c)
     rate = sum_rate(c)
     best_rate, best_b = rate, None  # None: the start w, exactly as scored
     for _ in range(iters):
-        totals = np.sum(np.abs(c) ** 2, axis=1) + sigma2
-        u = np.diag(c) / totals
-        v = 1.0 / (1.0 - np.abs(np.diag(c)) ** 2 / totals)  # inverse MMSE
-
         sd = np.sqrt(v * np.abs(u) ** 2)
         eigval, q = np.linalg.eigh(sd[:, None] * gram * sd)
         # eigenpairs below rounding carry no power
@@ -728,6 +735,7 @@ def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,
                 hi = mid
         b = sd[:, None] * q @ ((g * coeff) / (eigval[:, None] + hi))
         c = gram @ b
+        u, v = receivers(c)
         new_rate = sum_rate(c)
         if new_rate > best_rate:
             best_rate, best_b = new_rate, b

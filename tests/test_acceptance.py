@@ -329,6 +329,6 @@ def test_c11_byte_identical_reruns(tmp_path):
             # the last run has more workers than trials
             for label, workers in (("a", 1), ("b", 3), ("c", 1), ("d", 8)):
                 out = tmp_path / f"{name}_{label}.csv"
-                emit_csv(runner(cfg, workers=workers), out)
+                emit_csv(runner(cfg.replace(workers=workers)), out)
                 paths.append(out.read_bytes())
             assert paths[0] == paths[1] == paths[2] == paths[3], name

@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fddlink.cli import main
+from fddlink.cli import _load_scenario, build_parser, main
 from fddlink.config import SE_METHODS
 
 
@@ -311,3 +313,40 @@ def test_sim_se_objective_beyond_the_float_range(tmp_path):
     means = {r["metric"]: float(r["mean"]) for r in read_rows(out)}
     assert means["se_lower_bound"] * math.log(2) > math.log(sys.float_info.max)
     assert math.isfinite(means["true_sum_se"])
+
+
+def test_saturated_wmmse_receiver_names_the_user(tmp_path, capsys):
+    # at -3200 dBm noise a user of 3 on 2 antennas hears its own stream alone
+    # at rounding: its MMSE is zero and its WMMSE weight undefined
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_antennas = 2\nn_users = 3\nnoise_dbm = -3200\ntrials = 6\nseed = 5\n"
+                   "b_tot_grid = 0\nse_methods = wmmse_perfect\n")
+    assert main(["sim", "se", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert re.match(r"error: user \d's MMSE receiver saturated .*\(seed 5, trial 0, "
+                    r"n_antennas 2, n_paths 3, power_dbm 43\.0, b_tot 0, method wmmse_perfect\)$",
+                    err)
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from([["sim", "se"], ["sim", "mse"], ["sim", "delta"], ["precode"]]),
+       paper_scale=st.booleans(), seed=st.none() | st.integers(0, 2**32),
+       workers=st.none() | st.integers(1, 8))
+def test_config_file_or_none_give_one_scenario(tmp_path_factory, command, paper_scale, seed,
+                                               workers):
+    # every subset of the overrides that the command takes resolves to the
+    # same config without --config as with an empty scenario file
+    args = [*command, "--out", "o.csv"]
+    if seed is not None:
+        args += ["--seed", str(seed)]
+    if command[0] == "sim":
+        args += ["--paper-scale"] * paper_scale
+        args += [] if workers is None else ["--workers", str(workers)]
+    empty = tmp_path_factory.getbasetemp() / "empty.cfg"
+    empty.write_text("")
+    parser = build_parser()
+    cfg = _load_scenario(parser.parse_args(args))
+    assert cfg == _load_scenario(parser.parse_args([*args, "--config", str(empty)]))
+    if "--paper-scale" in args:
+        assert (cfg.n_antennas, cfg.n_users, cfg.n_grid) == (256, 16, (256,))

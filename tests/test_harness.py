@@ -127,7 +127,7 @@ class TestMseExperiment:
 
         monkeypatch.setattr(harness, "_csi_pass", spy_pass)
         monkeypatch.setattr(harness, "_records", spy_records)
-        run_mse_experiment(cfg, workers)
+        run_mse_experiment(cfg.replace(workers=workers))
         assert sorted(sizes, reverse=True) == sorted(expected * len(ALLOCATORS), reverse=True)
         assert samples[0].tobytes() == want.tobytes()
 
@@ -181,7 +181,7 @@ class TestDeltaExperiment:
     def test_block_layout(self, monkeypatch, kw, workers, expected):
         sizes = self.spy_blocks(monkeypatch)
         cfg = small_cfg(**kw)
-        run_delta_experiment(cfg, workers)
+        run_delta_experiment(cfg.replace(workers=workers))
         assert sorted(sizes, reverse=True) == sorted(expected * len(cfg.l_grid), reverse=True)
 
     def test_one_steering_matrix_and_eta_per_pass(self, monkeypatch):
@@ -191,7 +191,7 @@ class TestDeltaExperiment:
         count_calls(monkeypatch, calls, channel, "steering_matrix")
         count_calls(monkeypatch, calls, allocation, "eta")
         sizes = self.spy_blocks(monkeypatch)
-        run_delta_experiment(small_cfg(**{**self.BLOCKS_OF_20, "trials": 45}), 1)
+        run_delta_experiment(small_cfg(**{**self.BLOCKS_OF_20, "trials": 45}))
         assert len(sizes) == 3 * 2
         assert calls == {"steering_matrix": len(sizes), "eta": len(sizes)}
 
@@ -228,7 +228,7 @@ class TestDeltaExperiment:
 
         monkeypatch.setattr(reconstruction, "outer_error_norm", spy_norm)
         monkeypatch.setattr(harness, "_records", spy_records)
-        run_delta_experiment(cfg, 1)
+        run_delta_experiment(cfg)
         assert chunks == [4, 3] + [1] * 7
         assert samples[0].tobytes() == want.tobytes()
 
@@ -383,11 +383,11 @@ class TestSeExperiment:
         # blocks of 2 drops at 1 and 3 workers (5 trials: the last block holds
         # one), of 1 drop at 5 workers
         cfg = small_cfg(**self.SIXTEEN_POINTS)
-        blocked = se_samples(cfg, workers)
+        blocked = se_samples(cfg.replace(workers=workers))
         solve_batch = precoding.gpip_solve_batch
         monkeypatch.setattr(precoding, "gpip_solve_batch",
                             lambda problems, gcfg: [solve_batch([pp], gcfg)[0] for pp in problems])
-        alone = se_samples(cfg, 1)
+        alone = se_samples(cfg)
         np.testing.assert_array_equal(blocked, alone)
 
     @pytest.mark.parametrize("kw, workers, expected", [
@@ -403,7 +403,7 @@ class TestSeExperiment:
     ])
     def test_block_layout(self, monkeypatch, kw, workers, expected):
         sizes = self.spy_batches(monkeypatch)
-        se_samples(small_cfg(**{"b_tot_grid": (6,), **kw}), workers)
+        se_samples(small_cfg(**{"b_tot_grid": (6,), **kw}).replace(workers=workers))
         assert sorted(sizes, reverse=True) == expected
 
     def test_no_gpip_method_queues_nothing(self, monkeypatch):
@@ -683,8 +683,8 @@ class TestDeterminismAndCsv:
         cfg = small_cfg(trials=8)
         one = tmp_path / "w1.csv"
         four = tmp_path / "w4.csv"
-        emit_csv(run_mse_experiment(cfg, workers=1), one)
-        emit_csv(run_mse_experiment(cfg, workers=4), four)
+        emit_csv(run_mse_experiment(cfg.replace(workers=1)), one)
+        emit_csv(run_mse_experiment(cfg.replace(workers=4)), four)
         assert one.read_bytes() == four.read_bytes()
 
     def test_se_experiment_worker_independence(self, tmp_path):
@@ -692,8 +692,8 @@ class TestDeterminismAndCsv:
                         se_methods=("gpip_robust", "zf_nofeedback"))
         a = tmp_path / "a.csv"
         b = tmp_path / "b.csv"
-        emit_csv(run_se_experiment(cfg, workers=1), a)
-        emit_csv(run_se_experiment(cfg, workers=3), b)
+        emit_csv(run_se_experiment(cfg.replace(workers=1)), a)
+        emit_csv(run_se_experiment(cfg.replace(workers=3)), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_reruns_are_byte_identical(self, tmp_path):

@@ -875,6 +875,14 @@ class TestWmmse:
         with pytest.raises(ValueError, match="column 1 is all zero"):
             wmmse_precoder(h, pp)
 
+    def test_saturated_receiver_rejected(self):
+        # orthogonal users and ZF: no interference, and user 1's noise is
+        # below the rounding of its signal, so its MMSE is exactly zero
+        h = np.eye(4, 2, dtype=complex)
+        pp = make_problem(hhat=h, sigma2=np.array([1.0, 1e-300]), power=1.0)
+        with pytest.raises(ValueError, match="user 1's MMSE receiver saturated"):
+            wmmse_precoder(h, pp)
+
     def test_large_array_memory(self):
         # one N x N complex matrix alone would take 64 MiB here
         rng = np.random.default_rng(26)
