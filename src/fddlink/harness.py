@@ -5,27 +5,18 @@ streams are derived by hashing (seed, trial index), so results do not depend
 on execution order or worker count.  Records carry a mean, its standard
 error, and the sample count for every sweep coordinate and method.
 
-CSI is built for a stack of path sets and the whole budget grid in one
-pass: one allocation, one feedback plan and one reconstruction for all of
-them, whose leading axes are the path sets and the budgets.  A stack of
-path sets is built once from rows of standard uniforms
-(channel.paths_from_uniforms).  `sim se` stacks a scene's K users, drawn as
-one (K, 4L+1) array, and `sim delta` and `sim mse` run their trials in
-blocks and stack a block's path sets, one row of uniforms per trial, so one
-pass serves a block and path count (`sim delta`) or allocator (`sim mse`).
-A block holds as many trials as the pass's small per-trial arrays fit in
-DELTA_BLOCK_BYTES (_block_trials), and `sim delta`'s outer-error Gram step,
-whose arrays are larger, runs on chunks of the block (_gram_trials).  Each
-CSI source hands the precoders one N x K x R stack of the users'
-reconstruction factors, with a leading budget axis for the sources that
-depend on the budget; the DFT-codebook search takes the K users' channels
-in one call per budget.  The SE sweep runs drops in blocks of consecutive
-trials.  Each scene is one pass over its points (_se_scene): it precodes
-its ZF points in one stacked zf_precoder call and queues its GPIP problems,
-the MMSE and no-feedback ones in one basis of its users' estimated steering
-vectors (_signal_basis), and a block's queue is one lockstep
-gpip_solve_batch call (se_samples).  Each stack of points is scored in one
-call of each score (_score).
+One CSI pass (_csi_pass), shared by every experiment, turns a stack of true
+path sets and their estimates into MMSE CSI at the whole budget grid: one
+allocation, one feedback plan and one estimate, whose leading axes are the
+path sets and the budgets.  A stack of path sets is built once from rows of
+standard uniforms (channel.paths_from_uniforms).  `sim se` stacks a scene's
+K users, drawn as one (K, 4L+1) array, and `sim delta` and `sim mse` run
+their trials in blocks (_block_trials) and stack a block's path sets, one
+row of uniforms per trial, so one pass serves a block and path count
+(`sim delta`) or allocator (`sim mse`).  `sim se` builds each CSI source
+as one N x K x R stack of the users' factors (_build_csi), walks each
+scene's points in one pass (_se_scene) and solves a block of drops' GPIP
+problems in one lockstep call (se_samples).
 """
 
 from __future__ import annotations
@@ -33,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -122,31 +113,44 @@ def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
 # the drop pipeline shared by every experiment
 
 
-def _draw_scene(cfg: ScenarioConfig, rng):
-    """True paths of the cfg.n_users users and the base station's estimates of
-    them, each one PathSet stacking the users, (K, L)."""
-    scene = channel.draw_scene(cfg, rng)
+def _estimates(cfg: ScenarioConfig, ps, rngs):
+    """The base station's estimates of path sets ``ps`` (..., L), ps itself
+    when both sigmas are 0: from one generator of ``rngs`` for the stack, or
+    one per path set of its leading axis (channel.perturb_estimates)."""
     if cfg.aoa_sigma == 0 and cfg.gain_rel_sigma == 0:
-        return scene, scene
-    return scene, channel.perturb_estimates(scene, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
+        return ps
+    if len(rngs) == 1:
+        return channel.perturb_estimates(ps, cfg.aoa_sigma, cfg.gain_rel_sigma, rngs[0])
+    rows = zip(*(getattr(ps, f.name) for f in fields(ps)))
+    return channel.PathSet.stack([_estimates(cfg, channel.PathSet(*row), [rng])
+                                  for row, rng in zip(rows, rngs)])
 
 
-def _csi_pass(ps, strategy: str, budgets, geom):
-    """Feedback and MMSE estimate of path sets at every budget, in one pass.
+def _channels(truth, ests, geom):
+    """The true DL channels (..., N) of path sets and the estimates' DL
+    steering matrices (..., N, L), both from one when ``truth is ests``."""
+    a = channel.steering_matrix(truth.thetas, geom.lambda_dl, geom)
+    a_est = a if ests is truth else channel.steering_matrix(ests.thetas, geom.lambda_dl, geom)
+    return channel.superpose(a, channel.dl_path_gains(truth, geom)), a_est
 
-    The estimates are the true paths.  For path sets stacked (..., L),
-    returns the feedback plan (bits (..., budgets, L)), A (..., 1, N, L),
-    betas (..., 1, L), etas (..., budgets, L), h (..., 1, N) and hhat
-    (..., budgets, N).  One steering matrix and one eta per path set and
-    budget serve the channel, the estimate and any norm of them.
+
+def _csi_pass(truth, ests, strategy: str, budgets, geom, a):
+    """MMSE CSI of path sets at every budget, in one pass.
+
+    ``truth`` and ``ests`` stack the true and the estimated path sets
+    (..., L), and ``a`` (..., N, L) holds the estimates' DL steering
+    matrices.  Allocates bits over the estimated powers, quantizes the true
+    DL phases and builds the estimate on ``a``.  Returns the feedback plan
+    (bits (..., budgets, L)), the estimated betas (..., 1, L), etas
+    (..., budgets, L) and hhat (..., budgets, N).  The callers hold the
+    true channels (_channels) and add any error columns (mmse_factor).
     """
-    bits = allocation.allocate_bits(strategy, ps.betas**2, budgets)
-    fp = feedback.make_feedback_plan(ps, bits, geom)
-    a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)[..., None, :, :]
-    betas = ps.betas[..., None, :]
+    bits = allocation.allocate_bits(strategy, ests.betas**2, budgets)
+    fp = feedback.make_feedback_plan(truth, bits, geom)
+    betas = ests.betas[..., None, :]
     etas = allocation.eta(fp.bits)
-    h = channel.superpose(a, channel.dl_path_gains(ps, geom)[..., None, :])
-    return fp, a, betas, etas, h, reconstruction.mmse_estimate(a, betas, etas, fp.q_values)
+    return fp, betas, etas, reconstruction.mmse_estimate(a[..., None, :, :], betas, etas,
+                                                         fp.q_values)
 
 
 # Working set of one block of a `sim delta` or `sim mse` pass.  A block holds
@@ -200,26 +204,30 @@ def _uniform_rows(trials, width: int) -> np.ndarray:
 def run_mse_experiment(cfg: ScenarioConfig) -> list:
     """Per-user reconstruction MSE versus the total feedback budget.
 
-    For each budget and each allocation strategy the closed-form expected MSE
-    and the realized Monte Carlo squared error are both aggregated.  Trials
-    run in blocks (_block_trials), and a block stacks its trials' path sets
-    and runs one CSI pass per strategy (_csi_pass).  A path set's errors do
-    not depend on its block, so neither block size nor worker count changes
-    the output.
+    For each budget and each allocation strategy, aggregates the model's
+    expected MSE at the estimated powers, theoretical_weighted_mse, and the
+    realized squared error ||h - hhat||^2 against the true channel.  Each
+    trial draws its path set from one row of its own stream's uniforms, and
+    then, when aoa_sigma or gain_rel_sigma is positive, its estimates'
+    errors from the same stream (_estimates).  Trials run in blocks
+    (_block_trials), and a block stacks its trials' path sets and runs one
+    CSI pass per strategy (_csi_pass).  A path set's errors do not depend
+    on its block, so neither block size nor worker count changes the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
-
     width = channel.uniforms_per_user(cfg.n_paths)
 
     def block(trials):
         ps = channel.paths_from_uniforms(_uniform_rows(trials, width), cfg)
+        ests = _estimates(cfg, ps, [rng for _, rng in trials])
+        h, a_est = _channels(ps, ests, geom)
         out = np.empty((len(trials), len(b_grid), len(ALLOCATORS), 2))
         for si, strategy in enumerate(ALLOCATORS):
-            fp, _, _, _, h, hhat = _csi_pass(ps, strategy, b_grid, geom)
-            out[:, :, si, 0] = allocation.theoretical_weighted_mse(ps.betas, fp.bits,
+            fp, _, _, hhat = _csi_pass(ps, ests, strategy, b_grid, geom, a_est)
+            out[:, :, si, 0] = allocation.theoretical_weighted_mse(ests.betas, fp.bits,
                                                                    geom.num_antennas)
-            out[:, :, si, 1] = np.sum(np.abs(h - hhat) ** 2, axis=-1)
+            out[:, :, si, 1] = np.sum(np.abs(h[:, None] - hhat) ** 2, axis=-1)
         return out
 
     size = _block_trials(cfg, cfg.n_paths)
@@ -244,10 +252,11 @@ def _delta_norms(ps, strategy: str, budgets, geom) -> np.ndarray:
     _gram_trials path sets; each Gram matrix is the BLAS call that a single
     path set makes, so the chunks do not change the norms.
     """
-    fp, a, betas, etas, h, hhat = _csi_pass(ps, strategy, budgets, geom)
+    h, a = _channels(ps, ps, geom)
+    fp, betas, etas, hhat = _csi_pass(ps, ps, strategy, budgets, geom, a)
     step = _gram_trials(len(budgets), geom.num_antennas, len(ps))
-    emp = np.concatenate([
-        reconstruction.outer_error_norm(*(x[i:i + step] for x in (h, hhat, a, betas, etas)))
+    emp = np.concatenate([reconstruction.outer_error_norm(
+        *(x[i:i + step] for x in (h[:, None], hhat, a[:, None], betas, etas)))
         for i in range(0, len(hhat), step)])
     del a, h, hhat  # the large-array limit's temporaries take their place
     return np.stack((emp, reconstruction.asymptotic_delta_norm(betas, etas, fp.deltas)), axis=-1)
@@ -262,9 +271,10 @@ def run_delta_experiment(cfg: ScenarioConfig) -> list:
     over blocks.  Each trial draws one path set per path count, in l_grid
     order, from one row of its own stream's uniforms; a block stacks its
     trials' path sets of each path count and computes both norms for all of
-    them and every budget in one pass (_delta_norms).  The block size comes
-    from the sweep's sizes and its largest path count (_block_trials).  A
-    path set's norms do not depend on its block, so neither block size nor
+    them and every budget in one pass (_delta_norms), whose CSI pass takes
+    the true paths as the estimates whatever the sigmas.  The block size
+    comes from the sweep's sizes and its largest path count (_block_trials).
+    A path set's norms do not depend on its block, so neither block size nor
     worker count changes the output.
     """
     geom = cfg.geometry()
@@ -303,19 +313,16 @@ def _build_csi(source: str, cfg: ScenarioConfig, scene, ests, a_est, h_true,
     """The users' reconstruction factors from one CSI source, stacked N x K x R.
 
     ``scene`` and ``ests`` stack the K users' true and estimated path sets,
-    ``a_est`` is the K x N x L stack of the estimates' DL steering matrices
-    and ``h_true`` the N x K true channel.  "mmse" and "dft" depend on
-    the budget and are built for the whole grid at once, (budgets, N, K, R);
-    the MMSE and no-feedback factors of all K users are one pass, and the
-    DFT codewords of all K users one dft_codebook_feedback call per budget.
-    Column 0 of each factor is the estimate; MMSE and no-feedback factors
-    carry L error columns, DFT and perfect CSI none.
+    ``a_est`` (K, N, L) the estimates' DL steering matrices and ``h_true``
+    the N x K true channel.  "mmse" (one CSI pass, _csi_pass, and its error
+    columns) and "dft" (one codebook search per budget) depend on the budget
+    and are built for the whole grid, (budgets, N, K, R).  Column 0 of each
+    factor is the estimate; MMSE and no-feedback factors carry L error
+    columns, DFT and perfect CSI none.
     """
     if source == "mmse":
-        # bits over the estimated powers, feedback of the true DL phases
-        bits = allocation.allocate_bits(cfg.allocator, ests.betas**2, cfg.b_tot_grid)
-        fp = feedback.make_feedback_plan(scene, bits, geom)
-        factors = reconstruction.reconstruct_mmse(ests, fp, geom, a_est)
+        _, betas, etas, hhat = _csi_pass(scene, ests, cfg.allocator, cfg.b_tot_grid, geom, a_est)
+        factors = reconstruction.mmse_factor(a_est[:, None], hhat, betas, etas)
         return np.ascontiguousarray(np.moveaxis(factors, 0, 2))
     if source == "no_feedback":
         factors = reconstruction.reconstruct_no_feedback(ests, geom, a_est)
@@ -399,10 +406,8 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     evaluation order is raised, named by _label (formatted only then); a
     failing ZF point also cuts ``queue`` back to the GPIP points before it.
     """
-    # one DL steering matrix per angle set serves the channel and the CSI
-    a = channel.steering_matrix(scene.thetas, geom.lambda_dl, geom)
-    a_est = a if ests is scene else channel.steering_matrix(ests.thetas, geom.lambda_dl, geom)
-    h_true = np.ascontiguousarray(channel.superpose(a, channel.dl_path_gains(scene, geom)).T)
+    h_true, a_est = _channels(scene, ests, geom)
+    h_true = np.ascontiguousarray(h_true.T)
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
     # the CSI sources and "basis" by name, and each power's perfect-CSI problem
     built = {}
@@ -553,7 +558,8 @@ def se_samples(cfg: ScenarioConfig) -> np.ndarray:
                 out = np.empty(shape)
                 outs.append(out)
                 for li, L in enumerate(cfg.l_grid):
-                    scene, ests = _draw_scene(cfgs_by_l[L], rng)
+                    scene = channel.draw_scene(cfgs_by_l[L], rng)
+                    ests = _estimates(cfg, scene, [rng])
                     for ni, n in enumerate(cfg.n_grid):
                         _se_scene(cfg, t, scene, ests, cfg.geometry(n), out[ni, li], queue)
         except ValueError as exc:

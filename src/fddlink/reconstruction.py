@@ -25,8 +25,7 @@ from .channel import ArrayGeometry, PathSet
 from .feedback import FeedbackPlan, budget_axis
 
 
-def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry,
-                     a: np.ndarray | None = None) -> np.ndarray:
+def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry) -> np.ndarray:
     """MSE-optimal estimate sum_l eta(B_l) * beta_l * exp(j q_l) * a(theta_l).
 
     ``ps`` may hold true or estimated parameters; the covariance is built
@@ -34,16 +33,14 @@ def reconstruct_mmse(ps: PathSet, fp: FeedbackPlan, geom: ArrayGeometry,
     estimate (eta(0) = 0) and fully to the covariance.  Returns the
     N x (L+1) factor [hhat | E], or for a budget grid's plan the
     (budgets, N, L+1) stack of them; a stack of path sets (..., L) adds its
-    leading axes in front.  ``a`` is the DL steering matrix of ps.thetas
-    (..., N, L) when the caller already holds it.
+    leading axes in front.
     """
-    if a is None:
-        a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
+    a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
     betas = ps.betas
     if budget_axis(ps, fp.bits):
         a, betas = a[..., None, :, :], betas[..., None, :]
     etas = allocation.eta(fp.bits)
-    return _factor(a, mmse_estimate(a, betas, etas, fp.q_values), _error_weights(betas, etas))
+    return mmse_factor(a, mmse_estimate(a, betas, etas, fp.q_values), betas, etas)
 
 
 def mmse_estimate(a: np.ndarray, betas, etas, q_values) -> np.ndarray:
@@ -53,25 +50,26 @@ def mmse_estimate(a: np.ndarray, betas, etas, q_values) -> np.ndarray:
     return channel.superpose(a, etas * betas * np.exp(1j * q_values))
 
 
+def mmse_factor(a: np.ndarray, hhat: np.ndarray, betas, etas) -> np.ndarray:
+    """[hhat | a diag(sqrt(beta**2 * (1 - eta**2)))], broadcasting the leading
+    axes: reconstruct_mmse's factor, given mmse_estimate's hhat."""
+    factor = np.empty((*hhat.shape, a.shape[-1] + 1), dtype=complex)
+    factor[..., 0] = hhat
+    np.multiply(a, np.sqrt(_error_weights(betas, etas))[..., None, :], out=factor[..., 1:])
+    return factor
+
+
 def reconstruct_no_feedback(ps: PathSet, geom: ArrayGeometry,
                             a: np.ndarray | None = None) -> np.ndarray:
     """Unit-phase estimate sum_l beta_l * a(theta_l) built from UL-side data only.
 
-    No phase information exists, so the covariance carries each path's whole
-    power (the zero-bit limit).  Returns the N x (L+1) factor [hhat | E], or
-    (..., N, L+1) for a stack of path sets.  ``a`` is as in reconstruct_mmse.
+    No phase is known: the factor [hhat | E] is mmse_factor's at eta = 0, so
+    E carries each path's whole power.  N x (L+1), or (..., N, L+1) for a
+    stack of path sets; ``a`` is ps.thetas' DL steering matrix, if held.
     """
     if a is None:
         a = channel.steering_matrix(ps.thetas, geom.lambda_dl, geom)
-    return _factor(a, channel.superpose(a, ps.betas.astype(complex)), ps.betas**2)
-
-
-def _factor(a: np.ndarray, hhat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """[hhat | a diag(sqrt(weights))], broadcasting the leading axes."""
-    factor = np.empty((*hhat.shape, a.shape[-1] + 1), dtype=complex)
-    factor[..., 0] = hhat
-    np.multiply(a, np.sqrt(weights)[..., None, :], out=factor[..., 1:])
-    return factor
+    return mmse_factor(a, channel.superpose(a, ps.betas.astype(complex)), ps.betas, 0.0)
 
 
 def _error_weights(betas: np.ndarray, etas: np.ndarray) -> np.ndarray:

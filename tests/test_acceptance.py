@@ -314,6 +314,11 @@ def test_c11_byte_identical_reruns(tmp_path):
             "mse": (run_mse_experiment,
                     ScenarioConfig(n_antennas=16, n_paths=3, trials=6, seed=5,
                                    b_tot_grid=(0, 6))),
+            # estimate errors from each trial's own stream
+            "mse_estimates": (run_mse_experiment,
+                              ScenarioConfig(n_antennas=16, n_paths=3, trials=6, seed=5,
+                                             b_tot_grid=(0, 6), aoa_sigma=0.01,
+                                             gain_rel_sigma=0.05)),
             # blocks of 3 trials at one worker and at 3, of one at 8
             "delta": (run_delta_experiment,
                       ScenarioConfig(n_antennas=64, n_paths=2, l_grid=(2, 8), trials=7,

@@ -217,8 +217,8 @@ def _check_reference_seed(tmp_path, workload, experiment, seed):
 DATA = Path(__file__).resolve().parent / "data"
 
 
-@pytest.mark.parametrize("experiment,workers", [("se", 1), ("se", 3), ("mse", 1)],
-                         ids=["se-w1", "se-w3", "mse-w1"])
+@pytest.mark.parametrize("experiment,workers", [("se", 1), ("se", 3), ("mse", 1), ("mse", 3)],
+                         ids=["se-w1", "se-w3", "mse-w1", "mse-w3"])
 def test_all_methods_config_matches_golden_csv(tmp_path, experiment, workers):
     # all eight SE methods over two array sizes, two path counts, two powers
     # and four budgets, with estimation noise: every CSI source and precoder

@@ -11,7 +11,7 @@ from fddlink.allocation import allocate_bits, eta
 from fddlink.config import ALLOCATORS, ScenarioConfig
 from fddlink.harness import (
     _build_csi,
-    _draw_scene,
+    _estimates,
     derive_trial_seed,
     emit_csv,
     run_delta_experiment,
@@ -99,37 +99,51 @@ class TestMseExperiment:
     def test_blocks_match_the_per_trial_loop(self, monkeypatch, workers, expected):
         # N=64, L=8 and 8 budgets: blocks of up to 20 trials, one CSI pass
         # per block and allocator; the samples equal one trial at a time
-        # through the channel and the reconstruction factor, byte for byte
-        cfg = small_cfg(n_antennas=64, n_paths=8, trials=7,
-                        b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
+        # through the public API, byte for byte, with exact estimates and
+        # with estimates drawn from each trial's stream after its paths
+        base = small_cfg(n_antennas=64, n_paths=8, trials=7,
+                         b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
+        for cfg in (base, base.replace(aoa_sigma=0.01, gain_rel_sigma=0.05)):
+            sizes, samples = [], []
+            csi_pass, records = harness._csi_pass, harness._records
+
+            def spy_pass(truth, *args):
+                sizes.append(truth.thetas.shape[0])
+                return csi_pass(truth, *args)
+
+            def spy_records(experiment, cfg, got, *args, **kw):
+                samples.append(got)
+                return records(experiment, cfg, got, *args, **kw)
+
+            monkeypatch.setattr(harness, "_csi_pass", spy_pass)
+            monkeypatch.setattr(harness, "_records", spy_records)
+            run_mse_experiment(cfg.replace(workers=workers))
+            monkeypatch.undo()
+            assert sorted(sizes, reverse=True) == sorted(expected * len(ALLOCATORS),
+                                                         reverse=True)
+            assert samples[0].tobytes() == self.per_trial_samples(cfg).tobytes()
+
+    @staticmethod
+    def per_trial_samples(cfg):
+        """`sim mse` samples of each trial alone: bits over the estimated
+        powers, feedback of the true phases, the error against the true channel."""
         geom = cfg.geometry()
         want = np.empty((cfg.trials, len(cfg.b_tot_grid), len(ALLOCATORS), 2))
         for t in range(cfg.trials):
             rng = np.random.default_rng(derive_trial_seed(cfg.seed, t))
             ps = draw_user_paths(cfg, rng)
+            est = ps
+            if cfg.aoa_sigma or cfg.gain_rel_sigma:
+                est = channel.perturb_estimates(ps, cfg.aoa_sigma, cfg.gain_rel_sigma, rng)
             h = channel.dl_channel(ps, geom)
             for si, strategy in enumerate(ALLOCATORS):
-                bits = allocation.allocate_bits(strategy, ps.betas**2, cfg.b_tot_grid)
+                bits = allocation.allocate_bits(strategy, est.betas**2, cfg.b_tot_grid)
                 fp = feedback.make_feedback_plan(ps, bits, geom)
-                want[t, :, si, 0] = allocation.theoretical_weighted_mse(ps.betas, bits, 64)
-                for bi, factor in enumerate(reconstruction.reconstruct_mmse(ps, fp, geom)):
+                want[t, :, si, 0] = allocation.theoretical_weighted_mse(est.betas, bits,
+                                                                        cfg.n_antennas)
+                for bi, factor in enumerate(reconstruction.reconstruct_mmse(est, fp, geom)):
                     want[t, bi, si, 1] = np.sum(np.abs(h - factor[:, 0]) ** 2)
-        sizes, samples = [], []
-        csi_pass, records = harness._csi_pass, harness._records
-
-        def spy_pass(ps, *args):
-            sizes.append(ps.thetas.shape[0])
-            return csi_pass(ps, *args)
-
-        def spy_records(experiment, cfg, got, *args, **kw):
-            samples.append(got)
-            return records(experiment, cfg, got, *args, **kw)
-
-        monkeypatch.setattr(harness, "_csi_pass", spy_pass)
-        monkeypatch.setattr(harness, "_records", spy_records)
-        run_mse_experiment(cfg.replace(workers=workers))
-        assert sorted(sizes, reverse=True) == sorted(expected * len(ALLOCATORS), reverse=True)
-        assert samples[0].tobytes() == want.tobytes()
+        return want
 
 
 class TestDeltaExperiment:
@@ -240,7 +254,9 @@ class TestBuildCsi:
         cfg = small_cfg(n_antennas=16, n_users=3, n_paths=3, b_tot_grid=(0, 3, 9, 15),
                         aoa_sigma=0.01, gain_rel_sigma=0.05)
         geom = cfg.geometry()
-        scene, ests = _draw_scene(cfg, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        scene = channel.draw_scene(cfg, rng)
+        ests = _estimates(cfg, scene, [rng])
         # the same scene user by user: the users' paths, then each one's estimates
         rng = np.random.default_rng(8)
         users = [draw_user_paths(cfg, rng) for _ in range(cfg.n_users)]
@@ -316,12 +332,12 @@ class TestSeExperiment:
         # (trial, budget) for every user and MMSE CSI once per trial for every
         # user and the whole budget grid, each shared by every power of the grid
         calls = {}
-        count_calls(monkeypatch, calls, reconstruction, "reconstruct_mmse")
+        count_calls(monkeypatch, calls, harness, "_csi_pass")
         count_calls(monkeypatch, calls, feedback, "dft_codebook_feedback")
         cfg = small_cfg(trials=2, b_tot_grid=(9, 12), power_dbm_grid=(30.0, 37.0, 43.0),
                         se_methods=("zf_mmse", "zf_dft"))
         run_se_experiment(cfg)
-        assert calls == {"reconstruct_mmse": cfg.trials,
+        assert calls == {"_csi_pass": cfg.trials,
                          "dft_codebook_feedback": cfg.trials * len(cfg.b_tot_grid)}
 
     @pytest.mark.parametrize("aoa_sigma, per_scene", [(0.0, 1), (0.01, 2)])
@@ -564,7 +580,7 @@ class TestSeExperiment:
         # the no-feedback ZF points come first; the MMSE source is built, and
         # fails, at the first budget's robust GPIP point
         cfg = small_cfg(trials=1, b_tot_grid=(0, 3), se_methods=("zf_nofeedback", "gpip_robust"))
-        self.fail_on_call(monkeypatch, reconstruction, "reconstruct_mmse", 0,
+        self.fail_on_call(monkeypatch, harness, "_csi_pass", 0,
                           ValueError("mmse broke"))
         with pytest.raises(ValueError, match=r"^mmse broke \(seed 321, trial 0, .*"
                                              r"b_tot 0, method gpip_robust\)$"):
