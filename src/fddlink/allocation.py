@@ -176,8 +176,6 @@ def theoretical_weighted_mse(betas, bits, num_antennas: int) -> float | np.ndarr
     if not (betas.ndim >= 1 and (grid or b.ndim == betas.ndim)
             and b.shape[:betas.ndim - 1] == betas.shape[:-1] and b.shape[-1:] == betas.shape[-1:]):
         raise ValueError("betas and bits must have matching lengths")
-    weights = np.broadcast_to((betas**2)[..., None, :] if grid else betas**2, b.shape)
-    rows = zip(weights.reshape(-1, b.shape[-1]), nmmse(b).reshape(-1, b.shape[-1]))
-    # row by row: one dot product per path set and budget, as for a single one
-    mse = np.array([num_antennas * (w @ row) for w, row in rows]).reshape(b.shape[:-1])
+    weights = (betas**2)[..., None, :] if grid else betas**2
+    mse = num_antennas * np.vecdot(weights, nmmse(b))
     return mse if mse.ndim else float(mse)

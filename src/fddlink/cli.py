@@ -79,7 +79,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="scenario file (flat key = value text)")
     sim.add_argument("--out", required=True, help="output CSV path")
     sim.add_argument("--seed", type=int, help="override the master seed")
-    sim.add_argument("--workers", type=int, help="trial-level parallelism")
+    sim.add_argument("--workers", type=int,
+                     help="threads over `sim se` blocks of drops; delta and mse ignore it")
     sim.add_argument("--paper-scale", action="store_true",
                      help="use the full-scale reference scenario sizes")
     sim.set_defaults(func=_cmd_sim)

@@ -2,8 +2,10 @@
 
 Every experiment is a pure function of (config, master seed): per-trial RNG
 streams are derived by hashing (seed, trial index), so results do not depend
-on execution order or worker count.  Records carry a mean, its standard
-error, and the sample count for every sweep coordinate and method.
+on execution order or worker count.  Trials run in blocks fixed by the
+workload (_run_blocks), and only `sim se` maps its blocks over cfg.workers
+threads.  Records carry a mean, its standard error, and the sample count
+for every sweep coordinate and method.
 
 One CSI pass (_csi_pass), shared by every experiment, turns a stack of true
 path sets and their estimates into MMSE CSI at the whole budget grid: one
@@ -70,23 +72,17 @@ def emit_csv(records, path) -> None:
             ])
 
 
-def _run_blocks(cfg: ScenarioConfig, block_fn, size: int) -> np.ndarray:
-    """Evaluate block_fn on consecutive blocks of ``size`` trials.
+def _run_blocks(cfg: ScenarioConfig, block_fn, size: int, map_fn=map) -> np.ndarray:
+    """Evaluate block_fn on consecutive blocks of ``size`` trials, at least one.
 
     A block is a list of (trial, rng) pairs, and block_fn returns one output
-    per pair; outputs stack in trial order.  cfg.workers threads map over
-    blocks, and a block holds at least one trial and no more than
-    ceil(trials / workers), so every worker has a block.
+    per pair; outputs stack in trial order.  ``map_fn`` maps block_fn over
+    the blocks in order: the builtin map runs them in the calling thread.
     """
-    size = max(1, min(size, math.ceil(cfg.trials / cfg.workers)))
+    size = max(1, size)
     trials = [(t, np.random.default_rng(derive_trial_seed(cfg.seed, t))) for t in range(cfg.trials)]
     blocks = [trials[i:i + size] for i in range(0, len(trials), size)]
-    if cfg.workers <= 1:
-        results = [block_fn(block) for block in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(block_fn, blocks))
-    return np.stack([out for outs in results for out in outs])
+    return np.stack([out for outs in map_fn(block_fn, blocks) for out in outs])
 
 
 def _records(experiment: str, cfg: ScenarioConfig, samples: np.ndarray, axes,
@@ -210,9 +206,9 @@ def run_mse_experiment(cfg: ScenarioConfig) -> list:
     trial draws its path set from one row of its own stream's uniforms, and
     then, when aoa_sigma or gain_rel_sigma is positive, its estimates'
     errors from the same stream (_estimates).  Trials run in blocks
-    (_block_trials), and a block stacks its trials' path sets and runs one
-    CSI pass per strategy (_csi_pass).  A path set's errors do not depend
-    on its block, so neither block size nor worker count changes the output.
+    (_block_trials) in the calling thread, and a block stacks its trials'
+    path sets and runs one CSI pass per strategy (_csi_pass).  A path set's
+    errors do not depend on its block, so its size does not change the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
@@ -267,15 +263,14 @@ def run_delta_experiment(cfg: ScenarioConfig) -> list:
 
     Emits the realized (1/N^2)*||Delta||_F^2 alongside the large-array
     closed-form value evaluated at the same realized quantization errors.
-    Trials run in blocks of consecutive trials, and cfg.workers threads map
-    over blocks.  Each trial draws one path set per path count, in l_grid
-    order, from one row of its own stream's uniforms; a block stacks its
-    trials' path sets of each path count and computes both norms for all of
-    them and every budget in one pass (_delta_norms), whose CSI pass takes
-    the true paths as the estimates whatever the sigmas.  The block size
-    comes from the sweep's sizes and its largest path count (_block_trials).
-    A path set's norms do not depend on its block, so neither block size nor
-    worker count changes the output.
+    Trials run in blocks of consecutive trials in the calling thread.  Each
+    trial draws one path set per path count, in l_grid order, from one row
+    of its own stream's uniforms; a block stacks its trials' path sets of
+    each path count and computes both norms for all of them and every budget
+    in one pass (_delta_norms), whose CSI pass takes the true paths as the
+    estimates whatever the sigmas.  The block size comes from the sweep's
+    sizes and its largest path count (_block_trials).  A path set's norms do
+    not depend on its block, so its size does not change the output.
     """
     geom = cfg.geometry()
     b_grid = cfg.b_tot_grid
@@ -358,11 +353,13 @@ def _zf_columns(hhat: np.ndarray, hhat_nf: np.ndarray) -> np.ndarray:
     return np.where(fallback[..., None, :], hhat_nf, hhat) if fallback.any() else hhat
 
 
-def _label(cfg: ScenarioConfig, point: tuple) -> str:
-    """What reproduces a failed SE point (trial, N, L, power, budget, method)."""
+def _label(cfg: ScenarioConfig, exc: Exception, point: tuple) -> Exception:
+    """``exc`` re-made with its reason and what reproduces its failed SE
+    point (trial, N, L, power, budget, method)."""
     trial, n, paths, pdbm, b_tot, method = point
-    return (f"seed {cfg.seed}, trial {trial}, n_antennas {n}, n_paths {paths}, "
-            f"power_dbm {pdbm}, b_tot {b_tot}, method {method}")
+    return type(exc)(f"{getattr(exc, 'reason', exc)} (seed {cfg.seed}, trial {trial}, "
+                     f"n_antennas {n}, n_paths {paths}, power_dbm {pdbm}, b_tot {b_tot}, "
+                     f"method {method})")
 
 
 def _se_points(cfg: ScenarioConfig) -> list:
@@ -381,6 +378,7 @@ def _score(targets, w, h_true, factors, sigma2, powers, iterations, basis=None) 
     each score on a scene's stacked precoders w (..., N, K), each point
     bit-equal to its own calls.  Precoders in the coordinates of ``basis``
     Q score Q w on the N-dimensional true channel, the bound in coordinates.
+    A point whose SINR is undefined raises the scores' PointError.
     """
     pp = precoding.PrecodingProblem(factors=factors, sigma2=sigma2, power=powers)
     rates = precoding.true_sum_se(w if basis is None else basis @ w, h_true, pp)
@@ -403,8 +401,8 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
     columns; a WMMSE point is precoded on the spot and a ZF point collected.
     Then the ZF points are precoded in one stacked zf_precoder call and the
     ZF and WMMSE points scored together (_score).  The first failure in
-    evaluation order is raised, named by _label (formatted only then); a
-    failing ZF point also cuts ``queue`` back to the GPIP points before it.
+    evaluation order is raised, named by _label; a failing ZF or scored
+    point also cuts ``queue`` back to the GPIP points before it.
     """
     h_true, a_est = _channels(scene, ests, geom)
     h_true = np.ascontiguousarray(h_true.T)
@@ -446,20 +444,21 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
         points, targets, queued, estimates, w = zip(*scored)
         estimates, w = np.stack(estimates), list(w)
         zf = [i for i, wi in enumerate(w) if wi is None]
-        if zf:
-            cols = _zf_columns(estimates[zf], built["no_feedback"][..., 0])
-            try:
-                w_zf = precoding.zf_precoder(cols)
-            except ValueError as exc:
-                # a ZfError names its point; any other failure is the first point's
-                failed = zf[getattr(exc, "point", None) or 0]
-                del queue[queued[failed]:]
-                raise type(exc)(f"{getattr(exc, 'reason', exc)} "
-                                f"({_label(cfg, points[failed])})") from exc
-            for i, wi in zip(zf, w_zf):
-                w[i] = wi
-        _score(targets, np.stack(w), h_true, estimates[..., None], sigma2,
-               np.array([cfg.power_watts(p[3]) for p in points]), [0] * len(w))
+        # a ZfError's point indexes the ZF points and a scoring error's all
+        # points; any other failure is the first point's
+        indices = zf
+        try:
+            if zf:
+                cols = _zf_columns(estimates[zf], built["no_feedback"][..., 0])
+                for i, wi in zip(zf, precoding.zf_precoder(cols)):
+                    w[i] = wi
+            indices = range(len(w))
+            _score(targets, np.stack(w), h_true, estimates[..., None], sigma2,
+                   np.array([cfg.power_watts(p[3]) for p in points]), [0] * len(w))
+        except ValueError as exc:
+            failed = indices[getattr(exc, "point", None) or 0]
+            del queue[queued[failed]:]
+            raise _label(cfg, exc, points[failed]) from exc
 
     for method, pdbm, bi, slot in _se_points(cfg):
         point = (trial, geom.num_antennas, len(scene), pdbm, cfg.b_tot_grid[bi], method)
@@ -467,7 +466,7 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
             evaluate(method, pdbm, bi, slot, point)
         except ValueError as exc:
             precode_and_score()  # a failing ZF point before this one comes first
-            raise type(exc)(f"{exc} ({_label(cfg, point)})") from exc
+            raise _label(cfg, exc, point) from exc
     precode_and_score()
 
 
@@ -479,25 +478,32 @@ def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -
 
     ``failure`` is the inline failure that stopped the queue, if any: the
     queued points all precede it in evaluation order, so the first of them
-    that fails is reported instead of it.
+    that fails, in the solver or else in scoring, is reported instead of it.
     """
     gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
     try:
         results = precoding.gpip_solve_batch([pp for _, _, pp, _, _ in queue], gcfg)
     except precoding.GpipError as exc:
-        raise type(exc)(f"{exc.reason} ({_label(cfg, queue[exc.problem][0])})") from exc
-    if failure is not None:
-        raise failure
+        raise _label(cfg, exc, queue[exc.problem][0]) from exc
     # a scene's channel and basis serve all of its points of one shape
     groups = {}
-    for (_, target, pp, h_true, basis), result in zip(queue, results):
+    for i, ((_, target, pp, h_true, basis), result) in enumerate(zip(queue, results)):
         groups.setdefault((id(h_true), pp.factors.shape), []).append(
-            (target, pp, h_true, basis, result))
+            (i, target, pp, h_true, basis, result))
+    failed = []  # (queue index, error) of each group's first point that fails
     for points in groups.values():
-        targets, pps, (h_true, *_), (basis, *_), results = zip(*points)
-        _score(targets, np.stack([r.f for r in results]), h_true,
-               np.stack([p.factors for p in pps]), pps[0].sigma2,
-               np.array([p.power for p in pps]), [r.iterations for r in results], basis)
+        index, targets, pps, (h_true, *_), (basis, *_), results = zip(*points)
+        try:
+            _score(targets, np.stack([r.f for r in results]), h_true,
+                   np.stack([p.factors for p in pps]), pps[0].sigma2,
+                   np.array([p.power for p in pps]), [r.iterations for r in results], basis)
+        except precoding.PointError as exc:
+            failed.append((index[exc.point], exc))
+    if failed:
+        i, exc = min(failed, key=lambda f: f[0])
+        raise _label(cfg, exc, queue[i][0]) from exc
+    if failure is not None:
+        raise failure
 
 
 # GPIP problems per gpip_solve_batch call that a block of drops aims for.  A
@@ -534,15 +540,15 @@ def se_samples(cfg: ScenarioConfig) -> np.ndarray:
     replicated across budgets.
 
     Drops run in blocks of consecutive trials, and cfg.workers threads map
-    over blocks.  Each drop of a block draws its scenes, scores each scene's
-    ZF and WMMSE points in one stacked pass (_se_scene), and queues its GPIP
-    points; the block's whole queue, every drop and every (L, N) scene, is
-    then solved in one gpip_solve_batch call.  A block holds
-    ceil(GPIP_BATCH / P) drops, P the GPIP points per drop, but no more
-    than ceil(trials / workers), so every worker has a block, and one drop
-    when P is 0.  A problem's result does not depend on its batch, so
-    neither block size nor worker count changes the output.  A solver or ZF
-    failure is re-raised with the seed, trial, sweep point and method that
+    over blocks; one worker runs them in the calling thread.  Each drop of a
+    block draws its scenes, scores each scene's ZF and WMMSE points in one
+    stacked pass (_se_scene), and queues its GPIP points; the block's whole
+    queue, every drop and every (L, N) scene, is then solved in one
+    gpip_solve_batch call.  A block holds ceil(GPIP_BATCH / P) drops, P the
+    GPIP points per drop, and one drop when P is 0, at every worker count.
+    A problem's result does not depend on its batch, so neither block size
+    nor worker count changes the output.  A solver, ZF or scoring failure
+    is re-raised with the seed, trial, sweep point and method that
     reproduce it: the lowest failing trial's, and within that trial the
     first failure in evaluation order.
     """
@@ -567,7 +573,10 @@ def se_samples(cfg: ScenarioConfig) -> np.ndarray:
         _solve_queue(cfg, queue, failure)
         return outs
 
-    return _run_blocks(cfg, block, size)
+    if cfg.workers == 1:
+        return _run_blocks(cfg, block, size)
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        return _run_blocks(cfg, block, size, pool.map)
 
 
 def run_se_experiment(cfg: ScenarioConfig) -> list:

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ZfError(ValueError):
-    """Raised when zero-forcing is undefined.
+class PointError(ValueError):
+    """Raised when a result is undefined for some point of a stack.
 
     ``reason`` says why; ``point`` is the index, in C order over the leading
     axes of a stack, of the first point it is undefined for, which the
@@ -51,6 +51,10 @@ class ZfError(ValueError):
         super().__init__(reason if point is None else f"point {point}: {reason}")
         self.reason = reason
         self.point = point
+
+
+class ZfError(PointError):
+    """Raised when zero-forcing is undefined."""
 
 
 class GpipError(RuntimeError):
@@ -206,10 +210,26 @@ def sum_se_lower_bound(w: np.ndarray, pp: PrecodingProblem) -> float | np.ndarra
     Noise enters as sigma2/P scaled by ||W||_F^2, so the value depends only
     on the precoder's direction and matches the unit-norm convention exactly.
     A stack of precoders (..., N, K) and of problems gives one bound per
-    point (...), each bit-equal to the point's own call.
+    point (...), each bit-equal to the point's own call.  A user's SINR
+    that is undefined at rounding raises PointError (_require_sinr).
     """
-    q_num, q_den = _ratios(_projections(pp.factors, w), pp.noise_over_power * _power(w))
+    with np.errstate(all="ignore"):  # _require_sinr names a zero or overflowing form
+        q_num, q_den = _ratios(_projections(pp.factors, w), pp.noise_over_power * _power(w))
+    _require_sinr(q_den, q_num)
     return np.sum(np.log2(q_num) - np.log2(q_den), axis=-1)
+
+
+def _require_sinr(den: np.ndarray, finite: np.ndarray) -> None:
+    """Raise PointError unless each user's interference-plus-noise form
+    ``den`` (..., K) is positive and finite at rounding and ``finite`` is
+    finite: the error names the first such point and, in it, the first user.
+    """
+    bad = ~((den > 0) & np.isfinite(den) & np.isfinite(finite))
+    if bad.any():
+        *point, user = np.argwhere(bad)[0]
+        raise PointError(f"user {user}'s SINR is undefined at rounding (interference plus "
+                         "noise is zero or a quadratic form is not finite); SE undefined",
+                         point=int(np.ravel_multi_index(point, bad.shape[:-1])) if point else None)
 
 
 def _scaled_problem(pp: PrecodingProblem):
@@ -650,14 +670,17 @@ def true_sum_se(w: np.ndarray, h_true: np.ndarray, pp: PrecodingProblem) -> floa
     """Sum rate in bits/s/Hz when the true channels meet the N x K precoder ``w``.
 
     A stack of precoders (..., N, K) and of problems gives one rate per point
-    (...), each bit-equal to the point's own call; ``h_true`` broadcasts.
+    (...), each bit-equal to the point's own call; ``h_true`` broadcasts.  A
+    user's SINR that is undefined at rounding raises PointError (_require_sinr).
     """
     h = np.asarray(h_true, dtype=complex)
-    cross = np.abs(h.conj().swapaxes(-1, -2) @ w) ** 2  # [..., k, i] = |h_k^H f_i|^2
-    sig = np.diagonal(cross, axis1=-2, axis2=-1)
-    interference = cross.sum(axis=-1) - sig
-    noise = pp.noise_over_power * _power(w)
-    return np.sum(np.log2(1.0 + sig / (interference + noise)), axis=-1)
+    with np.errstate(all="ignore"):  # _require_sinr names a zero or overflowing form
+        cross = np.abs(h.conj().swapaxes(-1, -2) @ w) ** 2  # [..., k, i] = |h_k^H f_i|^2
+        sig = np.diagonal(cross, axis1=-2, axis2=-1)
+        den = cross.sum(axis=-1) - sig + pp.noise_over_power * _power(w)
+        sinr = sig / den
+    _require_sinr(den, sinr)
+    return np.sum(np.log2(1.0 + sinr), axis=-1)
 
 
 def wmmse_precoder(h_true: np.ndarray, pp: PrecodingProblem, iters: int = 100,

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import re
@@ -6,11 +8,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fddlink.cli import _load_scenario, build_parser, main
-from fddlink.config import SE_METHODS
+from fddlink.config import SE_METHODS, ConfigError, config_from_mapping
 
 
 def read_rows(path) -> list[dict]:
@@ -327,6 +329,58 @@ def test_saturated_wmmse_receiver_names_the_user(tmp_path, capsys):
     assert re.match(r"error: user \d's MMSE receiver saturated .*\(seed 5, trial 0, "
                     r"n_antennas 2, n_paths 3, power_dbm 43\.0, b_tot 0, method wmmse_perfect\)$",
                     err)
+
+
+def test_sim_se_names_a_non_finite_score(tmp_path, capsys):
+    # at -3200 dBm noise ZF leaves a user of 3 on 8 antennas no interference
+    # plus noise at rounding, so its SINR, and the bound's log ratio, would
+    # be NaN or infinite
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text("n_antennas = 8\nn_users = 3\nnoise_dbm = -3200\ntrials = 3\nseed = 5\n"
+                   "b_tot_grid = 0, 6\nse_methods = zf_mmse\n")
+    assert main(["sim", "se", "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Warning" not in err
+    assert re.match(r"error: user \d's SINR is undefined at rounding .*\(seed 5, trial 0, "
+                    r"n_antennas 8, n_paths 3, power_dbm 43\.0, b_tot 0, method zf_mmse\)$", err)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 4), paths=st.integers(1, 3),
+       noise_dbm=st.sampled_from([-3200, -300, -113, 0, 60]),
+       power_dbm=st.sampled_from([-30, 0, 43, 100]),
+       pl_ref_gain_db=st.sampled_from([-300, -54, 0, 100]),
+       pl_exponent=st.sampled_from([0, 3, 8]),
+       sigmas=st.sampled_from([(0, 0), (0.01, 0.05), (0.5, 0.9)]),
+       methods=st.lists(st.sampled_from(sorted(SE_METHODS)), min_size=1, max_size=3,
+                        unique=True),
+       seed=st.integers(0, 99))
+def test_sim_se_writes_finite_numbers_or_one_labelled_error(tmp_path_factory, n, k, paths,
+                                                            noise_dbm, power_dbm,
+                                                            pl_ref_gain_db, pl_exponent,
+                                                            sigmas, methods, seed):
+    text = (f"n_antennas = {n}\nn_users = {k}\nn_paths = {paths}\nnoise_dbm = {noise_dbm}\n"
+            f"power_dbm_grid = {power_dbm}\npl_ref_gain_db = {pl_ref_gain_db}\n"
+            f"pl_exponent = {pl_exponent}\naoa_sigma = {sigmas[0]}\n"
+            f"gain_rel_sigma = {sigmas[1]}\nse_methods = {', '.join(methods)}\n"
+            f"b_tot_grid = 0, 3\ntrials = 2\nseed = {seed}\n")
+    try:
+        config_from_mapping(dict(line.split(" = ") for line in text.splitlines()))
+    except ConfigError:
+        assume(False)
+    tmp = tmp_path_factory.mktemp("se")
+    (tmp / "s.cfg").write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["sim", "se", "--config", str(tmp / "s.cfg"), "--out", str(tmp / "o.csv")])
+    if code == 0:
+        rows = read_rows(tmp / "o.csv")
+        assert all(math.isfinite(float(r[c])) for r in rows for c in ("mean", "std_err"))
+    else:
+        assert code == 2
+        assert re.fullmatch(rf"error: [^\n]+ \(seed {seed}, trial \d, n_antennas {n}, "
+                            rf"n_paths {paths}, power_dbm {float(power_dbm)}, b_tot [03], "
+                            r"method \w+\)\n", err.getvalue())
 
 
 @settings(max_examples=40, deadline=None)

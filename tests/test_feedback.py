@@ -14,24 +14,9 @@ from fddlink.feedback import (
     make_feedback_plan,
     quantize_phases,
 )
+from oracles import dft_codebook
 
 TWO_PI = 2 * math.pi
-
-
-def dft_codebook(num_antennas: int, total_bits: int) -> np.ndarray:
-    """N x 2**total_bits matrix of unit-norm DFT-style codewords (brute-force oracle).
-
-    With 2**total_bits >= N the grid is the oversampled DFT (oversampling
-    factor 2**total_bits / N); otherwise the N-point DFT columns are
-    uniformly subsampled.
-    """
-    size = 2**total_bits
-    n = np.arange(num_antennas)[:, None]
-    if size >= num_antennas:
-        freqs = np.arange(size) / size
-    else:
-        freqs = np.floor(np.arange(size) * num_antennas / size) / num_antennas
-    return np.exp(-1j * TWO_PI * n * freqs[None, :]) / math.sqrt(num_antennas)
 
 
 def brute_force_feedback(h: np.ndarray, total_bits: int,

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fddlink import allocation, channel, feedback, harness, precoding, reconstruction
 from fddlink.allocation import allocate_bits, eta
-from fddlink.config import ALLOCATORS, ScenarioConfig
+from fddlink.config import ALLOCATORS, SE_METHODS, ScenarioConfig
 from fddlink.harness import (
     _build_csi,
     _estimates,
@@ -20,7 +20,7 @@ from fddlink.harness import (
     run_se_experiment,
     se_samples,
 )
-from oracles import draw_user_paths, draw_user_paths_by_calls
+from oracles import dense_se_drop, draw_user_paths, draw_user_paths_by_calls
 
 
 def small_cfg(**kw):
@@ -28,6 +28,13 @@ def small_cfg(**kw):
                 b_tot_grid=(0, 4), decay_ratio=0.4)
     base.update(kw)
     return ScenarioConfig(**base)
+
+
+def patch_constants(monkeypatch, kw: dict) -> dict:
+    """Set the harness constants named by kw's upper-case keys; the rest of kw."""
+    for name in [key for key in kw if key.isupper()]:
+        monkeypatch.setattr(harness, name, kw[name])
+    return {key: value for key, value in kw.items() if not key.isupper()}
 
 
 def count_calls(monkeypatch, calls: dict, module, name):
@@ -94,18 +101,21 @@ class TestMseExperiment:
         assert rec.std_err == pytest.approx(
             vals.std(ddof=1) / np.sqrt(len(vals)), rel=1e-12)
 
-    @pytest.mark.parametrize("workers, expected", [(1, [7]), (3, [3, 3, 1]),
-                                                   (8, [1] * 7)])
-    def test_blocks_match_the_per_trial_loop(self, monkeypatch, workers, expected):
-        # N=64, L=8 and 8 budgets: blocks of up to 20 trials, one CSI pass
-        # per block and allocator; the samples equal one trial at a time
-        # through the public API, byte for byte, with exact estimates and
-        # with estimates drawn from each trial's stream after its paths
+    @pytest.mark.parametrize("block, expected", [(1, [1] * 7), (3, [3, 3, 1]),
+                                                 (8, [7])])
+    def test_blocks_match_the_per_trial_loop(self, monkeypatch, block, expected):
+        # N=64, L=8 and 8 budgets: 25 KiB of pass arrays per trial, so
+        # DELTA_BLOCK_BYTES of ``block`` trials' arrays gives blocks of
+        # ``block`` trials, one CSI pass per block and allocator; the samples
+        # equal one trial at a time through the public API, byte for byte,
+        # with exact estimates and with estimates drawn from each trial's
+        # stream after its paths
         base = small_cfg(n_antennas=64, n_paths=8, trials=7,
                          b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
         for cfg in (base, base.replace(aoa_sigma=0.01, gain_rel_sigma=0.05)):
             sizes, samples = [], []
             csi_pass, records = harness._csi_pass, harness._records
+            monkeypatch.setattr(harness, "DELTA_BLOCK_BYTES", block * 16 * 64 * (2 * 8 + 8 + 1))
 
             def spy_pass(truth, *args):
                 sizes.append(truth.thetas.shape[0])
@@ -117,7 +127,7 @@ class TestMseExperiment:
 
             monkeypatch.setattr(harness, "_csi_pass", spy_pass)
             monkeypatch.setattr(harness, "_records", spy_records)
-            run_mse_experiment(cfg.replace(workers=workers))
+            run_mse_experiment(cfg)
             monkeypatch.undo()
             assert sorted(sizes, reverse=True) == sorted(expected * len(ALLOCATORS),
                                                          reverse=True)
@@ -168,6 +178,7 @@ class TestDeltaExperiment:
     # L=8, Gram chunks of 4 trials and of 1
     BLOCKS_OF_20 = dict(n_antennas=64, l_grid=(2, 8), trials=7,
                         b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21))
+    TRIAL_BYTES = 16 * 64 * (2 * 8 + 8 + 1)
 
     @staticmethod
     def spy_blocks(monkeypatch):
@@ -184,17 +195,18 @@ class TestDeltaExperiment:
 
     @pytest.mark.parametrize("kw, workers, expected", [
         (BLOCKS_OF_20, 1, [7]),
-        # blocks of ceil(trials / workers)
-        (BLOCKS_OF_20, 3, [3, 3, 1]),
-        (BLOCKS_OF_20, 4, [2, 2, 2, 1]),
-        (BLOCKS_OF_20, 8, [1] * 7),
+        # DELTA_BLOCK_BYTES of 3, 2 and 1 trials' pass arrays, whatever the
+        # worker count
+        ({**BLOCKS_OF_20, "DELTA_BLOCK_BYTES": 3 * TRIAL_BYTES}, 3, [3, 3, 1]),
+        ({**BLOCKS_OF_20, "DELTA_BLOCK_BYTES": 2 * TRIAL_BYTES}, 4, [2, 2, 2, 1]),
+        ({**BLOCKS_OF_20, "DELTA_BLOCK_BYTES": TRIAL_BYTES}, 8, [1] * 7),
         # 3.5 KiB per trial (N=32, L=2, 2 budgets): one block
         (dict(n_antennas=32, trials=7, b_tot_grid=(3, 9)), 1, [7]),
         ({**BLOCKS_OF_20, "trials": 45}, 1, [20, 20, 5]),
     ])
     def test_block_layout(self, monkeypatch, kw, workers, expected):
         sizes = self.spy_blocks(monkeypatch)
-        cfg = small_cfg(**kw)
+        cfg = small_cfg(**patch_constants(monkeypatch, kw))
         run_delta_experiment(cfg.replace(workers=workers))
         assert sorted(sizes, reverse=True) == sorted(expected * len(cfg.l_grid), reverse=True)
 
@@ -394,12 +406,13 @@ class TestSeExperiment:
                           se_methods=("gpip_robust", "gpip_plain", "gpip_nofeedback",
                                       "gpip_dft", "zf_mmse"))
 
-    @pytest.mark.parametrize("workers", [1, 3, 5])
-    def test_blocks_match_solves_of_each_point_exactly(self, monkeypatch, workers):
-        # blocks of 2 drops at 1 and 3 workers (5 trials: the last block holds
-        # one), of 1 drop at 5 workers
+    @pytest.mark.parametrize("drops", [1, 3, 5])
+    def test_blocks_match_solves_of_each_point_exactly(self, monkeypatch, drops):
+        # GPIP_BATCH of ``drops`` drops' points: blocks of 1 drop, of 3 and
+        # then 2, and of all 5
         cfg = small_cfg(**self.SIXTEEN_POINTS)
-        blocked = se_samples(cfg.replace(workers=workers))
+        monkeypatch.setattr(harness, "GPIP_BATCH", 16 * drops)
+        blocked = se_samples(cfg)
         solve_batch = precoding.gpip_solve_batch
         monkeypatch.setattr(precoding, "gpip_solve_batch",
                             lambda problems, gcfg: [solve_batch([pp], gcfg)[0] for pp in problems])
@@ -409,9 +422,10 @@ class TestSeExperiment:
     @pytest.mark.parametrize("kw, workers, expected", [
         # 16 points per drop: blocks of 2 drops
         (SIXTEEN_POINTS, 1, [32, 32, 16]),
-        # 2 points per drop: blocks of min(16, ceil(trials / workers)) drops
+        # 2 points per drop: blocks of ceil(GPIP_BATCH / 2) drops, whatever
+        # the worker count
         (dict(trials=5, se_methods=("gpip_robust", "gpip_plain")), 1, [10]),
-        (dict(trials=5, se_methods=("gpip_robust", "gpip_plain")), 2, [6, 4]),
+        (dict(trials=5, se_methods=("gpip_robust", "gpip_plain"), GPIP_BATCH=6), 2, [6, 4]),
         (dict(trials=20, se_methods=("gpip_robust", "gpip_plain")), 1, [32, 8]),
         # 40 points per drop: one drop per block
         (dict(trials=3, n_grid=(8, 16), power_dbm_grid=(30.0, 43.0), b_tot_grid=(0, 3, 6, 9, 12),
@@ -419,6 +433,7 @@ class TestSeExperiment:
     ])
     def test_block_layout(self, monkeypatch, kw, workers, expected):
         sizes = self.spy_batches(monkeypatch)
+        kw = patch_constants(monkeypatch, kw)
         se_samples(small_cfg(**{"b_tot_grid": (6,), **kw}).replace(workers=workers))
         assert sorted(sizes, reverse=True) == expected
 
@@ -692,6 +707,80 @@ class TestSignalBasis:
                              se_methods=("gpip_nofeedback", "gpip_robust", "gpip_plain",
                                          "gpip_dft")))
         assert sizes == [(6, 2, 4), (6, 2, 4), (16, 2, 1), (16, 2, 1)]
+
+
+class TestDenseReference:
+    @pytest.mark.parametrize("aoa_sigma", [0.0, 0.01])
+    def test_drop_matches_its_dense_recomputation(self, aoa_sigma):
+        # one drop of every method at N=8, K=3, L=2 against oracles.dense_se_drop
+        cfg = ScenarioConfig(n_antennas=8, n_users=3, n_paths=2, trials=1, b_tot_grid=(0, 3, 9),
+                             aoa_sigma=aoa_sigma, se_methods=tuple(SE_METHODS))
+        got = se_samples(cfg)[0, 0, 0, 0]
+        dense = dense_se_drop(cfg, np.random.default_rng(derive_trial_seed(cfg.seed, 0)))
+        for (bi, b), (mi, method) in itertools.product(enumerate(cfg.b_tot_grid),
+                                                       enumerate(cfg.se_methods)):
+            true_se, bound, iterations = got[bi, mi]
+            dense_true, dense_bound = dense[(method, b)]
+            if not method.startswith("gpip_"):
+                assert true_se == pytest.approx(dense_true, rel=1e-10, abs=1e-12)
+                assert bound == pytest.approx(dense_bound, rel=1e-10, abs=1e-12)
+                continue
+            # the dense maximum: no GPIP precoder scores above it
+            assert bound <= dense_bound + 1e-9 * max(dense_bound, 1.0)
+            # a converged point reaches it.  Left out: points capped at
+            # gpip_max_iter (ROADMAP item 1), and gpip_dft at B=0, whose one
+            # codeword carries every user's estimate and where GPIP stops at
+            # its start about 90 % below the maximum
+            if iterations < cfg.gpip_max_iter and (method, b) != ("gpip_dft", 0):
+                assert bound == pytest.approx(dense_bound, rel=1e-6, abs=1e-9)
+
+
+class TestWorkerModel:
+    """Blocks are fixed by the workload; only `sim se` maps them over threads."""
+
+    # per experiment: a config whose blocks a ceil(trials / workers) cap
+    # would split, and the function whose first argument stacks one block
+    LAYOUTS = {
+        "mse": (dict(n_antennas=64, n_paths=8, trials=7, b_tot_grid=(0, 3, 6, 9, 12, 15, 18, 21)),
+                harness, "_csi_pass"),
+        "delta": (TestDeltaExperiment.BLOCKS_OF_20, harness, "_delta_norms"),
+        "se": (dict(trials=5, b_tot_grid=(6,), se_methods=("gpip_robust", "gpip_plain")),
+               precoding, "gpip_solve_batch"),
+    }
+
+    @pytest.mark.parametrize("experiment", ["mse", "delta", "se"])
+    def test_block_layout_ignores_workers(self, monkeypatch, experiment):
+        kw, module, name = self.LAYOUTS[experiment]
+        fn, sizes = getattr(module, name), []
+
+        def spy(stack, *args):
+            sizes.append(len(getattr(stack, "thetas", stack)))
+            return fn(stack, *args)
+
+        monkeypatch.setattr(module, name, spy)
+        layouts = []
+        for workers in (1, 2, 5):
+            run_experiment(experiment, small_cfg(**kw, workers=workers))
+            layouts.append(sorted(sizes))
+            sizes.clear()
+        assert layouts[0] == layouts[1] == layouts[2]
+        assert len(layouts[0]) == {"mse": 3, "delta": 2, "se": 1}[experiment]
+
+    def test_only_se_maps_blocks_over_threads(self, monkeypatch):
+        pools = []
+
+        class SpyPool(harness.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", SpyPool)
+        cfg = small_cfg(trials=8, workers=4, se_methods=("zf_mmse",))
+        run_delta_experiment(cfg)
+        run_mse_experiment(cfg)
+        assert pools == []
+        se_samples(cfg)
+        assert pools == [4]
 
 
 class TestDeterminismAndCsv:

@@ -26,6 +26,7 @@ from fddlink.precoding import (
     zf_precoder,
 )
 from fddlink.reconstruction import reconstruct_mmse
+from oracles import dense_wmmse_precoder
 
 
 def cnormal(rng, shape):
@@ -177,61 +178,6 @@ def dense_residual(w, pp):
     den_img = np.tensordot(wgb, covs, axes=1) @ w + float(wgb @ noise) * w
     den_img -= wgb * np.einsum("kab,bk->ak", covs, w)
     return float(np.linalg.norm(num_img - den_img) / np.linalg.norm(num_img))
-
-
-def dense_wmmse_precoder(h, pp, iters=100, tol=1e-4):
-    """WMMSE on dense matrices: one N x N eigh of lam = H D H^H per iteration."""
-    n, k = h.shape
-    scale = float(np.max(np.linalg.norm(h, axis=0)))
-    hs = h / scale
-    sigma2 = pp.sigma2 / scale**2
-    p = pp.power
-    try:
-        w = zf_precoder(hs) * math.sqrt(p)
-    except ValueError:
-        w = hs / np.linalg.norm(hs, axis=0) * math.sqrt(p / k)
-
-    def sum_rate(wmat):
-        cross = np.abs(hs.conj().T @ wmat) ** 2
-        sig = np.diag(cross)
-        return float(np.sum(np.log2(1.0 + sig / (cross.sum(axis=1) - sig + sigma2))))
-
-    rate = sum_rate(w)
-    best_rate, best_w = rate, w
-    for _ in range(iters):
-        c = hs.conj().T @ w
-        totals = np.sum(np.abs(c) ** 2, axis=1) + sigma2
-        u = np.diag(c) / totals
-        v = 1.0 / (1.0 - np.abs(np.diag(c)) ** 2 / totals)
-        eigval, eigvec = np.linalg.eigh((hs * (v * np.abs(u) ** 2)) @ hs.conj().T)
-        eigval = np.maximum(eigval, 0.0)
-        g = eigvec.conj().T @ hs
-        coeff = v * u
-        weight = np.abs(coeff) ** 2
-
-        def total_power(mu):
-            return float(weight @ (np.abs(g.T) ** 2 @ (1.0 / (eigval + mu) ** 2)))
-
-        hi = max(float(np.sqrt(weight @ np.sum(np.abs(g) ** 2, axis=0) / p)), 1e-12)
-        lo = 0.0
-        while total_power(hi) > p:
-            hi *= 2.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if total_power(mid) > p:
-                lo = mid
-            else:
-                hi = mid
-        w = eigvec @ ((g * coeff) / (eigval[:, None] + hi))
-        new_rate = sum_rate(w)
-        if new_rate > best_rate:
-            best_rate, best_w = new_rate, w
-        if new_rate - rate <= tol * max(abs(rate), 1e-12):
-            break
-        rate = new_rate
-    return best_w / np.linalg.norm(best_w)
 
 
 @st.composite
@@ -734,6 +680,24 @@ class TestStackedZfAndScores:
             pp = make_problem(hhat=hhat[i], sigma2=sigma2, power=powers[i])
             assert rates[i].tobytes() == true_sum_se(w[i], h_true, pp).tobytes()
             assert bounds[i].tobytes() == sum_se_lower_bound(w[i], pp).tobytes()
+
+    def test_undefined_sinr_names_its_point_and_user(self):
+        # orthogonal users meet no interference.  At points 2 and 4 user 1's
+        # noise term is zero, after underflow for the true SE and at rounding
+        # in the bound's interference-plus-noise form 1/3 + 1e-20 - 1/3
+        h = np.broadcast_to(np.eye(3, dtype=complex), (5, 3, 3))
+        w = h / math.sqrt(3)
+        for score, sigma2, power in [
+                (lambda w, pp: true_sum_se(w, np.eye(3), pp), 1e-30, [1, 1, 1e300, 1, 1e300]),
+                (sum_se_lower_bound, 1e-20, [1e-30, 1e-30, 1, 1e-30, 1])]:
+            sigma2, power = np.array([1.0, sigma2, 1.0]), np.array(power, dtype=float)
+            with pytest.raises(ValueError, match=r"^point 2: user 1's SINR is undefined") as info:
+                score(w, PrecodingProblem(factors=h[..., None], sigma2=sigma2, power=power))
+            assert info.value.point == 2
+            # without points 2 and 4 every score is finite
+            keep = [0, 1, 3]
+            assert np.all(np.isfinite(score(w[keep], PrecodingProblem(
+                factors=h[keep][..., None], sigma2=sigma2, power=power[keep]))))
 
     def test_stacked_problem_validation(self):
         factors = np.ones((4, 2, 3, 1), dtype=complex)
