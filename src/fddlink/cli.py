@@ -17,9 +17,8 @@ import sys
 import numpy as np
 
 from . import allocation
-from .config import ConfigError, ScenarioConfig, config_from_mapping, load_config
+from .config import ScenarioConfig, config_from_mapping, load_config
 from .harness import SE_METRICS, emit_csv, run_experiment, se_axes, se_samples
-from .precoding import GpipError
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -106,7 +105,7 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except (ConfigError, GpipError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,9 +16,11 @@ K users, drawn as one (K, 4L+1) array, and `sim delta` and `sim mse` run
 their trials in blocks (_block_trials) and stack a block's path sets, one
 row of uniforms per trial, so one pass serves a block and path count
 (`sim delta`) or allocator (`sim mse`).  `sim se` builds each CSI source
-as one N x K x R stack of the users' factors (_build_csi), walks each
-scene's points in one pass (_se_scene) and solves a block of drops' GPIP
-problems in one lockstep call (se_samples).
+as one N x K x R stack of the users' factors (_build_csi), queues each
+scene's points in evaluation order (_se_scene) and precodes and scores a
+block of drops' points in one step (_solve_block): one stacked ZF call per
+scene, one lockstep GPIP call per block and one call of each score per
+scene and factor shape.
 """
 
 from __future__ import annotations
@@ -373,137 +375,130 @@ def _se_points(cfg: ScenarioConfig) -> list:
                for pi, pdbm in powers for mi, m in methods if SE_METHODS[m][0] in _PER_BUDGET])
 
 
-def _score(targets, w, h_true, factors, sigma2, powers, iterations, basis=None) -> None:
-    """Write (true SE, bound, iterations) to each target from one call of
-    each score on a scene's stacked precoders w (..., N, K), each point
-    bit-equal to its own calls.  Precoders in the coordinates of ``basis``
-    Q score Q w on the N-dimensional true channel, the bound in coordinates.
-    A point whose SINR is undefined raises the scores' PointError.
-    """
-    pp = precoding.PrecodingProblem(factors=factors, sigma2=sigma2, power=powers)
-    rates = precoding.true_sum_se(w if basis is None else basis @ w, h_true, pp)
-    bounds = precoding.sum_se_lower_bound(w, pp)
-    for target, rate, bound, its in zip(targets, rates, bounds, iterations):
-        target[...] = (rate, bound, its)
-
-
 def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray,
               queue: list) -> None:
-    """Fill out[power, budget, method] for one drawn scene at one array size.
+    """Queue the SE points of one drawn scene at one array size for _solve_block.
 
-    ``scene`` and ``ests`` stack the users' true and estimated path sets.
-    One pass walks the points in evaluation order (_se_points).  A CSI
-    source's factor stack (_build_csi, every budget), the basis
-    (_signal_basis) and a power's perfect-CSI problem, which checks the
-    noise and the power, are built by the first point that needs them.  A
-    GPIP point queues (point, out view, problem, true channel, basis) for
-    _solve_queue, as Q^H V in the basis Q when its factors have error
-    columns; a WMMSE point is precoded on the spot and a ZF point collected.
-    Then the ZF points are precoded in one stacked zf_precoder call and the
-    ZF and WMMSE points scored together (_score).  The first failure in
-    evaluation order is raised, named by _label; a failing ZF or scored
-    point also cuts ``queue`` back to the GPIP points before it.
+    ``scene`` and ``ests`` stack the users' true and estimated path sets, and
+    out[power, budget, method] receives the points' scores.  One pass walks
+    the points in evaluation order (_se_points).  A CSI source's factor
+    stack (_build_csi, every budget) and the basis (_signal_basis) are built
+    by the first point that needs them, and a failed build is raised named
+    by that point (_label).  Each point queues (point, out view, precoder,
+    factors, power, true channel, basis, precoder input): a method that
+    ignores the covariance keeps a copy of its factors' estimate column,
+    GPIP factors with error columns go as Q^H V in the basis Q, and the
+    precoder input is the no-feedback estimates that a ZF point's columns
+    fall back to (_zf_columns) and the true channel of a WMMSE point.
     """
     h_true, a_est = _channels(scene, ests, geom)
     h_true = np.ascontiguousarray(h_true.T)
-    sigma2 = np.full(cfg.n_users, cfg.noise_watts)
-    # the CSI sources and "basis" by name, and each power's perfect-CSI problem
-    built = {}
-    # the ZF and WMMSE points in evaluation order: (point, out view, queue
-    # length, estimates, precoder or None for ZF)
-    scored = []
-
-    def evaluate(method, pdbm, bi, slot, point):
+    built = {}  # the CSI sources, "basis" and "fallback" by name
+    for method, pdbm, bi, slot in _se_points(cfg):
         source, precoder, use_cov = SE_METHODS[method]
-        if source not in built:
-            built[source] = _build_csi(source, cfg, scene, ests, a_est, h_true, geom)
-        if pdbm not in built:
-            built[pdbm] = precoding.PrecodingProblem(factors=h_true[:, :, None], sigma2=sigma2,
-                                                     power=cfg.power_watts(pdbm))
-        stack = built[source][bi] if source in _PER_BUDGET else built[source]
-        if precoder == "gpip":
-            stack = stack if use_cov else stack[..., :1]
+        point = (trial, geom.num_antennas, len(scene), pdbm, cfg.b_tot_grid[bi], method)
+        try:
+            for name in (source, "no_feedback") if precoder == "zf" else (source,):
+                if name not in built:
+                    built[name] = _build_csi(name, cfg, scene, ests, a_est, h_true, geom)
+            factors = built[source][bi] if source in _PER_BUDGET else built[source]
+            # a copy of the estimate column: the queue keeps no source's whole stack
+            factors = factors if use_cov else np.ascontiguousarray(factors[..., :1])
             basis = None
-            if stack.shape[-1] > 1:  # error columns: in the span of the steering vectors
+            if factors.shape[-1] > 1:  # error columns: in the span of the steering vectors
                 if "basis" not in built:
                     built["basis"] = _signal_basis(a_est)
                 basis = built["basis"]
-                n, k, r = stack.shape
-                stack = (basis.conj().T @ stack.reshape(n, k * r)).reshape(-1, k, r)
-            queue.append((point, out[slot], precoding.PrecodingProblem(
-                factors=stack, sigma2=sigma2, power=built[pdbm].power), h_true, basis))
-            return
-        if precoder == "zf" and "no_feedback" not in built:  # fallback estimates (_zf_columns)
-            built["no_feedback"] = _build_csi("no_feedback", cfg, scene, ests, a_est, h_true, geom)
-        w = precoding.wmmse_precoder(h_true, built[pdbm]) if precoder == "wmmse" else None
-        scored.append((point, out[slot], len(queue), stack[..., 0], w))
-
-    def precode_and_score():
-        if not scored:
-            return
-        points, targets, queued, estimates, w = zip(*scored)
-        estimates, w = np.stack(estimates), list(w)
-        zf = [i for i, wi in enumerate(w) if wi is None]
-        # a ZfError's point indexes the ZF points and a scoring error's all
-        # points; any other failure is the first point's
-        indices = zf
-        try:
-            if zf:
-                cols = _zf_columns(estimates[zf], built["no_feedback"][..., 0])
-                for i, wi in zip(zf, precoding.zf_precoder(cols)):
-                    w[i] = wi
-            indices = range(len(w))
-            _score(targets, np.stack(w), h_true, estimates[..., None], sigma2,
-                   np.array([cfg.power_watts(p[3]) for p in points]), [0] * len(w))
+                n, k, r = factors.shape
+                factors = (basis.conj().T @ factors.reshape(n, k * r)).reshape(-1, k, r)
         except ValueError as exc:
-            failed = indices[getattr(exc, "point", None) or 0]
-            del queue[queued[failed]:]
-            raise _label(cfg, exc, points[failed]) from exc
-
-    for method, pdbm, bi, slot in _se_points(cfg):
-        point = (trial, geom.num_antennas, len(scene), pdbm, cfg.b_tot_grid[bi], method)
-        try:
-            evaluate(method, pdbm, bi, slot, point)
-        except ValueError as exc:
-            precode_and_score()  # a failing ZF point before this one comes first
             raise _label(cfg, exc, point) from exc
-    precode_and_score()
+        if precoder == "zf":  # the no-feedback estimates that _zf_columns falls back to
+            if "fallback" not in built:  # a copy, as the factors' estimate column
+                built["fallback"] = np.ascontiguousarray(built["no_feedback"][..., 0])
+            given = built["fallback"]
+        else:  # WMMSE precodes the true channel; GPIP solves the factors
+            given = h_true if precoder == "wmmse" else None
+        queue.append((point, out[slot], precoder, factors, cfg.power_watts(pdbm), h_true, basis,
+                      given))
 
 
-def _solve_queue(cfg: ScenarioConfig, queue: list, failure: ValueError | None) -> None:
-    """Solve every queued GPIP point in one gpip_solve_batch call and score it.
-
-    A scene's points of one factor shape, in its basis or not, are scored
-    together (_score).
-
-    ``failure`` is the inline failure that stopped the queue, if any: the
-    queued points all precede it in evaluation order, so the first of them
-    that fails, in the solver or else in scoring, is reported instead of it.
-    """
-    gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
+def _attempt(failed: list, points, fn, *args):
+    """fn(*args), or None once its failure is noted in ``failed`` as (queue
+    index, error): the index in ``points`` that its error's ``point`` names,
+    or its first point's when the error names none."""
     try:
-        results = precoding.gpip_solve_batch([pp for _, _, pp, _, _ in queue], gcfg)
-    except precoding.GpipError as exc:
-        raise _label(cfg, exc, queue[exc.problem][0]) from exc
-    # a scene's channel and basis serve all of its points of one shape
-    groups = {}
-    for i, ((_, target, pp, h_true, basis), result) in enumerate(zip(queue, results)):
-        groups.setdefault((id(h_true), pp.factors.shape), []).append(
-            (i, target, pp, h_true, basis, result))
-    failed = []  # (queue index, error) of each group's first point that fails
-    for points in groups.values():
-        index, targets, pps, (h_true, *_), (basis, *_), results = zip(*points)
-        try:
-            _score(targets, np.stack([r.f for r in results]), h_true,
-                   np.stack([p.factors for p in pps]), pps[0].sigma2,
-                   np.array([p.power for p in pps]), [r.iterations for r in results], basis)
-        except precoding.PointError as exc:
-            failed.append((index[exc.point], exc))
+        return fn(*args)
+    except ValueError as exc:
+        failed.append((points[getattr(exc, "point", None) or 0], exc))
+        return None
+
+
+def _solve_block(cfg: ScenarioConfig, queue: list) -> None:
+    """Precode and score every SE point that a block of drops queued (_se_scene).
+
+    The block's GPIP points take one gpip_solve_batch call, each WMMSE point
+    its own wmmse_precoder call and a scene's ZF points one stacked
+    zf_precoder call.  Then a scene's points of one factor shape, in its
+    basis or not, are scored in one call of each score, each point bit-equal
+    to its own calls, and (true SE, bound, GPIP iterations) is written to
+    their out views.  Precoders in the coordinates of a basis Q score Q w on
+    the N-dimensional true channel, the bound in coordinates.
+
+    Each call notes the first point it fails for (_attempt).  A point whose
+    precoder failed is not scored, and when the solver fails no GPIP point
+    is, since gpip_solve_batch returns no results then.  The failure of the
+    lowest queue index, the first in evaluation order, is raised, named by
+    _label.
+    """
+    if not queue:
+        return
+    labels, targets, precoders, factors, powers, channels, bases, inputs = zip(*queue)
+    sigma2 = np.full(cfg.n_users, cfg.noise_watts)
+    solved, iterations, failed = {}, [0] * len(queue), []  # solved: GPIP precoders
+    # the solver, whose workspace is the block's largest, runs first, and
+    # each scene's other precoders exist only while it is scored
+    gpip = [i for i, precoder in enumerate(precoders) if precoder == "gpip"]
+    if gpip:
+        gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
+        results = _attempt(failed, gpip, precoding.gpip_solve_batch,
+                           [precoding.PrecodingProblem(factors[i], sigma2, powers[i])
+                            for i in gpip], gcfg)
+        for i, result in zip(gpip, () if results is None else results):
+            solved[i], iterations[i] = result.f, result.iterations
+    scenes = {}
+    for i, h_true in enumerate(channels):
+        scenes.setdefault(id(h_true), []).append(i)
+    for scene in scenes.values():
+        ws = {i: solved[i] for i in scene if i in solved}  # the scene's precoders
+        zf = [i for i in scene if precoders[i] == "zf"]
+        if zf:
+            cols = _zf_columns(np.stack([factors[i][..., 0] for i in zf]), inputs[zf[0]])
+            stack = _attempt(failed, zf, precoding.zf_precoder, cols)
+            ws.update(zip(zf, () if stack is None else stack))
+        for i in scene:
+            if precoders[i] == "wmmse":
+                wi = _attempt(failed, [i], precoding.wmmse_precoder, inputs[i],
+                              precoding.PrecodingProblem(factors[i], sigma2, powers[i]))
+                if wi is not None:
+                    ws[i] = wi
+        groups = {}  # the scene's channel and basis serve all of its points of one shape
+        for i in sorted(ws):
+            groups.setdefault(factors[i].shape, []).append(i)
+        for points in groups.values():
+            stack = np.stack([ws[i] for i in points])
+            pp = precoding.PrecodingProblem(np.stack([factors[i] for i in points]), sigma2,
+                                            np.array([powers[i] for i in points]))
+            basis = bases[points[0]]
+            rates = _attempt(failed, points, precoding.true_sum_se,
+                             stack if basis is None else basis @ stack, channels[points[0]], pp)
+            bounds = _attempt(failed, points, precoding.sum_se_lower_bound, stack, pp)
+            if rates is not None and bounds is not None:
+                for i, rate, bound in zip(points, rates, bounds):
+                    targets[i][...] = (rate, bound, iterations[i])
     if failed:
         i, exc = min(failed, key=lambda f: f[0])
-        raise _label(cfg, exc, queue[i][0]) from exc
-    if failure is not None:
-        raise failure
+        raise _label(cfg, exc, labels[i]) from exc
 
 
 # GPIP problems per gpip_solve_batch call that a block of drops aims for.  A
@@ -541,14 +536,14 @@ def se_samples(cfg: ScenarioConfig) -> np.ndarray:
 
     Drops run in blocks of consecutive trials, and cfg.workers threads map
     over blocks; one worker runs them in the calling thread.  Each drop of a
-    block draws its scenes, scores each scene's ZF and WMMSE points in one
-    stacked pass (_se_scene), and queues its GPIP points; the block's whole
-    queue, every drop and every (L, N) scene, is then solved in one
+    block draws its scenes and queues every (L, N) scene's points, whatever
+    their precoder (_se_scene), and one step then precodes and scores the
+    block's whole queue (_solve_block), its GPIP points in one
     gpip_solve_batch call.  A block holds ceil(GPIP_BATCH / P) drops, P the
     GPIP points per drop, and one drop when P is 0, at every worker count.
-    A problem's result does not depend on its batch, so neither block size
-    nor worker count changes the output.  A solver, ZF or scoring failure
-    is re-raised with the seed, trial, sweep point and method that
+    A point's result does not depend on its block, so neither block size
+    nor worker count changes the output.  A CSI build, precoder or scoring
+    failure is re-raised with the seed, trial, sweep point and method that
     reproduce it: the lowest failing trial's, and within that trial the
     first failure in evaluation order.
     """
@@ -569,8 +564,10 @@ def se_samples(cfg: ScenarioConfig) -> np.ndarray:
                     for ni, n in enumerate(cfg.n_grid):
                         _se_scene(cfg, t, scene, ests, cfg.geometry(n), out[ni, li], queue)
         except ValueError as exc:
-            failure = exc  # reported unless a GPIP point queued before it fails
-        _solve_queue(cfg, queue, failure)
+            failure = exc  # a failed build ranks after every point queued before it
+        _solve_block(cfg, queue)
+        if failure is not None:
+            raise failure
         return outs
 
     if cfg.workers == 1:

@@ -57,17 +57,9 @@ class ZfError(PointError):
     """Raised when zero-forcing is undefined."""
 
 
-class GpipError(RuntimeError):
-    """Raised when the power-iteration solver cannot proceed.
-
-    ``reason`` says what went wrong; ``problem`` is the input index of the
-    failed problem of a batch, which the message then names.
-    """
-
-    def __init__(self, reason: str, problem: int | None = None):
-        super().__init__(reason if problem is None else f"problem {problem}: {reason}")
-        self.reason = reason
-        self.problem = problem
+class GpipError(PointError):
+    """Raised when the power-iteration solver cannot proceed; ``point`` is
+    the input index of the failed problem of a batch."""
 
 
 @dataclass(frozen=True)
@@ -569,7 +561,7 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
     alone gives: bit-equal for a fixed BLAS thread count, whatever else the
     batch holds.  Results come
     back in input order.  If any problem failed, the GpipError of the first
-    failed one in input order is raised once all have run; its ``problem``
+    failed one in input order is raised once all have run; its ``point``
     is that index.
     """
     cfg = cfg or GpipConfig()
@@ -590,7 +582,7 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
             _power_iteration([reduced.pop(i) for i in members], members, cfg, results, errors)
     if errors:
         first = min(errors)
-        raise GpipError(errors[first], problem=first)
+        raise GpipError(errors[first], point=first)
     return results
 
 

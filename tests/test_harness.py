@@ -455,6 +455,7 @@ class TestSeExperiment:
 
         monkeypatch.setattr(module, name, wrapper)
 
+    @pytest.mark.parametrize("gpip_batch", [1, 2])
     @pytest.mark.parametrize("zf_trial, gpip_trial, failed", [
         # ZF fails in trial 0 after its GPIP point is queued: trial 1's GPIP
         # failure comes later
@@ -462,10 +463,13 @@ class TestSeExperiment:
         # trial 0's GPIP point comes before trial 1's ZF point
         (1, 0, r"gpip broke \(seed 321, trial 0, .*method gpip_robust\)$"),
     ])
-    def test_block_reports_lowest_failing_trial(self, monkeypatch, zf_trial, gpip_trial, failed):
-        # one GPIP and then one ZF point per drop; the 2 trials form one block,
-        # and the solver sets up its problems in trial order
+    def test_block_reports_lowest_failing_trial(self, monkeypatch, zf_trial, gpip_trial, failed,
+                                                gpip_batch):
+        # one GPIP and then one ZF point per drop; a GPIP_BATCH of 1 makes
+        # each trial a block and one of 2 puts both in one block, and the
+        # solver sets up its problems in trial order
         cfg = small_cfg(trials=2, b_tot_grid=(3,), se_methods=("gpip_robust", "zf_mmse"))
+        monkeypatch.setattr(harness, "GPIP_BATCH", gpip_batch)
         self.fail_on_call(monkeypatch, precoding, "zf_precoder", zf_trial, ValueError("zf broke"))
         self.fail_on_call(monkeypatch, precoding, "_reduced_problem", gpip_trial,
                           precoding.GpipError("gpip broke"))
@@ -525,8 +529,7 @@ class TestSeExperiment:
 
     def test_stacked_zf_failure_names_its_point_and_cuts_the_queue(self, monkeypatch):
         # per budget one GPIP and then one ZF point; the drop's ZF points are
-        # one zf_precoder call, whose error names its second point (b_tot 3):
-        # only the GPIP points of b_tot 0 and 3 come before it
+        # one zf_precoder call, whose error names its second point (b_tot 3)
         cfg = small_cfg(trials=1, b_tot_grid=(0, 3, 6), se_methods=("gpip_robust", "zf_mmse"))
         stacks = []
 
@@ -535,12 +538,30 @@ class TestSeExperiment:
             raise precoding.ZfError("zf broke", point=1)
 
         monkeypatch.setattr(precoding, "zf_precoder", fail)
-        sizes = self.spy_batches(monkeypatch)
         with pytest.raises(precoding.ZfError,
                            match=r"^zf broke \(seed 321, trial 0, .*b_tot 3, method zf_mmse\)$"):
             se_samples(cfg)
         assert stacks == [(3, cfg.n_antennas, cfg.n_users)]
-        assert sizes == [2]
+
+    def test_earlier_scoring_failure_beats_a_later_zf_failure(self, monkeypatch):
+        # the WMMSE point comes first in evaluation order; its scoring fails,
+        # and so does the stacked ZF call of the later no-feedback ZF point
+        cfg = small_cfg(trials=1, se_methods=("wmmse_perfect", "zf_nofeedback"))
+        zf = precoding.zf_precoder
+
+        def fail_stacked(hhat):
+            if hhat.ndim == 3:  # not WMMSE's zero-forcing start
+                raise precoding.ZfError("zf broke", point=0)
+            return zf(hhat)
+
+        def fail_bound(w, pp):
+            raise precoding.PointError("bound broke", point=0)
+
+        monkeypatch.setattr(precoding, "zf_precoder", fail_stacked)
+        monkeypatch.setattr(precoding, "sum_se_lower_bound", fail_bound)
+        with pytest.raises(precoding.PointError,
+                           match=r"^bound broke \(seed 321, trial 0, .*method wmmse_perfect\)$"):
+            se_samples(cfg)
 
     @pytest.mark.parametrize("zf_fails, failed", [
         (True, r"zf broke \(.*method zf_nofeedback\)$"),
@@ -574,6 +595,7 @@ class TestSeExperiment:
         se_samples(cfg)
         assert widths == [(4, 3)] * 8
 
+    @pytest.mark.parametrize("drops", [1, 2])
     @pytest.mark.parametrize("methods, failed", [
         # the first budget's GPIP point comes before that budget's ZF point
         (("gpip_robust", "zf_mmse"), r"b_tot 0, method gpip_robust"),
@@ -581,11 +603,14 @@ class TestSeExperiment:
         (("gpip_robust", "zf_nofeedback"), r"b_tot 0, method zf_nofeedback"),
         (("zf_mmse", "gpip_nofeedback"), r"b_tot 0, method gpip_nofeedback"),
     ])
-    def test_first_failure_in_evaluation_order_is_reported(self, methods, failed):
+    def test_first_failure_in_evaluation_order_is_reported(self, monkeypatch, methods, failed,
+                                                           drops):
         # ZF fails with more users than antennas; GPIP fails on a noise power
-        # that is zero once divided by the transmit power
-        cfg = small_cfg(n_antennas=2, n_users=3, trials=1, b_tot_grid=(0, 3),
+        # that is zero once divided by the transmit power.  A GPIP_BATCH of
+        # one drop's or both drops' points: trial 0's failure either way
+        cfg = small_cfg(n_antennas=2, n_users=3, trials=2, b_tot_grid=(0, 3),
                         noise_dbm=-3200.0, se_methods=methods)
+        monkeypatch.setattr(harness, "GPIP_BATCH", drops * harness._gpip_points_per_drop(cfg))
         with pytest.raises((precoding.GpipError, ValueError),
                            match=rf"\(seed 321, trial 0, n_antennas 2, n_paths 2, "
                                  rf"power_dbm 43\.0, {failed}\)$"):

@@ -411,11 +411,11 @@ class TestBatchedSolver:
         nan_hhat = random_problem(rng, n=6, k=2)
         nan_hhat.hhat[0, 0] = np.nan
         batch = [good[0], self.zero_noise_problem(rng, zero_weight), good[1], nan_hhat, good[2]]
-        with pytest.raises(GpipError, match=rf"^problem 1: {reason}") as err:
+        with pytest.raises(GpipError, match=rf"^point 1: {reason}") as err:
             gpip_solve_batch(batch)
-        assert err.value.problem == 1
+        assert err.value.point == 1
         assert err.value.reason.startswith(reason)
-        with pytest.raises(GpipError, match="^problem 1: degenerate problem scale nan"):
+        with pytest.raises(GpipError, match="^point 1: degenerate problem scale nan"):
             gpip_solve_batch(good[:1] + [nan_hhat] + good[1:])
         assert len(gpip_solve_batch(good)) == 3
 

@@ -3,9 +3,11 @@
 import math
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 from fddlink.cli import build_parser
+from fddlink.config import ScenarioConfig
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -28,3 +30,12 @@ def test_command_line_block_parses():
     parser = build_parser()
     for argv in commands:
         assert callable(parser.parse_args(argv[1:]).func), argv
+
+
+def test_scenario_table_names_every_config_field():
+    # a field added to or dropped from ScenarioConfig but not the table fails here
+    section = README.read_text(encoding="utf-8").split("\n## Scenario files\n", 1)[1]
+    keys = [re.findall(r"`(\w+)`", line.split("|")[1])
+            for line in section.split("\n\n## ", 1)[0].splitlines() if line.startswith("| `")]
+    names = [name for row in keys for name in row]
+    assert sorted(names) == sorted(f.name for f in fields(ScenarioConfig))
