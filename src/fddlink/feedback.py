@@ -38,10 +38,6 @@ class FeedbackPlan:
     q_values: np.ndarray
     deltas: np.ndarray
 
-    def __len__(self):
-        """The number of paths."""
-        return self.bits.shape[-1]
-
 
 def quantize_phases(angles, bits) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quantize angles to the nearest codeword in circular distance.

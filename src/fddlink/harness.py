@@ -20,7 +20,8 @@ as one N x K x R stack of the users' factors (_build_csi), queues each
 scene's points in evaluation order (_se_scene) and precodes and scores a
 block of drops' points in one step (_solve_block): one stacked ZF call per
 scene, one lockstep GPIP call per block and one call of each score per
-scene and factor shape.
+scene and factor shape.  A block that fails is replayed one point at a
+time, and the first point that fails on its own is named (se_samples).
 """
 
 from __future__ import annotations
@@ -376,20 +377,21 @@ def _se_points(cfg: ScenarioConfig) -> list:
 
 
 def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarray,
-              queue: list) -> None:
-    """Queue the SE points of one drawn scene at one array size for _solve_block.
+              emit) -> None:
+    """Pass the SE points of one drawn scene at one array size to ``emit``.
 
     ``scene`` and ``ests`` stack the users' true and estimated path sets, and
     out[power, budget, method] receives the points' scores.  One pass walks
     the points in evaluation order (_se_points).  A CSI source's factor
     stack (_build_csi, every budget) and the basis (_signal_basis) are built
     by the first point that needs them, and a failed build is raised named
-    by that point (_label).  Each point queues (point, out view, precoder,
-    factors, power, true channel, basis, precoder input): a method that
-    ignores the covariance keeps a copy of its factors' estimate column,
-    GPIP factors with error columns go as Q^H V in the basis Q, and the
-    precoder input is the no-feedback estimates that a ZF point's columns
-    fall back to (_zf_columns) and the true channel of a WMMSE point.
+    by that point (_label).  Each point is emitted as the _solve_block
+    queue entry (point, out view, precoder, factors, power, true channel,
+    basis, precoder input): a method that ignores the covariance keeps a
+    copy of its factors' estimate column, GPIP factors with error columns
+    go as Q^H V in the basis Q, and the precoder input is the no-feedback
+    estimates that a ZF point's columns fall back to (_zf_columns) and the
+    true channel of a WMMSE point.
     """
     h_true, a_est = _channels(scene, ests, geom)
     h_true = np.ascontiguousarray(h_true.T)
@@ -419,19 +421,7 @@ def _se_scene(cfg: ScenarioConfig, trial: int, scene, ests, geom, out: np.ndarra
             given = built["fallback"]
         else:  # WMMSE precodes the true channel; GPIP solves the factors
             given = h_true if precoder == "wmmse" else None
-        queue.append((point, out[slot], precoder, factors, cfg.power_watts(pdbm), h_true, basis,
-                      given))
-
-
-def _attempt(failed: list, points, fn, *args):
-    """fn(*args), or None once its failure is noted in ``failed`` as (queue
-    index, error): the index in ``points`` that its error's ``point`` names,
-    or its first point's when the error names none."""
-    try:
-        return fn(*args)
-    except ValueError as exc:
-        failed.append((points[getattr(exc, "point", None) or 0], exc))
-        return None
+        emit((point, out[slot], precoder, factors, cfg.power_watts(pdbm), h_true, basis, given))
 
 
 def _solve_block(cfg: ScenarioConfig, queue: list) -> None:
@@ -443,62 +433,48 @@ def _solve_block(cfg: ScenarioConfig, queue: list) -> None:
     basis or not, are scored in one call of each score, each point bit-equal
     to its own calls, and (true SE, bound, GPIP iterations) is written to
     their out views.  Precoders in the coordinates of a basis Q score Q w on
-    the N-dimensional true channel, the bound in coordinates.
-
-    Each call notes the first point it fails for (_attempt).  A point whose
-    precoder failed is not scored, and when the solver fails no GPIP point
-    is, since gpip_solve_batch returns no results then.  The failure of the
-    lowest queue index, the first in evaluation order, is raised, named by
-    _label.
+    the N-dimensional true channel, the bound in coordinates.  A failure
+    propagates as raised; se_samples finds the point it belongs to.
     """
     if not queue:
         return
-    labels, targets, precoders, factors, powers, channels, bases, inputs = zip(*queue)
+    _, targets, precoders, factors, powers, channels, bases, inputs = zip(*queue)
     sigma2 = np.full(cfg.n_users, cfg.noise_watts)
-    solved, iterations, failed = {}, [0] * len(queue), []  # solved: GPIP precoders
+    ws, iterations = {}, [0] * len(queue)  # ws: the points' precoders
     # the solver, whose workspace is the block's largest, runs first, and
     # each scene's other precoders exist only while it is scored
     gpip = [i for i, precoder in enumerate(precoders) if precoder == "gpip"]
     if gpip:
         gcfg = precoding.GpipConfig(epsilon=cfg.gpip_epsilon, max_iter=cfg.gpip_max_iter)
-        results = _attempt(failed, gpip, precoding.gpip_solve_batch,
-                           [precoding.PrecodingProblem(factors[i], sigma2, powers[i])
-                            for i in gpip], gcfg)
-        for i, result in zip(gpip, () if results is None else results):
-            solved[i], iterations[i] = result.f, result.iterations
+        results = precoding.gpip_solve_batch(
+            [precoding.PrecodingProblem(factors[i], sigma2, powers[i]) for i in gpip], gcfg)
+        for i, result in zip(gpip, results):
+            ws[i], iterations[i] = result.f, result.iterations
     scenes = {}
     for i, h_true in enumerate(channels):
         scenes.setdefault(id(h_true), []).append(i)
     for scene in scenes.values():
-        ws = {i: solved[i] for i in scene if i in solved}  # the scene's precoders
         zf = [i for i in scene if precoders[i] == "zf"]
         if zf:
             cols = _zf_columns(np.stack([factors[i][..., 0] for i in zf]), inputs[zf[0]])
-            stack = _attempt(failed, zf, precoding.zf_precoder, cols)
-            ws.update(zip(zf, () if stack is None else stack))
+            ws.update(zip(zf, precoding.zf_precoder(cols)))
         for i in scene:
             if precoders[i] == "wmmse":
-                wi = _attempt(failed, [i], precoding.wmmse_precoder, inputs[i],
-                              precoding.PrecodingProblem(factors[i], sigma2, powers[i]))
-                if wi is not None:
-                    ws[i] = wi
+                ws[i] = precoding.wmmse_precoder(
+                    inputs[i], precoding.PrecodingProblem(factors[i], sigma2, powers[i]))
         groups = {}  # the scene's channel and basis serve all of its points of one shape
-        for i in sorted(ws):
+        for i in scene:
             groups.setdefault(factors[i].shape, []).append(i)
         for points in groups.values():
-            stack = np.stack([ws[i] for i in points])
+            stack = np.stack([ws.pop(i) for i in points])
             pp = precoding.PrecodingProblem(np.stack([factors[i] for i in points]), sigma2,
                                             np.array([powers[i] for i in points]))
             basis = bases[points[0]]
-            rates = _attempt(failed, points, precoding.true_sum_se,
-                             stack if basis is None else basis @ stack, channels[points[0]], pp)
-            bounds = _attempt(failed, points, precoding.sum_se_lower_bound, stack, pp)
-            if rates is not None and bounds is not None:
-                for i, rate, bound in zip(points, rates, bounds):
-                    targets[i][...] = (rate, bound, iterations[i])
-    if failed:
-        i, exc = min(failed, key=lambda f: f[0])
-        raise _label(cfg, exc, labels[i]) from exc
+            rates = precoding.true_sum_se(stack if basis is None else basis @ stack,
+                                          channels[points[0]], pp)
+            bounds = precoding.sum_se_lower_bound(stack, pp)
+            for i, rate, bound in zip(points, rates, bounds):
+                targets[i][...] = (rate, bound, iterations[i])
 
 
 # GPIP problems per gpip_solve_batch call that a block of drops aims for.  A
@@ -542,32 +518,47 @@ def se_samples(cfg: ScenarioConfig) -> np.ndarray:
     gpip_solve_batch call.  A block holds ceil(GPIP_BATCH / P) drops, P the
     GPIP points per drop, and one drop when P is 0, at every worker count.
     A point's result does not depend on its block, so neither block size
-    nor worker count changes the output.  A CSI build, precoder or scoring
-    failure is re-raised with the seed, trial, sweep point and method that
-    reproduce it: the lowest failing trial's, and within that trial the
-    first failure in evaluation order.
+    nor worker count changes the output.
+
+    When a block fails, it is replayed from fresh trial streams one point at
+    a time, in evaluation order, and the first point that fails on its own
+    is raised with the seed, trial, sweep point and method that reproduce it
+    (_label); a failed CSI build is raised where the replay reaches it.
+    Since a point's result does not depend on its block, that is the first
+    failure in evaluation order of the lowest failing trial.
     """
     cfgs_by_l = {L: cfg.replace(n_paths=L, l_grid=(L,)) for L in cfg.l_grid}
     shape = (*(len(values) for _, values in se_axes(cfg)), len(SE_METRICS) + 1)
     per_drop = _gpip_points_per_drop(cfg)
     size = 1 if per_drop == 0 else math.ceil(GPIP_BATCH / per_drop)
 
-    def block(drops):
-        outs, queue, failure = [], [], None
+    def queue_drops(drops, emit) -> list:
+        outs = []
+        for t, rng in drops:
+            out = np.empty(shape)
+            outs.append(out)
+            for li, L in enumerate(cfg.l_grid):
+                scene = channel.draw_scene(cfgs_by_l[L], rng)
+                ests = _estimates(cfg, scene, [rng])
+                for ni, n in enumerate(cfg.n_grid):
+                    _se_scene(cfg, t, scene, ests, cfg.geometry(n), out[ni, li], emit)
+        return outs
+
+    def solve_alone(entry):
         try:
-            for t, rng in drops:
-                out = np.empty(shape)
-                outs.append(out)
-                for li, L in enumerate(cfg.l_grid):
-                    scene = channel.draw_scene(cfgs_by_l[L], rng)
-                    ests = _estimates(cfg, scene, [rng])
-                    for ni, n in enumerate(cfg.n_grid):
-                        _se_scene(cfg, t, scene, ests, cfg.geometry(n), out[ni, li], queue)
+            _solve_block(cfg, [entry])
         except ValueError as exc:
-            failure = exc  # a failed build ranks after every point queued before it
-        _solve_block(cfg, queue)
-        if failure is not None:
-            raise failure
+            raise _label(cfg, exc, entry[0]) from exc
+
+    def block(drops):
+        queue = []
+        try:
+            outs = queue_drops(drops, queue.append)
+            _solve_block(cfg, queue)
+        except ValueError:
+            queue_drops([(t, np.random.default_rng(derive_trial_seed(cfg.seed, t)))
+                         for t, _ in drops], solve_alone)
+            raise  # no point fails on its own
         return outs
 
     if cfg.workers == 1:

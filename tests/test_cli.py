@@ -381,6 +381,17 @@ def test_sim_se_writes_finite_numbers_or_one_labelled_error(tmp_path_factory, n,
         assert re.fullmatch(rf"error: [^\n]+ \(seed {seed}, trial \d, n_antennas {n}, "
                             rf"n_paths {paths}, power_dbm {float(power_dbm)}, b_tot [03], "
                             r"method \w+\)\n", err.getvalue())
+        # the named point fails on its own with the same message: the same
+        # scenario up to its trial, at its budget and method alone
+        trial, b_tot, method = re.search(r"trial (\d), .* b_tot (\d), method (\w+)\)\n$",
+                                         err.getvalue()).groups()
+        alone = {"trials": int(trial) + 1, "b_tot_grid": b_tot, "se_methods": method}
+        (tmp / "p.cfg").write_text(re.sub(r"(?m)^(trials|b_tot_grid|se_methods) = .*$",
+                                          lambda m: f"{m[1]} = {alone[m[1]]}", text))
+        rerun = io.StringIO()
+        with contextlib.redirect_stderr(rerun):
+            code = main(["sim", "se", "--config", str(tmp / "p.cfg"), "--out", str(tmp / "p.csv")])
+        assert (code, rerun.getvalue()) == (2, err.getvalue())
 
 
 @settings(max_examples=40, deadline=None)

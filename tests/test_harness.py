@@ -23,6 +23,23 @@ from fddlink.harness import (
 from oracles import dense_se_drop, draw_user_paths, draw_user_paths_by_calls
 
 
+def first_input(*args):
+    """A call's first argument: the (..., N, K) columns of zf_precoder, the
+    true channel of wmmse_precoder."""
+    return args[0]
+
+
+def last_input(*args):
+    """A call's last argument: the steering matrices of _csi_pass."""
+    return args[-1]
+
+
+def problem_factors(*args):
+    """The factors of the problem that a call takes last: the GPIP set-up's
+    (_reduced_problem) and the scores'."""
+    return args[-1].factors
+
+
 def small_cfg(**kw):
     base = dict(n_antennas=8, n_users=2, n_paths=2, trials=6, seed=321,
                 b_tot_grid=(0, 4), decay_ratio=0.4)
@@ -443,13 +460,30 @@ class TestSeExperiment:
         assert not any(sizes)
 
     @staticmethod
-    def fail_on_call(monkeypatch, module, name, call, exc):
-        """Make module.name raise exc on its call-th call (0-based)."""
+    def inputs_of(monkeypatch, cfg, module, name, pick) -> list:
+        """pick(*args) of every module.name call, in call order, in a clean
+        se_samples(cfg) run."""
+        fn, seen = getattr(module, name), []
+
+        def spy(*args, **kwargs):
+            seen.append(np.copy(pick(*args)))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+        se_samples(cfg)
+        monkeypatch.setattr(module, name, fn)
+        return seen
+
+    @staticmethod
+    def fail_on_input(monkeypatch, module, name, pick, data, exc):
+        """Make module.name raise exc whenever pick(*args) is ``data`` or
+        stacks it as one entry: on every call given that point, alone or in
+        any block, as a real failure would be."""
         fn = getattr(module, name)
-        calls = itertools.count()
 
         def wrapper(*args, **kwargs):
-            if next(calls) == call:
+            given = pick(*args)
+            if any(np.array_equal(x, data) for x in (given, *given)):
                 raise exc
             return fn(*args, **kwargs)
 
@@ -466,17 +500,37 @@ class TestSeExperiment:
     def test_block_reports_lowest_failing_trial(self, monkeypatch, zf_trial, gpip_trial, failed,
                                                 gpip_batch):
         # one GPIP and then one ZF point per drop; a GPIP_BATCH of 1 makes
-        # each trial a block and one of 2 puts both in one block, and the
-        # solver sets up its problems in trial order
+        # each trial a block and one of 2 puts both in one block
         cfg = small_cfg(trials=2, b_tot_grid=(3,), se_methods=("gpip_robust", "zf_mmse"))
         monkeypatch.setattr(harness, "GPIP_BATCH", gpip_batch)
-        self.fail_on_call(monkeypatch, precoding, "zf_precoder", zf_trial, ValueError("zf broke"))
-        self.fail_on_call(monkeypatch, precoding, "_reduced_problem", gpip_trial,
-                          precoding.GpipError("gpip broke"))
+        cols = self.inputs_of(monkeypatch, cfg, precoding, "zf_precoder", first_input)
+        problems = self.inputs_of(monkeypatch, cfg, precoding, "_reduced_problem", problem_factors)
+        self.fail_on_input(monkeypatch, precoding, "zf_precoder", first_input, cols[zf_trial][0],
+                           ValueError("zf broke"))
+        self.fail_on_input(monkeypatch, precoding, "_reduced_problem", problem_factors,
+                           problems[gpip_trial], precoding.GpipError("gpip broke"))
         sizes = self.spy_batches(monkeypatch)
         with pytest.raises((precoding.GpipError, ValueError), match=failed):
             se_samples(cfg)
-        assert len(sizes) == 1
+        # the first block's call, then trial 0's GPIP point replayed alone
+        assert sizes == [gpip_batch, 1]
+
+    @pytest.mark.parametrize("drops", [1, 2])
+    def test_scoring_failure_beats_a_later_solver_failure(self, monkeypatch, drops):
+        # trial 1's GPIP problem fails in the solver and trial 0's in the
+        # bound; in a block of both drops the solver's failure scores no point
+        cfg = small_cfg(trials=2, b_tot_grid=(3,), se_methods=("gpip_robust",))
+        monkeypatch.setattr(harness, "GPIP_BATCH", drops)
+        problems = self.inputs_of(monkeypatch, cfg, precoding, "_reduced_problem", problem_factors)
+        scored = self.inputs_of(monkeypatch, cfg, precoding, "sum_se_lower_bound",
+                                problem_factors)
+        self.fail_on_input(monkeypatch, precoding, "_reduced_problem", problem_factors, problems[1],
+                           precoding.GpipError("gpip broke"))
+        self.fail_on_input(monkeypatch, precoding, "sum_se_lower_bound", problem_factors,
+                           scored[0][0], precoding.PointError("bound broke", point=0))
+        with pytest.raises(precoding.PointError,
+                           match=r"^bound broke \(seed 321, trial 0, .*method gpip_robust\)$"):
+            se_samples(cfg)
 
     def test_stacked_zf_and_scores_match_calls_of_each_point(self, monkeypatch):
         # zero budget (ZF on the no-feedback fallback columns), DFT budgets of
@@ -529,19 +583,23 @@ class TestSeExperiment:
 
     def test_stacked_zf_failure_names_its_point_and_cuts_the_queue(self, monkeypatch):
         # per budget one GPIP and then one ZF point; the drop's ZF points are
-        # one zf_precoder call, whose error names its second point (b_tot 3)
+        # one zf_precoder call, which fails for its second point (b_tot 3)
         cfg = small_cfg(trials=1, b_tot_grid=(0, 3, 6), se_methods=("gpip_robust", "zf_mmse"))
-        stacks = []
+        cols = self.inputs_of(monkeypatch, cfg, precoding, "zf_precoder", first_input)
+        self.fail_on_input(monkeypatch, precoding, "zf_precoder", first_input, cols[0][1],
+                           precoding.ZfError("zf broke", point=1))
+        zf, stacks = precoding.zf_precoder, []
 
-        def fail(cols):
+        def spy(cols):
             stacks.append(cols.shape)
-            raise precoding.ZfError("zf broke", point=1)
+            return zf(cols)
 
-        monkeypatch.setattr(precoding, "zf_precoder", fail)
+        monkeypatch.setattr(precoding, "zf_precoder", spy)
         with pytest.raises(precoding.ZfError,
                            match=r"^zf broke \(seed 321, trial 0, .*b_tot 3, method zf_mmse\)$"):
             se_samples(cfg)
-        assert stacks == [(3, cfg.n_antennas, cfg.n_users)]
+        # the drop's call, then the first two budgets' ZF points replayed alone
+        assert stacks == [(3, cfg.n_antennas, cfg.n_users)] + [(1, cfg.n_antennas, cfg.n_users)] * 2
 
     def test_earlier_scoring_failure_beats_a_later_zf_failure(self, monkeypatch):
         # the WMMSE point comes first in evaluation order; its scoring fails,
@@ -571,9 +629,13 @@ class TestSeExperiment:
         # the ZF point comes first in evaluation order but is precoded only once
         # the scene is through; a later point's failure must not hide its failure
         cfg = small_cfg(trials=1, se_methods=("zf_nofeedback", "wmmse_perfect"))
-        if zf_fails:
-            self.fail_on_call(monkeypatch, precoding, "zf_precoder", 0, ValueError("zf broke"))
-        self.fail_on_call(monkeypatch, precoding, "wmmse_precoder", 0, ValueError("wmmse broke"))
+        cols = self.inputs_of(monkeypatch, cfg, precoding, "zf_precoder", first_input)
+        channels = self.inputs_of(monkeypatch, cfg, precoding, "wmmse_precoder", first_input)
+        if zf_fails:  # the stacked call's point, not WMMSE's zero-forcing start
+            self.fail_on_input(monkeypatch, precoding, "zf_precoder", first_input,
+                               next(c[0] for c in cols if c.ndim == 3), ValueError("zf broke"))
+        self.fail_on_input(monkeypatch, precoding, "wmmse_precoder", first_input, channels[0],
+                           ValueError("wmmse broke"))
         with pytest.raises(ValueError, match=failed):
             se_samples(cfg)
 
@@ -620,8 +682,9 @@ class TestSeExperiment:
         # the no-feedback ZF points come first; the MMSE source is built, and
         # fails, at the first budget's robust GPIP point
         cfg = small_cfg(trials=1, b_tot_grid=(0, 3), se_methods=("zf_nofeedback", "gpip_robust"))
-        self.fail_on_call(monkeypatch, harness, "_csi_pass", 0,
-                          ValueError("mmse broke"))
+        steering = self.inputs_of(monkeypatch, cfg, harness, "_csi_pass", last_input)
+        self.fail_on_input(monkeypatch, harness, "_csi_pass", last_input, steering[0],
+                           ValueError("mmse broke"))
         with pytest.raises(ValueError, match=r"^mmse broke \(seed 321, trial 0, .*"
                                              r"b_tot 0, method gpip_robust\)$"):
             se_samples(cfg)

@@ -1,8 +1,10 @@
-"""The package exports only what the package itself or the README uses;
-a helper that only the tests use belongs in tests/oracles.py."""
+"""The package exports only what the package itself or the README uses,
+and defines nothing that it neither exports nor uses; a helper that only
+the tests use belongs in tests/oracles.py."""
 
 import ast
 import re
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,3 +45,23 @@ def test_every_export_is_used_by_the_package_or_the_readme():
 
 def test_allowlist_names_only_unused_exports():
     assert set(ALLOWED) <= unused_exports()
+
+
+def orphaned_definitions() -> set:
+    """Functions, classes and methods of the package, dunders aside, that are
+    neither exported nor named by a package module outside their own body."""
+    trees = [ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")]
+
+    def names(node) -> Counter:
+        return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                       if isinstance(n, (ast.Name, ast.Attribute)))
+
+    named = sum((names(tree) for tree in trees), Counter())
+    return {node.name for tree in trees for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not re.fullmatch(r"__\w+__", node.name)
+            and named[node.name] == names(node)[node.name]} - exported_names()
+
+
+def test_every_definition_is_exported_or_used():
+    assert orphaned_definitions() == set()
