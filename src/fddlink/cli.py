@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import logging
+import os
 import sys
 
 import numpy as np
@@ -29,8 +30,19 @@ def _load_scenario(args) -> ScenarioConfig:
     return cfg.replace(**{key: value for key, value in given.items() if value is not None})
 
 
+def _check_out(path: str) -> None:
+    """Raise the OSError that writing the CSV to ``path`` would raise, before
+    the campaign runs; ``path`` is left as it was."""
+    existed = os.path.lexists(path)
+    with open(path, "a"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _cmd_sim(args) -> int:
     cfg = _load_scenario(args)
+    _check_out(args.out)
     records = run_experiment(args.experiment, cfg)
     emit_csv(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
@@ -53,6 +65,7 @@ def _cmd_allocate(args) -> int:
 
 def _cmd_precode(args) -> int:
     cfg = _load_scenario(args)
+    _check_out(args.out)
     axes = se_axes(cfg)
     samples = se_samples(cfg)
     with open(args.out, "w", newline="") as fh:

@@ -155,10 +155,9 @@ def _validate(cfg: ScenarioConfig) -> None:
         values, low = getattr(cfg, name), lowest.get(name, 1)
         need(all(_is_integer(v) and v >= low for v in values), name,
              f"entries must be integers >= {low}, got {values!r}")
-    need(cfg.lambda_ul > 0, "lambda_ul", "must be positive")
-    need(cfg.lambda_dl > 0, "lambda_dl", "must be positive")
-    need(cfg.spacing > 0, "spacing", "must be positive")
-    need(cfg.isd > 0, "isd", "must be positive")
+    for name in ("lambda_ul", "lambda_dl", "spacing", "isd"):
+        need(0 < getattr(cfg, name) < math.inf, name,
+             f"must be positive and finite, got {getattr(cfg, name)!r}")
     need(_positive_linear(cfg.noise_dbm - 30.0), "noise_dbm",
          f"must give a positive, finite power in watts, got {cfg.noise_dbm!r}")
     need(len(cfg.power_dbm_grid) > 0, "power_dbm_grid", "must be non-empty")
@@ -174,11 +173,12 @@ def _validate(cfg: ScenarioConfig) -> None:
          f"must give a positive, finite linear gain, got {cfg.pl_ref_gain_db!r}")
     need(0 <= cfg.pl_exponent < math.inf, "pl_exponent",
          f"must be finite and >= 0, got {cfg.pl_exponent!r}")
-    need(cfg.pl_ref_distance > 0, "pl_ref_distance", "must be positive")
+    need(0 < cfg.pl_ref_distance < math.inf, "pl_ref_distance",
+         f"must be positive and finite, got {cfg.pl_ref_distance!r}")
     need(0 < cfg.decay_ratio <= 1, "decay_ratio", "must be in (0, 1]")
-    need(cfg.excess_range >= 0, "excess_range", "must be >= 0")
-    need(cfg.aoa_sigma >= 0, "aoa_sigma", "must be >= 0")
-    need(cfg.gain_rel_sigma >= 0, "gain_rel_sigma", "must be >= 0")
+    for name in ("excess_range", "aoa_sigma", "gain_rel_sigma"):
+        need(0 <= getattr(cfg, name) < math.inf, name,
+             f"must be finite and >= 0, got {getattr(cfg, name)!r}")
     need(cfg.allocator in ALLOCATORS, "allocator", f"must be one of {ALLOCATORS}")
     need(len(cfg.se_methods) > 0, "se_methods", "must be non-empty")
     for m in cfg.se_methods:

@@ -24,8 +24,9 @@ Kr x Kr Hermitian positive-definite matrix, solved together by recursive
 block elimination.
 One lockstep loop runs all problems of one reduced shape, one batched call
 per step; gpip_solve_batch groups problems by shape, and gpip_solve is a
-batch of one.  Zero-forcing and WMMSE serve as baselines; WMMSE iterates on
-the K x K Gram matrix of the channels.  Zero-forcing and the two SE scores
+batch of one.  The first failure ends a batch and names its problem.
+Zero-forcing and WMMSE serve as baselines; WMMSE iterates on the K x K Gram
+matrix of the channels.  Zero-forcing and the two SE scores
 also take stacks of points (..., N, K), each point's result bit-equal to its
 own call.
 """
@@ -452,20 +453,15 @@ def _gpi_weights(vc: np.ndarray, noise: np.ndarray, cols: np.ndarray, p: np.ndar
     return wb, cols
 
 
-def _compact(arrays: dict, keep: np.ndarray) -> None:
-    """Keep the rows ``keep`` of each array, one at a time: old copies do not pile up."""
-    for name in arrays:
-        arrays[name] = arrays[name][keep]
-
-
-def _power_iteration(reduced: list, members: list, cfg: GpipConfig,
-                     results: list, errors: dict) -> None:
+def _power_iteration(reduced: list, members: list, cfg: GpipConfig, results: list) -> None:
     """Solve problem members[pos], reduced[pos] its _reduced_problem, for every
     input position pos in lockstep; all share one reduced factor shape.
 
     The running problems' arrays sit in ``live``, one row each, compacted on
-    iterations where some problem left.  A problem leaves with its result in
-    results[i], or its message in errors[i]; the bases are read only then.
+    iterations where some problem stopped with its result in results[i]; the
+    bases are read only then.  The first failed check raises a GpipError for
+    the lowest position that fails it, and no problem iterates after it; a
+    step checks its denominator solves before its quadratic forms.
     """
     n, k, r = reduced[0][0].shape
     pr = (1 << (k - 1).bit_length()) * r  # _denominator_solve pads the Gram matrix to pr
@@ -480,29 +476,30 @@ def _power_iteration(reduced: list, members: list, cfg: GpipConfig,
             _gpi_setup(v, w0))
     running = np.ones(len(reduced), dtype=bool)
 
-    def leave(mask, error=None, stop=None):
-        # running problems in mask leave with the message ``error``, or with
-        # their best iterate and stop = (iterations, converged)
-        mask &= running
-        if not mask.any():
-            return
+    def require_finite(lg):
+        # the lowest position among the problems whose forms are not finite fails
+        bad = ~np.isfinite(lg)
+        if bad.any():
+            raise GpipError("non-finite or non-positive quadratic forms",
+                            point=members[live["pos"][np.argmax(bad)]])
+
+    def leave(mask, stop):
+        # the problems in mask stop with their best iterate; stop = (iterations, converged)
         for row in np.flatnonzero(mask):
             pos = live["pos"][row]
-            if error is None:
-                results[members[pos]] = GpipResult(
-                    bases[pos] @ live["best_cols"][row], float(live["best_lg"][row]), *stop)
-            else:
-                errors[members[pos]] = error
+            results[members[pos]] = GpipResult(
+                bases[pos] @ live["best_cols"][row], float(live["best_lg"][row]), *stop)
         running[mask] = False
 
     live["p"], live["la"], live["lb"], live["lg"] = _gpi_logs(
         live["vc"], live["noise"], live["cols"])
+    require_finite(live["lg"])
     live["best_lg"], live["best_cols"] = live["lg"], live["cols"].copy()
-    leave(~np.isfinite(live["lg"]), "non-finite or non-positive quadratic forms")
 
     for iterations in range(1, cfg.max_iter + 1):
         if not running.all():
-            _compact(live, running)
+            for name in live:  # one array at a time: old copies do not pile up
+                live[name] = live[name][running]
             running = running[running]
             if not running.size:
                 return
@@ -512,30 +509,31 @@ def _power_iteration(reduced: list, members: list, cfg: GpipConfig,
         try:
             cols = _denominator_solve(live["vc"], live["gram"], wb, c, rhs)
         except np.linalg.LinAlgError:
-            # find the failed problems one at a time; the others keep their step
-            cols = np.full_like(rhs, np.nan)
+            # name the first problem whose block solve fails on its own
             for row in range(running.size):
                 one = slice(row, row + 1)
                 try:
-                    cols[one] = _denominator_solve(live["vc"][one], live["gram"][one], wb[one],
-                                                   c[one], rhs[one])
+                    _denominator_solve(live["vc"][one], live["gram"][one], wb[one], c[one],
+                                       rhs[one])
                 except np.linalg.LinAlgError:
                     s = np.sqrt(np.repeat(wb[row], r))
                     m = s[:, None] * live["gram"][row, :k * r, :k * r] * s + c[row] * np.eye(k * r)
-                    leave(np.arange(running.size) == row, "denominator block solve failed "
-                          f"(condition estimate {float(np.linalg.cond(m)):.3e})")
+                    raise GpipError("denominator block solve failed (condition estimate "
+                                    f"{float(np.linalg.cond(m)):.3e})",
+                                    point=members[live["pos"][row]]) from None
+            raise
         flat = cols.reshape(running.size, -1).view(float)
         cols /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None, None]
         live["cols"] = cols
 
         live["p"], live["la"], live["lb"], lg = _gpi_logs(live["vc"], live["noise"], cols)
-        leave(~np.isfinite(lg), "non-finite or non-positive quadratic forms")
+        require_finite(lg)
         improved = lg > live["best_lg"]
         live["best_lg"] = np.where(improved, lg, live["best_lg"])
         np.copyto(live["best_cols"], cols, where=improved[:, None, None])
-        leave(np.abs(np.expm1(lg - live["lg"])) < cfg.epsilon, stop=(iterations, True))
+        leave(np.abs(np.expm1(lg - live["lg"])) < cfg.epsilon, (iterations, True))
         live["lg"] = lg
-    leave(running, stop=(cfg.max_iter, False))
+    leave(running, (cfg.max_iter, False))
 
 
 def gpip_solve_batch(problems: list[PrecodingProblem],
@@ -556,33 +554,29 @@ def gpip_solve_batch(problems: list[PrecodingProblem],
     Problems with one reduced shape (N, K, r) run in one lockstep loop
     (_power_iteration): every step is a handful of batched calls over all of
     them, whose per-call cost on small matrices would otherwise repeat for
-    each problem.  A problem leaves the batch when it stops or fails, and the
-    others go on unchanged, so each result is the one a solve of that problem
-    alone gives: bit-equal for a fixed BLAS thread count, whatever else the
-    batch holds.  Results come
-    back in input order.  If any problem failed, the GpipError of the first
-    failed one in input order is raised once all have run; its ``point``
-    is that index.
+    each problem.  A problem leaves the batch when it stops, and the others
+    go on unchanged, so each result is the one a solve of that problem alone
+    gives: bit-equal for a fixed BLAS thread count, whatever else the batch
+    holds.  Results come back in input order.  The first failure ends the
+    batch with a GpipError whose ``point`` is that problem's input index.
+    Set-up failures come first, in input order, then failures group by group
+    (shapes in order of their first problem) and step by step, naming the
+    lowest index among the problems that fail one check.
     """
     cfg = cfg or GpipConfig()
     results: list = [None] * len(problems)
-    errors: dict[int, str] = {}
     reduced: dict[int, tuple] = {}
     groups: dict[tuple, list] = {}
-    # a problem whose values leave the finite range is dropped with a GpipError
+    # a problem whose values leave the finite range fails with a GpipError
     with np.errstate(all="ignore"):
         for i, pp in enumerate(problems):
             try:
                 reduced[i] = _reduced_problem(pp)
             except GpipError as exc:
-                errors[i] = str(exc)
-            else:
-                groups.setdefault(reduced[i][0].shape, []).append(i)
+                raise GpipError(exc.reason, point=i) from None
+            groups.setdefault(reduced[i][0].shape, []).append(i)
         for members in groups.values():
-            _power_iteration([reduced.pop(i) for i in members], members, cfg, results, errors)
-    if errors:
-        first = min(errors)
-        raise GpipError(errors[first], point=first)
+            _power_iteration([reduced.pop(i) for i in members], members, cfg, results)
     return results
 
 

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from fddlink import cli
 from fddlink.cli import _load_scenario, build_parser, main
 from fddlink.config import SE_METHODS, ConfigError, config_from_mapping
 
@@ -131,6 +132,33 @@ def test_sim_rejects_db_values_that_overflow(tmp_path, capsys, line):
     assert err.startswith(f"error: config field '{line.split(' = ')[0]}': ")
     assert err.count("\n") == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["sim", "se"], ["sim", "mse"], ["precode"]],
+                         ids=["sim-se", "sim-mse", "precode"])
+def test_unwritable_out_fails_before_the_campaign(tmp_path, capsys, monkeypatch, command):
+    def campaign(*args):
+        raise AssertionError("the campaign ran")
+
+    monkeypatch.setattr(cli, "run_experiment", campaign)
+    monkeypatch.setattr(cli, "se_samples", campaign)
+    out = tmp_path / "missing" / "o.csv"
+    assert main([*command, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+
+@pytest.mark.parametrize("command", [["sim", "se"], ["precode"]], ids=["sim-se", "precode"])
+def test_failed_campaign_leaves_an_existing_out_as_it_was(tmp_path, monkeypatch, command):
+    def campaign(*args):
+        raise ValueError("the campaign failed")
+
+    monkeypatch.setattr(cli, "run_experiment", campaign)
+    monkeypatch.setattr(cli, "se_samples", campaign)
+    out = tmp_path / "o.csv"
+    out.write_text("kept\n")
+    assert main([*command, "--out", str(out)]) == 2
+    assert out.read_text() == "kept\n"
 
 
 def test_precode_writes_per_drop_records(tmp_path, capsys):
@@ -299,6 +327,7 @@ def test_failed_drop_names_seed_trial_point_and_method(tmp_path, capsys, command
     assert main([*command, "--config", str(cfg), "--out", str(tmp_path / "o.csv")]) == 2
     err = capsys.readouterr().err
     assert "zero-forcing needs K <= N" in err
+    assert not (tmp_path / "o.csv").exists()  # the --out check leaves no file behind
     assert re.search(r"\(seed 1234, trial \d+, n_antennas 2, n_paths 2, power_dbm 43\.0, "
                      r"b_tot 0, method zf_mmse\)", err)
 

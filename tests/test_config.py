@@ -221,7 +221,8 @@ class TestAllocatableBudgetLimit:
 
 class TestLinearValues:
     """dBm and dB fields must give positive, finite watts and gains, and the
-    path-loss exponent must keep the path gains finite."""
+    path-loss exponent must keep the path gains finite; lengths and spreads
+    must be finite too."""
 
     CASES = [
         ({"noise_dbm": 4000.0}, "noise_dbm"),
@@ -252,6 +253,20 @@ class TestLinearValues:
         with pytest.raises(ConfigError) as err:
             ScenarioConfig(**{field: value})
         assert err.value.field == field
+
+    @pytest.mark.parametrize("field", [
+        "isd", "lambda_ul", "lambda_dl", "spacing", "pl_ref_distance", "excess_range",
+        "aoa_sigma", "gain_rel_sigma",
+    ])
+    def test_infinite_lengths_and_spreads_rejected(self, field):
+        # +inf passes a bare sign check: an infinite spread runs to finite
+        # CSVs or fails deep in a drop, an infinite length fails without the
+        # field's name
+        for build in (lambda: ScenarioConfig(**{field: float("inf")}),
+                      lambda: ScenarioConfig().replace(**{field: float("inf")})):
+            with pytest.raises(ConfigError, match="finite") as err:
+                build()
+            assert err.value.field == field
 
     def test_extremes_that_stay_in_range_accepted(self):
         # -3200 dBm is a subnormal noise power, still positive

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fddlink import precoding
 from fddlink.channel import ArrayGeometry, PathSet
 from fddlink.feedback import make_feedback_plan
 from fddlink.precoding import (
@@ -407,17 +408,53 @@ class TestBatchedSolver:
     def test_failed_problem_is_named_and_nothing_returned(self, zero_weight, reason):
         rng = np.random.default_rng(21)
         good = [random_problem(rng, n=6, k=2) for _ in range(3)]
-        # fails before the first step, but comes later in the input
+        # fails at set-up, so before any step, although it comes later in the input
         nan_hhat = random_problem(rng, n=6, k=2)
         nan_hhat.hhat[0, 0] = np.nan
-        batch = [good[0], self.zero_noise_problem(rng, zero_weight), good[1], nan_hhat, good[2]]
+        zero_noise = [self.zero_noise_problem(rng, zero_weight) for _ in range(2)]
+        batch = [good[0], zero_noise[0], good[1], nan_hhat, good[2]]
+        with pytest.raises(GpipError, match="^point 3: degenerate problem scale nan") as err:
+            gpip_solve_batch(batch)
+        assert err.value.point == 3
+        del batch[3]
         with pytest.raises(GpipError, match=rf"^point 1: {reason}") as err:
             gpip_solve_batch(batch)
         assert err.value.point == 1
         assert err.value.reason.startswith(reason)
-        with pytest.raises(GpipError, match="^point 1: degenerate problem scale nan"):
-            gpip_solve_batch(good[:1] + [nan_hhat] + good[1:])
+        # both fail at the first step: the lower position is named
+        with pytest.raises(GpipError, match=rf"^point 2: {reason}"):
+            gpip_solve_batch(good[:2] + zero_noise + good[2:])
         assert len(gpip_solve_batch(good)) == 3
+
+    def test_block_solves_are_checked_before_the_forms(self):
+        # both fail at the first step, the later one at its denominator solve
+        rng = np.random.default_rng(21)
+        batch = [self.zero_noise_problem(rng, False), random_problem(rng, n=6, k=2),
+                 self.zero_noise_problem(rng, True)]
+        with pytest.raises(GpipError, match="^point 2: denominator block solve failed"):
+            gpip_solve_batch(batch)
+        with pytest.raises(GpipError, match="^point 0: non-finite"):
+            gpip_solve_batch(batch[:2])
+
+    @pytest.mark.parametrize("zero_weight", [False, True])
+    def test_batch_stops_at_first_failure(self, monkeypatch, zero_weight):
+        # the good problems would take about a hundred steps to converge; the
+        # zero-noise one fails at the first, and nothing steps after it
+        rng = np.random.default_rng(21)
+        batch = [random_problem(rng, n=6, k=2) for _ in range(3)]
+        batch.insert(1, self.zero_noise_problem(rng, zero_weight))
+        calls = []
+
+        def spy(*args):
+            calls.append(len(args[0]))
+            return _denominator_solve(*args)
+
+        monkeypatch.setattr(precoding, "_denominator_solve", spy)
+        with pytest.raises(GpipError) as err:
+            gpip_solve_batch(batch, GpipConfig(max_iter=200, epsilon=1e-15))
+        assert err.value.point == 1
+        # one batched call, then at most one call per problem to name the failure
+        assert calls[0] == len(batch) and len(calls) <= 1 + len(batch)
 
     def test_each_result_owns_its_precoder(self):
         rng = np.random.default_rng(22)
